@@ -99,15 +99,18 @@ class CurvePresentation:
     ``proj`` maps a row coordinate vector (over the curves) to coordinates
     in Z^n modulo the Gram radical.  For the plain curve span a rational
     combination lies in the lattice exactly when its projection is
-    integral; when half-sum generators have been adjoined (an overlattice
-    of the span), membership additionally divides by the recorded basis.
+    integral.  When half-sum generators have been adjoined (an overlattice
+    of the span), ``overlattice_basis`` holds den times its basis as an
+    integer echelon matrix, and membership reduces den * projection
+    against it.
     """
 
     config: CurveConfig
     lattice: Lattice
     proj: IntMat = field(repr=False)
     radical_rank: int
-    overlattice_basis_inv: RatMat | None = field(repr=False, default=None)
+    overlattice_basis: IntMat | None = field(repr=False, default=None)
+    overlattice_den: int = 1
 
     def project(self, vec) -> tuple[Fraction, ...]:
         coords = [Fraction(e) for e in vec]
@@ -118,16 +121,20 @@ class CurvePresentation:
         )
 
     def contains(self, vec) -> bool:
-        proj = self.project(vec)
-        if self.overlattice_basis_inv is None:
-            return all(c.denominator == 1 for c in proj)
-        coords = RatMat.from_rows([proj]) * self.overlattice_basis_inv
-        return coords.is_integral()
-
-    def curve_vector(self, label: str) -> tuple[int, ...]:
-        v = [0] * self.config.size
-        v[self.config.index(label)] = 1
-        return tuple(v)
+        x = [c * self.overlattice_den for c in self.project(vec)]
+        if any(c.denominator != 1 for c in x):
+            return False
+        if self.overlattice_basis is None:
+            return True
+        # square upper-triangular basis: row k has its pivot in column k
+        x = [int(c) for c in x]
+        for k, row in enumerate(self.overlattice_basis.entries):
+            q, rem = divmod(x[k], row[k])
+            if rem:
+                return False
+            if q:
+                x = [a - q * b for a, b in zip(x, row)]
+        return True
 
     def adjoin(self, extra_vectors) -> CurvePresentation:
         """Presentation of the overlattice generated with the given rational
@@ -138,10 +145,11 @@ class CurvePresentation:
         rows = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
         for vec in extra_vectors:
             rows.append(self.project(vec))
-        basis = rational_span_basis(rows)
-        inv = RatMat.from_rows(basis).inverse()
+        basis = RatMat.from_rows(rational_span_basis(rows))
+        den = basis.denominator_lcm()
         return CurvePresentation(
-            self.config, self.lattice, self.proj, self.radical_rank, inv
+            self.config, self.lattice, self.proj, self.radical_rank,
+            basis.scale(Fraction(den)).to_integer(), den,
         )
 
 

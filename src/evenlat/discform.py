@@ -37,7 +37,8 @@ class FiniteQuadraticModule:
     b_mat: tuple[tuple[Fraction, ...], ...]
     source: Lattice | None = None
     lifts: tuple[tuple[Fraction, ...], ...] | None = None
-    dual_basis: tuple[tuple[Fraction, ...], ...] | None = None
+    dual_transform: IntMat | None = None
+    dual_diagonal: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         k = len(self.orders)
@@ -150,24 +151,29 @@ def from_lattice(lattice: Lattice) -> FiniteQuadraticModule:
     raw = [[lattice.pairing(lifts[i], lifts[j]) for j in range(k)] for i in range(k)]
     q_diag = tuple(_mod2(raw[i][i]) for i in range(k))
     b_mat = tuple(tuple(_mod1(raw[i][j]) for j in range(k)) for i in range(k))
-    return FiniteQuadraticModule(orders, q_diag, b_mat, lattice, lifts, disc.dual_basis)
+    return FiniteQuadraticModule(
+        orders, q_diag, b_mat, lattice, lifts, disc.dual_transform, disc.dual_diagonal
+    )
 
 
 def class_of(module: FiniteQuadraticModule, vector: DualVector) -> GroupElement:
     """Class of a dual vector in A_L, for lattice-backed modules.
 
-    The dual basis recorded at construction expresses the vector with
-    integer coordinates; the non-integral rows are the generators.
+    The construction recorded S*gram^-1*T = D, and the rows of D*T^-1 are
+    a Z-basis of the dual lattice, so v has the coordinates v*T / D in it.
+    The rows with a non-integral diagonal entry are the generators.
     """
-    if module.dual_basis is None or module.source is None:
+    if module.dual_transform is None or module.source is None:
         raise ValueError("module has no lattice back-reference")
-    basis = RatMat.from_rows(module.dual_basis)
-    coords = RatMat.from_rows([vector.coords]) * basis.inverse()
-    if not coords.is_integral():
+    den = math.lcm(*(c.denominator for c in vector.coords))
+    num = [c.numerator * (den // c.denominator) for c in vector.coords]
+    coords = [
+        Fraction(sum(a * b for a, b in zip(num, col)), den) / di
+        for col, di in zip(zip(*module.dual_transform.entries), module.dual_diagonal)
+    ]
+    if any(c.denominator != 1 for c in coords):
         raise ValueError("vector is not in the dual lattice")
-    gen_rows = [i for i, row in enumerate(module.dual_basis)
-                if any(c.denominator != 1 for c in row)]
-    exps = [int(coords.entries[0][i]) for i in gen_rows]
+    exps = [int(c) for c, di in zip(coords, module.dual_diagonal) if di.denominator != 1]
     return module.reduce(exps)
 
 
@@ -338,7 +344,7 @@ def are_isomorphic(
         raise GuardExceeded(
             f"module order {max(m1.order, m2.order)} exceeds the search guard {limit}"
         )
-    if m1.order != m2.order or m1.orders != m2.orders:
+    if m1.order != m2.order:
         return None
     fp1 = sorted((m1.element_order(x), q_value(m1, x)) for x in m1.elements())
     fp2 = sorted((m2.element_order(x), q_value(m2, x)) for x in m2.elements())

@@ -124,25 +124,8 @@ class IntMat:
         """Determinant by fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        pivots, d, sign = _bareiss([list(row) for row in self.entries])
+        return sign * d if len(pivots) == self.rows else 0
 
     def inverse(self) -> RatMat:
         return self.to_rational().inverse()
@@ -151,9 +134,6 @@ class IntMat:
         if self.cols != other.cols:
             raise ValueError("dimension mismatch in stack")
         return IntMat(self.entries + other.entries)
-
-    def take_rows(self, indices) -> IntMat:
-        return IntMat(tuple(self.entries[i] for i in indices))
 
     def submatrix(self, row_indices, col_indices) -> IntMat:
         return IntMat(
@@ -244,46 +224,25 @@ class RatMat:
         return d
 
     def det(self) -> Fraction:
+        """det(den*A) / den^n, den*A being the integer matrix cleared of denominators."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        sign = 1
-        res = Fraction(1)
-        for k in range(n):
-            piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                m[k], m[piv] = m[piv], m[k]
-                sign = -sign
-            res *= m[k][k]
-            inv = 1 / m[k][k]
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    f = m[i][k] * inv
-                    for j in range(k, n):
-                        m[i][j] -= f * m[k][j]
-        return sign * res
+        rows, den = _clear_denominators(self.entries)
+        pivots, d, sign = _bareiss(rows)
+        return Fraction(sign * d, den**self.rows) if len(pivots) == self.rows else Fraction(0)
 
     def inverse(self) -> RatMat:
-        """Gauss-Jordan inverse; raises on singular input."""
+        """Gauss-Jordan inverse of den*A on [den*A | I]; raises on singular input."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(self.entries)]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            m[k], m[piv] = m[piv], m[k]
-            inv = 1 / m[k][k]
-            m[k] = [e * inv for e in m[k]]
-            for i in range(n):
-                if i != k and m[i][k] != 0:
-                    f = m[i][k]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-        return RatMat(tuple(tuple(row[n:]) for row in m))
+        rows, den = _clear_denominators(self.entries)
+        m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        pivots, d, _ = _bareiss(m)
+        if pivots[:n] != list(range(n)):
+            raise ValueError("matrix is singular")
+        # m = d * [I | (den*A)^-1]
+        return RatMat(tuple(tuple(Fraction(den * e, d) for e in row[n:]) for row in m))
 
 
 def block_diag(*mats: IntMat) -> IntMat:
@@ -317,22 +276,58 @@ def _addmul_row(m: list[list[int]], dst: int, src: int, q: int) -> None:
         m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
 
 
-def _combine_rows(m: list[list[int]], i: int, j: int, c: int) -> None:
-    """Left-multiply rows (i, j) by the unimodular 2x2 clearing m[j][c]."""
-    a, b = m[i][c], m[j][c]
-    if b == 0:
-        return
-    if a == 0:
-        _swap(m, i, j)
-        return
-    if b % a == 0:
-        _addmul_row(m, j, i, -(b // a))
-        return
-    x, y, g = xgcd(a, b)
-    ag, bg = a // g, b // g
-    ri, rj = m[i], m[j]
-    m[i] = [x * p + y * q for p, q in zip(ri, rj)]
-    m[j] = [-bg * p + ag * q for p, q in zip(ri, rj)]
+def _clear_denominators(rows) -> tuple[list[list[int]], int]:
+    """(den * rows as integer lists, den), den the lcm of all denominators."""
+    den = 1
+    for row in rows:
+        for e in row:
+            den = lcm(den, e.denominator)
+    return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
+
+
+def _pivot_step(m: list[list[int]], r: int, c: int, prev: int) -> None:
+    """One fraction-free Gauss-Jordan step on pivot m[r][c].
+
+    Every other row becomes (p * row - row[c] * m[r]) / prev, p = m[r][c]
+    and prev the previous pivot (1 before the first).  Each entry is then a
+    minor of the input, so the division is exact.
+    """
+    pivot_row = m[r]
+    p = pivot_row[c]
+    for i, row in enumerate(m):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            m[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+        elif p != prev:
+            m[i] = [p * a // prev for a in row]
+
+
+def _bareiss(m: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in place.
+
+    Leaves m equal to d times its reduced row echelon form, zero rows at the
+    bottom, where d is the last pivot (1 when there is none).  Returns the
+    pivot columns, d and the sign of the row swaps.  For a square matrix of
+    full rank, sign * d is the determinant.
+    """
+    pivots: list[int] = []
+    d = sign = 1
+    for c in range(len(m[0])):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            _swap(m, r, piv)
+            sign = -sign
+        _pivot_step(m, r, c, d)
+        d = m[r][c]
+        pivots.append(c)
+    return pivots, d, sign
 
 
 def hnf(a: IntMat) -> tuple[IntMat, IntMat]:
@@ -502,9 +497,8 @@ def snf_rational(a: RatMat) -> tuple[RatMat, IntMat, IntMat]:
         raise ValueError("rational SNF requires a square matrix")
     if a.det() == 0:
         raise ValueError("rational SNF requires a nonsingular matrix")
-    mden = a.denominator_lcm()
-    scaled = a.scale(Fraction(mden)).to_integer()
-    d_int, s, t = snf(scaled)
+    scaled, mden = _clear_denominators(a.entries)
+    d_int, s, t = snf(IntMat.from_rows(scaled))
     n = a.rows
     # reverse the divisibility chain: largest invariant factor first
     perm = list(range(n - 1, -1, -1))
@@ -520,63 +514,39 @@ def snf_rational(a: RatMat) -> tuple[RatMat, IntMat, IntMat]:
 def signature(g: IntMat) -> tuple[int, int, int]:
     """Sign counts (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Computed exactly by symmetric congruence reduction over Q: pivot on a
-    nonzero diagonal entry when one exists, otherwise split off a
-    hyperbolic pair (contributing one positive and one negative square).
+    Fraction-free symmetric elimination: pivot on a nonzero diagonal entry
+    of the block not yet used as pivots.  That block is the previous pivot
+    times the Schur complement, so the sign of pivot_k / pivot_(k-1) is
+    the sign of the square split off.  When its diagonal is all zero, the
+    congruence e_i += e_j with g_ij != 0 makes the diagonal entry 2*g_ij;
+    it touches only rows and columns not yet used, so the division stays
+    exact.
     """
     if not g.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
-    n = g.rows
-    m = [[Fraction(e) for e in row] for row in g.entries]
-    active = list(range(n))
-    n_plus = n_minus = n_zero = 0
+    m = [list(row) for row in g.entries]
+    active = list(range(g.rows))
+    n_plus = n_minus = 0
+    prev = 1
     while active:
-        piv = next((i for i in active if m[i][i] != 0), None)
-        if piv is not None:
-            p = m[piv][piv]
-            if p > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            active.remove(piv)
-            for i in active:
-                if m[i][piv] != 0:
-                    f = m[i][piv] / p
-                    for j in active:
-                        m[i][j] -= f * m[piv][j]
-                    m[i][piv] = Fraction(0)
-            for i in active:
-                m[piv][i] = Fraction(0)
-            continue
-        pair = None
-        for i in active:
-            for j in active:
-                if i < j and m[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
+        piv = next((i for i in active if m[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in active for j in active if i < j and m[i][j]), None)
+            if pair is None:
                 break
-        if pair is None:
-            n_zero += len(active)
-            break
-        i0, j0 = pair
-        a0 = m[i0][j0]
-        n_plus += 1
-        n_minus += 1
-        active.remove(i0)
-        active.remove(j0)
-        for k in active:
-            c1 = m[k][j0] / a0
-            c2 = m[k][i0] / a0
-            if c1 == 0 and c2 == 0:
-                continue
-            # e_k -> e_k - c1*e_i0 - c2*e_j0, applied symmetrically
-            for l in active:
-                m[k][l] -= c1 * m[i0][l] + c2 * m[j0][l]
-            for l in active:
-                m[l][k] -= c1 * m[l][i0] + c2 * m[l][j0]
-            m[k][k] += 2 * c1 * c2 * a0
-    return n_plus, n_minus, n_zero
+            piv, j = pair
+            m[piv] = [a + b for a, b in zip(m[piv], m[j])]
+            for row in m:
+                row[piv] += row[j]
+        p = m[piv][piv]
+        if (p > 0) == (prev > 0):
+            n_plus += 1
+        else:
+            n_minus += 1
+        _pivot_step(m, piv, piv, prev)
+        prev = p
+        active.remove(piv)
+    return n_plus, n_minus, len(active)
 
 
 @dataclass(frozen=True)
@@ -601,38 +571,22 @@ def solve_rational(a: IntMat, b) -> RationalSolution | None:
     rhs = [Fraction(e) for e in b]
     if len(rhs) != a.rows:
         raise ValueError("dimension mismatch between matrix and right-hand side")
-    m, n = a.rows, a.cols
-    mat = [[Fraction(e) for e in row] + [rhs[i]] for i, row in enumerate(a.entries)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [e * inv for e in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [p - f * q for p, q in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if mat[i][n] != 0:
-            return None
+    n = a.cols
+    (cleared,), den = _clear_denominators([rhs])
+    # [A | den*b] becomes d * its reduced row echelon form
+    mat = [list(row) + [e] for row, e in zip(a.entries, cleared)]
+    pivots, d, _ = _bareiss(mat)
+    if pivots and pivots[-1] == n:
+        return None
     x = [Fraction(0)] * n
-    for row_idx, c in enumerate(pivots):
-        x[c] = mat[row_idx][n]
-    free = [c for c in range(n) if c not in pivots]
+    for row, c in zip(mat, pivots):
+        x[c] = Fraction(row[n], d * den)
     kernel = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for row_idx, c in enumerate(pivots):
-            v[c] = -mat[row_idx][fc]
+        for row, c in zip(mat, pivots):
+            v[c] = Fraction(-row[fc], d)
         kernel.append(tuple(v))
     return RationalSolution(tuple(x), tuple(kernel))
 

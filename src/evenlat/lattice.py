@@ -17,8 +17,8 @@ from math import gcd
 from .exactlinalg import (
     IntMat,
     RatMat,
+    _bareiss,
     block_diag,
-    hnf,
     kernel_saturated,
     lattice_rows_hnf,
     signature,
@@ -113,12 +113,18 @@ def contains(lattice: Lattice, v: DualVector) -> bool:
 
 @dataclass(frozen=True)
 class DiscGroupData:
-    """Invariant factors and generator lifts of the discriminant group."""
+    """Invariant factors and generator lifts of the discriminant group.
+
+    ``dual_transform`` (T) and ``dual_diagonal`` (the diagonal of D) come
+    from S * gram^-1 * T = D; the rows of D * T^-1 are a Z-basis of the
+    dual lattice.
+    """
 
     lattice: Lattice
     invariant_factors: tuple[int, ...]
     generator_lifts: tuple[DualVector, ...]
-    dual_basis: tuple[tuple[Fraction, ...], ...] = field(repr=False, default=())
+    dual_transform: IntMat = field(repr=False)
+    dual_diagonal: tuple[Fraction, ...] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -129,16 +135,17 @@ class DiscGroupData:
 
 
 def discriminant_group(lattice: Lattice) -> DiscGroupData:
-    """Discriminant group A_L = L*/L via the rational SNF of gram^-1.
+    """Discriminant group A_L = L*/L via the rational SNF S*gram^-1*T = D.
 
-    The generator lifts are the rows of S*gram^-1 whose diagonal invariant
-    is non-integral; together with the integral rows they form a Z-basis
-    of the dual lattice.
+    The rows of S*gram^-1 = D*T^-1 form a Z-basis of the dual lattice; the
+    generator lifts are those whose diagonal invariant is non-integral.
+    T and the diagonal of D are kept, so a dual vector v has coordinates
+    v*T / D in that basis.
     """
     if not lattice.is_nondegenerate:
         raise ValueError("discriminant group needs a nondegenerate lattice")
     inv = lattice.gram.inverse()
-    d, s, _t = snf_rational(inv)
+    d, s, t = snf_rational(inv)
     dual_rows = s.to_rational() * inv
     factors = []
     lifts = []
@@ -152,7 +159,8 @@ def discriminant_group(lattice: Lattice) -> DiscGroupData:
         order = sorted(range(len(factors)), key=lambda k: factors[k])
         factors = [factors[k] for k in order]
         lifts = [lifts[k] for k in order]
-    return DiscGroupData(lattice, tuple(factors), tuple(lifts), dual_rows.entries)
+    diagonal = tuple(d.entries[i][i] for i in range(lattice.rank))
+    return DiscGroupData(lattice, tuple(factors), tuple(lifts), t, diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +341,7 @@ def sublattice(host: Lattice, gens: IntMat) -> SublatticeData:
 
 
 def _row_rank(a: IntMat) -> int:
-    h, _ = hnf(a)
-    return sum(1 for row in h.entries if any(e != 0 for e in row))
+    return len(_bareiss([list(row) for row in a.entries])[0])
 
 
 def saturation(host: Lattice, gens: IntMat) -> IntMat:

@@ -400,22 +400,6 @@ class XprimeReconstruction:
     relation_report: tuple[tuple[str, bool], ...]
     incidence_kernel_dim: int
 
-    def generator_vector(self, gen_index: int) -> tuple[Fraction, ...]:
-        """Generators 0..19: curves; 20: N, 21: Lambda1, 22: Lambda2."""
-        n = self.config.size
-        if gen_index < n:
-            v = [Fraction(0)] * n
-            v[gen_index] = Fraction(1)
-            return tuple(v)
-        support = {
-            20: refdata.N_SUPPORT,
-            21: refdata.LAMBDA1_SUPPORT,
-            22: refdata.LAMBDA2_SUPPORT,
-        }[gen_index]
-        return tuple(
-            Fraction(1, 2) if i in support else Fraction(0) for i in range(n)
-        )
-
 
 def reconstruct_xprime(base24: CurveConfig) -> XprimeReconstruction:
     """The 20-curve configuration on the symplectic quotient.

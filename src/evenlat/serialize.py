@@ -23,19 +23,6 @@ def rational_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def rational_from_json(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ParseError(f"expected a number, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {v!r}") from exc
-    raise ParseError(f"expected an integer or 'p/q' string, got {v!r}")
-
-
 def intmat_to_json(m: IntMat) -> list:
     return [list(row) for row in m.entries]
 

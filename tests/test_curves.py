@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import linalg_oracle as oracle
 from evenlat.curves import (
     CoverStep,
     CurveConfig,
@@ -15,7 +17,7 @@ from evenlat.curves import (
     triple_double_tower,
 )
 from evenlat.exactlinalg import IntMat
-from evenlat.lattice import discriminant_group
+from evenlat.lattice import discriminant_group, rational_span_basis
 
 F = Fraction
 
@@ -302,3 +304,37 @@ class TestCertificates:
             for lab in cert.final:
                 diff[cfg.index(lab)] -= F(1, 2)
             assert pres.contains(diff)
+
+
+def test_contains_matches_inverted_basis():
+    # the rule contains replaced: proj * B^-1 integral, B the Z-basis of
+    # the overlattice spanned by Z^r and the projected adjoined vectors
+    rng = random.Random(4711)
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.choice((0, 0, 1, 2))
+        labels = tuple(f"c{i}" for i in range(n))
+        pres = present(CurveConfig.from_gram(labels, IntMat.from_rows(g)))
+        extra = [
+            tuple(F(rng.randint(0, k - 1), k) for _ in range(n))
+            for k in rng.choices((2, 3, 4), k=rng.randint(1, 2))
+        ]
+        over = pres.adjoin(extra)
+        r = pres.proj.cols
+        rows = [tuple(F(int(i == j)) for j in range(r)) for i in range(r)]
+        rows += [pres.project(v) for v in extra]
+        basis_inv = oracle.inverse(rational_span_basis(rows))
+        for _ in range(10):
+            vec = [F(rng.randint(-3, 3)) for _ in range(n)]
+            for v in extra:
+                c = rng.randint(-2, 2)
+                vec = [a + c * b for a, b in zip(vec, v)]
+            if rng.random() < 0.3:
+                vec[rng.randrange(n)] += F(1, rng.randint(2, 6))
+            proj = pres.project(vec)
+            coords = [sum(proj[i] * basis_inv[i][j] for i in range(r)) for j in range(r)]
+            assert over.contains(vec) == all(c.denominator == 1 for c in coords)
+            assert pres.contains(vec) == all(c.denominator == 1 for c in proj)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import evenlat.discform as df
-from evenlat.exactlinalg import IntMat
+import linalg_oracle as oracle
+from evenlat.exactlinalg import IntMat, snf_rational
 from evenlat.lattice import Lattice, make_named, parse_lattice_expr
+from test_exactlinalg import random_unimodular
 
 F = Fraction
 
@@ -237,6 +239,19 @@ class TestIsomorphism:
                     neg, witness[i], witness[j]
                 )
 
+    def test_generator_orders_in_another_sequence(self):
+        m1 = df.from_lattice(parse_lattice_expr("U(2)+diag(-4)"))
+        m2 = df.direct_sum(
+            df.from_lattice(parse_lattice_expr("diag(-4)")),
+            df.from_lattice(parse_lattice_expr("U(2)")),
+        )
+        assert (m1.orders, m2.orders) == ((2, 2, 4), (4, 2, 2))
+        witness = df.are_isomorphic(m1, m2)
+        assert witness is not None
+        # submodule_on checks that the images generate m2 with m1's orders
+        image = df.submodule_on(m2, witness, m1.orders)
+        assert (image.q_diag, image.b_mat) == (m1.q_diag, m1.b_mat)
+
     def test_self_isomorphic(self, a_q):
         assert df.are_isomorphic(a_q, a_q) is not None
 
@@ -277,6 +292,34 @@ class TestLatticeBackReference:
             gen = tuple(int(j == i) for j in range(a_q.ngens))
             lift = a_q.lift(gen)
             assert df.class_of(a_q, a_q.source.dual_vector(lift)) == gen
+
+    def test_class_of_matches_inverted_dual_basis(self):
+        # the rule class_of replaced: coordinates v * B^-1 in the dual basis
+        # B = S * gram^-1, with the non-integral rows of B as generators
+        rng = random.Random(2718)
+        grams = [Q_GRAM] + [random_even_lattice(rng, max_rank=5).gram for _ in range(40)]
+        for gram in grams:
+            u = random_unimodular(rng, gram.rows, steps=3 * gram.rows)
+            lat = Lattice(u * gram * u.transpose())
+            module = df.from_lattice(lat)
+            inv = lat.gram.inverse()
+            _, s, _ = snf_rational(inv)
+            basis = (s.to_rational() * inv).entries
+            basis_inv = oracle.inverse(basis)
+            gen_rows = [i for i, row in enumerate(basis) if any(c.denominator != 1 for c in row)]
+            n = lat.rank
+            for _ in range(6):
+                c = [rng.randint(-5, 5) for _ in range(n)]
+                v = [sum(ci * row[j] for ci, row in zip(c, basis)) for j in range(n)]
+                if rng.random() < 0.3:
+                    v[rng.randrange(n)] += F(1, rng.randint(2, 5))
+                coords = [sum(v[i] * basis_inv[i][j] for i in range(n)) for j in range(n)]
+                if all(x.denominator == 1 for x in coords):
+                    want = module.reduce([int(coords[i]) for i in gen_rows])
+                    assert df.class_of(module, lat.dual_vector(v)) == want
+                else:
+                    with pytest.raises(ValueError):
+                        df.class_of(module, lat.dual_vector(v))
 
     def test_from_lattice_invariant_under_generator_choice(self, a_q):
         # presenting the same module on the printed generators gives an

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linalg_oracle as oracle
 from evenlat.exactlinalg import (
     IntMat,
     RatMat,
@@ -14,6 +15,7 @@ from evenlat.exactlinalg import (
     snf_rational,
     solve_rational,
 )
+from evenlat.lattice import _row_rank
 
 F = Fraction
 
@@ -201,6 +203,20 @@ class TestSignature:
         with pytest.raises(ValueError):
             signature(IntMat.from_rows([[0, 1], [2, 0]]))
 
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            ([[0, 1, 1, 2], [1, 0, -1, -2], [1, -1, 0, -1], [2, -2, -1, 0]], (3, 1, 0)),
+            (
+                [[0, -2, 0, 0, 2], [-2, 0, 3, -2, 1], [0, 3, 0, -2, -2],
+                 [0, -2, -2, 0, 0], [2, 1, -2, 0, 0]],
+                (2, 2, 1),
+            ),
+        ],
+    )
+    def test_zero_diagonal(self, rows, want):
+        assert signature(IntMat.from_rows(rows)) == want
+
 
 class TestSolveRational:
     def test_identity(self):
@@ -262,6 +278,82 @@ class TestKernel:
         if rows:
             d, _, _ = snf(IntMat.from_rows(rows))
             assert all(d.entries[i][i] == 1 for i in range(len(rows)))
+
+
+def rational_matrix(rows, cols, max_entry=6, max_den=4):
+    entry = st.builds(F, st.integers(-max_entry, max_entry), st.integers(1, max_den))
+    return st.lists(
+        st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+def int_matrix(rows, cols, max_entry=9):
+    return st.lists(
+        st.lists(st.integers(-max_entry, max_entry), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows,
+    ).map(IntMat.from_rows)
+
+
+def low_rank_intmat(max_dim=5, max_entry=3, square=False):
+    """Products of n x r and r x m factors: singular, rectangular, any rank."""
+    dims = st.tuples(st.integers(1, max_dim), st.integers(1, max_dim), st.integers(1, max_dim))
+
+    def build(nrm):
+        n, r, m = nrm
+        m = n if square else m
+        return st.tuples(
+            int_matrix(n, r, max_entry), int_matrix(r, m, max_entry)
+        ).map(lambda ab: ab[0] * ab[1])
+
+    return dims.flatmap(build)
+
+
+class TestAgainstFractionOracle:
+    """The kernel-derived functions against the textbook Fraction loops."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(lambda n: int_matrix(n, n)) | low_rank_intmat(square=True))
+    def test_int_det(self, a):
+        assert F(a.det()) == oracle.det(a.entries)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 5).flatmap(lambda n: rational_matrix(n, n))
+        | low_rank_intmat(square=True).map(lambda a: [[F(e, 3) for e in row] for row in a.entries])
+    )
+    def test_rational_det_and_inverse(self, rows):
+        a = RatMat.from_rows(rows)
+        det = oracle.det(rows)
+        assert a.det() == det
+        if det == 0:
+            with pytest.raises(ValueError):
+                a.inverse()
+        else:
+            assert a.inverse().entries == oracle.inverse(rows)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(low_rank_intmat() | small_intmat())
+    def test_rank(self, a):
+        assert _row_rank(a) == oracle.rank(a.entries)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        low_rank_intmat(),
+        st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 4)), min_size=5, max_size=5),
+        st.booleans(),
+    )
+    def test_solve(self, a, x, consistent):
+        if consistent:
+            # b = A*x: always solvable, unique only at full column rank
+            b = [sum(e * xi for e, xi in zip(row, x)) for row in a.entries]
+        else:
+            b = x[: a.rows]
+        sol = solve_rational(a, b)
+        want = oracle.solve(a.entries, b)
+        if want is None:
+            assert sol is None
+        else:
+            assert (sol.particular, sol.kernel) == want
 
 
 def test_bareiss_matches_fraction_gauss():
@@ -336,12 +428,14 @@ def test_signature_against_characteristic_polynomial():
     # positive and negative eigenvalues exactly: an oracle that shares no
     # code with the congruence reduction
     rng = random.Random(31337)
-    for _ in range(200):
+    for k in range(400):
         n = rng.randint(1, 5)
         g = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 g[i][j] = g[j][i] = rng.randint(-4, 4)
+            if k % 2:
+                g[i][i] = 0  # all-zero diagonal: congruence steps only
         gm = IntMat.from_rows(g)
         p = _char_poly(gm)
         n_plus = _descartes_positive_roots(p)
