@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlinalg import IntMat, RatMat, kernel_saturated, snf
+from .exactlinalg import IntMat, RatMat, _clear_denominators, kernel_saturated, snf
 from .lattice import Lattice
 
 
@@ -113,12 +113,13 @@ class CurvePresentation:
     overlattice_den: int = 1
 
     def project(self, vec) -> tuple[Fraction, ...]:
-        coords = [Fraction(e) for e in vec]
-        cols = self.proj.cols
-        return tuple(
-            sum(coords[i] * self.proj.entries[i][j] for i in range(len(coords)))
-            for j in range(cols)
-        )
+        (num,), den = _clear_denominators([vec])
+        out = [0] * self.proj.cols
+        for a, row in zip(num, self.proj.entries):
+            if a:
+                for j, p in enumerate(row):
+                    out[j] += a * p
+        return tuple(Fraction(e, den) for e in out)
 
     def contains(self, vec) -> bool:
         x = [c * self.overlattice_den for c in self.project(vec)]

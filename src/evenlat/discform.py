@@ -2,6 +2,8 @@
 
 Elements are exponent vectors against invariant-factor generators; q takes
 values in Q/2Z (reduced to [0, 2)) and b in Q/Z (reduced to [0, 1)).
+Internally both are integers: with the level M (the lcm of all the
+denominators), M*q is taken mod 2M and M*b mod M.
 """
 
 from __future__ import annotations
@@ -9,11 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlinalg import IntMat, RatMat
-from .lattice import DualVector, Lattice, discriminant_group, rational_span_basis
+from .exactlinalg import IntMat, _clear_denominators, lattice_rows_hnf
+from .lattice import DualVector, Lattice, _induced_gram_rational, discriminant_group
 
 GroupElement = tuple[int, ...]
 
@@ -39,6 +41,10 @@ class FiniteQuadraticModule:
     lifts: tuple[tuple[Fraction, ...], ...] | None = None
     dual_transform: IntMat | None = None
     dual_diagonal: tuple[Fraction, ...] | None = None
+    # derived: the level M and the integer tables M*q_diag and M*b_mat
+    level: int = field(init=False, repr=False, compare=False)
+    q_int: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    b_int: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.orders)
@@ -61,6 +67,13 @@ class FiniteQuadraticModule:
             for j in range(k):
                 if _mod1(self.orders[i] * self.b_mat[i][j]) != 0:
                     raise ValueError("b incompatible with the generator orders")
+        level = math.lcm(*(x.denominator for x in self.q_diag),
+                         *(x.denominator for row in self.b_mat for x in row))
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "q_int", tuple(int(x * level) for x in self.q_diag))
+        object.__setattr__(
+            self, "b_int", tuple(tuple(int(x * level) for x in row) for row in self.b_mat)
+        )
 
     @property
     def ngens(self) -> int:
@@ -103,41 +116,41 @@ class FiniteQuadraticModule:
         """A dual-lattice representative, available for lattice-backed modules."""
         if self.lifts is None:
             raise ValueError("module has no lattice back-reference")
-        n = len(self.lifts[0])
-        out = [Fraction(0)] * n
-        for e, lift in zip(x, self.lifts):
+        rows, den = _clear_denominators(self.lifts)
+        out = [0] * len(rows[0])
+        for e, row in zip(x, rows):
             if e:
-                for i in range(n):
-                    out[i] += e * lift[i]
-        return tuple(out)
+                out = [a + e * b for a, b in zip(out, row)]
+        return tuple(Fraction(a, den) for a in out)
+
+
+def _b_scaled(module: FiniteQuadraticModule, x: GroupElement, y: GroupElement) -> int:
+    """M*b(x, y) mod M, for reduced x and y."""
+    total = 0
+    for a, row in zip(x, module.b_int):
+        if a:
+            total += a * sum(c * r for c, r in zip(y, row) if c)
+    return total % module.level
 
 
 def q_value(module: FiniteQuadraticModule, x) -> Fraction:
     """q(x) in Q/2Z, reduced into [0, 2)."""
     x = module.reduce(x)
-    total = Fraction(0)
+    k = module.ngens
+    total = 0
     for i, e in enumerate(x):
         if e:
-            total += e * e * module.q_diag[i]
-    for i in range(module.ngens):
-        if x[i]:
-            for j in range(i + 1, module.ngens):
+            total += e * e * module.q_int[i]
+            row = module.b_int[i]
+            for j in range(i + 1, k):
                 if x[j]:
-                    total += 2 * x[i] * x[j] * module.b_mat[i][j]
-    return _mod2(total)
+                    total += 2 * e * x[j] * row[j]
+    return Fraction(total % (2 * module.level), module.level)
 
 
 def b_value(module: FiniteQuadraticModule, x, y) -> Fraction:
     """b(x, y) in Q/Z, reduced into [0, 1)."""
-    x = module.reduce(x)
-    y = module.reduce(y)
-    total = Fraction(0)
-    for i, a in enumerate(x):
-        if a:
-            for j, c in enumerate(y):
-                if c:
-                    total += a * c * module.b_mat[i][j]
-    return _mod1(total)
+    return Fraction(_b_scaled(module, module.reduce(x), module.reduce(y)), module.level)
 
 
 def from_lattice(lattice: Lattice) -> FiniteQuadraticModule:
@@ -197,27 +210,34 @@ class IsotropicSubgroup:
         return len(self.elements)
 
 
+def _adjoin(module: FiniteQuadraticModule, elements, x) -> list[GroupElement]:
+    """The elements of H + <x>, H given by its elements: H and its cosets H + kx."""
+    members = frozenset(elements)
+    out = list(elements)
+    step = x
+    while step not in members:
+        out.extend(module.add(h, step) for h in elements)
+        step = module.add(step, x)
+    return out
+
+
 def _span(module: FiniteQuadraticModule, gens) -> frozenset[GroupElement]:
-    seen = {module.zero()}
-    frontier = [module.zero()]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = module.add(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+    elements = [module.zero()]
+    for g in gens:
+        elements = _adjoin(module, elements, g)
+    return frozenset(elements)
 
 
-def _canonical_gens(module: FiniteQuadraticModule, elements) -> tuple[GroupElement, ...]:
-    """Canonical generators: HNF of the preimage lattice in Z^k, reduced mod d."""
+def _canonical_gens(module: FiniteQuadraticModule, generators) -> tuple[GroupElement, ...]:
+    """Canonical generators: HNF of the preimage lattice in Z^k, reduced mod d.
+
+    Any generating set of the subgroup gives the same preimage lattice, and
+    so the same generators.
+    """
     k = module.ngens
-    rows = [list(x) for x in sorted(elements)]
+    rows = [list(x) for x in sorted(generators)]
     for i in range(k):
         rows.append([module.orders[i] if j == i else 0 for j in range(k)])
-    from .exactlinalg import lattice_rows_hnf
-
     h = lattice_rows_hnf(IntMat.from_rows(rows))
     gens = []
     for row in h.entries:
@@ -230,31 +250,50 @@ def _canonical_gens(module: FiniteQuadraticModule, elements) -> tuple[GroupEleme
 def isotropic_subgroups(module: FiniteQuadraticModule) -> list[IsotropicSubgroup]:
     """All subgroups on which q vanishes identically, the trivial one included.
 
-    Grown by closing isotropic elements under addition; a subgroup generated
-    by isotropic elements is isotropic iff b also vanishes pairwise, which
-    the element-wise q check below enforces.
+    Every nonzero element of an isotropic subgroup is isotropic, so each
+    subgroup is a set of isotropic elements, kept as a bit mask over them.
+    H + <x> is isotropic exactly when H is, q(x) = 0 and b(x, g) = 0 for
+    the generators g adjoined to H so far, since
+    q(h + kx) = q(h) + k^2 q(x) + 2k b(h, x).  Each subgroup therefore
+    carries the mask of the isotropic elements orthogonal to all its
+    generators, and is grown only by those, coset by coset.  The elements
+    h + kx with k prime to the order n of x mod H all give the same
+    subgroup H + <x>, so only one of them is tried.
     """
     iso = isotropic_elements(module)
-    trivial = frozenset({module.zero()})
-    found: dict[frozenset, tuple] = {trivial: ()}
-    frontier = [trivial]
+    index = {x: i for i, x in enumerate(iso)}
+    orth = [
+        sum(1 << j for j, y in enumerate(iso) if _b_scaled(module, x, y) == 0) for x in iso
+    ]
+    # mask of the nonzero elements -> (elements, adjoined generators, perp mask)
+    found = {0: ([module.zero()], (), (1 << len(iso)) - 1)}
+    frontier = [0]
     while frontier:
         new_frontier = []
-        for sub in frontier:
-            for x in iso:
-                if x in sub:
-                    continue
-                cand = _span(module, list(sub) + [x])
-                if cand in found:
-                    continue
-                if all(q_value(module, y) == 0 for y in cand):
-                    found[cand] = ()
-                    new_frontier.append(cand)
+        for mask in frontier:
+            elements, adjoined, perp = found[mask]
+            size = len(elements)
+            todo = perp & ~mask
+            while todo:
+                i = (todo & -todo).bit_length() - 1
+                grown = _adjoin(module, elements, iso[i])
+                n = len(grown) // size
+                grown_mask = mask
+                for k in range(1, n):
+                    coset = 0
+                    for y in grown[k * size:(k + 1) * size]:
+                        coset |= 1 << index[y]
+                    grown_mask |= coset
+                    if math.gcd(k, n) == 1:
+                        todo &= ~coset
+                if grown_mask not in found:
+                    found[grown_mask] = (grown, adjoined + (iso[i],), perp & orth[i])
+                    new_frontier.append(grown_mask)
         frontier = new_frontier
     out = []
-    for elems in found:
-        gens = _canonical_gens(module, elems) if len(elems) > 1 else ()
-        out.append(IsotropicSubgroup(module, gens, elems))
+    for elements, adjoined, _ in found.values():
+        gens = _canonical_gens(module, adjoined) if adjoined else ()
+        out.append(IsotropicSubgroup(module, gens, frozenset(elements)))
     out.sort(key=lambda s: (s.order, sorted(s.elements)))
     return out
 
@@ -272,18 +311,13 @@ def overlattice(lattice: Lattice, subgroup: IsotropicSubgroup) -> Lattice:
         if q_value(module, x) != 0:
             raise ValueError("subgroup is not isotropic")
     n = lattice.rank
-    rows = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     for g in subgroup.gens:
         rows.append(module.lift(g))
-    basis = rational_span_basis(rows)
-    b = RatMat.from_rows(basis)
-    gram = b * lattice.gram.to_rational() * b.transpose()
-    if not gram.is_integral():
-        raise ValueError("lift pairings are not integral; subgroup was not isotropic")
-    g_int = gram.to_integer()
-    if any(g_int.entries[i][i] % 2 for i in range(n)):
+    gram = _induced_gram_rational(lattice.gram, rows)
+    if any(gram.entries[i][i] % 2 for i in range(n)):
         raise ValueError("overlattice is odd; subgroup was not isotropic for q")
-    return Lattice(g_int, None)
+    return Lattice(gram, None)
 
 
 def negate(module: FiniteQuadraticModule) -> FiniteQuadraticModule:
@@ -337,7 +371,10 @@ def are_isomorphic(
     On success returns the images in m2 of m1's generators, in order;
     None when no isomorphism exists.  The search backtracks over
     candidate images filtered by element order, q value, and b pairings
-    with the images already chosen, then checks surjectivity.
+    with the images already chosen, then checks surjectivity.  The span
+    of the images chosen so far is kept, grown by cosets: an image of
+    order d some multiple k*cand (0 < k < d) of which already lies in it
+    would make the span too small at the leaf, so it is skipped at once.
     """
     limit = guard if guard is not None else guard_order()
     if m1.order > limit or m2.order > limit:
@@ -357,12 +394,16 @@ def are_isomorphic(
     gens1 = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     images: list[GroupElement] = []
 
-    def extend(depth: int) -> bool:
+    def extend(depth: int, span: list[GroupElement]) -> bool:
         if depth == k:
-            return len(_span(m2, images)) == m2.order
+            return len(span) == m2.order
         g = gens1[depth]
-        key = (m1.orders[depth], q_value(m1, g))
+        d = m1.orders[depth]
+        key = (d, q_value(m1, g))
+        members = frozenset(span)
         for cand in by_order_q.get(key, ()):
+            if any(m2.smul(j, cand) in members for j in range(1, d)):
+                continue
             ok = True
             for prev_i in range(depth):
                 if b_value(m2, images[prev_i], cand) != m1.b_mat[prev_i][depth]:
@@ -371,12 +412,12 @@ def are_isomorphic(
             if not ok:
                 continue
             images.append(cand)
-            if extend(depth + 1):
+            if extend(depth + 1, _adjoin(m2, span, cand)):
                 return True
             images.pop()
         return False
 
-    if extend(0):
+    if extend(0, [m2.zero()]):
         return tuple(images)
     return None
 

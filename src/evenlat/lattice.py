@@ -16,8 +16,8 @@ from math import gcd
 
 from .exactlinalg import (
     IntMat,
-    RatMat,
     _bareiss,
+    _clear_denominators,
     block_diag,
     kernel_saturated,
     lattice_rows_hnf,
@@ -201,24 +201,23 @@ def _m_z2_3_gram() -> IntMat:
 
 
 def _induced_gram_rational(ambient_gram: IntMat, gen_rows) -> IntMat:
-    """Gram of the lattice generated by rational rows inside a form."""
-    basis = rational_span_basis(gen_rows)
-    b = RatMat.from_rows(basis)
-    g = b * ambient_gram.to_rational() * b.transpose()
-    if not g.is_integral():
+    """Gram of the lattice generated by rational rows inside a form.
+
+    With B = N / den for an integer N, the Gram is N * G * N^T / den^2.
+    """
+    num, den = _clear_denominators(rational_span_basis(gen_rows))
+    n = IntMat.from_rows(num)
+    scaled = n * ambient_gram * n.transpose()
+    den2 = den * den
+    if any(e % den2 for row in scaled.entries for e in row):
         raise ValueError("generators do not span an integral lattice")
-    return g.to_integer()
+    return IntMat.from_rows([[e // den2 for e in row] for row in scaled.entries])
 
 
 def rational_span_basis(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """Z-basis (canonical HNF scaled back) of the Z-span of rational rows."""
-    rows = [tuple(Fraction(e) for e in row) for row in rows]
-    den = 1
-    for row in rows:
-        for e in row:
-            den = den * e.denominator // gcd(den, e.denominator)
-    scaled = IntMat.from_rows([[int(e * den) for e in row] for row in rows])
-    basis = lattice_rows_hnf(scaled)
+    """Z-basis (canonical HNF scaled back) of the Z-span of rows of ints and Fractions."""
+    scaled, den = _clear_denominators(rows)
+    basis = lattice_rows_hnf(IntMat.from_rows(scaled))
     return tuple(tuple(Fraction(e, den) for e in row) for row in basis.entries)
 
 

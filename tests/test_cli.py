@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import evenlat.discform as df
 from evenlat.cli import main
 from evenlat.serialize import config_from_json, config_to_json, gram_from_json
 from evenlat.curves import hexagon_config
@@ -83,6 +84,19 @@ class TestDiscAndIsotropic:
         monkeypatch.setenv("EVENLAT_GUARD_ORDER", "16")
         code, _, err = run_cli(capsys, "isotropic", q_file)
         assert code == 4
+
+    @pytest.mark.parametrize("command", [["isotropic", "--subgroups"], ["overlattices"]])
+    def test_guard_exits_4_before_enumeration(self, capsys, q_file, monkeypatch, command):
+        def refuse(module):
+            raise AssertionError("enumeration started above the guard")
+
+        monkeypatch.setenv("EVENLAT_GUARD_ORDER", "16")
+        monkeypatch.setattr(df, "isotropic_elements", refuse)
+        monkeypatch.setattr(df, "isotropic_subgroups", refuse)
+        code, out, err = run_cli(capsys, *command, q_file)
+        assert code == 4
+        assert out == ""
+        assert "exceeds the enumeration guard 16" in err
 
     def test_overlattices(self, capsys, tmp_path):
         path = tmp_path / "pm.json"

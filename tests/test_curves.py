@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linalg_oracle as oracle
 from evenlat.curves import (
@@ -306,18 +307,41 @@ class TestCertificates:
             assert pres.contains(diff)
 
 
+def random_presentation(rng):
+    n = rng.randint(2, 7)
+    g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = rng.choice((0, 0, 1, 2))
+    labels = tuple(f"c{i}" for i in range(n))
+    return present(CurveConfig.from_gram(labels, IntMat.from_rows(g)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 10**6),
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=24), min_size=7, max_size=7),
+)
+def test_project_matches_fraction_rule(seed, entries):
+    # the entry-by-entry rule project replaced: sum_i vec_i * proj[i][j]
+    pres = random_presentation(random.Random(seed))
+    vec = entries[: pres.proj.rows]
+    want = tuple(
+        sum(vec[i] * pres.proj.entries[i][j] for i in range(len(vec)))
+        for j in range(pres.proj.cols)
+    )
+    got = pres.project(vec)
+    assert got == want
+    assert all(type(c) is Fraction for c in got)
+
+
 def test_contains_matches_inverted_basis():
     # the rule contains replaced: proj * B^-1 integral, B the Z-basis of
     # the overlattice spanned by Z^r and the projected adjoined vectors
     rng = random.Random(4711)
     for _ in range(40):
-        n = rng.randint(2, 7)
-        g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                g[i][j] = g[j][i] = rng.choice((0, 0, 1, 2))
-        labels = tuple(f"c{i}" for i in range(n))
-        pres = present(CurveConfig.from_gram(labels, IntMat.from_rows(g)))
+        pres = random_presentation(rng)
+        n = pres.proj.rows
         extra = [
             tuple(F(rng.randint(0, k - 1), k) for _ in range(n))
             for k in rng.choices((2, 3, 4), k=rng.randint(1, 2))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import discform_oracle
 import evenlat.discform as df
 import linalg_oracle as oracle
 from evenlat.exactlinalg import IntMat, snf_rational
@@ -22,6 +23,25 @@ Q_GRAM = IntMat.from_rows(
         [2, 4, 2, 4, -8, 6],
         [-1, -5, 0, -2, 6, -12],
     ]
+)
+
+# M_Z2_3 under a signed permutation and 42 row additions drawn from
+# random.Random(8), as the benchmark scrambles its inputs
+SCRAMBLED_M_Z2_3 = (
+    (-20, -16, -11, 13, -15, -5, -14, 5, 22, 1, 6, 1, -5, 4),
+    (-16, -14, -9, 16, -14, -4, -12, 3, 22, 3, 4, 2, -5, 4),
+    (-11, -9, -18, 13, 3, -2, -10, 6, 12, -2, 3, -17, 8, -8),
+    (13, 16, 13, -126, 41, -2, 10, 11, -110, -45, 2, 0, 19, -23),
+    (-15, -14, 3, 41, -42, -11, -10, -9, 52, 23, 2, 27, -21, 21),
+    (-5, -4, -2, -2, -11, -16, -5, -6, 11, 7, -1, 9, -1, 0),
+    (-14, -12, -10, 10, -10, -5, -12, 3, 16, 1, 4, -2, -2, 1),
+    (5, 3, 6, 11, -9, -6, 3, -10, 13, 13, -4, 10, -5, 5),
+    (22, 22, 12, -110, 52, 11, 16, 13, -112, -45, 0, -12, 24, -25),
+    (1, 3, -2, -45, 23, 7, 1, 13, -45, -26, 4, -12, 11, -12),
+    (6, 4, 3, 2, 2, -1, 4, -4, 0, 4, -4, 2, 1, -1),
+    (1, 2, -17, 0, 27, 9, -2, 10, -12, -12, 2, -36, 17, -16),
+    (-5, -5, 8, 19, -21, -1, -2, -5, 24, 11, 1, 17, -16, 15),
+    (4, 4, -8, -23, 21, 0, 1, 5, -25, -12, -1, -16, 15, -16),
 )
 
 
@@ -52,6 +72,28 @@ def random_even_lattice(rng, max_rank=4, max_entry=3):
         m = IntMat.from_rows(g)
         if m.det() != 0:
             return Lattice(m)
+
+
+GLUE_BLOCKS = ("U(2)", "U(3)", "U(4)", "<4>", "<-4>", "<-8>", "<12>", "A1", "<2>", "<6>")
+
+
+def random_small_module(rng, max_order=256):
+    """A scrambled even lattice with a discriminant form of order <= max_order.
+
+    Mostly sums of small glue blocks, whose forms have many isotropic
+    subgroups; otherwise a random even lattice, possibly rescaled by 2.
+    """
+    while True:
+        if rng.random() < 0.25:
+            lat = random_even_lattice(rng)
+            lat = Lattice(lat.gram.scale(rng.choice((1, 2))))
+        else:
+            lat = parse_lattice_expr("+".join(rng.choices(GLUE_BLOCKS, k=rng.randint(1, 3))))
+        if abs(lat.det) > max_order:
+            continue
+        u = random_unimodular(rng, lat.rank, steps=2 * lat.rank)
+        lat = Lattice(u * lat.gram * u.transpose())
+        return lat, df.from_lattice(lat)
 
 
 class TestFromLattice:
@@ -149,6 +191,25 @@ class TestSubgroups:
         subs = df.isotropic_subgroups(df.from_lattice(make_named("U")))
         assert len(subs) == 1 and subs[0].order == 1
 
+    # U(2)^4 has the quadratic form of O+(8, 2): the totally singular
+    # subspaces of dimension m number prod_{i<m} (2^(4-i) - 1)(2^(3-i) + 1)
+    # / (2^(i+1) - 1).  diag(-2)^8 has q(x) = -|x|/2: the counts are those
+    # of today's enumeration, equal to the respanning one it replaced.
+    @pytest.mark.parametrize(
+        "expr, counts",
+        [
+            ("+".join(["U(2)"] * 4), {1: 1, 2: 135, 4: 1575, 8: 2025, 16: 270}),
+            ("+".join(["diag(-2)"] * 8), {1: 1, 2: 71, 4: 455, 8: 345, 16: 30}),
+        ],
+    )
+    def test_closed_counts(self, expr, counts):
+        subs = df.isotropic_subgroups(df.from_lattice(parse_lattice_expr(expr)))
+        by_order = {}
+        for sub in subs:
+            by_order[sub.order] = by_order.get(sub.order, 0) + 1
+        assert by_order == counts
+        assert len(subs) == sum(counts.values())
+
     def test_a_q_census(self, a_q):
         subs = df.isotropic_subgroups(a_q)
         assert [s.order for s in subs] == [1, 2, 2, 2, 2, 2, 2, 2, 4, 4, 4]
@@ -204,6 +265,63 @@ class TestOverlattice:
             checked += 1
 
 
+class TestAgainstFractionOracle:
+    """The integer tables and coset growth against the Fraction definitions."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_q_and_b_values(self, seed):
+        rng = random.Random(seed)
+        _, module = random_small_module(rng)
+        elems = list(module.elements())
+        gens = [tuple(int(i == j) for j in range(module.ngens)) for i in range(module.ngens)]
+        for x in elems:
+            assert df.q_value(module, x) == discform_oracle.q_value(module, x)
+            for y in gens + [rng.choice(elems)]:
+                assert df.b_value(module, x, y) == discform_oracle.b_value(module, x, y)
+        x = [rng.randint(-50, 50) for _ in range(module.ngens)]
+        y = [rng.randint(-50, 50) for _ in range(module.ngens)]
+        assert df.q_value(module, x) == discform_oracle.q_value(module, x)
+        assert df.b_value(module, x, y) == discform_oracle.b_value(module, x, y)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_subgroups_and_overlattices(self, seed):
+        # order <= 128: the respanning oracle needs 25 s for some forms of
+        # order 256, such as (Z/2)^4 + (Z/4)^2 with its 502 subgroups
+        rng = random.Random(seed)
+        lat, module = random_small_module(rng, max_order=128)
+        subs = df.isotropic_subgroups(module)
+        want = discform_oracle.isotropic_subgroups(module)
+        assert [(s.order, s.gens, s.elements) for s in subs] == [
+            (s.order, s.gens, s.elements) for s in want
+        ]
+        for sub in subs:
+            assert df.overlattice(lat, sub).gram.entries == discform_oracle.overlattice_gram(
+                lat, sub
+            )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_span(self, seed):
+        rng = random.Random(seed)
+        _, module = random_small_module(rng)
+        elems = list(module.elements())
+        gens = [rng.choice(elems) for _ in range(rng.randint(0, 3))]
+        assert df._span(module, gens) == discform_oracle.span(module, gens)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_isomorphism_witness(self, seed):
+        # the pruned search returns the first witness of the unpruned one
+        rng = random.Random(seed)
+        lat, module = random_small_module(rng, max_order=64)
+        u = random_unimodular(rng, lat.rank, steps=3 * lat.rank)
+        other = df.from_lattice(Lattice(u * lat.gram * u.transpose()))
+        for m1, m2 in ((other, module), (module, df.negate(module))):
+            assert df.are_isomorphic(m1, m2) == discform_oracle.are_isomorphic(m1, m2)
+
+
 class TestIsomorphism:
     def test_u2_vs_split_plane(self):
         m1 = df.from_lattice(make_named("U(2)"))
@@ -251,6 +369,27 @@ class TestIsomorphism:
         # submodule_on checks that the images generate m2 with m1's orders
         image = df.submodule_on(m2, witness, m1.orders)
         assert (image.q_diag, image.b_mat) == (m1.q_diag, m1.b_mat)
+
+    def test_scrambled_presentation_is_pruned(self, monkeypatch):
+        # dependent image tuples are cut where they arise, not at the leaf:
+        # the search without that pruning made 213,820 b_value calls here
+        plain = df.from_lattice(make_named("M_Z2_3"))
+        scrambled = df.from_lattice(Lattice(IntMat.from_rows(SCRAMBLED_M_Z2_3)))
+        calls = 0
+        b_value = df.b_value
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return b_value(*args)
+
+        monkeypatch.setattr(df, "b_value", counted)
+        witness = df.are_isomorphic(scrambled, plain)
+        assert calls < 2000
+        monkeypatch.undo()
+        assert witness is not None
+        image = df.submodule_on(plain, witness, scrambled.orders)
+        assert (image.q_diag, image.b_mat) == (scrambled.q_diag, scrambled.b_mat)
 
     def test_self_isomorphic(self, a_q):
         assert df.are_isomorphic(a_q, a_q) is not None

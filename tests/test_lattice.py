@@ -7,6 +7,7 @@ import evenlat.discform as df
 from evenlat.exactlinalg import IntMat
 from evenlat.lattice import (
     Lattice,
+    _induced_gram_rational,
     contains,
     direct_sum,
     discriminant_group,
@@ -50,6 +51,17 @@ def random_even_nondegenerate(rng, max_rank=4, max_entry=4):
         m = IntMat.from_rows(g)
         if m.det() != 0:
             return Lattice(m)
+
+
+class TestInducedGram:
+    def test_half_sum_glue(self):
+        rows = [[F(int(i == j)) for j in range(2)] for i in range(2)] + [[F(1, 2), F(1, 2)]]
+        gram = _induced_gram_rational(IntMat.diagonal([2, -2]), rows)
+        assert gram.entries == ((0, -1), (-1, -2))
+
+    def test_non_integral_span_rejected(self):
+        with pytest.raises(ValueError, match="integral"):
+            _induced_gram_rational(IntMat.diagonal([2, 2]), [[F(1, 2), F(0)], [F(0), F(1)]])
 
 
 class TestNamedLattices:
