@@ -20,7 +20,7 @@ from . import discform as df
 from . import serialize as ser
 from .curves import double_cover_pullback, quotient_by_involution, FixedPointData
 from .exactlinalg import IntMat, snf, snf_rational
-from .lattice import Lattice, discriminant_group, orthogonal_complement, parse_lattice_expr, sublattice, is_primitive
+from .lattice import Lattice, orthogonal_complement, parse_lattice_expr, sublattice, is_primitive
 from .reconstruct import reconstruct_24
 from .verify import RESULT_IDS, run_all
 
@@ -111,15 +111,13 @@ def cmd_disc(args) -> int:
     if not lat.is_even:
         raise PreconditionError("discriminant form is defined for even lattices")
     module = df.from_lattice(lat)
-    disc = discriminant_group(lat)
     _emit(
         {
             "schema": ser.SCHEMA,
             "invariant_factors": list(module.orders),
             "order": module.order,
             "generators": [
-                [ser.rational_to_json(c) for c in lift.coords]
-                for lift in disc.generator_lifts
+                [ser.rational_to_json(c) for c in lift] for lift in module.lifts
             ],
             "q_table": [ser.rational_to_json(q) for q in module.q_diag],
             "b_table": [

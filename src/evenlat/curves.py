@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlinalg import IntMat, RatMat, _clear_denominators, kernel_saturated, snf
+from .exactlinalg import IntMat, _clear_denominators, kernel_saturated, rational_product, snf
 from .lattice import Lattice
 
 
@@ -113,22 +113,18 @@ class CurvePresentation:
     overlattice_den: int = 1
 
     def project(self, vec) -> tuple[Fraction, ...]:
-        (num,), den = _clear_denominators([vec])
-        out = [0] * self.proj.cols
-        for a, row in zip(num, self.proj.entries):
-            if a:
-                for j, p in enumerate(row):
-                    out[j] += a * p
-        return tuple(Fraction(e, den) for e in out)
+        (num,), den = rational_product([vec], self.proj.entries)
+        return tuple(Fraction(e, den) for e in num)
 
     def contains(self, vec) -> bool:
-        x = [c * self.overlattice_den for c in self.project(vec)]
-        if any(c.denominator != 1 for c in x):
+        (num,), den = rational_product([vec], self.proj.entries)
+        x = [a * self.overlattice_den for a in num]
+        if any(a % den for a in x):
             return False
         if self.overlattice_basis is None:
             return True
         # square upper-triangular basis: row k has its pivot in column k
-        x = [int(c) for c in x]
+        x = [a // den for a in x]
         for k, row in enumerate(self.overlattice_basis.entries):
             q, rem = divmod(x[k], row[k])
             if rem:
@@ -143,14 +139,13 @@ class CurvePresentation:
         from .lattice import rational_span_basis
 
         r = self.proj.cols
-        rows = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
+        rows = [tuple(int(i == j) for j in range(r)) for i in range(r)]
         for vec in extra_vectors:
             rows.append(self.project(vec))
-        basis = RatMat.from_rows(rational_span_basis(rows))
-        den = basis.denominator_lcm()
+        num, den = _clear_denominators(rational_span_basis(rows))
         return CurvePresentation(
             self.config, self.lattice, self.proj, self.radical_rank,
-            basis.scale(Fraction(den)).to_integer(), den,
+            IntMat.from_rows(num), den,
         )
 
 

@@ -14,7 +14,13 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlinalg import IntMat, _clear_denominators, lattice_rows_hnf
+from .exactlinalg import (
+    IntMat,
+    _clear_denominators,
+    bilinear_table,
+    lattice_rows_hnf,
+    rational_product,
+)
 from .lattice import DualVector, Lattice, _induced_gram_rational, discriminant_group
 
 GroupElement = tuple[int, ...]
@@ -116,12 +122,11 @@ class FiniteQuadraticModule:
         """A dual-lattice representative, available for lattice-backed modules."""
         if self.lifts is None:
             raise ValueError("module has no lattice back-reference")
+        if not self.lifts:
+            return (Fraction(0),) * self.source.rank
         rows, den = _clear_denominators(self.lifts)
-        out = [0] * len(rows[0])
-        for e, row in zip(x, rows):
-            if e:
-                out = [a + e * b for a, b in zip(out, row)]
-        return tuple(Fraction(a, den) for a in out)
+        (num,), _ = rational_product([x], rows)
+        return tuple(Fraction(a, den) for a in num)
 
 
 def _b_scaled(module: FiniteQuadraticModule, x: GroupElement, y: GroupElement) -> int:
@@ -160,10 +165,9 @@ def from_lattice(lattice: Lattice) -> FiniteQuadraticModule:
     disc = discriminant_group(lattice)
     orders = disc.invariant_factors
     lifts = tuple(v.coords for v in disc.generator_lifts)
-    k = len(orders)
-    raw = [[lattice.pairing(lifts[i], lifts[j]) for j in range(k)] for i in range(k)]
-    q_diag = tuple(_mod2(raw[i][i]) for i in range(k))
-    b_mat = tuple(tuple(_mod1(raw[i][j]) for j in range(k)) for i in range(k))
+    raw, den = bilinear_table(lifts, lattice.gram.entries, lifts)
+    q_diag = tuple(Fraction(row[i] % (2 * den), den) for i, row in enumerate(raw))
+    b_mat = tuple(tuple(Fraction(e % den, den) for e in row) for row in raw)
     return FiniteQuadraticModule(
         orders, q_diag, b_mat, lattice, lifts, disc.dual_transform, disc.dual_diagonal
     )
@@ -178,12 +182,8 @@ def class_of(module: FiniteQuadraticModule, vector: DualVector) -> GroupElement:
     """
     if module.dual_transform is None or module.source is None:
         raise ValueError("module has no lattice back-reference")
-    den = math.lcm(*(c.denominator for c in vector.coords))
-    num = [c.numerator * (den // c.denominator) for c in vector.coords]
-    coords = [
-        Fraction(sum(a * b for a, b in zip(num, col)), den) / di
-        for col, di in zip(zip(*module.dual_transform.entries), module.dual_diagonal)
-    ]
+    (num,), den = rational_product([vector.coords], module.dual_transform.entries)
+    coords = [Fraction(a, den) / di for a, di in zip(num, module.dual_diagonal)]
     if any(c.denominator != 1 for c in coords):
         raise ValueError("vector is not in the dual lattice")
     exps = [int(c) for c, di in zip(coords, module.dual_diagonal) if di.denominator != 1]

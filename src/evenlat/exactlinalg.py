@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
+from operator import mul
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -38,16 +39,18 @@ class IntMat:
         if not self.entries or not self.entries[0]:
             raise ValueError("matrix dimensions must be at least 1x1")
         width = len(self.entries[0])
+        types = set()
         for row in self.entries:
             if len(row) != width:
                 raise ValueError("ragged rows")
-            for e in row:
-                if not isinstance(e, int):
-                    raise TypeError(f"integer entry expected, got {type(e).__name__}")
+            types.update(map(type, row))
+        types.discard(int)
+        if types:
+            raise TypeError(f"integer entry expected, got {types.pop().__name__}")
 
     @classmethod
     def from_rows(cls, rows) -> IntMat:
-        return cls(tuple(tuple(int(e) for e in row) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @classmethod
     def identity(cls, n: int) -> IntMat:
@@ -59,7 +62,7 @@ class IntMat:
 
     @classmethod
     def diagonal(cls, diag) -> IntMat:
-        d = tuple(int(x) for x in diag)
+        d = tuple(diag)
         n = len(d)
         return cls(tuple(tuple(d[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
@@ -83,13 +86,7 @@ class IntMat:
     def __mul__(self, other: IntMat) -> IntMat:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        bt = tuple(zip(*other.entries))
-        return IntMat(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                for row in self.entries
-            )
-        )
+        return IntMat(tuple(map(tuple, _dots(self.entries, tuple(zip(*other.entries))))))
 
     def __add__(self, other: IntMat) -> IntMat:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -187,13 +184,9 @@ class RatMat:
     def __mul__(self, other: RatMat) -> RatMat:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        bt = tuple(zip(*other.entries))
-        return RatMat(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                for row in self.entries
-            )
-        )
+        mat, d = _clear_denominators(other.entries)
+        num, den = rational_product(self.entries, mat)
+        return RatMat(tuple(tuple(Fraction(e, den * d) for e in row) for row in num))
 
     def __add__(self, other: RatMat) -> RatMat:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -205,9 +198,6 @@ class RatMat:
             )
         )
 
-    def scale(self, m: Fraction) -> RatMat:
-        return RatMat(tuple(tuple(m * e for e in row) for row in self.entries))
-
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for row in self.entries for e in row)
 
@@ -215,13 +205,6 @@ class RatMat:
         if not self.is_integral():
             raise ValueError("matrix has non-integral entries")
         return IntMat(tuple(tuple(int(e) for e in row) for row in self.entries))
-
-    def denominator_lcm(self) -> int:
-        d = 1
-        for row in self.entries:
-            for e in row:
-                d = lcm(d, e.denominator)
-        return d
 
     def det(self) -> Fraction:
         """det(den*A) / den^n, den*A being the integer matrix cleared of denominators."""
@@ -278,11 +261,35 @@ def _addmul_row(m: list[list[int]], dst: int, src: int, q: int) -> None:
 
 def _clear_denominators(rows) -> tuple[list[list[int]], int]:
     """(den * rows as integer lists, den), den the lcm of all denominators."""
-    den = 1
-    for row in rows:
-        for e in row:
-            den = lcm(den, e.denominator)
+    den = lcm(*{e.denominator for row in rows for e in row})
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
+
+
+def _dots(a, b) -> list[list[int]]:
+    """a * b^T for integer rows a and b: the table of their dot products."""
+    return [[sum(map(mul, x, y)) for y in b] for x in a]
+
+
+def rational_product(rows, mat) -> tuple[list[list[int]], int]:
+    """The product rows * mat of rational rows and an integer matrix.
+
+    rows mix ints and Fractions; mat is a sequence of integer rows.
+    Returns (num, den) with rows * mat = num / den: the denominators of
+    rows are cleared once, with den their lcm, the product is taken over
+    Z, and the caller divides once.  den is not reduced against num.
+    """
+    num, den = _clear_denominators(rows)
+    return _dots(num, tuple(zip(*mat))), den
+
+
+def bilinear_table(xs, gram, ys) -> tuple[list[list[int]], int]:
+    """The table of x * gram * y^T over rational rows x of xs and y of ys.
+
+    Returns (num, den) as ``rational_product`` does; xs or ys may be empty.
+    """
+    left, dx = rational_product(xs, gram)
+    right, dy = _clear_denominators(ys)
+    return _dots(left, right), dx * dy
 
 
 def _pivot_step(m: list[list[int]], r: int, c: int, prev: int) -> None:

@@ -18,9 +18,11 @@ from .exactlinalg import (
     IntMat,
     _bareiss,
     _clear_denominators,
+    bilinear_table,
     block_diag,
     kernel_saturated,
     lattice_rows_hnf,
+    rational_product,
     signature,
     snf,
     snf_rational,
@@ -58,12 +60,10 @@ class Lattice:
 
     def pairing(self, x, y) -> Fraction:
         """Bilinear form on rational coordinate vectors."""
-        g = self.gram.entries
-        return sum(
-            Fraction(x[i]) * g[i][j] * Fraction(y[j])
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        if len(x) != self.rank or len(y) != self.rank:
+            raise ValueError("coordinate length does not match lattice rank")
+        ((num,),), den = bilinear_table([x], self.gram.entries, [y])
+        return Fraction(num, den)
 
     def dual_vector(self, coords) -> DualVector:
         return DualVector(self, tuple(Fraction(c) for c in coords))
@@ -85,12 +85,8 @@ class DualVector:
             raise ValueError("coordinate length does not match lattice rank")
 
     def in_dual(self) -> bool:
-        g = self.lattice.gram.entries
-        n = self.lattice.rank
-        return all(
-            sum(g[i][j] * self.coords[j] for j in range(n)).denominator == 1
-            for i in range(n)
-        )
+        (num,), den = rational_product([self.coords], self.lattice.gram.entries)
+        return all(e % den == 0 for e in num)
 
     def pair(self, other: DualVector) -> Fraction:
         return self.lattice.pairing(self.coords, other.coords)
@@ -205,13 +201,11 @@ def _induced_gram_rational(ambient_gram: IntMat, gen_rows) -> IntMat:
 
     With B = N / den for an integer N, the Gram is N * G * N^T / den^2.
     """
-    num, den = _clear_denominators(rational_span_basis(gen_rows))
-    n = IntMat.from_rows(num)
-    scaled = n * ambient_gram * n.transpose()
-    den2 = den * den
-    if any(e % den2 for row in scaled.entries for e in row):
+    basis = rational_span_basis(gen_rows)
+    num, den = bilinear_table(basis, ambient_gram.entries, basis)
+    if any(e % den for row in num for e in row):
         raise ValueError("generators do not span an integral lattice")
-    return IntMat.from_rows([[e // den2 for e in row] for row in scaled.entries])
+    return IntMat.from_rows([[e // den for e in row] for row in num])
 
 
 def rational_span_basis(rows) -> tuple[tuple[Fraction, ...], ...]:

@@ -29,7 +29,7 @@ from .curves import (
     present,
     quotient_by_involution,
 )
-from .exactlinalg import IntMat, signature, solve_rational
+from .exactlinalg import IntMat, bilinear_table, signature, solve_rational
 
 # affine E8: chain of eight nodes with multiplicities 1-2-3-4-5-6-4-2 and a
 # multiplicity-3 node attached to the multiplicity-6 one
@@ -231,12 +231,7 @@ def _s_block_valid(orbit_vals: dict) -> bool:
 
 def _qgram_linear_tests():
     """The printed rank-6 Gram as affine conditions on the orbit values."""
-    qvecs = []
-    for qv in refdata.Q_BASIS_VECTORS:
-        row = [0] * 24
-        for i, c in qv.items():
-            row[i] = c
-        qvecs.append(row)
+    qvecs = refdata.Q_BASIS.entries
     tests = []
     for a in range(6):
         for b in range(a, 6):
@@ -256,13 +251,7 @@ def _qgram_linear_tests():
 
 def q_gram_of(gram24: IntMat) -> IntMat:
     """Gram of the published rank-6 basis vectors against a 24-curve Gram."""
-    rows = []
-    for qv in refdata.Q_BASIS_VECTORS:
-        row = [0] * 24
-        for i, c in qv.items():
-            row[i] = c
-        rows.append(row)
-    qm = IntMat.from_rows(rows)
+    qm = refdata.Q_BASIS
     return qm * gram24 * qm.transpose()
 
 
@@ -435,34 +424,25 @@ def reconstruct_xprime(base24: CurveConfig) -> XprimeReconstruction:
     gens.append(_half(n, refdata.N_SUPPORT))
     gens.append(_half(n, refdata.LAMBDA1_SUPPORT))
     gens.append(_half(n, refdata.LAMBDA2_SUPPORT))
+    # table[a][b] / den = gens[a] . gens[b]; the first n generators are the curves
+    table, den = bilinear_table(gens, config.gram().entries, gens)
 
     report = []
-    all_ok = True
     for target, combo in refdata.XPRIME_RELATIONS:
-        lhs = gens[target]
-        rhs = [Fraction(0)] * n
-        for gi, c in combo.items():
-            for k in range(n):
-                rhs[k] += c * gens[gi][k]
-        ok = _pairings_equal(config, lhs, rhs)
-        report.append((f"generator {target} relation", ok))
-        all_ok = all_ok and ok
+        rhs = [sum(c * table[gi][k] for gi, c in combo.items()) for k in range(n)]
+        report.append((f"generator {target} relation", table[target][:n] == rhs))
     for gi in (20, 21, 22):
-        v = gens[gi]
-        integral = all(
-            _pair(config, v, gens[k]).denominator == 1 for k in range(n)
-        )
-        even = _pair(config, v, v) % 2 == 0
+        integral = all(e % den == 0 for e in table[gi][:n])
+        even = table[gi][gi] % (2 * den) == 0
         report.append((f"generator {gi} integral and even", integral and even))
-        all_ok = all_ok and integral and even
-    if not all_ok:
+    if not all(ok for _, ok in report):
         raise ReconstructionError(f"published relations fail on the quotient: {report}")
 
-    basis = [gens[i] for i in refdata.M_BASIS_CURVES] + [gens[20], gens[21], gens[22]]
-    m_gram_rows = [[_pair(config, u, v) for v in basis] for u in basis]
-    if any(e.denominator != 1 for row in m_gram_rows for e in row):
+    index = refdata.M_BASIS_CURVES + (20, 21, 22)
+    if any(table[a][b] % den for a in index for b in index):
         raise ReconstructionError("rank-16 basis Gram is not integral")
-    m_gram = IntMat.from_rows([[int(e) for e in row] for row in m_gram_rows])
+    m_gram = IntMat.from_rows([[table[a][b] // den for b in index] for a in index])
+    basis = [gens[i] for i in index]
     m_pres = pres.adjoin([gens[20], gens[21], gens[22]])
 
     kdim = _incidence_kernel_dim(config, gens)
@@ -480,23 +460,6 @@ def _unit(n, i):
 
 def _half(n, support):
     return tuple(Fraction(1, 2) if i in support else Fraction(0) for i in range(n))
-
-
-def _pair(config: CurveConfig, u, v) -> Fraction:
-    g = config.gram().entries
-    n = config.size
-    total = Fraction(0)
-    for i in range(n):
-        if u[i]:
-            for j in range(n):
-                if v[j]:
-                    total += u[i] * g[i][j] * v[j]
-    return total
-
-
-def _pairings_equal(config, u, v) -> bool:
-    n = config.size
-    return all(_pair(config, u, _unit(n, k)) == _pair(config, v, _unit(n, k)) for k in range(n))
 
 
 def _incidence_kernel_dim(config: CurveConfig, gens) -> int:

@@ -43,6 +43,8 @@ Q_BASIS_VECTORS = (
     {11: 1, 9: -1, 17: 1, 19: 1},         # R12 - R10 + R18 + R20
     {2: 1, 21: 2, 5: -2, 11: -1},         # R3 + 2R22 - 2R6 - R12
 )
+# the same vectors as the rows of a 6 x 24 integer matrix
+Q_BASIS = IntMat.from_rows([[qv.get(i, 0) for i in range(24)] for qv in Q_BASIS_VECTORS])
 
 Q_GRAM = IntMat.from_rows([
     [-2, 0, 1, 0, 2, -1],

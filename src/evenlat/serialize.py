@@ -108,7 +108,7 @@ def config_from_json(data) -> CurveConfig:
             raise ParseError(f"curve {k + 1}: expected fields 'label' and 'self'")
         if not isinstance(c["label"], str):
             raise ParseError(f"curve {k + 1}: label must be a string")
-        if not isinstance(c["self"], int):
+        if not isinstance(c["self"], int) or isinstance(c["self"], bool):
             raise ParseError(f"curve {k + 1}: self-intersection must be an integer")
         labels.append(c["label"])
         self_int.append(c["self"])
@@ -123,7 +123,7 @@ def config_from_json(data) -> CurveConfig:
         la, lb, m = item
         if la not in index or lb not in index:
             raise ParseError(f"mult entry {k + 1}: unknown label")
-        if not isinstance(m, int) or m < 0:
+        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
             raise ParseError(f"mult entry {k + 1}: multiplicity must be a nonnegative integer")
         i, j = index[la], index[lb]
         if i == j:

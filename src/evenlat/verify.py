@@ -160,17 +160,10 @@ def verify_lemma_3_1(gram24: IntMat) -> Entry:
     expected = {"S_det": -1, "S_signature": (1, 9, 0), "S_even": True}
     if s_lat.det != -1 or s_lat.signature != (1, 9, 0) or not s_lat.is_even:
         return _fail("lemma_3_1", witnesses, expected)
-    qrows = []
-    for qv in rd.Q_BASIS_VECTORS:
-        row = [0] * 24
-        for i, c in qv.items():
-            row[i] = c
-        qrows.append(row)
-    qmat = IntMat.from_rows(qrows)
     srows = IntMat.from_rows(
         [[1 if k == i else 0 for k in range(24)] for i in rd.S_BASIS]
     )
-    cross = srows * gram24 * qmat.transpose()
+    cross = srows * gram24 * rd.Q_BASIS.transpose()
     for i in range(10):
         for j in range(6):
             if cross.entries[i][j] != 0:
@@ -242,19 +235,19 @@ def _combine(module, classes, exps):
 def verify_lemma_4_2(q_gram: IntMat) -> Entry:
     lat, module, printed, classes = _aq_with_printed_generators(q_gram)
     names = ("v1", "v2", "w1", "w2")
+    table = [[printed[a].pair(printed[b]) for b in names] for a in names]
     for i, a in enumerate(names):
         for j, b in enumerate(names):
-            value = printed[a].pair(printed[b])
-            if value != rd.PAIRING_TABLE_Q[i][j]:
+            if table[i][j] != rd.PAIRING_TABLE_Q[i][j]:
                 return _fail(
                     "lemma_4_2",
-                    {"table_mismatch": {"row": a, "col": b, "computed": value}},
+                    {"table_mismatch": {"row": a, "col": b, "computed": table[i][j]}},
                     {"value": rd.PAIRING_TABLE_Q[i][j]},
                 )
     iso = set(df.isotropic_elements(module))
     printed_classes = {exps: _combine(module, classes, exps) for exps in rd.ISOTROPIC_AQ}
     witnesses = {
-        "pairing_table": [[printed[a].pair(printed[b]) for b in names] for a in names],
+        "pairing_table": table,
         "isotropic_count": len(iso),
         "printed_classes_distinct": len(set(printed_classes.values())),
     }
@@ -271,15 +264,8 @@ def verify_thm_4_3(gram24: IntMat) -> Entry:
     lat = pres.lattice
     witnesses = {"curve_lattice_det": lat.det, "curve_lattice_signature": lat.signature}
     # the distinguished 16 vectors form a basis of the curve lattice
-    rows = []
-    for i in rd.S_BASIS:
-        rows.append([1 if k == i else 0 for k in range(24)])
-    for qv in rd.Q_BASIS_VECTORS:
-        row = [0] * 24
-        for i, c in qv.items():
-            row[i] = c
-        rows.append(row)
-    pmat = IntMat.from_rows([[int(x) for x in pres.project(r)] for r in rows])
+    rows = [[1 if k == i else 0 for k in range(24)] for i in rd.S_BASIS]
+    pmat = IntMat.from_rows(rows).stack(rd.Q_BASIS) * pres.proj
     witnesses["s_plus_q_index"] = abs(pmat.det())
     if abs(pmat.det()) != 1:
         return _fail("thm_4_3", witnesses, {"s_plus_q_index": 1})
@@ -323,9 +309,8 @@ def verify_thm_4_3(gram24: IntMat) -> Entry:
     witnesses["splitting"] = split
     if not all(split.values()):
         return _fail("thm_4_3", witnesses, {"splitting": "U + E8 + Q block diagonal"})
-    disc = discriminant_group(lat)
-    witnesses["ns_invariant_factors"] = disc.invariant_factors
-    if disc.invariant_factors != (2, 2, 4, 4):
+    witnesses["ns_invariant_factors"] = module.orders
+    if module.orders != (2, 2, 4, 4):
         return _fail("thm_4_3", witnesses, {"ns_invariant_factors": (2, 2, 4, 4)})
     return _ok("thm_4_3", witnesses, {"ns_invariant_factors": (2, 2, 4, 4)}, (AXIOM_NOTE,))
 
@@ -344,12 +329,7 @@ def _splitting_check(gram24, pres, lat) -> dict:
     rows = [fib, [1 if k == rd.SECTION else 0 for k in range(24)]]
     for i in rd.U_E8_Q_E8_PART:
         rows.append([1 if k == i else 0 for k in range(24)])
-    for qv in rd.Q_BASIS_VECTORS:
-        row = [0] * 24
-        for i, c in qv.items():
-            row[i] = c
-        rows.append(row)
-    pmat = IntMat.from_rows([[int(x) for x in pres.project(r)] for r in rows])
+    pmat = IntMat.from_rows(rows).stack(rd.Q_BASIS) * pres.proj
     gram = pmat * lat.gram * pmat.transpose()
     u_block = [[gram.entries[i][j] for j in range(2)] for i in range(2)]
     e8_block = IntMat.from_rows([[gram.entries[i][j] for j in range(2, 10)] for i in range(2, 10)])
@@ -386,7 +366,7 @@ def verify_prop_4_4(q_gram: IntMat) -> Entry:
     witnesses["disc_isomorphism_witness"] = witness
     if witness is None:
         return _fail("prop_4_4", witnesses, {"disc_isomorphism": "q_candidate = -q_NS"})
-    ell = len(discriminant_group(candidate).invariant_factors)
+    ell = len(cand_module.orders)
     witnesses["l_of_A"] = ell
     witnesses["rank_bound"] = candidate.rank >= 2 + ell
     witnesses["uniqueness_predicate"] = nikulin_unique(candidate)
@@ -557,13 +537,12 @@ def verify_section_6(gram24: IntMat) -> Entry:
     if not all(ok for _, ok in xp.relation_report):
         return _fail("section_6", witnesses, {"relations": "all hold"})
     m_lat = Lattice(xp.m_gram, "M")
-    d, _, _ = snf_rational(xp.m_gram.inverse())
-    diag = tuple(d.entries[i][i] for i in range(16))
+    module = df.from_lattice(m_lat)
+    diag = module.dual_diagonal
     expected_diag = (1,) * 10 + (Fraction(1, 2),) * 4 + (Fraction(1, 4),) * 2
     witnesses["snf_diagonal"] = diag
     if diag != expected_diag:
         return _fail("section_6", witnesses, {"snf_diagonal": expected_diag})
-    module = df.from_lattice(m_lat)
     witnesses["disc_invariant_factors"] = module.orders
     if module.orders != (2, 2, 2, 2, 4, 4):
         return _fail("section_6", witnesses, {"disc_invariant_factors": (2, 2, 2, 2, 4, 4)})

@@ -1,9 +1,10 @@
-"""Reference Fraction Gauss loops for the exact linear algebra.
+"""Reference Fraction loops for the exact linear algebra.
 
 These are the textbook eliminations over Q, one loop per operation, that
-``evenlat.exactlinalg`` derives from its single fraction-free kernel.  The
-differential tests compare the two; nothing here shares code with the
-package.
+``evenlat.exactlinalg`` derives from its single fraction-free kernel, and
+the entry-by-entry Fraction products that it replaced by one
+denominator-cleared integer product.  The differential tests compare the
+two; nothing here shares code with the package.
 """
 
 from fractions import Fraction
@@ -97,3 +98,43 @@ def solve(rows, b):
             v[c] = -mat[row_idx][fc]
         kernel.append(tuple(v))
     return tuple(x), tuple(kernel)
+
+
+def matmul(a, b):
+    """Product of two matrices of ints and Fractions, entry by entry over Q."""
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
+        for row in a
+    )
+
+
+def pairing(gram, x, y) -> Fraction:
+    """x * gram * y^T as a double sum of Fraction products."""
+    n = len(gram)
+    return sum(
+        (Fraction(x[i]) * gram[i][j] * Fraction(y[j]) for i in range(n) for j in range(n)),
+        Fraction(0),
+    )
+
+
+def pair(config, u, v) -> Fraction:
+    """u . v over the curves of a configuration, skipping zero coordinates."""
+    g = config.gram().entries
+    n = config.size
+    total = Fraction(0)
+    for i in range(n):
+        if u[i]:
+            for j in range(n):
+                if v[j]:
+                    total += u[i] * g[i][j] * v[j]
+    return total
+
+
+def in_dual(gram, coords) -> bool:
+    """Every entry of gram * coords^T is an integer."""
+    n = len(gram)
+    return all(
+        sum((gram[i][j] * Fraction(coords[j]) for j in range(n)), Fraction(0)).denominator == 1
+        for i in range(n)
+    )

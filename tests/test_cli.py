@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -157,6 +158,22 @@ class TestConfigCommands:
         data = json.loads(out)
         assert data["config"]["curves"] == [{"label": "C1", "self": -2}]
 
+    @pytest.mark.parametrize(
+        "curves, mult",
+        [
+            ([{"label": "a", "self": True}, {"label": "b", "self": -2}], []),
+            ([{"label": "a", "self": -2}, {"label": "b", "self": -2}], [["a", "b", True]]),
+        ],
+    )
+    def test_boolean_intersection_number_exits_2(self, capsys, tmp_path, curves, mult):
+        cfg_path = tmp_path / "cfg.json"
+        inv_path = tmp_path / "inv.json"
+        cfg_path.write_text(json.dumps({"schema": 1, "curves": curves, "mult": mult}))
+        inv_path.write_text(json.dumps({"perm": [1, 0]}))
+        code, _, err = run_cli(capsys, "config", "quotient", str(cfg_path), str(inv_path))
+        assert code == 2
+        assert "integer" in err
+
     def test_pullback(self, capsys, tmp_path):
         cfg = {
             "schema": 1,
@@ -205,7 +222,18 @@ class TestConfigCommands:
         assert all(c["self"] == -2 for c in data["config"]["curves"])
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
 class TestVerifyPaper:
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_full_report_matches_golden_file(self, capsys, fmt):
+        # the committed report; regenerate it only for an intended change
+        code, out, _ = run_cli(capsys, "verify-paper", "--format", fmt)
+        assert code == 0
+        with open(os.path.join(GOLDEN, f"verify_paper.{fmt}"), encoding="utf-8", newline="") as fh:
+            assert out == fh.read()
+
     def test_single_result(self, capsys):
         code, out, _ = run_cli(capsys, "verify-paper", "--result", "lemma_4_2")
         assert code == 0

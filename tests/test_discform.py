@@ -111,6 +111,7 @@ class TestFromLattice:
         assert m.orders == ()
         assert list(m.elements()) == [()]
         assert df.isotropic_elements(m) == []
+        assert m.lift(()) == (0, 0)
 
     def test_odd_lattice_rejected(self):
         with pytest.raises(ValueError):
@@ -300,6 +301,25 @@ class TestAgainstFractionOracle:
             assert df.overlattice(lat, sub).gram.entries == discform_oracle.overlattice_gram(
                 lat, sub
             )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_from_lattice_table(self, seed):
+        # one draw in four is unimodular: no lifts and an empty table
+        rng = random.Random(seed)
+        if rng.random() < 0.25:
+            lat = parse_lattice_expr(rng.choice(("U", "E8", "U+E8")))
+            u = random_unimodular(rng, lat.rank, steps=2 * lat.rank)
+            lat = Lattice(u * lat.gram * u.transpose())
+            module = df.from_lattice(lat)
+        else:
+            lat, module = random_small_module(rng)
+        g = lat.gram.entries
+        raw = [[oracle.pairing(g, x, y) for y in module.lifts] for x in module.lifts]
+        assert module.q_diag == tuple(discform_oracle._mod2(row[i]) for i, row in enumerate(raw))
+        assert module.b_mat == tuple(tuple(discform_oracle._mod1(e) for e in row) for row in raw)
+        for x in module.lifts:
+            assert lat.dual_vector(x).in_dual() and oracle.in_dual(g, x)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))

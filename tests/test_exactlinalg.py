@@ -8,8 +8,10 @@ import linalg_oracle as oracle
 from evenlat.exactlinalg import (
     IntMat,
     RatMat,
+    bilinear_table,
     hnf,
     kernel_saturated,
+    rational_product,
     signature,
     snf,
     snf_rational,
@@ -354,6 +356,63 @@ class TestAgainstFractionOracle:
             assert sol is None
         else:
             assert (sol.particular, sol.kernel) == want
+
+
+# zero, negative, integral and proper fractional entries, as ints or Fractions
+MIXED_ENTRY = st.integers(-9, 9) | st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+
+
+def mixed_rows(rows, cols):
+    return st.lists(
+        st.lists(MIXED_ENTRY, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+class TestRationalProduct:
+    """The denominator-cleared integer product against entry-by-entry Fractions."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(
+            lambda d: st.tuples(
+                mixed_rows(d[0], d[1]), int_matrix(d[1], d[2]), mixed_rows(d[1], d[2])
+            )
+        )
+    )
+    def test_product(self, args):
+        a, b, c = args
+        num, den = rational_product(a, b.entries)
+        assert tuple(tuple(F(e, den) for e in row) for row in num) == oracle.matmul(a, b.entries)
+        assert (RatMat.from_rows(a) * RatMat.from_rows(c)).entries == oracle.matmul(a, c)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(0, 3), st.integers(0, 3)).flatmap(
+            lambda d: st.tuples(
+                int_matrix(d[0], d[0]), mixed_rows(d[1], d[0]), mixed_rows(d[2], d[0])
+            )
+        )
+    )
+    def test_bilinear_table(self, args):
+        # 1x1 forms and empty sides (a unimodular lattice has no lifts) included
+        gram, xs, ys = args
+        num, den = bilinear_table(xs, gram.entries, ys)
+        assert [[F(e, den) for e in row] for row in num] == [
+            [oracle.pairing(gram.entries, x, y) for y in ys] for x in xs
+        ]
+
+    def test_no_rows(self):
+        assert rational_product([], [[1, 2], [3, 4]]) == ([], 1)
+
+
+class TestIntegerEntries:
+    @pytest.mark.parametrize("bad", [F(1, 2), F(3), True, 2.0])
+    def test_non_int_entries_rejected(self, bad):
+        # a Fraction such as 1/2 must never be truncated to 0
+        with pytest.raises(TypeError):
+            IntMat.from_rows([[1, bad]])
+        with pytest.raises(TypeError):
+            IntMat.diagonal([bad])
 
 
 def test_bareiss_matches_fraction_gauss():

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evenlat.discform as df
+import linalg_oracle as oracle
 from evenlat.exactlinalg import IntMat
 from evenlat.lattice import (
     Lattice,
@@ -51,6 +53,49 @@ def random_even_nondegenerate(rng, max_rank=4, max_entry=4):
         m = IntMat.from_rows(g)
         if m.det() != 0:
             return Lattice(m)
+
+
+def random_mixed_vector(rng, n):
+    """Zero, negative and fractional coordinates, as ints or Fractions."""
+    return [
+        rng.choice((0, rng.randint(-5, 5), F(rng.randint(-9, 9), rng.randint(1, 6))))
+        for _ in range(n)
+    ]
+
+
+class TestAgainstFractionOracle:
+    """pairing and in_dual against the entry-by-entry Fraction rules."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_pairing(self, seed):
+        rng = random.Random(seed)
+        lat = random_even_nondegenerate(rng, max_rank=6)
+        x, y = random_mixed_vector(rng, lat.rank), random_mixed_vector(rng, lat.rank)
+        assert lat.pairing(x, y) == oracle.pairing(lat.gram.entries, x, y)
+        assert lat.dual_vector(x).norm() == oracle.pairing(lat.gram.entries, x, x)
+
+    def test_pairing_rejects_wrong_length(self):
+        u = make_named("U")
+        for x, y in (((1,), (1, 0)), ((1, 0), (1, 0, 0))):
+            with pytest.raises(ValueError, match="rank"):
+                u.pairing(x, y)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_in_dual(self, seed):
+        # half the draws are dual vectors: integer combinations of gram^-1 rows
+        rng = random.Random(seed)
+        lat = random_even_nondegenerate(rng, max_rank=6)
+        if rng.random() < 0.5:
+            coords = random_mixed_vector(rng, lat.rank)
+        else:
+            inv = lat.gram.inverse().entries
+            coords = [
+                sum(rng.randint(-3, 3) * row[j] for row in inv) for j in range(lat.rank)
+            ]
+        v = lat.dual_vector(coords)
+        assert v.in_dual() == oracle.in_dual(lat.gram.entries, coords)
 
 
 class TestInducedGram:

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import networkx as nx
 import pytest
 
 import evenlat.refdata as rd
+import linalg_oracle as oracle
 from deck_oracle import golden_gram_rows
 from evenlat.curves import InvolutionAction, present, triple_double_tower
 from evenlat.exactlinalg import snf_rational
@@ -131,9 +134,32 @@ class TestXprime:
         assert lat.is_even
         assert discriminant_group(lat).invariant_factors == (2, 2, 2, 2, 4, 4)
 
-    def test_m_snf_diagonal(self, xprime):
-        from fractions import Fraction
+    def test_pairings_match_fraction_rule(self, xprime):
+        config = xprime.config
+        basis = xprime.m_basis
+        assert xprime.m_gram.entries == tuple(
+            tuple(oracle.pair(config, u, v) for v in basis) for u in basis
+        )
+        n = config.size
+        units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        halves = [
+            tuple(Fraction(1, 2) if i in support else 0 for i in range(n))
+            for support in (rd.N_SUPPORT, rd.LAMBDA1_SUPPORT, rd.LAMBDA2_SUPPORT)
+        ]
+        gens = units + halves
+        want = []
+        for target, combo in rd.XPRIME_RELATIONS:
+            rhs = [sum(c * gens[gi][k] for gi, c in combo.items()) for k in range(n)]
+            want.append(all(
+                oracle.pair(config, gens[target], u) == oracle.pair(config, rhs, u)
+                for u in units
+            ))
+        for v in halves:
+            integral = all(oracle.pair(config, v, u).denominator == 1 for u in units)
+            want.append(integral and oracle.pair(config, v, v) % 2 == 0)
+        assert [ok for _, ok in xprime.relation_report] == want
 
+    def test_m_snf_diagonal(self, xprime):
         d, _, _ = snf_rational(xprime.m_gram.inverse())
         diag = tuple(d.entries[i][i] for i in range(16))
         assert diag == (1,) * 10 + (Fraction(1, 2),) * 4 + (Fraction(1, 4),) * 2
@@ -145,8 +171,6 @@ class TestXprime:
         assert xprime.incidence_kernel_dim == 64
 
     def test_half_sum_memberships(self, xprime):
-        from fractions import Fraction
-
         n = xprime.config.size
         n_half = [Fraction(1, 2) if i in rd.N_SUPPORT else Fraction(0) for i in range(n)]
         assert xprime.m_presentation.contains(n_half)
