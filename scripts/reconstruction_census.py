@@ -24,11 +24,11 @@ def main() -> int:
                         help="largest per-pair multiplicity to scan")
     args = parser.parse_args()
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     rec = reconstruct_24(args.tier)
     sizes = rec.census_sizes()
     print(f"tier policy {args.tier!r}: used tier {rec.tier_used} "
-          f"({time.time() - t0:.1f}s)")
+          f"({time.perf_counter() - t0:.1f}s)")
     print(f"  census: tier1={sizes['tier1']} tier2={sizes['tier2']} tier3={sizes['tier3']}")
 
     for k, gram in enumerate(rec.tier2):
@@ -40,13 +40,13 @@ def main() -> int:
               f"relations={r_ok} disc={disc}")
 
     for cap in range(3, args.max_cap + 1):
-        t1 = time.time()
+        t1 = time.perf_counter()
         wide = reconstruct_24(args.tier, multiplicity_cap=cap)
         ws = wide.census_sizes()
         extra2 = ws["tier2"] - sizes["tier2"]
         extra3 = ws["tier3"] - sizes["tier3"]
         print(f"  anomaly scan cap={cap}: tier1={ws['tier1']} "
-              f"new tier2={extra2} new tier3={extra3} ({time.time() - t1:.1f}s)")
+              f"new tier2={extra2} new tier3={extra3} ({time.perf_counter() - t1:.1f}s)")
 
     tower = triple_double_tower()
     shapes = []

@@ -11,11 +11,21 @@ degree-8 cover bookkeeping, and the affine-E8-plus-section shape on the
 distinguished ten curves.
 Tier 2: tier 1 plus the printed rank-6 block Gram, entrywise.
 Tier 3: tier 2 plus the two printed curve relations as identities.
+
+The tier-1 solutions of one arrangement and node assignment form a product
+of independent per-block completions.  Tier 1 is counted by the sizes of
+these products, after a checked condition that they are pairwise disjoint
+(any overlap is enumerated and counted once).  Tier 2 is found per product
+by a split join: the rank-6 Gram conditions are linear in the orbit
+values, so the sums of two halves of the blocks are matched in a table
+instead of testing every tier-1 solution.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,19 +136,19 @@ def _e8_embeddings(adjacency):
         if node == 9:
             results.append((tuple(assigned), dict(orbit_vals)))
             return
+        wants = [1 if frozenset((prev, node)) in _E8A_EDGE_SET else 0 for prev in range(node)]
+        section_want = 1 if E8A_MARKS[node] == 1 else 0
         for curve in fiber:
             if curve in used:
                 continue
             undo: list[int] = []
             ok = True
-            for prev in range(node):
-                want = 1 if frozenset((prev, node)) in _E8A_EDGE_SET else 0
+            for prev, want in enumerate(wants):
                 if not pin(assigned[prev], curve, want, undo):
                     ok = False
                     break
             if ok:
-                want = 1 if E8A_MARKS[node] == 1 else 0
-                ok = pin(section, curve, want, undo)
+                ok = pin(section, curve, section_want, undo)
             if ok:
                 assigned.append(curve)
                 used.add(curve)
@@ -266,12 +276,116 @@ def relations_hold(gram24: IntMat) -> bool:
     return True
 
 
+# A product is a pair (pinned, blocks) for one feasible hexagon arrangement
+# and node assignment.  Its solutions take the pinned orbit values plus one
+# completion from each of the 15 blocks.  Every orbit lies in exactly one
+# block, and completions assign only unpinned orbits, so distinct choices
+# give distinct solutions: a product holds the product of its block sizes.
+
+def _base_values(pinned: dict) -> list[int]:
+    base = [0] * _N_ORBITS
+    for orb, v in pinned.items():
+        base[orb] = v
+    return base
+
+
+def _solution_key(base: list[int], parts) -> bytes:
+    vals = list(base)
+    for part in parts:
+        for orb, v in part:
+            vals[orb] = v
+    return bytes(vals)
+
+
+def _orbit_values(pinned: dict, blocks) -> list[set[int]]:
+    """The values each orbit takes over the solutions of one product."""
+    values = [{v} for v in _base_values(pinned)]
+    for comps in blocks:
+        free: dict[int, set[int]] = {}
+        for part in comps:
+            for orb, v in part:
+                free.setdefault(orb, set()).add(v)
+        for orb, vs in free.items():
+            values[orb] = vs
+    return values
+
+
+def _union_size(products) -> int:
+    """Number of distinct solutions over all products.
+
+    Two products are disjoint when some orbit takes no common value in
+    them.  A product proven disjoint from every other one counts the
+    product of its block sizes; the solutions of the others are enumerated
+    into one set, so an overlap is counted once.
+    """
+    values = [_orbit_values(pinned, blocks) for pinned, blocks in products]
+    shared = set()
+    for a, b in itertools.combinations(range(len(products)), 2):
+        if not any(x.isdisjoint(y) for x, y in zip(values[a], values[b])):
+            shared.update((a, b))
+    count = sum(
+        math.prod(map(len, blocks))
+        for k, (_, blocks) in enumerate(products)
+        if k not in shared
+    )
+    keys = set()
+    for k in shared:
+        pinned, blocks = products[k]
+        base = _base_values(pinned)
+        keys.update(_solution_key(base, parts) for parts in itertools.product(*blocks))
+    return count + len(keys)
+
+
+def _qgram_solutions(pinned: dict, blocks, qtests):
+    """Keys of the solutions of one product that pass every rank-6 Gram test.
+
+    The tests are affine in the orbit values and the blocks own disjoint
+    orbits, so each completion adds a fixed vector to the test sums.  The
+    blocks are split into two halves of about equal product size; the sums
+    of the left half go into a table, and each right-half sum looks up the
+    left sums that complete it to the targets (the Horowitz-Sahni split).
+    """
+    columns = defaultdict(list)  # orbit -> its (test, coefficient) pairs
+    for t, (terms, _) in enumerate(qtests):
+        for orb, c in terms:
+            columns[orb].append((t, c))
+    zero = (0,) * len(qtests)
+
+    def effect(part) -> tuple[int, ...]:
+        vec = list(zero)
+        for orb, v in part:
+            for t, c in columns[orb]:
+                vec[t] += c * v
+        return tuple(vec)
+
+    def total(choice) -> tuple[int, ...]:
+        return tuple(map(sum, zip(zero, *(vec for vec, _ in choice))))
+
+    need = tuple(rhs - e for (_, rhs), e in zip(qtests, effect(pinned.items())))
+    halves: tuple[list, list] = ([], [])
+    sizes = [1, 1]
+    for comps in sorted(blocks, key=len, reverse=True):
+        side = 0 if sizes[0] <= sizes[1] else 1
+        halves[side].append([(effect(part), part) for part in comps])
+        sizes[side] *= len(comps)
+    left_parts = defaultdict(list)
+    for choice in itertools.product(*halves[0]):
+        left_parts[total(choice)].append(tuple(part for _, part in choice))
+    base = _base_values(pinned)
+    for choice in itertools.product(*halves[1]):
+        rest = tuple(n - s for n, s in zip(need, total(choice)))
+        for parts in left_parts.get(rest, ()):
+            yield _solution_key(base, parts + tuple(part for _, part in choice))
+
+
 @dataclass(frozen=True)
 class Reconstruction24:
     """Census of the 24-curve reconstruction, by tier.
 
-    Tier-1 solutions are only counted (the census is large); the tier-2 and
-    tier-3 solutions are materialized as Gram matrices.
+    Tier-1 solutions are only counted, by product sizes under a checked
+    disjointness condition (the census is large); the tier-2 solutions are
+    found by a split join on the rank-6 Gram conditions and, with the
+    tier-3 ones, materialized as Gram matrices sorted by orbit values.
     """
 
     tier1_count: int
@@ -313,56 +427,47 @@ class Reconstruction24:
 
 
 def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reconstruction24:
-    """Recover the 24-curve intersection matrix by exhaustive tiered search.
+    """Recover the 24-curve intersection matrix by an exhaustive tiered census.
 
     ``tier_policy``: "auto" escalates tiers until the census is a single
     Gram; "1", "2", "3" stop at the stated tier regardless of ambiguity.
     ``multiplicity_cap`` bounds the per-pair intersection numbers explored
     (2 by default; raise it to scan for solutions beyond simple tangencies).
+    An unknown policy or a cap below 1 raises ``ValueError``.
     """
     if tier_policy not in ("auto", "1", "2", "3"):
         raise ValueError(f"unknown tier policy: {tier_policy!r}")
-    qtests = _qgram_linear_tests()
-    tier1_keys = set()
-    tier2_keys = set()
+    if multiplicity_cap < 1:
+        raise ValueError(
+            f"multiplicity cap must be at least 1, since the shape constraint "
+            f"pins entries to 1: {multiplicity_cap!r}"
+        )
+    products = []
     for arrangement in _hexagon_arrangements():
         adjacency = _adjacency(arrangement)
         for _assignment, pinned in _e8_embeddings(adjacency):
             if not _s_block_valid(pinned):
                 continue
             blocks = []
-            feasible = True
             for g1, g2 in itertools.combinations(range(6), 2):
                 adjacent = frozenset((g1, g2)) in adjacency
                 comps = _block_completions(g1, g2, adjacent, pinned, multiplicity_cap)
                 if not comps:
-                    feasible = False
                     break
                 blocks.append(comps)
-            if not feasible:
-                continue
-            base = [0] * _N_ORBITS
-            for orb, v in pinned.items():
-                base[orb] = v
-            for choice in itertools.product(*blocks):
-                vals = list(base)
-                for part in choice:
-                    for orb, v in part:
-                        vals[orb] = v
-                key = bytes(vals)
-                tier1_keys.add(key)
-                if key not in tier2_keys:
-                    if all(
-                        sum(c * vals[orb] for orb, c in terms) == rhs
-                        for terms, rhs in qtests
-                    ):
-                        tier2_keys.add(key)
-    if not tier1_keys:
+            else:
+                products.append((pinned, blocks))
+    tier1_count = _union_size(products)
+    if not tier1_count:
         raise ReconstructionError("no solution at tier 1: constraint bug")
+    qtests = _qgram_linear_tests()
+    tier2_keys = set()
+    for pinned, blocks in products:
+        tier2_keys.update(_qgram_solutions(pinned, blocks, qtests))
     tier2 = tuple(_assemble(key) for key in sorted(tier2_keys))
     tier3 = tuple(g for g in tier2 if relations_hold(g))
     if tier_policy == "auto":
-        if len(tier1_keys) == 1:
+        if tier1_count == 1:
             used = 1
         elif len(tier2) == 1:
             used = 2
@@ -371,7 +476,7 @@ def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reco
     else:
         used = int(tier_policy)
     return Reconstruction24(
-        len(tier1_keys), tier2, tier3, used, tier_policy, multiplicity_cap
+        tier1_count, tier2, tier3, used, tier_policy, multiplicity_cap
     )
 
 

@@ -1,20 +1,32 @@
+import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 
+import evenlat
 import evenlat.refdata as rd
 import linalg_oracle as oracle
+import reconstruct_oracle
 from deck_oracle import golden_gram_rows
 from evenlat.curves import InvolutionAction, present, triple_double_tower
 from evenlat.exactlinalg import snf_rational
 from evenlat.lattice import Lattice, discriminant_group
 from evenlat.reconstruct import (
+    _GROUP_OF,
+    _N_ORBITS,
+    _ORBIT_MEMBERS,
     ReconstructionError,
+    _union_size,
     q_gram_of,
     reconstruct_24,
     relations_hold,
 )
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestCensus:
@@ -48,6 +60,63 @@ class TestCensus:
         rec = reconstruct_24(multiplicity_cap=3)
         sizes = rec.census_sizes()
         assert sizes["tier2"] == 2 and sizes["tier3"] == 1
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="multiplicity cap"):
+            reconstruct_24(multiplicity_cap=cap)
+
+
+class TestAgainstEnumeration:
+    @pytest.mark.parametrize("policy", ["auto", "1", "2", "3"])
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_census_matches_enumeration(self, cap, policy):
+        got = reconstruct_24(policy, cap)
+        want = reconstruct_oracle.reconstruct_24(policy, cap)
+        assert got.tier1_count == want.tier1_count
+        assert got.tier_used == want.tier_used
+        assert [g.entries for g in got.tier2] == [g.entries for g in want.tier2]
+        assert [g.entries for g in got.tier3] == [g.entries for g in want.tier3]
+
+    def test_every_orbit_lies_in_one_block(self):
+        # the product count and the split join both rest on this
+        for pairs in _ORBIT_MEMBERS.values():
+            blocks = {frozenset(_GROUP_OF[i] for i in pair) for pair in pairs}
+            assert len(blocks) == 1
+
+    def test_overlapping_products_count_their_union(self):
+        products = [
+            ({0: 1}, [[((1, 0),), ((1, 1),)], [((2, 1),), ((2, 2),)]]),
+            ({0: 1}, [[((1, 1),), ((1, 2),)], [((2, 2),)]]),  # shares (1, 1, 2)
+            ({0: 2}, [[((1, 0),), ((1, 1),)]]),  # disjoint from both by orbit 0
+        ]
+        keys = set()
+        for pinned, blocks in products:
+            for parts in itertools.product(*blocks):
+                vals = [0] * _N_ORBITS
+                for orb, v in itertools.chain(pinned.items(), *parts):
+                    vals[orb] = v
+                keys.add(bytes(vals))
+        assert len(keys) == 7
+        assert _union_size(products) == 7
+
+
+def test_census_script():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evenlat.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO, "scripts", "reconstruction_census.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "  census: tier1=111456 tier2=2 tier3=1" in lines
+    for cap in (3, 4):
+        assert any(
+            line.startswith(f"  anomaly scan cap={cap}: tier1=121536 new tier2=0 new tier3=0 (")
+            for line in lines
+        )
 
 
 class TestStructure:
