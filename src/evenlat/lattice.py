@@ -235,13 +235,12 @@ def make_named(name: str) -> Lattice:
         return Lattice(_e8_gram(), "E8")
     if token == "A1":
         return Lattice(IntMat.from_rows([[-2]]), "A1")
-    m = _DIAG_RE.match(token)
+    m = _DIAG_RE.match(token) or _ANGLE_RE.match(token)
     if m:
         diag = [int(x) for x in m.group(1).split(",")]
+        if 0 in diag:
+            raise ValueError(f"{token} is degenerate")
         return Lattice(IntMat.diagonal(diag), token)
-    m = _ANGLE_RE.match(token)
-    if m:
-        return Lattice(IntMat.diagonal([int(m.group(1))]), token)
     if token == "Nikulin":
         return Lattice(_nikulin_gram(), "Nikulin")
     if token == "M_Z2_3":
@@ -251,9 +250,11 @@ def make_named(name: str) -> Lattice:
 
 def parse_lattice_expr(expr: str) -> Lattice:
     """Direct sums of named lattices, e.g. 'U+U(2)+diag(-4,-4)'."""
-    parts = [p for p in expr.split("+") if p.strip()]
-    if not parts:
+    if not expr.strip():
         raise ValueError("empty lattice expression")
+    parts = expr.split("+")
+    if not all(p.strip() for p in parts):
+        raise ValueError(f"empty summand in lattice expression {expr!r}")
     lat = make_named(parts[0])
     for p in parts[1:]:
         lat = direct_sum(lat, make_named(p))

@@ -12,6 +12,14 @@ distinguished ten curves.
 Tier 2: tier 1 plus the printed rank-6 block Gram, entrywise.
 Tier 3: tier 2 plus the two printed curve relations as identities.
 
+The node assignments of each arrangement come from a depth-first search
+driven by tables built once: a 24x24 table of pair orbits, the entries
+each node pins against the earlier nodes and the section, and the 6x6
+group adjacency of the arrangement.  The search pins every entry among
+the ten distinguished curves to the affine-E8-plus-section shape, so the
+unimodularity and signature of their block are checked once, on the
+shape Gram, per census.
+
 The tier-1 solutions of one arrangement and node assignment form a product
 of independent per-block completions.  Tier 1 is counted by the sizes of
 these products, after a checked condition that they are pairwise disjoint
@@ -19,6 +27,9 @@ these products, after a checked condition that they are pairwise disjoint
 by a split join: the rank-6 Gram conditions are linear in the orbit
 values, so the sums of two halves of the blocks are matched in a table
 instead of testing every tier-1 solution.
+
+On X', the relation-only system for the curve/exceptional incidences
+splits into one small system per exceptional curve N_j.
 """
 
 from __future__ import annotations
@@ -45,10 +56,15 @@ from .exactlinalg import IntMat, bilinear_table, signature, solve_rational
 # multiplicity-3 node attached to the multiplicity-6 one
 E8A_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8))
 E8A_MARKS = (1, 2, 3, 4, 5, 6, 4, 2, 3)
-_E8A_EDGE_SET = frozenset(frozenset(e) for e in E8A_EDGES)
+# the entries the shape pins when node n is placed: against each earlier
+# node (1 along an edge), then against the section (1 at a mark-1 node)
+_NODE_WANTS = tuple(
+    tuple(int((prev, node) in E8A_EDGES) for prev in range(node)) + (int(E8A_MARKS[node] == 1),)
+    for node in range(9)
+)
 
 _GROUPS = refdata.GROUPS_24
-_GROUP_OF = {}
+_GROUP_OF = [0] * 24
 for _gi, _grp in enumerate(_GROUPS):
     for _c in _grp:
         _GROUP_OF[_c] = _gi
@@ -56,34 +72,31 @@ for _gi, _grp in enumerate(_GROUPS):
 _INVOLUTIONS = (refdata.IOTA_001, refdata.IOTA_010, refdata.IOTA_011)
 
 
-def _pair_orbits() -> tuple[dict, dict]:
-    """Orbits of the involution group on cross-group index pairs."""
-    orbit_of: dict[frozenset, int] = {}
-    members: dict[int, list[frozenset]] = {}
-    next_id = 0
+def _pair_orbits() -> tuple[list[list[int]], dict[int, list[tuple[int, int]]]]:
+    """Orbits of the involution group on cross-group index pairs.
+
+    Returns the 24x24 orbit table (-1 for a within-group pair) and the
+    member pairs (i, j), i < j, of each orbit in sorted order.
+    """
+    orbit_of = [[-1] * 24 for _ in range(24)]
+    members: dict[int, list[tuple[int, int]]] = {}
     for i in range(24):
         for j in range(i + 1, 24):
-            if _GROUP_OF[i] == _GROUP_OF[j]:
-                continue
-            pair = frozenset((i, j))
-            if pair in orbit_of:
+            if _GROUP_OF[i] == _GROUP_OF[j] or orbit_of[i][j] >= 0:
                 continue
             orbit = set()
-            frontier = [pair]
+            frontier = [(i, j)]
             while frontier:
-                cur = frontier.pop()
-                if cur in orbit:
+                a, b = frontier.pop()
+                pair = (a, b) if a < b else (b, a)
+                if pair in orbit:
                     continue
-                orbit.add(cur)
-                a, b = tuple(cur)
-                for perm in _INVOLUTIONS:
-                    nxt = frozenset((perm[a], perm[b]))
-                    if nxt not in orbit:
-                        frontier.append(nxt)
-            for p in orbit:
-                orbit_of[p] = next_id
-            members[next_id] = sorted(orbit, key=sorted)
-            next_id += 1
+                orbit.add(pair)
+                frontier.extend((perm[a], perm[b]) for perm in _INVOLUTIONS)
+            orb = len(members)
+            for a, b in orbit:
+                orbit_of[a][b] = orbit_of[b][a] = orb
+            members[orb] = sorted(orbit)
     return orbit_of, members
 
 
@@ -111,50 +124,43 @@ class ReconstructionError(Exception):
 def _e8_embeddings(adjacency):
     """All assignments of the fiber curves to affine-E8 nodes compatible with
     the given hexagon adjacency and with involution equivariance of the
-    entries the shape constraint pins."""
-    fiber = refdata.FIBER_CURVES
-    section = refdata.SECTION
-    results = []
-    assigned: list[int] = []  # assigned[n] = curve at node n
-    used = set()
-    orbit_vals: dict[int, int] = {}
+    entries the shape constraint pins.
 
-    def pin(i, j, value, undo):
-        gi, gj = _GROUP_OF[i], _GROUP_OF[j]
-        if gi == gj:
-            return value == 0  # internal disjointness
-        if frozenset((gi, gj)) not in adjacency:
-            return value == 0  # non-adjacent groups never meet
-        orb = _ORBIT_OF[frozenset((i, j))]
-        if orb in orbit_vals:
-            return orbit_vals[orb] == value
-        orbit_vals[orb] = value
-        undo.append(orb)
-        return True
+    An entry between curves of one group, or of two groups that are not
+    adjacent, must be 0; any other entry pins the value of its orbit.
+    """
+    fiber = refdata.FIBER_CURVES
+    adjacent = [[frozenset((g1, g2)) in adjacency for g2 in range(6)] for g1 in range(6)]
+    results = []
+    placed = [refdata.SECTION]  # the curves at nodes 0, 1, ..., then the section
+    orbit_vals: dict[int, int] = {}
 
     def place(node: int) -> None:
         if node == 9:
-            results.append((tuple(assigned), dict(orbit_vals)))
+            results.append((tuple(placed[:-1]), dict(orbit_vals)))
             return
-        wants = [1 if frozenset((prev, node)) in _E8A_EDGE_SET else 0 for prev in range(node)]
-        section_want = 1 if E8A_MARKS[node] == 1 else 0
+        wants = _NODE_WANTS[node]
         for curve in fiber:
-            if curve in used:
+            if curve in placed:
                 continue
+            orbit_row, near = _ORBIT_OF[curve], adjacent[_GROUP_OF[curve]]
             undo: list[int] = []
-            ok = True
-            for prev, want in enumerate(wants):
-                if not pin(assigned[prev], curve, want, undo):
-                    ok = False
+            for prev, want in zip(placed, wants):
+                orb = orbit_row[prev]
+                if orb < 0 or not near[_GROUP_OF[prev]]:
+                    if want:
+                        break
+                    continue
+                have = orbit_vals.get(orb)
+                if have is None:
+                    orbit_vals[orb] = want
+                    undo.append(orb)
+                elif have != want:
                     break
-            if ok:
-                ok = pin(section, curve, section_want, undo)
-            if ok:
-                assigned.append(curve)
-                used.add(curve)
+            else:
+                placed.insert(node, curve)
                 place(node + 1)
-                used.remove(curve)
-                assigned.pop()
+                del placed[node]
             for orb in undo:
                 del orbit_vals[orb]
 
@@ -168,7 +174,7 @@ def _block_completions(g1: int, g2: int, adjacent: bool, orbit_vals: dict, cap: 
     orbits = {}
     for i in _GROUPS[g1]:
         for j in _GROUPS[g2]:
-            orb = _ORBIT_OF[frozenset((i, j))]
+            orb = _ORBIT_OF[i][j]
             orbits[orb] = orbits.get(orb, 0) + 1
     target = 8 if adjacent else 0
     fixed_total = 0
@@ -211,32 +217,25 @@ def _assemble(orbit_vals) -> IntMat:
     for orb, val in enumerate(orbit_vals):
         if val == 0:
             continue
-        for pair in _ORBIT_MEMBERS[orb]:
-            i, j = tuple(pair)
+        for i, j in _ORBIT_MEMBERS[orb]:
             g[i][j] = g[j][i] = val
     return IntMat.from_rows(g)
 
 
-def _s_block_valid(orbit_vals: dict) -> bool:
+def _check_shape() -> None:
     """Even unimodular signature (1,9) check on the distinguished ten curves.
 
-    Every entry of that submatrix is pinned by the shape constraints, so
-    this is decided once per node assignment."""
-    idx = refdata.S_BASIS
-    s = [[0] * 10 for _ in range(10)]
-    for a in range(10):
-        s[a][a] = -2
-        for b in range(a + 1, 10):
-            i, j = idx[a], idx[b]
-            if _GROUP_OF[i] == _GROUP_OF[j]:
-                v = 0
-            else:
-                v = orbit_vals.get(_ORBIT_OF[frozenset((i, j))], 0)
-            s[a][b] = s[b][a] = v
-    sm = IntMat.from_rows(s)
-    if abs(sm.det()) != 1:
-        return False
-    return signature(sm) == (1, 9, 0)
+    The embedding search pins every entry among them to the affine-E8-plus-
+    section shape, so their Gram block is the shape Gram under a permutation
+    of the nodes, which keeps det and signature: one check of the shape
+    serves every embedding."""
+    g = [[-2 if a == b else 0 for b in range(10)] for a in range(10)]
+    for node, wants in enumerate(_NODE_WANTS):  # the section is index 9
+        for prev, want in zip([*range(node), 9], wants):
+            g[prev][node] = g[node][prev] = want
+    shape = IntMat.from_rows(g)
+    if abs(shape.det()) != 1 or signature(shape) != (1, 9, 0):
+        raise ReconstructionError("the affine-E8-plus-section shape is not unimodular of signature (1,9)")
 
 
 def _qgram_linear_tests():
@@ -249,8 +248,7 @@ def _qgram_linear_tests():
             coeff = [0] * _N_ORBITS
             for orb, pairs in _ORBIT_MEMBERS.items():
                 c = 0
-                for pair in pairs:
-                    i, j = tuple(pair)
+                for i, j in pairs:
                     c += qvecs[a][i] * qvecs[b][j] + qvecs[a][j] * qvecs[b][i]
                 if c:
                     coeff[orb] = c
@@ -442,12 +440,11 @@ def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reco
             f"multiplicity cap must be at least 1, since the shape constraint "
             f"pins entries to 1: {multiplicity_cap!r}"
         )
+    _check_shape()
     products = []
     for arrangement in _hexagon_arrangements():
         adjacency = _adjacency(arrangement)
         for _assignment, pinned in _e8_embeddings(adjacency):
-            if not _s_block_valid(pinned):
-                continue
             blocks = []
             for g1, g2 in itertools.combinations(range(6), 2):
                 adjacent = frozenset((g1, g2)) in adjacency
@@ -550,7 +547,7 @@ def reconstruct_xprime(base24: CurveConfig) -> XprimeReconstruction:
     basis = [gens[i] for i in index]
     m_pres = pres.adjoin([gens[20], gens[21], gens[22]])
 
-    kdim = _incidence_kernel_dim(config, gens)
+    kdim = _incidence_kernel_dim()
     return XprimeReconstruction(
         config, quot, pres, m_pres, tuple(tuple(b) for b in basis), m_gram,
         tuple(report), kdim,
@@ -567,40 +564,39 @@ def _half(n, support):
     return tuple(Fraction(1, 2) if i in support else Fraction(0) for i in range(n))
 
 
-def _incidence_kernel_dim(config: CurveConfig, gens) -> int:
+def _incidence_kernel_dim() -> int:
     """Rank deficiency of the relation-only system for the C.N incidences.
 
     Treat the 96 products C_i.N_j as unknowns and impose only that the
     published relations pair equally against every curve; the dimension of
     the solution space records that the relations alone underdetermine the
-    incidences (the fixed-point geometry is what pins them to zero).
+    incidences (the fixed-point geometry is what pins them to zero).  The
+    equations against N_j contain only the unknowns C_i.N_j, so the 56x96
+    system splits into one 7x12 system per N_j, and the dimension is the
+    sum of their kernel dimensions.
     """
-    nvars = 12 * 8
-    rows = []
-    rhs = []
+    combos, rows = [], []
     for target, combo in refdata.XPRIME_RELATIONS:
         coeffs = {target: Fraction(-1)}
         for gi, c in combo.items():
             coeffs[gi] = coeffs.get(gi, Fraction(0)) + c
-        # the combination must pair to zero with every N_j
-        for j in range(8):
-            row = [Fraction(0)] * nvars
-            const = Fraction(0)
-            for gi, c in coeffs.items():
-                if c == 0:
-                    continue
-                for ci, w in _c_weights(gi):
-                    row[ci * 8 + j] += c * w
-                const += c * _n_part_pairing(gi, j)
-            rows.append(row)
-            rhs.append(-const)
-    a = IntMat.from_rows(
-        [[int(e * 2) for e in row] for row in rows]  # entries in (1/2)Z
-    )
-    sol = solve_rational(a, [e * 2 for e in rhs])
-    if sol is None:
-        raise ReconstructionError("relation-only incidence system inconsistent")
-    return len(sol.kernel)
+        # the coefficient of C_i.N_j does not depend on j; entries in (1/2)Z
+        row = [Fraction(0)] * 12
+        for gi, c in coeffs.items():
+            for ci, w in _c_weights(gi):
+                row[ci] += c * w
+        combos.append(coeffs)
+        rows.append([int(e * 2) for e in row])
+    a = IntMat.from_rows(rows)
+    dim = 0
+    for j in range(8):
+        # each combination must pair to zero with N_j
+        rhs = [-2 * sum(c * _n_part_pairing(gi, j) for gi, c in coeffs.items()) for coeffs in combos]
+        sol = solve_rational(a, rhs)
+        if sol is None:
+            raise ReconstructionError("relation-only incidence system inconsistent")
+        dim += len(sol.kernel)
+    return dim
 
 
 def _c_weights(gi):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import discform as df
 from . import refdata as rd
 from .curves import find_even_four_certificate, present, triple_double_tower
-from .exactlinalg import IntMat, snf, snf_rational
+from .exactlinalg import IntMat, _bareiss, snf, snf_rational
 from .lattice import (
     Lattice,
     discriminant_group,
@@ -591,8 +591,8 @@ def verify_section_6(gram24: IntMat) -> Entry:
     labels = xp.config.labels
     printed_classes = set()
     families = [tuple(labels[i] for i in fam) for fam in rd.XPRIME_RELATION_FAMILIES]
-    for halfset in rd.ISOTROPIC_AM_HALFSETS:
-        coords = _m_coords(xp, halfset)
+    all_coords = _m_coords(xp, rd.ISOTROPIC_AM_HALFSETS)
+    for halfset, coords in zip(rd.ISOTROPIC_AM_HALFSETS, all_coords):
         if coords is None:
             return _fail("section_6", {"halfset_outside_dual": halfset}, {})
         printed_classes.add(df.class_of(module, m_lat.dual_vector(coords)))
@@ -645,19 +645,33 @@ def verify_section_6(gram24: IntMat) -> Entry:
     return _ok("section_6", witnesses, {"isotropic_count": 31}, notes)
 
 
-def _m_coords(xp, halfset):
-    """Coordinates of a curve half-sum in the rank-16 basis, if it lies in
-    the dual of M (solve over the basis rows)."""
-    from .exactlinalg import solve_rational
+def _m_coords(xp, halfsets) -> list[tuple[Fraction, ...] | None]:
+    """Coordinates of each curve half-sum in the rank-16 basis, or None for
+    one outside the span of the basis rows.
 
-    target = [Fraction(1, 2) if i in halfset else Fraction(0) for i in range(20)]
-    cols = IntMat.from_rows(
-        [[int(2 * xp.m_basis[k][i]) for k in range(16)] for i in range(20)]
-    )
-    sol = solve_rational(cols, [2 * t for t in target])
-    if sol is None:
-        return None
-    return sol.particular
+    One elimination of [2 B^T | T], T holding the doubled half-sums as
+    columns, serves them all.  The basis columns come first, so the first
+    pivots are theirs; column t lies in their span exactly when it is zero
+    below those pivot rows, and then its coordinates are its entries on
+    them divided by the final pivot d.
+    """
+    n = len(xp.m_basis)
+    mat = [
+        [int(2 * v[i]) for v in xp.m_basis] + [int(i in h) for h in halfsets]
+        for i in range(len(xp.m_basis[0]))
+    ]
+    pivots, d, _ = _bareiss(mat)
+    rank = sum(c < n for c in pivots)
+    out = []
+    for t in range(n, n + len(halfsets)):
+        if any(row[t] for row in mat[rank:]):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for row, c in zip(mat, pivots[:rank]):
+            x[c] = Fraction(row[t], d)
+        out.append(tuple(x))
+    return out
 
 
 def verify_prop_6_2() -> Entry:

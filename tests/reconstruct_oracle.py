@@ -1,28 +1,181 @@
-"""Reference enumeration of the 24-curve reconstruction census.
+"""Reference rules for the 24-curve reconstruction and the X' incidences.
 
-This is the direct search that ``evenlat.reconstruct.reconstruct_24``
+``reconstruct_24`` is the direct search that ``evenlat.reconstruct``
 replaced by product counting and a split join: every tier-1 solution is
 built as a ``bytes`` key and put into a set, and each key is tested
-against the 21 affine rank-6 Gram conditions one by one.  The
-differential tests compare the two.  The arrangements, E8 embeddings,
-block completions, Gram tests and assembly come from the package.
+against the 21 affine rank-6 Gram conditions one by one.  It runs the
+reference embedding search below, keyed by frozensets, with a
+determinant and signature check of the ten-curve block of every
+embedding.  ``incidence_kernel_dim`` solves the relation-only incidence
+system as one 56x96 system, and ``m_solution`` solves for the
+coordinates of one half-sum of X' curves in the rank-16 basis.  The
+differential tests compare each with the package.  The arrangements, block completions, Gram tests and
+assembly come from the package.
 """
 
 import itertools
+from fractions import Fraction
 
+import evenlat.refdata as refdata
+from evenlat.exactlinalg import IntMat, signature, solve_rational
 from evenlat.reconstruct import (
+    _GROUP_OF,
+    _INVOLUTIONS,
     _N_ORBITS,
+    E8A_EDGES,
+    E8A_MARKS,
     Reconstruction24,
     ReconstructionError,
     _adjacency,
     _assemble,
     _block_completions,
-    _e8_embeddings,
+    _c_weights,
     _hexagon_arrangements,
+    _n_part_pairing,
     _qgram_linear_tests,
-    _s_block_valid,
     relations_hold,
 )
+
+_E8A_EDGE_SET = frozenset(frozenset(e) for e in E8A_EDGES)
+
+
+def pair_orbits() -> tuple[dict, dict]:
+    """Orbits of the involution group on cross-group index pairs."""
+    orbit_of: dict[frozenset, int] = {}
+    members: dict[int, list[frozenset]] = {}
+    next_id = 0
+    for i in range(24):
+        for j in range(i + 1, 24):
+            if _GROUP_OF[i] == _GROUP_OF[j]:
+                continue
+            pair = frozenset((i, j))
+            if pair in orbit_of:
+                continue
+            orbit = set()
+            frontier = [pair]
+            while frontier:
+                cur = frontier.pop()
+                if cur in orbit:
+                    continue
+                orbit.add(cur)
+                a, b = tuple(cur)
+                for perm in _INVOLUTIONS:
+                    nxt = frozenset((perm[a], perm[b]))
+                    if nxt not in orbit:
+                        frontier.append(nxt)
+            for p in orbit:
+                orbit_of[p] = next_id
+            members[next_id] = sorted(orbit, key=sorted)
+            next_id += 1
+    return orbit_of, members
+
+
+ORBIT_OF, ORBIT_MEMBERS = pair_orbits()
+
+
+def e8_embeddings(adjacency):
+    """All assignments of the fiber curves to affine-E8 nodes compatible with
+    the given hexagon adjacency and with involution equivariance of the
+    entries the shape constraint pins."""
+    fiber = refdata.FIBER_CURVES
+    section = refdata.SECTION
+    results = []
+    assigned: list[int] = []  # assigned[n] = curve at node n
+    used = set()
+    orbit_vals: dict[int, int] = {}
+
+    def pin(i, j, value, undo):
+        gi, gj = _GROUP_OF[i], _GROUP_OF[j]
+        if gi == gj:
+            return value == 0  # internal disjointness
+        if frozenset((gi, gj)) not in adjacency:
+            return value == 0  # non-adjacent groups never meet
+        orb = ORBIT_OF[frozenset((i, j))]
+        if orb in orbit_vals:
+            return orbit_vals[orb] == value
+        orbit_vals[orb] = value
+        undo.append(orb)
+        return True
+
+    def place(node: int) -> None:
+        if node == 9:
+            results.append((tuple(assigned), dict(orbit_vals)))
+            return
+        wants = [1 if frozenset((prev, node)) in _E8A_EDGE_SET else 0 for prev in range(node)]
+        section_want = 1 if E8A_MARKS[node] == 1 else 0
+        for curve in fiber:
+            if curve in used:
+                continue
+            undo: list[int] = []
+            ok = True
+            for prev, want in enumerate(wants):
+                if not pin(assigned[prev], curve, want, undo):
+                    ok = False
+                    break
+            if ok:
+                ok = pin(section, curve, section_want, undo)
+            if ok:
+                assigned.append(curve)
+                used.add(curve)
+                place(node + 1)
+                used.remove(curve)
+                assigned.pop()
+            for orb in undo:
+                del orbit_vals[orb]
+
+    place(0)
+    return results
+
+
+def s_block_valid(orbit_vals: dict) -> bool:
+    """Even unimodular signature (1,9) check on the distinguished ten curves
+    of one embedding."""
+    idx = refdata.S_BASIS
+    s = [[0] * 10 for _ in range(10)]
+    for a in range(10):
+        s[a][a] = -2
+        for b in range(a + 1, 10):
+            i, j = idx[a], idx[b]
+            if _GROUP_OF[i] == _GROUP_OF[j]:
+                v = 0
+            else:
+                v = orbit_vals.get(ORBIT_OF[frozenset((i, j))], 0)
+            s[a][b] = s[b][a] = v
+    sm = IntMat.from_rows(s)
+    if abs(sm.det()) != 1:
+        return False
+    return signature(sm) == (1, 9, 0)
+
+
+def incidence_kernel_dim() -> int:
+    """Kernel dimension of the relation-only C.N incidence system, solved
+    as one system in the 96 unknowns C_i.N_j (unknown index 8i + j)."""
+    nvars = 12 * 8
+    rows = []
+    rhs = []
+    for target, combo in refdata.XPRIME_RELATIONS:
+        coeffs = {target: Fraction(-1)}
+        for gi, c in combo.items():
+            coeffs[gi] = coeffs.get(gi, Fraction(0)) + c
+        # the combination must pair to zero with every N_j
+        for j in range(8):
+            row = [Fraction(0)] * nvars
+            const = Fraction(0)
+            for gi, c in coeffs.items():
+                if c == 0:
+                    continue
+                for ci, w in _c_weights(gi):
+                    row[ci * 8 + j] += c * w
+                const += c * _n_part_pairing(gi, j)
+            rows.append(row)
+            rhs.append(-const)
+    a = IntMat.from_rows(
+        [[int(e * 2) for e in row] for row in rows]  # entries in (1/2)Z
+    )
+    sol = solve_rational(a, [e * 2 for e in rhs])
+    if sol is None:
+        raise ReconstructionError("relation-only incidence system inconsistent")
+    return len(sol.kernel)
 
 
 def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reconstruction24:
@@ -33,8 +186,8 @@ def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reco
     tier2_keys = set()
     for arrangement in _hexagon_arrangements():
         adjacency = _adjacency(arrangement)
-        for _assignment, pinned in _e8_embeddings(adjacency):
-            if not _s_block_valid(pinned):
+        for _assignment, pinned in e8_embeddings(adjacency):
+            if not s_block_valid(pinned):
                 continue
             blocks = []
             feasible = True
@@ -79,3 +232,13 @@ def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reco
     return Reconstruction24(
         len(tier1_keys), tier2, tier3, used, tier_policy, multiplicity_cap
     )
+
+
+def m_solution(xp, halfset):
+    """The solve of B^T x = (1/2) sum of the curves in halfset, B the
+    rank-16 basis of X', or None when it is inconsistent."""
+    target = [Fraction(1, 2) if i in halfset else Fraction(0) for i in range(20)]
+    cols = IntMat.from_rows(
+        [[int(2 * xp.m_basis[k][i]) for k in range(16)] for i in range(20)]
+    )
+    return solve_rational(cols, [2 * t for t in target])

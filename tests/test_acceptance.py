@@ -27,6 +27,7 @@ from evenlat.lattice import (
 )
 from evenlat.ratfun import INFINITY, RatFun, mobius_images
 from evenlat.reconstruct import q_gram_of, reconstruct_24, relations_hold
+from reconstruct_oracle import m_solution
 
 F = Fraction
 
@@ -199,13 +200,7 @@ def test_criterion_08_section_six(xprime):
 
 
 def _m_coords(xp, halfset):
-    from evenlat.exactlinalg import solve_rational
-
-    target = [F(1, 2) if i in halfset else F(0) for i in range(20)]
-    cols = IntMat.from_rows(
-        [[int(2 * xp.m_basis[k][i]) for k in range(16)] for i in range(20)]
-    )
-    sol = solve_rational(cols, [2 * t for t in target])
+    sol = m_solution(xp, halfset)
     assert sol is not None and sol.is_unique
     return sol.particular
 

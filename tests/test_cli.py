@@ -140,6 +140,23 @@ class TestComplementAndEmbed:
         code, _, err = run_cli(capsys, "embed-check", "NotALattice", "[[1]]")
         assert code == 2
 
+    @pytest.mark.parametrize("expr, rows", [
+        ("U+", "[[1,0]]"), ("+U", "[[1,0]]"), ("U++U", "[[1,0,0,0]]"), ("U+ +U", "[[1,0,0,0]]"),
+    ])
+    def test_empty_summand_exits_2(self, capsys, expr, rows):
+        code, _, err = run_cli(capsys, "complement", expr, rows)
+        assert code == 2
+        assert "empty summand" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("expr, rows", [
+        ("diag(0)", "[[1]]"), ("diag(2,0)", "[[1,0]]"), ("<0>", "[[1]]"),
+        ("U+diag(0,-2)", "[[1,0,0,0]]"),
+    ])
+    def test_zero_diagonal_entry_exits_2(self, capsys, expr, rows):
+        code, _, err = run_cli(capsys, "complement", expr, rows)
+        assert code == 2
+        assert "degenerate" in err and len(err.splitlines()) == 1
+
 
 class TestConfigCommands:
     def test_quotient(self, capsys, tmp_path):

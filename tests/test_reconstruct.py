@@ -15,11 +15,18 @@ from deck_oracle import golden_gram_rows
 from evenlat.curves import InvolutionAction, present, triple_double_tower
 from evenlat.exactlinalg import snf_rational
 from evenlat.lattice import Lattice, discriminant_group
+from evenlat import reconstruct
 from evenlat.reconstruct import (
     _GROUP_OF,
     _N_ORBITS,
+    _NODE_WANTS,
     _ORBIT_MEMBERS,
+    _ORBIT_OF,
     ReconstructionError,
+    _adjacency,
+    _e8_embeddings,
+    _hexagon_arrangements,
+    _incidence_kernel_dim,
     _union_size,
     q_gram_of,
     reconstruct_24,
@@ -77,6 +84,48 @@ class TestAgainstEnumeration:
         assert got.tier_used == want.tier_used
         assert [g.entries for g in got.tier2] == [g.entries for g in want.tier2]
         assert [g.entries for g in got.tier3] == [g.entries for g in want.tier3]
+
+    def test_orbit_table_matches_oracle(self):
+        want_members = {
+            orb: [tuple(sorted(pair)) for pair in pairs]
+            for orb, pairs in reconstruct_oracle.ORBIT_MEMBERS.items()
+        }
+        assert _ORBIT_MEMBERS == want_members
+        for i in range(24):
+            for j in range(24):
+                want = reconstruct_oracle.ORBIT_OF.get(frozenset((i, j)), -1)
+                assert _ORBIT_OF[i][j] == want
+
+    def test_e8_embeddings_match_oracle(self):
+        # same assignments, pinned values and pin order, in the same order
+        def listed(embeddings):
+            return [(assignment, list(pinned.items())) for assignment, pinned in embeddings]
+
+        for arrangement in _hexagon_arrangements():
+            adjacency = _adjacency(arrangement)
+            got = listed(_e8_embeddings(adjacency))
+            assert got == listed(reconstruct_oracle.e8_embeddings(adjacency))
+
+    def test_every_embedding_has_a_valid_s_block(self):
+        # the single shape check in reconstruct_24 rests on this: every
+        # embedding pins the ten-curve block to the shape
+        embeddings = [
+            pinned
+            for arrangement in _hexagon_arrangements()
+            for _, pinned in _e8_embeddings(_adjacency(arrangement))
+        ]
+        assert len(embeddings) == 56
+        assert all(reconstruct_oracle.s_block_valid(pinned) for pinned in embeddings)
+
+    def test_bad_shape_fails_closed(self, monkeypatch):
+        # the section leaves node 0: affine E8 plus a disjoint curve is degenerate
+        wants = (_NODE_WANTS[0][:-1] + (0,),) + _NODE_WANTS[1:]
+        monkeypatch.setattr(reconstruct, "_NODE_WANTS", wants)
+        with pytest.raises(ReconstructionError, match="shape"):
+            reconstruct_24()
+
+    def test_split_incidence_system_matches_oracle(self):
+        assert _incidence_kernel_dim() == reconstruct_oracle.incidence_kernel_dim() == 64
 
     def test_every_orbit_lies_in_one_block(self):
         # the product count and the split join both rest on this

@@ -1,12 +1,19 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import evenlat
+import evenlat.refdata as rd
 from evenlat.exactlinalg import IntMat
 from evenlat.reconstruct import q_gram_of
 from evenlat.verify import (
     RESULT_IDS,
+    _m_coords,
     run_all,
     verify_km_embedding,
     verify_lemma_3_1,
@@ -19,6 +26,7 @@ from evenlat.verify import (
     verify_thm_4_3,
     verify_thm_4_5_mobius,
 )
+from reconstruct_oracle import m_solution
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +128,46 @@ class TestIndividualCheckers:
         entry = verify_prop_6_2()
         assert entry.status == "pass"
         assert entry.witnesses["gram"].entries == ((-4, 0), (0, -4))
+
+
+class TestHalfSumCoordinates:
+    """The one-elimination ``_m_coords`` against one solve per half-set."""
+
+    @staticmethod
+    def _by_solve(xp, halfset):
+        sol = m_solution(xp, halfset)
+        return None if sol is None else sol.particular
+
+    def test_printed_half_sets(self, xprime):
+        got = _m_coords(xprime, rd.ISOTROPIC_AM_HALFSETS)
+        assert None not in got
+        assert got == [self._by_solve(xprime, h) for h in rd.ISOTROPIC_AM_HALFSETS]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(st.sets(st.integers(0, 19)), max_size=12), st.randoms(use_true_random=False))
+    def test_mixed_batches(self, xprime, drawn, rng):
+        # drawn subsets are mostly outside the span; mixed in one call with
+        # the printed ones, in a drawn order
+        halfsets = list(rd.ISOTROPIC_AM_HALFSETS) + [tuple(sorted(h)) for h in drawn]
+        rng.shuffle(halfsets)
+        got = _m_coords(xprime, halfsets)
+        assert got == [self._by_solve(xprime, h) for h in halfsets]
+
+
+def test_traced_paper_run_is_correct():
+    # the traced benchmark requires calls > 0 of every span it expects on
+    # the paper workload (solve_rational and signature among them)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evenlat.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(repo, "bench", "run.py"), "--workload", "paper",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
 
 
 class TestFaultInjection:
