@@ -31,17 +31,13 @@ from .lattice import (
     is_even,
     is_primitive,
     make_named,
-    nikulin_unique,
     norm_gcd,
     orthogonal_complement,
     parse_lattice_expr,
     rescale,
     saturation,
     scale_gcd,
-    splits_E8,
-    splits_U,
     sublattice,
-    two_elem_invariants,
 )
 from .discform import (
     FiniteQuadraticModule,
@@ -52,8 +48,12 @@ from .discform import (
     isotropic_elements,
     isotropic_subgroups,
     negate,
+    nikulin_unique,
     overlattice,
     q_value,
+    splits_E8,
+    splits_U,
+    two_elem_invariants,
 )
 from .curves import (
     CoverStep,

@@ -128,16 +128,24 @@ def cmd_disc(args) -> int:
     return 0
 
 
+def _check_enumeration_guard(module: df.FiniteQuadraticModule) -> None:
+    try:
+        limit = df.guard_order()
+    except ValueError as exc:
+        raise ser.ParseError(str(exc)) from exc
+    if module.order > limit:
+        raise df.GuardExceeded(
+            f"module order {module.order} exceeds the enumeration guard {limit}"
+        )
+
+
 def cmd_isotropic(args) -> int:
     gram, name = _load_gram(args.input)
     lat = Lattice(gram, name)
     if not lat.is_nondegenerate or not lat.is_even:
         raise PreconditionError("isotropic enumeration needs an even nondegenerate lattice")
     module = df.from_lattice(lat)
-    if module.order > df.guard_order():
-        raise df.GuardExceeded(
-            f"module order {module.order} exceeds the enumeration guard {df.guard_order()}"
-        )
+    _check_enumeration_guard(module)
     out = {
         "schema": ser.SCHEMA,
         "orders": list(module.orders),
@@ -158,10 +166,7 @@ def cmd_overlattices(args) -> int:
     if not lat.is_nondegenerate or not lat.is_even:
         raise PreconditionError("overlattice enumeration needs an even nondegenerate lattice")
     module = df.from_lattice(lat)
-    if module.order > df.guard_order():
-        raise df.GuardExceeded(
-            f"module order {module.order} exceeds the enumeration guard {df.guard_order()}"
-        )
+    _check_enumeration_guard(module)
     out = []
     for sub in df.isotropic_subgroups(module):
         over = df.overlattice(lat, sub)

@@ -190,6 +190,51 @@ def class_of(module: FiniteQuadraticModule, vector: DualVector) -> GroupElement:
     return module.reduce(exps)
 
 
+# ---------------------------------------------------------------------------
+# uniqueness and splitting predicates for even lattices (Nikulin 1979)
+#
+# Each reads the signature of the source lattice and l(A_L), the minimum
+# number of generators of A_L, which is ngens: the orders are the invariant
+# factors, all at least 2.  A lattice-backed module comes from an even
+# nondegenerate lattice, so the signature has no zero part.
+
+def _source_signature(module: FiniteQuadraticModule) -> tuple[int, int]:
+    if module.source is None:
+        raise ValueError("module has no lattice back-reference")
+    t_plus, t_minus, _ = module.source.signature
+    return t_plus, t_minus
+
+
+def nikulin_unique(module: FiniteQuadraticModule) -> bool:
+    """Even indefinite L with rank >= 2 + l(A_L) is unique in its genus."""
+    t_plus, t_minus = _source_signature(module)
+    return t_plus >= 1 and t_minus >= 1 and t_plus + t_minus >= 2 + module.ngens
+
+
+def splits_E8(module: FiniteQuadraticModule) -> bool:
+    t_plus, t_minus = _source_signature(module)
+    return t_plus >= 1 and t_minus >= 8 and t_plus + t_minus >= 9 + module.ngens
+
+
+def splits_U(module: FiniteQuadraticModule) -> bool:
+    t_plus, t_minus = _source_signature(module)
+    return t_plus >= 1 and t_minus >= 1 and t_plus + t_minus >= 3 + module.ngens
+
+
+def two_elem_invariants(module: FiniteQuadraticModule) -> tuple[tuple[int, int], int, int] | None:
+    """(signature, l, delta) for a 2-elementary even lattice, else None.
+
+    delta = 0 iff every value of the discriminant quadratic form is an
+    integer mod 2Z; for 2-elementary groups checking the generators
+    suffices because 2*b(x, y) is always integral there.
+    """
+    signature = _source_signature(module)
+    if any(d != 2 for d in module.orders):
+        return None
+    delta = int(any(q.denominator != 1 for q in module.q_diag))
+    return signature, module.ngens, delta
+
+
 def isotropic_elements(module: FiniteQuadraticModule) -> list[GroupElement]:
     """All nonzero x with q(x) = 0, in lexicographic exponent order."""
     out = []
@@ -357,10 +402,17 @@ def submodule_on(module: FiniteQuadraticModule, gens, orders) -> FiniteQuadratic
 
 
 def guard_order() -> int:
+    """The search guard: EVENLAT_GUARD_ORDER if set, a positive integer."""
     env = os.environ.get("EVENLAT_GUARD_ORDER")
-    if env:
-        return int(env)
-    return DEFAULT_GUARD_ORDER
+    if not env:
+        return DEFAULT_GUARD_ORDER
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"EVENLAT_GUARD_ORDER must be a positive integer, got {env!r}")
+    return limit
 
 
 def are_isomorphic(

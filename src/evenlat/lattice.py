@@ -135,6 +135,8 @@ def discriminant_group(lattice: Lattice) -> DiscGroupData:
 
     The rows of S*gram^-1 = D*T^-1 form a Z-basis of the dual lattice; the
     generator lifts are those whose diagonal invariant is non-integral.
+    ``snf_rational`` orders the diagonal so that each entry divides the
+    previous one, so the invariant factors come out with n_i | n_(i+1).
     T and the diagonal of D are kept, so a dual vector v has coordinates
     v*T / D in that basis.
     """
@@ -150,11 +152,6 @@ def discriminant_group(lattice: Lattice) -> DiscGroupData:
         if di.denominator != 1:
             factors.append(di.denominator)
             lifts.append(DualVector(lattice, dual_rows.entries[i]))
-    factors_sorted = sorted(factors)
-    if factors_sorted != factors:
-        order = sorted(range(len(factors)), key=lambda k: factors[k])
-        factors = [factors[k] for k in order]
-        lifts = [lifts[k] for k in order]
     diagonal = tuple(d.entries[i][i] for i in range(lattice.rank))
     return DiscGroupData(lattice, tuple(factors), tuple(lifts), t, diagonal)
 
@@ -380,60 +377,3 @@ def orthogonal_complement(host: Lattice, gens: IntMat | None) -> SublatticeData:
     induced = basis * host.gram * basis.transpose()
     return SublatticeData(host, basis, induced)
 
-
-# ---------------------------------------------------------------------------
-# uniqueness and splitting predicates for even lattices
-
-def _require_even(lattice: Lattice) -> None:
-    if not lattice.is_even:
-        raise ValueError("predicate defined for even lattices only")
-
-
-def min_generators(lattice: Lattice) -> int:
-    """l(A_L): the minimum number of generators of the discriminant group."""
-    return len(discriminant_group(lattice).invariant_factors)
-
-
-def nikulin_unique(lattice: Lattice) -> bool:
-    """Even indefinite L with rank >= 2 + l(A_L) is unique in its genus."""
-    _require_even(lattice)
-    t_plus, t_minus, t_zero = lattice.signature
-    if t_zero or t_plus < 1 or t_minus < 1:
-        return False
-    return t_plus + t_minus >= 2 + min_generators(lattice)
-
-
-def splits_E8(lattice: Lattice) -> bool:
-    _require_even(lattice)
-    t_plus, t_minus, t_zero = lattice.signature
-    if t_zero:
-        return False
-    return t_plus >= 1 and t_minus >= 8 and t_plus + t_minus >= 9 + min_generators(lattice)
-
-
-def splits_U(lattice: Lattice) -> bool:
-    _require_even(lattice)
-    t_plus, t_minus, t_zero = lattice.signature
-    if t_zero:
-        return False
-    return t_plus >= 1 and t_minus >= 1 and t_plus + t_minus >= 3 + min_generators(lattice)
-
-
-def two_elem_invariants(lattice: Lattice) -> tuple[tuple[int, int], int, int] | None:
-    """(signature, l, delta) for a 2-elementary even lattice, else None.
-
-    delta = 0 iff every value of the discriminant quadratic form is an
-    integer mod 2Z; for 2-elementary groups checking the generator lifts
-    suffices because 2*b(x, y) is always integral there.
-    """
-    _require_even(lattice)
-    disc = discriminant_group(lattice)
-    if any(d != 2 for d in disc.invariant_factors):
-        return None
-    delta = 0
-    for lift in disc.generator_lifts:
-        if lift.norm().denominator != 1:
-            delta = 1
-            break
-    t_plus, t_minus, _ = lattice.signature
-    return (t_plus, t_minus), len(disc.invariant_factors), delta

@@ -21,16 +21,7 @@ from . import discform as df
 from . import refdata as rd
 from .curves import find_even_four_certificate, present, triple_double_tower
 from .exactlinalg import IntMat, _bareiss, snf, snf_rational
-from .lattice import (
-    Lattice,
-    discriminant_group,
-    nikulin_unique,
-    norm_gcd,
-    parse_lattice_expr,
-    scale_gcd,
-    sublattice,
-    two_elem_invariants,
-)
+from .lattice import Lattice, norm_gcd, parse_lattice_expr, scale_gcd, sublattice
 from .ratfun import INFINITY, Poly, RatFun, mobius_images
 from .reconstruct import Reconstruction24, reconstruct_24, reconstruct_xprime, q_gram_of
 
@@ -185,17 +176,17 @@ def verify_lemma_3_1(gram24: IntMat) -> Entry:
     return _ok("lemma_3_1", witnesses, {"Q_gram": rd.Q_GRAM})
 
 
-def verify_lemma_4_1(q_gram: IntMat) -> Entry:
-    lat = Lattice(q_gram, "Q")
-    d, s, t = snf_rational(q_gram.inverse())
+def verify_lemma_4_1(aq) -> Entry:
+    lat, module, _, _ = aq
+    inv = lat.gram.inverse()
+    d, s, t = snf_rational(inv)
     diag = tuple(d.entries[i][i] for i in range(6))
-    identity_ok = (s.to_rational() * q_gram.inverse() * t.to_rational()).entries == d.entries
-    disc = discriminant_group(lat)
+    identity_ok = (s.to_rational() * inv * t.to_rational()).entries == d.entries
     witnesses = {
         "snf_diagonal": diag,
         "transform_identity": identity_ok,
-        "invariant_factors": disc.invariant_factors,
-        "order": disc.order,
+        "invariant_factors": module.orders,
+        "order": module.order,
         "det": lat.det,
     }
     expected = {
@@ -208,14 +199,18 @@ def verify_lemma_4_1(q_gram: IntMat) -> Entry:
     ok = (
         diag == expected["snf_diagonal"]
         and identity_ok
-        and disc.invariant_factors == (2, 2, 4, 4)
-        and disc.order == 64
+        and module.orders == (2, 2, 4, 4)
+        and module.order == 64
         and lat.det == 64
     )
     return _ok("lemma_4_1", witnesses, expected) if ok else _fail("lemma_4_1", witnesses, expected)
 
 
 def _aq_with_printed_generators(q_gram: IntMat):
+    """The discriminant form of Q and the printed generators v1, v2, w1, w2.
+
+    Returns (lattice, module, printed dual vectors, their classes).
+    """
     lat = Lattice(q_gram, "Q")
     module = df.from_lattice(lat)
     printed = {}
@@ -232,8 +227,8 @@ def _combine(module, classes, exps):
     return x
 
 
-def verify_lemma_4_2(q_gram: IntMat) -> Entry:
-    lat, module, printed, classes = _aq_with_printed_generators(q_gram)
+def verify_lemma_4_2(aq) -> Entry:
+    _, module, printed, classes = aq
     names = ("v1", "v2", "w1", "w2")
     table = [[printed[a].pair(printed[b]) for b in names] for a in names]
     for i, a in enumerate(names):
@@ -274,8 +269,6 @@ def verify_thm_4_3(gram24: IntMat) -> Entry:
     nontrivial = [s for s in subgroups if s.order > 1]
     witnesses["isotropic_subgroups"] = len(subgroups)
     # certificate for each of the seven nonzero isotropic classes
-    q_gram = q_gram_of(gram24)
-    _, q_module, _, classes = _aq_with_printed_generators(q_gram)
     labels = config.labels
     families = [tuple(labels[i] for i in fam) for fam in rd.RELATION_FAMILIES_24]
     class_to_cert = {}
@@ -350,7 +343,7 @@ def _splitting_check(gram24, pres, lat) -> dict:
     }
 
 
-def verify_prop_4_4(q_gram: IntMat) -> Entry:
+def verify_prop_4_4(aq) -> Entry:
     candidate = parse_lattice_expr(rd.T_X_EXPR)
     witnesses = {
         "candidate": rd.T_X_EXPR,
@@ -360,16 +353,16 @@ def verify_prop_4_4(q_gram: IntMat) -> Entry:
     expected = {"even": True, "signature": (2, 4, 0)}
     if not candidate.is_even or candidate.signature != (2, 4, 0):
         return _fail("prop_4_4", witnesses, expected)
-    lat, ns_module, printed, classes = _aq_with_printed_generators(q_gram)
+    _, ns_module, _, classes = aq
     cand_module = df.from_lattice(candidate)
     witness = df.are_isomorphic(cand_module, df.negate(ns_module))
     witnesses["disc_isomorphism_witness"] = witness
     if witness is None:
         return _fail("prop_4_4", witnesses, {"disc_isomorphism": "q_candidate = -q_NS"})
-    ell = len(cand_module.orders)
+    ell = cand_module.ngens
     witnesses["l_of_A"] = ell
     witnesses["rank_bound"] = candidate.rank >= 2 + ell
-    witnesses["uniqueness_predicate"] = nikulin_unique(candidate)
+    witnesses["uniqueness_predicate"] = df.nikulin_unique(cand_module)
     # printed block form of q in the change of generators
     elems = [_combine(ns_module, classes, exps) for exps in rd.PROP44_BASIS]
     qd = tuple(df.q_value(ns_module, e) for e in elems)
@@ -486,21 +479,20 @@ def verify_prop_4_6() -> Entry:
     if square != 2 or norm_gcd(omega_perp) != 4:
         return _fail("prop_4_6", witnesses, expected)
     mz = parse_lattice_expr("M_Z2_3")
-    disc = discriminant_group(mz)
+    mz_module = df.from_lattice(mz)
     witnesses["m_z23_rank"] = mz.rank
-    witnesses["m_z23_invariant_factors"] = disc.invariant_factors
+    witnesses["m_z23_invariant_factors"] = mz_module.orders
     witnesses["m_z23_negative_definite"] = mz.signature == (0, 14, 0)
     expected |= {"m_z23_rank": 14, "m_z23_invariant_factors": (2,) * 8}
-    if mz.rank != 14 or disc.invariant_factors != (2,) * 8 or mz.signature != (0, 14, 0):
+    if mz.rank != 14 or mz_module.orders != (2,) * 8 or mz.signature != (0, 14, 0):
         return _fail("prop_4_6", witnesses, expected)
     perp_candidate = parse_lattice_expr(rd.M_Z23_PERP_EXPR)
-    inv_c = two_elem_invariants(perp_candidate)
+    perp_module = df.from_lattice(perp_candidate)
+    inv_c = df.two_elem_invariants(perp_module)
     witnesses["perp_candidate_invariants"] = inv_c
     # complement of a rank-14 negative definite block inside signature (3,19)
     expected_sig = (3, 5)
-    witness_iso = df.are_isomorphic(
-        df.from_lattice(perp_candidate), df.negate(df.from_lattice(mz))
-    )
+    witness_iso = df.are_isomorphic(perp_module, df.negate(mz_module))
     witnesses["perp_disc_isomorphism_witness"] = witness_iso
     witnesses["scale_gcd_perp"] = scale_gcd(perp_candidate)
     x, y = rd.ODD_PAIRING_VECTORS
@@ -620,12 +612,13 @@ def verify_section_6(gram24: IntMat) -> Entry:
         )
     # transcendental lattice candidate
     cand = parse_lattice_expr(rd.T_XPRIME_EXPR)
-    witness_iso = df.are_isomorphic(df.from_lattice(cand), df.negate(module))
+    cand_module = df.from_lattice(cand)
+    witness_iso = df.are_isomorphic(cand_module, df.negate(module))
     witnesses["t_xprime_candidate"] = rd.T_XPRIME_EXPR
     witnesses["t_xprime_even"] = cand.is_even
     witnesses["t_xprime_signature"] = cand.signature
     witnesses["t_xprime_disc_isomorphism_witness"] = witness_iso
-    witnesses["t_xprime_uniqueness_predicate"] = nikulin_unique(cand)
+    witnesses["t_xprime_uniqueness_predicate"] = df.nikulin_unique(cand_module)
     if not cand.is_even or cand.signature != (2, 4, 0) or witness_iso is None:
         return _fail(
             "section_6",
@@ -739,7 +732,10 @@ def run_all(tier_policy: str = "auto", gram24: IntMat | None = None) -> Verifica
 
     ``gram24`` overrides the reconstructed 24-curve Gram (used by the
     fault-injection tests); checker failures become entries, and checkers
-    whose prerequisites failed are recorded as failed with a note.
+    whose prerequisites failed are recorded as failed with a note.  Once
+    lemma 3.1 has pinned the Q block to the printed Q, which is even and
+    nondegenerate, its discriminant form is built once and shared by
+    lemmas 4.1 and 4.2 and proposition 4.4.
     """
     entries: list[Entry] = []
     if gram24 is None:
@@ -783,11 +779,11 @@ def run_all(tier_policy: str = "auto", gram24: IntMat | None = None) -> Verifica
     else:
         e31 = guarded("lemma_3_1", lambda: verify_lemma_3_1(gram24))
         entries.append(e31)
-        q_gram = q_gram_of(gram24)
         chain_ok = e31.status == "pass"
+        aq = _aq_with_printed_generators(q_gram_of(gram24)) if chain_ok else None
         for rid, fn in (
-            ("lemma_4_1", lambda: verify_lemma_4_1(q_gram)),
-            ("lemma_4_2", lambda: verify_lemma_4_2(q_gram)),
+            ("lemma_4_1", lambda: verify_lemma_4_1(aq)),
+            ("lemma_4_2", lambda: verify_lemma_4_2(aq)),
             ("thm_4_3", lambda: verify_thm_4_3(gram24)),
         ):
             if chain_ok:
@@ -797,7 +793,7 @@ def run_all(tier_policy: str = "auto", gram24: IntMat | None = None) -> Verifica
             else:
                 entries.append(blocked(rid, "lemma_3_1"))
         if chain_ok:
-            entries.append(guarded("prop_4_4", lambda: verify_prop_4_4(q_gram)))
+            entries.append(guarded("prop_4_4", lambda: verify_prop_4_4(aq)))
         else:
             entries.append(blocked("prop_4_4", "thm_4_3"))
     entries.append(guarded("thm_4_5_mobius", verify_thm_4_5_mobius))

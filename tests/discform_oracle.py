@@ -4,15 +4,18 @@ These are the direct definitions that ``evenlat.discform`` replaced by
 integer tables and coset growth: q and b summed over Fractions, subgroups
 spanned by a BFS over all their elements and re-checked element by
 element, and the overlattice Gram as a Fraction product B * G * B^T.  The
-differential tests compare the two.  Only the canonical HNF generators
-and the span basis come from the package.
+genus predicates take the lattice, rebuild its discriminant group and
+re-pair each generator lift, as they did before they took the module.
+The differential tests compare the two.  Only the canonical HNF
+generators, the span basis and the discriminant group come from the
+package.
 """
 
 import math
 from fractions import Fraction
 
 from evenlat.discform import IsotropicSubgroup, _canonical_gens
-from evenlat.lattice import rational_span_basis
+from evenlat.lattice import discriminant_group, rational_span_basis
 
 
 def _mod2(x):
@@ -129,3 +132,50 @@ def are_isomorphic(m1, m2):
         return False
 
     return tuple(images) if extend(0) else None
+
+
+def _require_even(lattice):
+    if not lattice.is_even:
+        raise ValueError("predicate defined for even lattices only")
+
+
+def min_generators(lattice):
+    """l(A_L): the minimum number of generators of the discriminant group."""
+    return len(discriminant_group(lattice).invariant_factors)
+
+
+def nikulin_unique(lattice):
+    """Even indefinite L with rank >= 2 + l(A_L) is unique in its genus."""
+    _require_even(lattice)
+    t_plus, t_minus, t_zero = lattice.signature
+    if t_zero or t_plus < 1 or t_minus < 1:
+        return False
+    return t_plus + t_minus >= 2 + min_generators(lattice)
+
+
+def splits_E8(lattice):
+    _require_even(lattice)
+    t_plus, t_minus, t_zero = lattice.signature
+    if t_zero:
+        return False
+    return t_plus >= 1 and t_minus >= 8 and t_plus + t_minus >= 9 + min_generators(lattice)
+
+
+def splits_U(lattice):
+    _require_even(lattice)
+    t_plus, t_minus, t_zero = lattice.signature
+    if t_zero:
+        return False
+    return t_plus >= 1 and t_minus >= 1 and t_plus + t_minus >= 3 + min_generators(lattice)
+
+
+def two_elem_invariants(lattice):
+    """(signature, l, delta) for a 2-elementary even lattice, else None;
+    delta = 1 iff some generator lift has a non-integral norm."""
+    _require_even(lattice)
+    disc = discriminant_group(lattice)
+    if any(d != 2 for d in disc.invariant_factors):
+        return None
+    delta = int(any(lift.norm().denominator != 1 for lift in disc.generator_lifts))
+    t_plus, t_minus, _ = lattice.signature
+    return (t_plus, t_minus), len(disc.invariant_factors), delta

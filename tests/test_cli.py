@@ -99,6 +99,17 @@ class TestDiscAndIsotropic:
         assert out == ""
         assert "exceeds the enumeration guard 16" in err
 
+    @pytest.mark.parametrize(
+        "command, value",
+        [(["isotropic"], "abc"), (["overlattices"], "0"), (["isotropic", "--subgroups"], "-5")],
+    )
+    def test_malformed_guard_exits_2(self, capsys, q_file, monkeypatch, command, value):
+        monkeypatch.setenv("EVENLAT_GUARD_ORDER", value)
+        code, out, err = run_cli(capsys, *command, q_file)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "EVENLAT_GUARD_ORDER" in err and repr(value) in err
+
     def test_overlattices(self, capsys, tmp_path):
         path = tmp_path / "pm.json"
         path.write_text(json.dumps({"schema": 1, "gram": [[2, 0], [0, -2]]}))

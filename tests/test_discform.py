@@ -314,12 +314,28 @@ class TestAgainstFractionOracle:
             module = df.from_lattice(lat)
         else:
             lat, module = random_small_module(rng)
+        assert all(b % a == 0 for a, b in zip(module.orders, module.orders[1:]))
         g = lat.gram.entries
         raw = [[oracle.pairing(g, x, y) for y in module.lifts] for x in module.lifts]
         assert module.q_diag == tuple(discform_oracle._mod2(row[i]) for i, row in enumerate(raw))
         assert module.b_mat == tuple(tuple(discform_oracle._mod1(e) for e in row) for row in raw)
         for x in module.lifts:
             assert lat.dual_vector(x).in_dual() and oracle.in_dual(g, x)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_genus_predicates(self, seed):
+        # 2-elementary blocks (U(2), A1, <2>, diag(-2,-2)) and unimodular
+        # ones (U, E8) with a few others, so that None, delta 0 and delta 1
+        # all occur and each bound is met and missed
+        rng = random.Random(seed)
+        blocks = ("U(2)", "A1", "<2>", "diag(-2,-2)", "E8", "U", "U(3)", "<-4>")
+        lat = parse_lattice_expr("+".join(rng.choices(blocks, k=rng.randint(1, 4))))
+        u = random_unimodular(rng, lat.rank, steps=2 * lat.rank)
+        lat = Lattice(u * lat.gram * u.transpose())
+        module = df.from_lattice(lat)
+        for name in ("nikulin_unique", "splits_E8", "splits_U", "two_elem_invariants"):
+            assert getattr(df, name)(module) == getattr(discform_oracle, name)(lat), name
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))

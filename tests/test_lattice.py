@@ -15,17 +15,13 @@ from evenlat.lattice import (
     discriminant_group,
     is_primitive,
     make_named,
-    nikulin_unique,
     norm_gcd,
     orthogonal_complement,
     parse_lattice_expr,
     rescale,
     saturation,
     scale_gcd,
-    splits_E8,
-    splits_U,
     sublattice,
-    two_elem_invariants,
 )
 
 F = Fraction
@@ -303,24 +299,32 @@ class TestContains:
 
 class TestPredicates:
     def test_t_x_unique(self):
-        t = parse_lattice_expr("U+U(2)+diag(-4,-4)")
-        assert nikulin_unique(t)  # rank 6 >= 2 + 4
+        t = df.from_lattice(parse_lattice_expr("U+U(2)+diag(-4,-4)"))
+        assert df.nikulin_unique(t)  # rank 6 >= 2 + 4
 
     def test_ns_splits(self):
         ns = direct_sum(make_named("U"), make_named("E8"), Lattice(Q_GRAM, "Q"))
-        assert splits_E8(ns)
+        assert df.splits_E8(df.from_lattice(ns))
         remainder = direct_sum(make_named("U"), Lattice(Q_GRAM, "Q"))
-        assert splits_U(remainder)
+        assert df.splits_U(df.from_lattice(remainder))
 
     def test_two_elementary_u2(self):
-        assert two_elem_invariants(make_named("U(2)")) == ((1, 1), 2, 0)
+        assert df.two_elem_invariants(df.from_lattice(make_named("U(2)"))) == ((1, 1), 2, 0)
 
     def test_two_elementary_none_for_q(self):
-        assert two_elem_invariants(Lattice(Q_GRAM)) is None
+        assert df.two_elem_invariants(df.from_lattice(Lattice(Q_GRAM))) is None
 
     def test_odd_lattice_rejected(self):
+        # an odd lattice has no discriminant quadratic form to test
         with pytest.raises(ValueError):
-            nikulin_unique(Lattice(IntMat.diagonal([1, -1])))
+            df.nikulin_unique(df.from_lattice(Lattice(IntMat.diagonal([1, -1]))))
+
+    def test_module_without_lattice_rejected(self):
+        # the predicates read the signature off the source lattice
+        module = df.negate(df.from_lattice(make_named("U(2)")))
+        for predicate in (df.nikulin_unique, df.splits_E8, df.splits_U, df.two_elem_invariants):
+            with pytest.raises(ValueError):
+                predicate(module)
 
 
 class TestComplementDiscriminantDuality:

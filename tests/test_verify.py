@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import evenlat
 import evenlat.refdata as rd
+from evenlat import lattice
 from evenlat.exactlinalg import IntMat
 from evenlat.reconstruct import q_gram_of
 from evenlat.verify import (
     RESULT_IDS,
+    _aq_with_printed_generators,
     _m_coords,
     run_all,
     verify_km_embedding,
@@ -74,18 +76,22 @@ class TestFullRun:
 
 
 class TestIndividualCheckers:
+    @pytest.fixture(scope="class")
+    def aq(self, gram24):
+        return _aq_with_printed_generators(q_gram_of(gram24))
+
     def test_lemma_3_1(self, gram24):
         entry = verify_lemma_3_1(gram24)
         assert entry.status == "pass"
         assert entry.witnesses["S_det"] == -1
 
-    def test_lemma_4_1(self, gram24):
-        entry = verify_lemma_4_1(q_gram_of(gram24))
+    def test_lemma_4_1(self, aq):
+        entry = verify_lemma_4_1(aq)
         assert entry.status == "pass"
         assert entry.witnesses["order"] == 64
 
-    def test_lemma_4_2(self, gram24):
-        entry = verify_lemma_4_2(q_gram_of(gram24))
+    def test_lemma_4_2(self, aq):
+        entry = verify_lemma_4_2(aq)
         assert entry.status == "pass"
         assert entry.witnesses["isotropic_count"] == 7
 
@@ -96,8 +102,8 @@ class TestIndividualCheckers:
         assert entry.witnesses["nontrivial_subgroups_excluded"] == 10
         assert all(entry.witnesses["splitting"].values())
 
-    def test_prop_4_4(self, gram24):
-        entry = verify_prop_4_4(q_gram_of(gram24))
+    def test_prop_4_4(self, aq):
+        entry = verify_prop_4_4(aq)
         assert entry.status == "pass"
         assert entry.witnesses["uniqueness_predicate"] is True
 
@@ -152,6 +158,25 @@ class TestHalfSumCoordinates:
         rng.shuffle(halfsets)
         got = _m_coords(xprime, halfsets)
         assert got == [self._by_solve(xprime, h) for h in halfsets]
+
+
+def test_each_discriminant_form_is_built_once(monkeypatch):
+    # wrap every evenlat binding of discriminant_group, as the benchmark's
+    # tracer does: Q, the 16-curve lattice, T_X, M_Z2_3, its complement,
+    # M and T_X' are seven lattices, each built once
+    grams = []
+    original = lattice.discriminant_group
+
+    def counted(lat):
+        grams.append(lat.gram.entries)
+        return original(lat)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("evenlat") and getattr(module, "discriminant_group", None) is original:
+            monkeypatch.setattr(module, "discriminant_group", counted)
+    assert run_all().all_passed
+    assert len(grams) == 7
+    assert len(set(grams)) == 7
 
 
 def test_traced_paper_run_is_correct():
