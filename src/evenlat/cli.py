@@ -128,11 +128,16 @@ def cmd_disc(args) -> int:
     return 0
 
 
-def _check_enumeration_guard(module: df.FiniteQuadraticModule) -> None:
+def _guard_limit() -> int:
+    """The search guard; a malformed EVENLAT_GUARD_ORDER is a parse error."""
     try:
-        limit = df.guard_order()
+        return df.guard_order()
     except ValueError as exc:
         raise ser.ParseError(str(exc)) from exc
+
+
+def _check_enumeration_guard(module: df.FiniteQuadraticModule) -> None:
+    limit = _guard_limit()
     if module.order > limit:
         raise df.GuardExceeded(
             f"module order {module.order} exceeds the enumeration guard {limit}"
@@ -264,6 +269,7 @@ def cmd_config(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    _guard_limit()
     report = run_all(args.tier)
     entries = report.entries
     if args.result:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .exactlinalg import (
     IntMat,
     _clear_denominators,
+    _dots,
     bilinear_table,
     lattice_rows_hnf,
     rational_product,
@@ -45,8 +46,7 @@ class FiniteQuadraticModule:
     b_mat: tuple[tuple[Fraction, ...], ...]
     source: Lattice | None = None
     lifts: tuple[tuple[Fraction, ...], ...] | None = None
-    dual_transform: IntMat | None = None
-    dual_diagonal: tuple[Fraction, ...] | None = None
+    class_columns: tuple[tuple[int, ...], ...] | None = None
     # derived: the level M and the integer tables M*q_diag and M*b_mat
     level: int = field(init=False, repr=False, compare=False)
     q_int: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -168,26 +168,23 @@ def from_lattice(lattice: Lattice) -> FiniteQuadraticModule:
     raw, den = bilinear_table(lifts, lattice.gram.entries, lifts)
     q_diag = tuple(Fraction(row[i] % (2 * den), den) for i, row in enumerate(raw))
     b_mat = tuple(tuple(Fraction(e % den, den) for e in row) for row in raw)
-    return FiniteQuadraticModule(
-        orders, q_diag, b_mat, lattice, lifts, disc.dual_transform, disc.dual_diagonal
-    )
+    return FiniteQuadraticModule(orders, q_diag, b_mat, lattice, lifts, disc.class_columns)
 
 
 def class_of(module: FiniteQuadraticModule, vector: DualVector) -> GroupElement:
     """Class of a dual vector in A_L, for lattice-backed modules.
 
-    The construction recorded S*gram^-1*T = D, and the rows of D*T^-1 are
-    a Z-basis of the dual lattice, so v has the coordinates v*T / D in it.
-    The rows with a non-integral diagonal entry are the generators.
+    w = v*gram is integral exactly when v lies in the dual lattice, and the
+    class is then (w . col_j mod n_j)_j over the class table built by
+    ``discriminant_group``.
     """
-    if module.dual_transform is None or module.source is None:
+    if module.class_columns is None or module.source is None:
         raise ValueError("module has no lattice back-reference")
-    (num,), den = rational_product([vector.coords], module.dual_transform.entries)
-    coords = [Fraction(a, den) / di for a, di in zip(num, module.dual_diagonal)]
-    if any(c.denominator != 1 for c in coords):
+    (num,), den = rational_product([vector.coords], module.source.gram.entries)
+    if any(e % den for e in num):
         raise ValueError("vector is not in the dual lattice")
-    exps = [int(c) for c, di in zip(coords, module.dual_diagonal) if di.denominator != 1]
-    return module.reduce(exps)
+    (dots,) = _dots([[e // den for e in num]], module.class_columns)
+    return tuple(e % n for e, n in zip(dots, module.orders))
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,6 @@ class IntMat:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.entries[ij[0]][ij[1]]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def transpose(self) -> IntMat:
         return IntMat(tuple(zip(*self.entries)))
 
@@ -159,11 +153,6 @@ class RatMat:
     def from_rows(cls, rows) -> RatMat:
         return cls(tuple(tuple(Fraction(e) for e in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> RatMat:
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -171,12 +160,6 @@ class RatMat:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entries[ij[0]][ij[1]]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
 
     def transpose(self) -> RatMat:
         return RatMat(tuple(zip(*self.entries)))

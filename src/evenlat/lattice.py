@@ -109,18 +109,18 @@ def contains(lattice: Lattice, v: DualVector) -> bool:
 
 @dataclass(frozen=True)
 class DiscGroupData:
-    """Invariant factors and generator lifts of the discriminant group.
+    """Invariant factors, generator lifts and class table of the discriminant group.
 
-    ``dual_transform`` (T) and ``dual_diagonal`` (the diagonal of D) come
-    from S * gram^-1 * T = D; the rows of D * T^-1 are a Z-basis of the
-    dual lattice.
+    ``class_columns`` holds, for each generator j of order n_j, the
+    integer column j of S^-1 reduced mod n_j, where S * gram^-1 * T = D
+    is the rational SNF.  A dual vector v has the class
+    ((v * gram) . col_j mod n_j)_j.
     """
 
     lattice: Lattice
     invariant_factors: tuple[int, ...]
     generator_lifts: tuple[DualVector, ...]
-    dual_transform: IntMat = field(repr=False)
-    dual_diagonal: tuple[Fraction, ...] = field(repr=False)
+    class_columns: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -133,27 +133,32 @@ class DiscGroupData:
 def discriminant_group(lattice: Lattice) -> DiscGroupData:
     """Discriminant group A_L = L*/L via the rational SNF S*gram^-1*T = D.
 
-    The rows of S*gram^-1 = D*T^-1 form a Z-basis of the dual lattice; the
-    generator lifts are those whose diagonal invariant is non-integral.
-    ``snf_rational`` orders the diagonal so that each entry divides the
-    previous one, so the invariant factors come out with n_i | n_(i+1).
-    T and the diagonal of D are kept, so a dual vector v has coordinates
-    v*T / D in that basis.
+    The rows of S*gram^-1 form a Z-basis of the dual lattice; the
+    generator lifts are those whose diagonal entry d_j = 1/n_j is
+    non-integral.  ``snf_rational`` orders the diagonal so that each entry
+    divides the previous one, so the invariant factors come out with
+    n_i | n_(i+1).  A dual vector v has the coordinates (v*gram) * S^-1 in
+    that basis, v*gram being integral, and S^-1 = gram^-1 * T * D^-1 has
+    the integer column n_j * gram^-1 * T[:, j] for generator j; those
+    columns, reduced mod n_j, are the class table.
     """
     if not lattice.is_nondegenerate:
         raise ValueError("discriminant group needs a nondegenerate lattice")
     inv = lattice.gram.inverse()
     d, s, t = snf_rational(inv)
-    dual_rows = s.to_rational() * inv
-    factors = []
-    lifts = []
-    for i in range(lattice.rank):
-        di = d.entries[i][i]
-        if di.denominator != 1:
-            factors.append(di.denominator)
-            lifts.append(DualVector(lattice, dual_rows.entries[i]))
-    diagonal = tuple(d.entries[i][i] for i in range(lattice.rank))
-    return DiscGroupData(lattice, tuple(factors), tuple(lifts), t, diagonal)
+    gens = [i for i in range(lattice.rank) if d.entries[i][i].denominator != 1]
+    factors = tuple(d.entries[i][i].denominator for i in gens)
+    # one product gram^-1 * [S^T | T] on the generator columns: gram^-1 is
+    # symmetric, so column i of gram^-1 * S^T is row i of S * gram^-1
+    picked = [
+        [a[i] for i in gens] + [b[i] for i in gens] for a, b in zip(zip(*s.entries), t.entries)
+    ]
+    num, den = rational_product(inv.entries, picked)
+    cols = tuple(zip(*num))
+    k = len(gens)
+    lifts = tuple(DualVector(lattice, tuple(Fraction(e, den) for e in col)) for col in cols[:k])
+    columns = tuple(tuple(e * n // den % n for e in col) for col, n in zip(cols[k:], factors))
+    return DiscGroupData(lattice, factors, lifts, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from . import discform as df
 from . import refdata as rd
@@ -220,11 +221,28 @@ def _aq_with_printed_generators(q_gram: IntMat):
     return lat, module, printed, classes
 
 
-def _combine(module, classes, exps):
+def _combine(module, gens, exps):
+    """The sum of e * g over the exponents e and the generator classes g, in order."""
     x = module.zero()
-    for e, name in zip(exps, ("v1", "v2", "w1", "w2")):
-        x = module.add(x, module.smul(e, classes[name]))
+    for e, g in zip(exps, gens):
+        x = module.add(x, module.smul(e, g))
     return x
+
+
+def _block_form(module, elems, witnesses):
+    """q of each element and the nonzero b of each pair i < j, keyed (i, j).
+
+    Records both as the witnesses ``block_q_diag`` and ``block_b_offdiag``.
+    """
+    q_diag = tuple(df.q_value(module, x) for x in elems)
+    b_off = {}
+    for i, j in combinations(range(len(elems)), 2):
+        b = df.b_value(module, elems[i], elems[j])
+        if b:
+            b_off[i, j] = b
+    witnesses["block_q_diag"] = q_diag
+    witnesses["block_b_offdiag"] = {f"{i + 1},{j + 1}": v for (i, j), v in b_off.items()}
+    return q_diag, b_off
 
 
 def verify_lemma_4_2(aq) -> Entry:
@@ -240,7 +258,7 @@ def verify_lemma_4_2(aq) -> Entry:
                     {"value": rd.PAIRING_TABLE_Q[i][j]},
                 )
     iso = set(df.isotropic_elements(module))
-    printed_classes = {exps: _combine(module, classes, exps) for exps in rd.ISOTROPIC_AQ}
+    printed_classes = {exps: _combine(module, classes.values(), exps) for exps in rd.ISOTROPIC_AQ}
     witnesses = {
         "pairing_table": table,
         "isotropic_count": len(iso),
@@ -364,16 +382,8 @@ def verify_prop_4_4(aq) -> Entry:
     witnesses["rank_bound"] = candidate.rank >= 2 + ell
     witnesses["uniqueness_predicate"] = df.nikulin_unique(cand_module)
     # printed block form of q in the change of generators
-    elems = [_combine(ns_module, classes, exps) for exps in rd.PROP44_BASIS]
-    qd = tuple(df.q_value(ns_module, e) for e in elems)
-    boff = {
-        (i, j): df.b_value(ns_module, elems[i], elems[j])
-        for i in range(4)
-        for j in range(i + 1, 4)
-        if df.b_value(ns_module, elems[i], elems[j]) != 0
-    }
-    witnesses["block_q_diag"] = qd
-    witnesses["block_b_offdiag"] = {f"{i + 1},{j + 1}": v for (i, j), v in boff.items()}
+    elems = [_combine(ns_module, classes.values(), exps) for exps in rd.PROP44_BASIS]
+    qd, boff = _block_form(ns_module, elems, witnesses)
     expected |= {
         "block_q_diag": rd.PROP44_Q_DIAG,
         "block_b_offdiag": {"1,2": Fraction(1, 2)},
@@ -453,16 +463,24 @@ def fibration_entry() -> Entry:
     )
 
 
-def verify_km_embedding() -> Entry:
-    ambient = parse_lattice_expr(rd.T_X_EXPR)
-    gens = IntMat.from_rows([rd.KM_ALPHA, rd.KM_BETA])
-    sub = sublattice(ambient, gens)
+def _embedding_entry(result_id: str, ambient_expr: str, gen_rows, diagonal) -> Entry:
+    """Printed generator rows that span a primitive sublattice of Gram diag(diagonal).
+
+    Checks the induced Gram and that the SNF invariant factors of the rows
+    are all 1.
+    """
+    gens = IntMat.from_rows(gen_rows)
+    sub = sublattice(parse_lattice_expr(ambient_expr), gens)
     d, _, _ = snf(gens)
-    factors = tuple(d.entries[i][i] for i in range(2))
+    factors = tuple(d.entries[i][i] for i in range(gens.rows))
+    expected = {"gram": IntMat.diagonal(diagonal), "snf_invariant_factors": (1,) * gens.rows}
     witnesses = {"gram": sub.induced_gram, "snf_invariant_factors": factors}
-    expected = {"gram": IntMat.diagonal([4, 4]), "snf_invariant_factors": (1, 1)}
-    ok = sub.induced_gram.entries == ((4, 0), (0, 4)) and factors == (1, 1)
-    return _ok("km_embedding", witnesses, expected) if ok else _fail("km_embedding", witnesses, expected)
+    ok = witnesses == expected
+    return _ok(result_id, witnesses, expected) if ok else _fail(result_id, witnesses, expected)
+
+
+def verify_km_embedding() -> Entry:
+    return _embedding_entry("km_embedding", rd.T_X_EXPR, [rd.KM_ALPHA, rd.KM_BETA], [4, 4])
 
 
 def verify_prop_4_6() -> Entry:
@@ -530,7 +548,11 @@ def verify_section_6(gram24: IntMat) -> Entry:
         return _fail("section_6", witnesses, {"relations": "all hold"})
     m_lat = Lattice(xp.m_gram, "M")
     module = df.from_lattice(m_lat)
-    diag = module.dual_diagonal
+    # the rational SNF of gram^-1 has the entries 1/e_i, e_i the invariant
+    # factors of the gram
+    diag = (Fraction(1),) * (m_lat.rank - module.ngens) + tuple(
+        Fraction(1, n) for n in module.orders
+    )
     expected_diag = (1,) * 10 + (Fraction(1, 2),) * 4 + (Fraction(1, 4),) * 2
     witnesses["snf_diagonal"] = diag
     if diag != expected_diag:
@@ -551,26 +573,12 @@ def verify_section_6(gram24: IntMat) -> Entry:
         if not vec.in_dual():
             return _fail("section_6", {"generator_not_in_dual": name}, {})
         gens[name] = df.class_of(module, vec)
-    order = ("v1", "v2", "v3", "v4", "w1", "w2")
     try:
-        df.submodule_on(module, [gens[n] for n in order], (2, 2, 2, 2, 4, 4))
+        df.submodule_on(module, list(gens.values()), (2, 2, 2, 2, 4, 4))
     except ValueError as exc:
         return _fail("section_6", {"generators": str(exc)}, {})
-    elems = []
-    for exps, _ord in rd.SECTION6_BASIS:
-        x = module.zero()
-        for e, name in zip(exps, order):
-            x = module.add(x, module.smul(e, gens[name]))
-        elems.append(x)
-    q_diag = tuple(df.q_value(module, x) for x in elems)
-    b_off = {
-        (i, j): df.b_value(module, elems[i], elems[j])
-        for i in range(6)
-        for j in range(i + 1, 6)
-        if df.b_value(module, elems[i], elems[j]) != 0
-    }
-    witnesses["block_q_diag"] = q_diag
-    witnesses["block_b_offdiag"] = {f"{i + 1},{j + 1}": v for (i, j), v in b_off.items()}
+    elems = [_combine(module, gens.values(), exps) for exps, _ord in rd.SECTION6_BASIS]
+    q_diag, b_off = _block_form(module, elems, witnesses)
     if q_diag != rd.SECTION6_Q_DIAG or b_off != rd.SECTION6_B_OFFDIAG:
         return _fail(
             "section_6",
@@ -668,15 +676,7 @@ def _m_coords(xp, halfsets) -> list[tuple[Fraction, ...] | None]:
 
 
 def verify_prop_6_2() -> Entry:
-    ambient = parse_lattice_expr(rd.P62_AMBIENT_EXPR)
-    gens = IntMat.from_rows(rd.P62_GENS)
-    sub = sublattice(ambient, gens)
-    d, _, _ = snf(gens)
-    factors = tuple(d.entries[i][i] for i in range(2))
-    witnesses = {"gram": sub.induced_gram, "snf_invariant_factors": factors}
-    expected = {"gram": IntMat.diagonal([-4, -4]), "snf_invariant_factors": (1, 1)}
-    ok = sub.induced_gram.entries == ((-4, 0), (0, -4)) and factors == (1, 1)
-    return _ok("prop_6_2", witnesses, expected) if ok else _fail("prop_6_2", witnesses, expected)
+    return _embedding_entry("prop_6_2", rd.P62_AMBIENT_EXPR, rd.P62_GENS, [-4, -4])
 
 
 def prop_6_2_report_entries() -> tuple[Entry, Entry]:

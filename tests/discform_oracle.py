@@ -6,15 +6,17 @@ spanned by a BFS over all their elements and re-checked element by
 element, and the overlattice Gram as a Fraction product B * G * B^T.  The
 genus predicates take the lattice, rebuild its discriminant group and
 re-pair each generator lift, as they did before they took the module.
-The differential tests compare the two.  Only the canonical HNF
-generators, the span basis and the discriminant group come from the
-package.
+``class_of`` takes the coordinates v * T / D of the rational SNF, as it
+did before the class table.  The differential tests compare the two.
+Only the canonical HNF generators, the span basis, the discriminant group
+and the rational SNF come from the package.
 """
 
 import math
 from fractions import Fraction
 
 from evenlat.discform import IsotropicSubgroup, _canonical_gens
+from evenlat.exactlinalg import snf_rational
 from evenlat.lattice import discriminant_group, rational_span_basis
 
 
@@ -179,3 +181,24 @@ def two_elem_invariants(lattice):
     delta = int(any(lift.norm().denominator != 1 for lift in disc.generator_lifts))
     t_plus, t_minus, _ = lattice.signature
     return (t_plus, t_minus), len(disc.invariant_factors), delta
+
+
+def dual_transform(lattice):
+    """T and the diagonal of D for the rational SNF S * gram^-1 * T = D."""
+    d, _, t = snf_rational(lattice.gram.inverse())
+    return t, tuple(d.entries[i][i] for i in range(lattice.rank))
+
+
+def class_of(transform, coords):
+    """Class of a dual vector: its coordinates v * T / D in the dual basis
+    D * T^-1, at the rows with a non-integral d_i = 1/n_i, reduced mod n_i.
+
+    transform is ``dual_transform(lattice)``; raises ValueError for a
+    vector outside the dual lattice.
+    """
+    t, diag = transform
+    cols = zip(*t.entries)
+    exps = [sum(Fraction(v) * c for v, c in zip(coords, col)) / di for col, di in zip(cols, diag)]
+    if any(e.denominator != 1 for e in exps):
+        raise ValueError("vector is not in the dual lattice")
+    return tuple(int(e) % di.denominator for e, di in zip(exps, diag) if di.denominator != 1)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import evenlat.cli as cli
 import evenlat.discform as df
 from evenlat.cli import main
 from evenlat.serialize import config_from_json, config_to_json, gram_from_json
@@ -278,6 +279,17 @@ class TestVerifyPaper:
     def test_unknown_result_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "verify-paper", "--result", "nope")
         assert code == 3
+
+    def test_malformed_guard_exits_2_before_any_checker(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the harness started with a malformed guard")
+
+        monkeypatch.setenv("EVENLAT_GUARD_ORDER", "abc")
+        monkeypatch.setattr(cli, "run_all", refuse)
+        code, out, err = run_cli(capsys, "verify-paper")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "EVENLAT_GUARD_ORDER" in err and "'abc'" in err
 
     def test_ambiguous_tier_exits_1(self, capsys):
         code, out, _ = run_cli(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import discform_oracle
 import evenlat.discform as df
 import linalg_oracle as oracle
-from evenlat.exactlinalg import IntMat, snf_rational
+from evenlat.exactlinalg import IntMat
 from evenlat.lattice import Lattice, make_named, parse_lattice_expr
 from test_exactlinalg import random_unimodular
 
@@ -74,6 +74,10 @@ def random_even_lattice(rng, max_rank=4, max_entry=3):
             return Lattice(m)
 
 
+# blocks, with their ranks, of the scrambled sums up to rank 22 that
+# class_of is checked on
+CLASS_BLOCKS = {"U": 2, "U(2)": 2, "U(3)": 2, "E8": 8, "A1": 1, "<-4>": 1, "<4>": 1,
+                "<-8>": 1, "<12>": 1, "<6>": 1}
 GLUE_BLOCKS = ("U(2)", "U(3)", "U(4)", "<4>", "<-4>", "<-8>", "<12>", "A1", "<2>", "<6>")
 
 
@@ -468,33 +472,43 @@ class TestLatticeBackReference:
             lift = a_q.lift(gen)
             assert df.class_of(a_q, a_q.source.dual_vector(lift)) == gen
 
-    def test_class_of_matches_inverted_dual_basis(self):
-        # the rule class_of replaced: coordinates v * B^-1 in the dual basis
-        # B = S * gram^-1, with the non-integral rows of B as generators
-        rng = random.Random(2718)
-        grams = [Q_GRAM] + [random_even_lattice(rng, max_rank=5).gram for _ in range(40)]
-        for gram in grams:
-            u = random_unimodular(rng, gram.rows, steps=3 * gram.rows)
-            lat = Lattice(u * gram * u.transpose())
-            module = df.from_lattice(lat)
-            inv = lat.gram.inverse()
-            _, s, _ = snf_rational(inv)
-            basis = (s.to_rational() * inv).entries
-            basis_inv = oracle.inverse(basis)
-            gen_rows = [i for i, row in enumerate(basis) if any(c.denominator != 1 for c in row)]
-            n = lat.rank
-            for _ in range(6):
-                c = [rng.randint(-5, 5) for _ in range(n)]
-                v = [sum(ci * row[j] for ci, row in zip(c, basis)) for j in range(n)]
-                if rng.random() < 0.3:
-                    v[rng.randrange(n)] += F(1, rng.randint(2, 5))
-                coords = [sum(v[i] * basis_inv[i][j] for i in range(n)) for j in range(n)]
-                if all(x.denominator == 1 for x in coords):
-                    want = module.reduce([int(coords[i]) for i in gen_rows])
-                    assert df.class_of(module, lat.dual_vector(v)) == want
-                else:
-                    with pytest.raises(ValueError):
-                        df.class_of(module, lat.dual_vector(v))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_class_of_matches_inverted_dual_basis(self, seed):
+        # the rule before the class table: coordinates v * T / D in the dual
+        # basis D * T^-1, T / D being its inverse; on scrambled even sums up
+        # to rank 22 and small random even lattices, for dual vectors
+        # c * gram^-1 and for vectors moved off the dual by a fraction
+        rng = random.Random(seed)
+        if rng.random() < 0.25:
+            gram = random_even_lattice(rng, max_rank=5).gram
+        else:
+            target = rng.randint(1, 22)
+            blocks, rank = [], 0
+            while rank < target:
+                block = rng.choice(list(CLASS_BLOCKS))
+                if rank + CLASS_BLOCKS[block] <= 22:
+                    blocks.append(block)
+                    rank += CLASS_BLOCKS[block]
+            gram = parse_lattice_expr("+".join(blocks)).gram
+        u = random_unimodular(rng, gram.rows, steps=gram.rows)
+        lat = Lattice(u * gram * u.transpose())
+        module = df.from_lattice(lat)
+        transform = discform_oracle.dual_transform(lat)
+        inv = lat.gram.inverse().entries
+        n = lat.rank
+        for _ in range(4):
+            c = [rng.randint(-5, 5) for _ in range(n)]
+            v = [sum(ci * row[j] for ci, row in zip(c, inv)) for j in range(n)]
+            if rng.random() < 0.4:
+                v[rng.randrange(n)] += F(1, rng.randint(2, 5))
+            try:
+                want = discform_oracle.class_of(transform, v)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    df.class_of(module, lat.dual_vector(v))
+            else:
+                assert df.class_of(module, lat.dual_vector(v)) == want
 
     def test_from_lattice_invariant_under_generator_choice(self, a_q):
         # presenting the same module on the printed generators gives an
