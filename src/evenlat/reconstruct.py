@@ -263,6 +263,11 @@ def q_gram_of(gram24: IntMat) -> IntMat:
     return qm * gram24 * qm.transpose()
 
 
+def config_24(gram24: IntMat) -> CurveConfig:
+    """The 24-curve configuration R1..R24 of a 24-curve Gram."""
+    return CurveConfig.from_gram(tuple(f"R{i + 1}" for i in range(24)), gram24)
+
+
 def relations_hold(gram24: IntMat) -> bool:
     """The two printed curve relations, checked by pairing against all 24."""
     g = gram24.entries
@@ -413,8 +418,7 @@ class Reconstruction24:
         return sols[0]
 
     def config(self) -> CurveConfig:
-        labels = tuple(f"R{i + 1}" for i in range(24))
-        return CurveConfig.from_gram(labels, self.gram)
+        return config_24(self.gram)
 
     def census_sizes(self) -> dict[str, int]:
         return {

@@ -24,7 +24,7 @@ from .curves import find_even_four_certificate, present, triple_double_tower
 from .exactlinalg import IntMat, _bareiss, snf, snf_rational
 from .lattice import Lattice, norm_gcd, parse_lattice_expr, scale_gcd, sublattice
 from .ratfun import INFINITY, Poly, RatFun, mobius_images
-from .reconstruct import Reconstruction24, reconstruct_24, reconstruct_xprime, q_gram_of
+from .reconstruct import Reconstruction24, config_24, reconstruct_24, reconstruct_xprime, q_gram_of
 
 AXIOM_NOTE = "even-set rejection rule (no even set of size four) used as a trusted geometric axiom"
 
@@ -272,7 +272,7 @@ def verify_lemma_4_2(aq) -> Entry:
 
 
 def verify_thm_4_3(gram24: IntMat) -> Entry:
-    config = _config_of(gram24)
+    config = config_24(gram24)
     pres = present(config)
     lat = pres.lattice
     witnesses = {"curve_lattice_det": lat.det, "curve_lattice_signature": lat.signature}
@@ -324,13 +324,6 @@ def verify_thm_4_3(gram24: IntMat) -> Entry:
     if module.orders != (2, 2, 4, 4):
         return _fail("thm_4_3", witnesses, {"ns_invariant_factors": (2, 2, 4, 4)})
     return _ok("thm_4_3", witnesses, {"ns_invariant_factors": (2, 2, 4, 4)}, (AXIOM_NOTE,))
-
-
-def _config_of(gram24: IntMat):
-    from .curves import CurveConfig
-
-    labels = tuple(f"R{i + 1}" for i in range(24))
-    return CurveConfig.from_gram(labels, gram24)
 
 
 def _splitting_check(gram24, pres, lat) -> dict:
@@ -449,20 +442,6 @@ def _ratfun_str(v) -> str:
     return f"({num})/({poly_str(v.den)})"
 
 
-def fibration_entry() -> Entry:
-    return Entry(
-        "thm_4_5_fibration",
-        "report-only",
-        {"mobius_fragment": "branch points move to 0, s^2, (1+s^2)^2/4, infinity"},
-        {},
-        (
-            "matching the resulting genus-1 pencil with the known elliptic "
-            "fibration of the square-periods Kummer surface is a geometric "
-            "identification, outside this harness",
-        ),
-    )
-
-
 def _embedding_entry(result_id: str, ambient_expr: str, gen_rows, diagonal) -> Entry:
     """Printed generator rows that span a primitive sublattice of Gram diag(diagonal).
 
@@ -538,7 +517,7 @@ def verify_prop_4_6() -> Entry:
 
 
 def verify_section_6(gram24: IntMat) -> Entry:
-    config24 = _config_of(gram24)
+    config24 = config_24(gram24)
     xp = reconstruct_xprime(config24)
     witnesses = {
         "relation_report": {name: ok for name, ok in xp.relation_report},
@@ -679,137 +658,115 @@ def verify_prop_6_2() -> Entry:
     return _embedding_entry("prop_6_2", rd.P62_AMBIENT_EXPR, rd.P62_GENS, [-4, -4])
 
 
-def prop_6_2_report_entries() -> tuple[Entry, Entry]:
-    return (
-        Entry(
-            "prop_6_2_ii",
-            "report-only",
-            {"t_xprime": rd.T_XPRIME_EXPR},
-            {},
-            (
-                "exclusion from the published table of transcendental lattices "
-                "of rank-15 quotient resolutions is a table lookup in the "
-                "cited classification, outside this harness",
-            ),
-        ),
-        Entry(
-            "prop_6_2_iii",
-            "report-only",
-            {},
-            {},
-            (
-                "realizing the quotient surface from the exponent-2 covering "
-                "by the complementary symplectic action is geometric, outside "
-                "this harness",
-            ),
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the full run
 
-RESULT_IDS = (
-    "reconstruction_24",
-    "lemma_3_1",
-    "lemma_4_1",
-    "lemma_4_2",
-    "thm_4_3",
-    "prop_4_4",
-    "thm_4_5_mobius",
-    "thm_4_5_fibration",
-    "km_embedding",
-    "prop_4_6",
-    "section_6",
-    "prop_6_2",
-    "prop_6_2_ii",
-    "prop_6_2_iii",
+# (result_id, prerequisite or None) in report order: an entry whose
+# prerequisite failed is recorded as failed without running its checker
+CHECKS = (
+    ("reconstruction_24", None),
+    ("lemma_3_1", "reconstruction_24"),
+    ("lemma_4_1", "lemma_3_1"),
+    ("lemma_4_2", "lemma_4_1"),
+    ("thm_4_3", "lemma_4_2"),
+    ("prop_4_4", "thm_4_3"),
+    ("thm_4_5_mobius", None),
+    ("thm_4_5_fibration", None),
+    ("km_embedding", None),
+    ("prop_4_6", "prop_4_4"),
+    ("section_6", "thm_4_3"),
+    ("prop_6_2", None),
+    ("prop_6_2_ii", None),
+    ("prop_6_2_iii", None),
 )
+RESULT_IDS = tuple(rid for rid, _ in CHECKS)
+
+# conclusions argued geometrically: (machine-checked witnesses, note)
+REPORT_ONLY = {
+    "thm_4_5_fibration": (
+        {"mobius_fragment": "branch points move to 0, s^2, (1+s^2)^2/4, infinity"},
+        "matching the resulting genus-1 pencil with the known elliptic "
+        "fibration of the square-periods Kummer surface is a geometric "
+        "identification, outside this harness",
+    ),
+    "prop_6_2_ii": (
+        {"t_xprime": rd.T_XPRIME_EXPR},
+        "exclusion from the published table of transcendental lattices "
+        "of rank-15 quotient resolutions is a table lookup in the "
+        "cited classification, outside this harness",
+    ),
+    "prop_6_2_iii": (
+        {},
+        "realizing the quotient surface from the exponent-2 covering "
+        "by the complementary symplectic action is geometric, outside "
+        "this harness",
+    ),
+}
 
 
 def run_all(tier_policy: str = "auto", gram24: IntMat | None = None) -> VerificationReport:
-    """Run every checker in dependency order and aggregate the entries.
+    """Run every row of ``CHECKS`` in order and aggregate the entries.
 
     ``gram24`` overrides the reconstructed 24-curve Gram (used by the
-    fault-injection tests); checker failures become entries, and checkers
-    whose prerequisites failed are recorded as failed with a note.  Once
-    lemma 3.1 has pinned the Q block to the printed Q, which is even and
-    nondegenerate, its discriminant form is built once and shared by
-    lemmas 4.1 and 4.2 and proposition 4.4.
+    fault-injection tests) and yields a report-only reconstruction entry.
+    A checker crash becomes a failed entry.  Once lemma 3.1 has pinned the
+    Q block to the printed Q, which is even and nondegenerate, its
+    discriminant form is built once and shared by lemmas 4.1 and 4.2 and
+    proposition 4.4.
     """
-    entries: list[Entry] = []
-    if gram24 is None:
-        try:
-            rec = reconstruct_24(tier_policy)
-            entries.append(reconstruction_entry(rec))
-        except Exception as exc:  # noqa: BLE001
-            entries.append(
-                Entry("reconstruction_24", "fail", {"exception": repr(exc)}, {}, ())
-            )
-        if entries[-1].status == "fail":
-            gram24 = None
-        else:
-            gram24 = rec.gram
-    else:
-        entries.append(
-            Entry(
+    aq = None
+
+    def reconstruction():
+        nonlocal gram24
+        if gram24 is not None:
+            return Entry(
                 "reconstruction_24",
                 "report-only",
                 {"tier": "injected"},
                 {},
                 ("24-curve Gram supplied by the caller",),
             )
-        )
+        rec = reconstruct_24(tier_policy)
+        entry = reconstruction_entry(rec)
+        if entry.status == "pass":
+            gram24 = rec.gram
+        return entry
 
-    def blocked(result_id, prereq):
-        return Entry(
-            result_id, "fail", {}, {}, (f"prerequisite {prereq} did not pass",)
-        )
+    def lemma_3_1():
+        nonlocal aq
+        entry = verify_lemma_3_1(gram24)
+        if entry.status == "pass":
+            aq = _aq_with_printed_generators(q_gram_of(gram24))
+        return entry
 
-    def guarded(result_id, fn):
-        # a checker crash is itself a failed verification, never an exception
-        try:
-            return fn()
-        except Exception as exc:  # noqa: BLE001
-            return Entry(result_id, "fail", {"exception": repr(exc)}, {}, ())
-
-    if gram24 is None:
-        for rid in ("lemma_3_1", "lemma_4_1", "lemma_4_2", "thm_4_3", "prop_4_4", "section_6"):
-            entries.append(blocked(rid, "reconstruction_24"))
-    else:
-        e31 = guarded("lemma_3_1", lambda: verify_lemma_3_1(gram24))
-        entries.append(e31)
-        chain_ok = e31.status == "pass"
-        aq = _aq_with_printed_generators(q_gram_of(gram24)) if chain_ok else None
-        for rid, fn in (
-            ("lemma_4_1", lambda: verify_lemma_4_1(aq)),
-            ("lemma_4_2", lambda: verify_lemma_4_2(aq)),
-            ("thm_4_3", lambda: verify_thm_4_3(gram24)),
-        ):
-            if chain_ok:
-                entry = guarded(rid, fn)
-                entries.append(entry)
-                chain_ok = entry.status == "pass"
-            else:
-                entries.append(blocked(rid, "lemma_3_1"))
-        if chain_ok:
-            entries.append(guarded("prop_4_4", lambda: verify_prop_4_4(aq)))
+    # looked up by global name on each run, so wrapped checkers are seen
+    checkers = {
+        "reconstruction_24": reconstruction,
+        "lemma_3_1": lemma_3_1,
+        "lemma_4_1": lambda: verify_lemma_4_1(aq),
+        "lemma_4_2": lambda: verify_lemma_4_2(aq),
+        "thm_4_3": lambda: verify_thm_4_3(gram24),
+        "prop_4_4": lambda: verify_prop_4_4(aq),
+        "thm_4_5_mobius": verify_thm_4_5_mobius,
+        "km_embedding": verify_km_embedding,
+        "prop_4_6": verify_prop_4_6,
+        "section_6": lambda: verify_section_6(gram24),
+        "prop_6_2": verify_prop_6_2,
+    }
+    status: dict[str, str] = {}
+    entries: list[Entry] = []
+    for rid, prereq in CHECKS:
+        if prereq is not None and status[prereq] == "fail":
+            entry = _fail(rid, {}, {}, (f"prerequisite {prereq} did not pass",))
+        elif rid in REPORT_ONLY:
+            witnesses, note = REPORT_ONLY[rid]
+            entry = Entry(rid, "report-only", dict(witnesses), {}, (note,))
         else:
-            entries.append(blocked("prop_4_4", "thm_4_3"))
-    entries.append(guarded("thm_4_5_mobius", verify_thm_4_5_mobius))
-    entries.append(fibration_entry())
-    entries.append(guarded("km_embedding", verify_km_embedding))
-    prop44_ok = any(e.result_id == "prop_4_4" and e.status == "pass" for e in entries)
-    if prop44_ok:
-        entries.append(guarded("prop_4_6", verify_prop_4_6))
-    else:
-        entries.append(blocked("prop_4_6", "prop_4_4"))
-    if gram24 is not None and any(
-        e.result_id == "thm_4_3" and e.status == "pass" for e in entries
-    ):
-        entries.append(guarded("section_6", lambda: verify_section_6(gram24)))
-    else:
-        entries.append(blocked("section_6", "thm_4_3"))
-    entries.append(guarded("prop_6_2", verify_prop_6_2))
-    entries.extend(prop_6_2_report_entries())
+            # a checker crash is itself a failed verification, never an exception
+            try:
+                entry = checkers[rid]()
+            except Exception as exc:  # noqa: BLE001
+                entry = _fail(rid, {"exception": repr(exc)}, {})
+        status[rid] = entry.status
+        entries.append(entry)
     return VerificationReport(tuple(entries))

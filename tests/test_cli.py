@@ -65,6 +65,7 @@ class TestSNF:
         path.write_text(json.dumps({"schema": 1, "gram": [[1, 1], [1, 1]]}))
         code, _, err = run_cli(capsys, "snf", str(path), "--rational")
         assert code == 3
+        assert err == "error: rational SNF requires a nonsingular matrix\n"
 
 
 class TestDiscAndIsotropic:
@@ -290,6 +291,16 @@ class TestVerifyPaper:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "EVENLAT_GUARD_ORDER" in err and "'abc'" in err
+
+    def test_unknown_result_exits_3_before_any_checker(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the harness started for an unknown result id")
+
+        monkeypatch.setattr(cli, "run_all", refuse)
+        code, out, err = run_cli(capsys, "verify-paper", "--result", "nope")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "unknown result id 'nope'" in err
 
     def test_ambiguous_tier_exits_1(self, capsys):
         code, out, _ = run_cli(

@@ -13,6 +13,7 @@ from evenlat import lattice
 from evenlat.exactlinalg import IntMat
 from evenlat.reconstruct import q_gram_of
 from evenlat.verify import (
+    CHECKS,
     RESULT_IDS,
     _aq_with_printed_generators,
     _m_coords,
@@ -73,6 +74,12 @@ class TestFullRun:
             assert entry.status == "fail"
             assert any("label-inequivalent" in n for n in entry.notes)
             assert not rep.all_passed
+            assert tuple(e.result_id for e in rep.entries) == RESULT_IDS
+            prereq = dict(CHECKS)
+            for e in rep.entries:
+                if any(n.startswith("prerequisite ") for n in e.notes):
+                    assert e.notes == (f"prerequisite {prereq[e.result_id]} did not pass",)
+                    assert rep.entry(prereq[e.result_id]).status == "fail"
 
 
 class TestIndividualCheckers:
@@ -213,10 +220,11 @@ class TestFaultInjection:
         g[15][11] += 1
         g[11][15] += 1
         report = run_all(gram24=IntMat.from_rows(g))
+        prereq = dict(CHECKS)
         for rid in ("lemma_4_1", "lemma_4_2", "thm_4_3", "prop_4_4"):
             entry = report.entry(rid)
             assert entry.status == "fail"
-            assert any("prerequisite" in note for note in entry.notes)
+            assert entry.notes == (f"prerequisite {prereq[rid]} did not pass",)
 
     def test_random_single_entry_faults_are_detected(self, gram24):
         rng = random.Random(1618)
