@@ -219,6 +219,10 @@ def cmd_embed_check(args) -> int:
 
 
 def cmd_config(args) -> int:
+    if args.operation != "reconstruct":
+        for name in ("config", "data"):
+            if getattr(args, name) is None:
+                raise ser.ParseError(f"config {args.operation}: missing the {name} file argument")
     if args.operation == "pullback":
         config = ser.config_from_json(ser.load_json(args.config))
         step = ser.cover_step_from_json(ser.load_json(args.data))

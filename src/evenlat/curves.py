@@ -233,6 +233,9 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
     tracked_branch = step.branch & set(config.labels)
     if tracked_branch:
         raise ValueError(f"tracked curves in the branch divisor: {sorted(tracked_branch)}")
+    untracked = set().union(*step.shared_points, step.marked_points) - set(config.labels)
+    if untracked:
+        raise ValueError(f"shared or marked points on untracked curves: {sorted(untracked)}")
     kcount = {}
     for lab in config.labels:
         pts = step.branch_points.get(lab, ())

@@ -29,14 +29,6 @@ GroupElement = tuple[int, ...]
 DEFAULT_GUARD_ORDER = 1 << 10
 
 
-def _mod2(x: Fraction) -> Fraction:
-    return x - 2 * math.floor(x / 2)
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x - math.floor(x)
-
-
 @dataclass(frozen=True)
 class FiniteQuadraticModule:
     """Generators g_i of order d_i with q(g_i) in Q/2Z and b(g_i, g_j) in Q/Z."""
@@ -66,12 +58,12 @@ class FiniteQuadraticModule:
                     raise ValueError("b values must be reduced into [0, 1)")
                 if self.b_mat[i][j] != self.b_mat[j][i]:
                     raise ValueError("b must be symmetric")
-            if _mod1(self.q_diag[i]) != self.b_mat[i][i]:
+            if self.q_diag[i] % 1 != self.b_mat[i][i]:
                 raise ValueError("b(g, g) must equal q(g) mod Z")
-            if _mod2(self.orders[i] ** 2 * self.q_diag[i]) != 0:
+            if self.orders[i] ** 2 * self.q_diag[i] % 2 != 0:
                 raise ValueError("q incompatible with the generator order")
             for j in range(k):
-                if _mod1(self.orders[i] * self.b_mat[i][j]) != 0:
+                if self.orders[i] * self.b_mat[i][j] % 1 != 0:
                     raise ValueError("b incompatible with the generator orders")
         level = math.lcm(*(x.denominator for x in self.q_diag),
                          *(x.denominator for row in self.b_mat for x in row))
@@ -363,8 +355,8 @@ def overlattice(lattice: Lattice, subgroup: IsotropicSubgroup) -> Lattice:
 
 
 def negate(module: FiniteQuadraticModule) -> FiniteQuadraticModule:
-    q = tuple(_mod2(-x) for x in module.q_diag)
-    b = tuple(tuple(_mod1(-x) for x in row) for row in module.b_mat)
+    q = tuple(-x % 2 for x in module.q_diag)
+    b = tuple(tuple(-x % 1 for x in row) for row in module.b_mat)
     return FiniteQuadraticModule(module.orders, q, b)
 
 

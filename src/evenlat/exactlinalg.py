@@ -227,19 +227,46 @@ def block_diag(*mats: IntMat) -> IntMat:
 
 
 # ---------------------------------------------------------------------------
-# row operations shared by the normal forms (operate on lists of lists)
-
-def _swap(m: list[list[int]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def _negate_row(m: list[list[int]], i: int) -> None:
-    m[i] = [-e for e in m[i]]
-
+# unimodular steps shared by the normal forms (operate on lists of lists)
 
 def _addmul_row(m: list[list[int]], dst: int, src: int, q: int) -> None:
     if q:
         m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
+
+
+def _gcd_rows(m: list[list[int]], r: int, i: int, c: int) -> None:
+    """Zero m[i][c] against the pivot m[r][c] != 0 by a unimodular step on rows r and i.
+
+    m[r][c] stays nonzero: it is unchanged, or becomes gcd(m[r][c], m[i][c]).
+    """
+    a0, b0 = m[r][c], m[i][c]
+    if b0 % a0 == 0:
+        _addmul_row(m, i, r, -(b0 // a0))
+        return
+    x, y, g = xgcd(a0, b0)
+    ag, bg = a0 // g, b0 // g
+    mr, mi = m[r], m[i]
+    m[r] = [x * p + y * q for p, q in zip(mr, mi)]
+    m[i] = [-bg * p + ag * q for p, q in zip(mr, mi)]
+
+
+def _gcd_cols(m: list[list[int]], j: int, k: int, r: int) -> None:
+    """Zero m[r][k] against the pivot m[r][j] != 0 by a unimodular step on columns j and k.
+
+    The step runs down every row of m; m[r][j] stays nonzero as in ``_gcd_rows``.
+    """
+    a0, b0 = m[r][j], m[r][k]
+    if b0 % a0 == 0:
+        q = b0 // a0
+        for row in m:
+            row[k] -= q * row[j]
+        return
+    x, y, g = xgcd(a0, b0)
+    ag, bg = a0 // g, b0 // g
+    for row in m:
+        pj, pk = row[j], row[k]
+        row[j] = x * pj + y * pk
+        row[k] = -bg * pj + ag * pk
 
 
 def _clear_denominators(rows) -> tuple[list[list[int]], int]:
@@ -312,7 +339,7 @@ def _bareiss(m: list[list[int]]) -> tuple[list[int], int, int]:
         if piv is None:
             continue
         if piv != r:
-            _swap(m, r, piv)
+            m[r], m[piv] = m[piv], m[r]
             sign = -sign
         _pivot_step(m, r, c, d)
         d = m[r][c]
@@ -324,46 +351,29 @@ def hnf(a: IntMat) -> tuple[IntMat, IntMat]:
     """Row Hermite normal form with transform: U*A = H, det U = +-1.
 
     Convention: row echelon, positive pivots, entries above each pivot
-    reduced into [0, pivot); zero rows at the bottom.
+    reduced into [0, pivot); zero rows at the bottom.  The row steps
+    reduce [A | I], which ends as [H | U].
     """
     m, n = a.rows, a.cols
-    h = [list(row) for row in a.entries]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    h = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a.entries)]
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, m) if h[i][c] != 0), None)
         if piv is None:
             continue
         if piv != r:
-            _swap(h, r, piv)
-            _swap(u, r, piv)
+            h[r], h[piv] = h[piv], h[r]
         for i in range(r + 1, m):
             if h[i][c] != 0:
-                a0, b0 = h[r][c], h[i][c]
-                if b0 % a0 == 0:
-                    q = -(b0 // a0)
-                    _addmul_row(h, i, r, q)
-                    _addmul_row(u, i, r, q)
-                else:
-                    x, y, g = xgcd(a0, b0)
-                    ag, bg = a0 // g, b0 // g
-                    hr, hi = h[r], h[i]
-                    ur, ui = u[r], u[i]
-                    h[r] = [x * p + y * q for p, q in zip(hr, hi)]
-                    h[i] = [-bg * p + ag * q for p, q in zip(hr, hi)]
-                    u[r] = [x * p + y * q for p, q in zip(ur, ui)]
-                    u[i] = [-bg * p + ag * q for p, q in zip(ur, ui)]
+                _gcd_rows(h, r, i, c)
         if h[r][c] < 0:
-            _negate_row(h, r)
-            _negate_row(u, r)
+            h[r] = [-e for e in h[r]]
         for i in range(r):
-            q = -(h[i][c] // h[r][c])
-            _addmul_row(h, i, r, q)
-            _addmul_row(u, i, r, q)
+            _addmul_row(h, i, r, -(h[i][c] // h[r][c]))
         r += 1
         if r == m:
             break
-    return IntMat.from_rows(h), IntMat.from_rows(u)
+    return IntMat.from_rows(row[:n] for row in h), IntMat.from_rows(row[n:] for row in h)
 
 
 def snf(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
@@ -371,42 +381,13 @@ def snf(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
 
     D is diagonal with nonnegative invariant factors d1 | d2 | ... ;
     S, T are unimodular.  Pivots are chosen by minimal absolute value
-    to limit coefficient growth.
+    to limit coefficient growth.  The steps run on one table: [A | I_m]
+    over I_n.  Row steps touch its first m rows and column steps its
+    first n columns, so it ends as [D | S] over T.
     """
     m, n = a.rows, a.cols
-    d = [list(row) for row in a.entries]
-    s = [[int(i == j) for j in range(m)] for i in range(m)]
-    t = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def col_combine(mat, trans, j, k, c_row):
-        # column operations via the transposed picture
-        a0, b0 = mat[c_row][j], mat[c_row][k]
-        if b0 == 0:
-            return
-        if a0 == 0:
-            for row in mat:
-                row[j], row[k] = row[k], row[j]
-            for row in trans:
-                row[j], row[k] = row[k], row[j]
-            return
-        if b0 % a0 == 0:
-            q = b0 // a0
-            for row in mat:
-                row[k] -= q * row[j]
-            for row in trans:
-                row[k] -= q * row[j]
-            return
-        x, y, g = xgcd(a0, b0)
-        ag, bg = a0 // g, b0 // g
-        for row in mat:
-            pj, pk = row[j], row[k]
-            row[j] = x * pj + y * pk
-            row[k] = -bg * pj + ag * pk
-        for row in trans:
-            pj, pk = row[j], row[k]
-            row[j] = x * pj + y * pk
-            row[k] = -bg * pj + ag * pk
-
+    d = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a.entries)]
+    d += [[int(i == j) for j in range(n)] for i in range(n)]
     rank_bound = min(m, n)
     k = 0
     while k < rank_bound:
@@ -422,33 +403,17 @@ def snf(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
             break
         pi, pj = piv
         if pi != k:
-            _swap(d, k, pi)
-            _swap(s, k, pi)
+            d[k], d[pi] = d[pi], d[k]
         if pj != k:
             for row in d:
-                row[k], row[pj] = row[pj], row[k]
-            for row in t:
                 row[k], row[pj] = row[pj], row[k]
         while True:
             for i in range(k + 1, m):
                 if d[i][k] != 0:
-                    a0, b0 = d[k][k], d[i][k]
-                    if b0 % a0 == 0:
-                        q = -(b0 // a0)
-                        _addmul_row(d, i, k, q)
-                        _addmul_row(s, i, k, q)
-                    else:
-                        x, y, g = xgcd(a0, b0)
-                        ag, bg = a0 // g, b0 // g
-                        dk, di = d[k], d[i]
-                        sk, si = s[k], s[i]
-                        d[k] = [x * p + y * q for p, q in zip(dk, di)]
-                        d[i] = [-bg * p + ag * q for p, q in zip(dk, di)]
-                        s[k] = [x * p + y * q for p, q in zip(sk, si)]
-                        s[i] = [-bg * p + ag * q for p, q in zip(sk, si)]
+                    _gcd_rows(d, k, i, k)
             for j in range(k + 1, n):
                 if d[k][j] != 0:
-                    col_combine(d, t, k, j, k)
+                    _gcd_cols(d, k, j, k)
             if all(d[i][k] == 0 for i in range(k + 1, m)) and all(
                 d[k][j] == 0 for j in range(k + 1, n)
             ):
@@ -465,13 +430,15 @@ def snf(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
                 if stuck is None:
                     break
                 _addmul_row(d, k, stuck, 1)
-                _addmul_row(s, k, stuck, 1)
         k += 1
-    for i in range(min(m, n)):
+    for i in range(rank_bound):
         if d[i][i] < 0:
-            _negate_row(d, i)
-            _negate_row(s, i)
-    return IntMat.from_rows(d), IntMat.from_rows(s), IntMat.from_rows(t)
+            d[i] = [-e for e in d[i]]
+    return (
+        IntMat.from_rows(row[:n] for row in d[:m]),
+        IntMat.from_rows(row[n:] for row in d[:m]),
+        IntMat.from_rows(d[m:]),
+    )
 
 
 def snf_rational(a: RatMat) -> tuple[RatMat, IntMat, IntMat]:

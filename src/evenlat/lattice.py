@@ -354,13 +354,12 @@ def saturation(host: Lattice, gens: IntMat) -> IntMat:
 
 
 def is_primitive(host: Lattice, gens: IntMat) -> bool:
-    """True iff the span of the rows is saturated in Z^n."""
+    """True iff the span of the rows is saturated in Z^n.
+
+    The rows may be dependent: only the nonzero invariant factors count.
+    """
     d, _, _ = snf(gens)
-    k = min(gens.rows, gens.cols)
-    diag = [d.entries[i][i] for i in range(k)]
-    if any(x == 0 for x in diag[: gens.rows]):
-        return False
-    return all(x == 1 for x in diag[: gens.rows])
+    return all(d.entries[i][i] in (0, 1) for i in range(min(gens.rows, gens.cols)))
 
 
 def orthogonal_complement(host: Lattice, gens: IntMat | None) -> SublatticeData:

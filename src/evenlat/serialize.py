@@ -117,10 +117,15 @@ def config_from_json(data) -> CurveConfig:
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     mult = [[0] * n for _ in range(n)]
-    for k, item in enumerate(data.get("mult", [])):
+    items = data.get("mult", [])
+    if not isinstance(items, list):
+        raise ParseError("'mult' must be an array of [label, label, count] entries")
+    for k, item in enumerate(items):
         if not isinstance(item, list) or len(item) != 3:
             raise ParseError(f"mult entry {k + 1}: expected [label, label, count]")
         la, lb, m = item
+        if not isinstance(la, str) or not isinstance(lb, str):
+            raise ParseError(f"mult entry {k + 1}: labels must be strings")
         if la not in index or lb not in index:
             raise ParseError(f"mult entry {k + 1}: unknown label")
         if not isinstance(m, int) or isinstance(m, bool) or m < 0:
@@ -160,16 +165,24 @@ def cover_step_from_json(data) -> CoverStep:
         if not isinstance(pts, list) or not all(isinstance(p, str) for p in pts):
             raise ParseError(f"branch points of {lab!r} must be an array of ids")
         branch_points[lab] = tuple(pts)
+    items = data.get("shared_points", [])
+    if not isinstance(items, list):
+        raise ParseError("'shared_points' must be an array of [label, label, [ids]] entries")
     shared = {}
-    for k, item in enumerate(data.get("shared_points", [])):
+    for k, item in enumerate(items):
         if not isinstance(item, list) or len(item) != 3:
             raise ParseError(f"shared point entry {k + 1}: expected [label, label, [ids]]")
         la, lb, ids = item
+        if not isinstance(la, str) or not isinstance(lb, str) or la == lb:
+            raise ParseError(f"shared point entry {k + 1}: expected two distinct labels")
         if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
             raise ParseError(f"shared point entry {k + 1}: ids must be strings")
         shared[frozenset((la, lb))] = tuple(ids)
+    mp = data.get("marked_points", {})
+    if not isinstance(mp, dict):
+        raise ParseError("'marked_points' must map labels to arrays of point ids")
     marked = {}
-    for lab, pts in data.get("marked_points", {}).items():
+    for lab, pts in mp.items():
         if not isinstance(pts, list) or not all(isinstance(p, str) for p in pts):
             raise ParseError(f"marked points of {lab!r} must be an array of ids")
         marked[lab] = tuple(pts)

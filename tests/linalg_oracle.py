@@ -3,8 +3,10 @@
 These are the textbook eliminations over Q, one loop per operation, that
 ``evenlat.exactlinalg`` derives from its single fraction-free kernel, and
 the entry-by-entry Fraction products that it replaced by one
-denominator-cleared integer product.  The differential tests compare the
-two; nothing here shares code with the package.
+denominator-cleared integer product, and the Hermite and Smith forms that
+step a matrix and its transforms separately where the package steps one
+augmented table.  The differential tests compare the two; nothing here
+shares code with the package.
 """
 
 from fractions import Fraction
@@ -138,3 +140,194 @@ def in_dual(gram, coords) -> bool:
         sum((gram[i][j] * Fraction(coords[j]) for j in range(n)), Fraction(0)).denominator == 1
         for i in range(n)
     )
+
+
+# The two-matrix normal forms: every unimodular step is applied to the
+# matrix and then, separately, to its transform.  ``evenlat.exactlinalg``
+# runs the same steps once on an augmented table; its H, U, D, S and T
+# must equal these entry for entry.
+
+def _entries(m):
+    return tuple(map(tuple, m))
+
+
+def _swap(m: list[list[int]], i: int, j: int) -> None:
+    m[i], m[j] = m[j], m[i]
+
+
+def _negate_row(m: list[list[int]], i: int) -> None:
+    m[i] = [-e for e in m[i]]
+
+
+def _addmul_row(m: list[list[int]], dst: int, src: int, q: int) -> None:
+    if q:
+        m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
+
+
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return (x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0."""
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
+def hnf(rows):
+    """Row Hermite normal form with transform: U*A = H, det U = +-1.
+
+    Convention: row echelon, positive pivots, entries above each pivot
+    reduced into [0, pivot); zero rows at the bottom.
+    """
+    m, n = len(rows), len(rows[0])
+    h = [list(row) for row in rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if h[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            _swap(h, r, piv)
+            _swap(u, r, piv)
+        for i in range(r + 1, m):
+            if h[i][c] != 0:
+                a0, b0 = h[r][c], h[i][c]
+                if b0 % a0 == 0:
+                    q = -(b0 // a0)
+                    _addmul_row(h, i, r, q)
+                    _addmul_row(u, i, r, q)
+                else:
+                    x, y, g = xgcd(a0, b0)
+                    ag, bg = a0 // g, b0 // g
+                    hr, hi = h[r], h[i]
+                    ur, ui = u[r], u[i]
+                    h[r] = [x * p + y * q for p, q in zip(hr, hi)]
+                    h[i] = [-bg * p + ag * q for p, q in zip(hr, hi)]
+                    u[r] = [x * p + y * q for p, q in zip(ur, ui)]
+                    u[i] = [-bg * p + ag * q for p, q in zip(ur, ui)]
+        if h[r][c] < 0:
+            _negate_row(h, r)
+            _negate_row(u, r)
+        for i in range(r):
+            q = -(h[i][c] // h[r][c])
+            _addmul_row(h, i, r, q)
+            _addmul_row(u, i, r, q)
+        r += 1
+        if r == m:
+            break
+    return _entries(h), _entries(u)
+
+
+def snf(rows):
+    """Smith normal form with transforms: S*A*T = D.
+
+    D is diagonal with nonnegative invariant factors d1 | d2 | ... ;
+    S, T are unimodular.  Pivots are chosen by minimal absolute value
+    to limit coefficient growth.
+    """
+    m, n = len(rows), len(rows[0])
+    d = [list(row) for row in rows]
+    s = [[int(i == j) for j in range(m)] for i in range(m)]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def col_combine(mat, trans, j, k, c_row):
+        # column operations via the transposed picture
+        a0, b0 = mat[c_row][j], mat[c_row][k]
+        if b0 == 0:
+            return
+        if a0 == 0:
+            for row in mat:
+                row[j], row[k] = row[k], row[j]
+            for row in trans:
+                row[j], row[k] = row[k], row[j]
+            return
+        if b0 % a0 == 0:
+            q = b0 // a0
+            for row in mat:
+                row[k] -= q * row[j]
+            for row in trans:
+                row[k] -= q * row[j]
+            return
+        x, y, g = xgcd(a0, b0)
+        ag, bg = a0 // g, b0 // g
+        for row in mat:
+            pj, pk = row[j], row[k]
+            row[j] = x * pj + y * pk
+            row[k] = -bg * pj + ag * pk
+        for row in trans:
+            pj, pk = row[j], row[k]
+            row[j] = x * pj + y * pk
+            row[k] = -bg * pj + ag * pk
+
+    rank_bound = min(m, n)
+    k = 0
+    while k < rank_bound:
+        piv = None
+        best = None
+        for i in range(k, m):
+            for j in range(k, n):
+                e = d[i][j]
+                if e != 0 and (best is None or abs(e) < best):
+                    best = abs(e)
+                    piv = (i, j)
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != k:
+            _swap(d, k, pi)
+            _swap(s, k, pi)
+        if pj != k:
+            for row in d:
+                row[k], row[pj] = row[pj], row[k]
+            for row in t:
+                row[k], row[pj] = row[pj], row[k]
+        while True:
+            for i in range(k + 1, m):
+                if d[i][k] != 0:
+                    a0, b0 = d[k][k], d[i][k]
+                    if b0 % a0 == 0:
+                        q = -(b0 // a0)
+                        _addmul_row(d, i, k, q)
+                        _addmul_row(s, i, k, q)
+                    else:
+                        x, y, g = xgcd(a0, b0)
+                        ag, bg = a0 // g, b0 // g
+                        dk, di = d[k], d[i]
+                        sk, si = s[k], s[i]
+                        d[k] = [x * p + y * q for p, q in zip(dk, di)]
+                        d[i] = [-bg * p + ag * q for p, q in zip(dk, di)]
+                        s[k] = [x * p + y * q for p, q in zip(sk, si)]
+                        s[i] = [-bg * p + ag * q for p, q in zip(sk, si)]
+            for j in range(k + 1, n):
+                if d[k][j] != 0:
+                    col_combine(d, t, k, j, k)
+            if all(d[i][k] == 0 for i in range(k + 1, m)) and all(
+                d[k][j] == 0 for j in range(k + 1, n)
+            ):
+                # enforce divisibility of the remaining block by the pivot
+                stuck = None
+                p = d[k][k]
+                for i in range(k + 1, m):
+                    for j in range(k + 1, n):
+                        if d[i][j] % p != 0:
+                            stuck = i
+                            break
+                    if stuck is not None:
+                        break
+                if stuck is None:
+                    break
+                _addmul_row(d, k, stuck, 1)
+                _addmul_row(s, k, stuck, 1)
+        k += 1
+    for i in range(min(m, n)):
+        if d[i][i] < 0:
+            _negate_row(d, i)
+            _negate_row(s, i)
+    return _entries(d), _entries(s), _entries(t)

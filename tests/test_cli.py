@@ -18,6 +18,14 @@ Q_ROWS = [
     [-1, -5, 0, -2, 6, -12],
 ]
 
+CFG_AB = {
+    "schema": 1,
+    "curves": [{"label": "a", "self": -2}, {"label": "b", "self": -2}],
+    "mult": [["a", "b", 1]],
+}
+INV_AB = {"perm": [1, 0]}
+STEP_AB = {"schema": 1, "branch": ["l0"], "branch_points": {"a": ["x", "y"]}}
+
 
 @pytest.fixture()
 def q_file(tmp_path):
@@ -203,6 +211,43 @@ class TestConfigCommands:
         code, _, err = run_cli(capsys, "config", "quotient", str(cfg_path), str(inv_path))
         assert code == 2
         assert "integer" in err
+
+    @pytest.mark.parametrize(
+        "operation, config, data, message",
+        [
+            ("pullback", None, None, "missing the config file argument"),
+            ("quotient", CFG_AB, None, "missing the data file argument"),
+            ("quotient", dict(CFG_AB, mult=[[{}, "b", 1]]), INV_AB, "labels must be strings"),
+            ("quotient", dict(CFG_AB, mult=5), INV_AB, "'mult' must be an array"),
+            ("quotient", dict(CFG_AB, mult=None), INV_AB, "'mult' must be an array"),
+            ("pullback", CFG_AB, dict(STEP_AB, shared_points=5), "'shared_points' must be"),
+            ("pullback", CFG_AB, dict(STEP_AB, shared_points=[[{}, "b", ["p"]]]), "two distinct"),
+            ("pullback", CFG_AB, dict(STEP_AB, shared_points=[["a", "a", ["p"]]]), "two distinct"),
+            ("pullback", CFG_AB, dict(STEP_AB, marked_points=[]), "'marked_points' must map"),
+        ],
+    )
+    def test_malformed_document_exits_2(self, capsys, tmp_path, operation, config, data, message):
+        paths = []
+        for name, doc in (("cfg.json", config), ("data.json", data)):
+            if doc is not None:
+                (tmp_path / name).write_text(json.dumps(doc))
+                paths.append(str(tmp_path / name))
+        code, out, err = run_cli(capsys, "config", operation, *paths)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "points, label",
+        [({"shared_points": [["X", "b", ["p"]]]}, "X"), ({"marked_points": {"Z": ["p"]}}, "Z")],
+    )
+    def test_pullback_untracked_curve_exits_3(self, capsys, tmp_path, points, label):
+        (tmp_path / "cfg.json").write_text(json.dumps(CFG_AB))
+        (tmp_path / "step.json").write_text(json.dumps(dict(STEP_AB, **points)))
+        code, out, err = run_cli(
+            capsys, "config", "pullback", str(tmp_path / "cfg.json"), str(tmp_path / "step.json")
+        )
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and f"untracked curves: ['{label}']" in err
 
     def test_pullback(self, capsys, tmp_path):
         cfg = {

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import discform_oracle
 import evenlat.discform as df
 import linalg_oracle as oracle
-from evenlat.exactlinalg import IntMat
+from evenlat.exactlinalg import IntMat, hnf, snf
 from evenlat.lattice import Lattice, make_named, parse_lattice_expr
 from test_exactlinalg import random_unimodular
 
@@ -305,6 +306,18 @@ class TestAgainstFractionOracle:
             assert df.overlattice(lat, sub).gram.entries == discform_oracle.overlattice_gram(
                 lat, sub
             )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_normal_forms_of_scaled_inverse_gram(self, seed):
+        # den * G^-1 is the matrix snf_rational hands to snf for from_lattice
+        lat, _ = random_small_module(random.Random(seed))
+        inv = lat.gram.inverse().entries
+        den = math.lcm(*(e.denominator for row in inv for e in row))
+        rows = tuple(tuple(int(e * den) for e in row) for row in inv)
+        a = IntMat(rows)
+        assert tuple(m.entries for m in hnf(a)) == oracle.hnf(rows)
+        assert tuple(m.entries for m in snf(a)) == oracle.snf(rows)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))

@@ -358,6 +358,30 @@ class TestAgainstFractionOracle:
             assert (sol.particular, sol.kernel) == want
 
 
+def with_zero_rows(mats):
+    """The drawn matrices with any subset of their rows replaced by zeros."""
+    def zero_out(a):
+        return st.lists(st.booleans(), min_size=a.rows, max_size=a.rows).map(
+            lambda zs: IntMat.from_rows(
+                [0] * a.cols if z else row for z, row in zip(zs, a.entries)
+            )
+        )
+
+    return mats.flatmap(zero_out)
+
+
+class TestNormalFormsAgainstTwoMatrixForms:
+    """The one-table HNF and SNF against the forms that step each transform apart."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(low_rank_intmat(max_dim=6) | small_intmat(max_dim=7) | with_zero_rows(small_intmat()))
+    def test_identical_outputs(self, a):
+        h, u = hnf(a)
+        assert (h.entries, u.entries) == oracle.hnf(a.entries)
+        d, s, t = snf(a)
+        assert (d.entries, s.entries, t.entries) == oracle.snf(a.entries)
+
+
 # zero, negative, integral and proper fractional entries, as ints or Fractions
 MIXED_ENTRY = st.integers(-9, 9) | st.builds(F, st.integers(-9, 9), st.integers(1, 6))
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import evenlat.discform as df
 import linalg_oracle as oracle
-from evenlat.exactlinalg import IntMat
+from evenlat.exactlinalg import IntMat, lattice_rows_hnf
 from evenlat.lattice import (
     Lattice,
     _induced_gram_rational,
@@ -236,6 +236,24 @@ class TestSublattices:
         host2 = parse_lattice_expr("U+U(2)+diag(-4,-4)")
         assert is_primitive(host2, IntMat.from_rows([[1, 2, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0]]))
         assert not is_primitive(make_named("U"), IntMat.from_rows([[2, 0]]))
+        # dependent rows: only the span counts
+        assert is_primitive(make_named("U"), IntMat.from_rows([[1, 0], [0, 0]]))
+        assert is_primitive(make_named("U"), IntMat.from_rows([[1, 0], [0, 1], [1, 1]]))
+        assert not is_primitive(make_named("U"), IntMat.from_rows([[2, 0], [4, 0]]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=4
+            )
+        ).filter(lambda rows: any(map(any, rows)))
+    )
+    def test_primitive_iff_span_is_saturation(self, rows):
+        gens = IntMat.from_rows(rows)
+        host = Lattice(IntMat.diagonal([2] * gens.cols))
+        span = lattice_rows_hnf(gens)
+        assert is_primitive(host, gens) == (span.entries == saturation(host, gens).entries)
 
     def test_saturation(self):
         u = make_named("U")
