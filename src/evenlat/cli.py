@@ -219,7 +219,10 @@ def cmd_embed_check(args) -> int:
 
 
 def cmd_config(args) -> int:
-    if args.operation != "reconstruct":
+    if args.operation == "reconstruct":
+        if args.config is not None:
+            raise ser.ParseError("config reconstruct: takes no file arguments")
+    else:
         for name in ("config", "data"):
             if getattr(args, name) is None:
                 raise ser.ParseError(f"config {args.operation}: missing the {name} file argument")

@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlinalg import IntMat, _clear_denominators, kernel_saturated, rational_product, snf
-from .lattice import Lattice
+from .exactlinalg import IntMat, kernel_saturated, rational_product, snf
+from .lattice import Lattice, rational_span_basis
 
 
 @dataclass(frozen=True)
@@ -136,16 +136,10 @@ class CurvePresentation:
     def adjoin(self, extra_vectors) -> CurvePresentation:
         """Presentation of the overlattice generated with the given rational
         curve combinations (for instance 2-divisible half sums)."""
-        from .lattice import rational_span_basis
-
-        r = self.proj.cols
-        rows = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-        for vec in extra_vectors:
-            rows.append(self.project(vec))
-        num, den = _clear_denominators(rational_span_basis(rows))
+        rows = [self.project(vec) for vec in extra_vectors]
+        basis, den = rational_span_basis(rows, self.proj.cols)
         return CurvePresentation(
-            self.config, self.lattice, self.proj, self.radical_rank,
-            IntMat.from_rows(num), den,
+            self.config, self.lattice, self.proj, self.radical_rank, basis, den
         )
 
 
@@ -233,9 +227,13 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
     tracked_branch = step.branch & set(config.labels)
     if tracked_branch:
         raise ValueError(f"tracked curves in the branch divisor: {sorted(tracked_branch)}")
-    untracked = set().union(*step.shared_points, step.marked_points) - set(config.labels)
+    untracked = set().union(
+        *step.shared_points, step.marked_points, step.branch_points
+    ) - set(config.labels)
     if untracked:
-        raise ValueError(f"shared or marked points on untracked curves: {sorted(untracked)}")
+        raise ValueError(
+            f"shared, marked or branch points on untracked curves: {sorted(untracked)}"
+        )
     kcount = {}
     for lab in config.labels:
         pts = step.branch_points.get(lab, ())

@@ -39,10 +39,13 @@ class FiniteQuadraticModule:
     source: Lattice | None = None
     lifts: tuple[tuple[Fraction, ...], ...] | None = None
     class_columns: tuple[tuple[int, ...], ...] | None = None
-    # derived: the level M and the integer tables M*q_diag and M*b_mat
+    # derived: the level M and the integer tables M*q_diag and M*b_mat;
+    # the lifts as integer rows over one denominator, lifts = lift_num / lift_den
     level: int = field(init=False, repr=False, compare=False)
     q_int: tuple[int, ...] = field(init=False, repr=False, compare=False)
     b_int: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    lift_num: tuple[tuple[int, ...], ...] | None = field(init=False, repr=False, compare=False)
+    lift_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.orders)
@@ -72,6 +75,9 @@ class FiniteQuadraticModule:
         object.__setattr__(
             self, "b_int", tuple(tuple(int(x * level) for x in row) for row in self.b_mat)
         )
+        num, den = _clear_denominators(self.lifts or ())
+        object.__setattr__(self, "lift_num", None if self.lifts is None else tuple(map(tuple, num)))
+        object.__setattr__(self, "lift_den", den)
 
     @property
     def ngens(self) -> int:
@@ -116,9 +122,8 @@ class FiniteQuadraticModule:
             raise ValueError("module has no lattice back-reference")
         if not self.lifts:
             return (Fraction(0),) * self.source.rank
-        rows, den = _clear_denominators(self.lifts)
-        (num,), _ = rational_product([x], rows)
-        return tuple(Fraction(a, den) for a in num)
+        (num,) = _dots([x], tuple(zip(*self.lift_num)))
+        return tuple(Fraction(a, self.lift_den) for a in num)
 
 
 def _b_scaled(module: FiniteQuadraticModule, x: GroupElement, y: GroupElement) -> int:
@@ -296,8 +301,10 @@ def isotropic_subgroups(module: FiniteQuadraticModule) -> list[IsotropicSubgroup
     """
     iso = isotropic_elements(module)
     index = {x: i for i, x in enumerate(iso)}
+    level = module.level
     orth = [
-        sum(1 << j for j, y in enumerate(iso) if _b_scaled(module, x, y) == 0) for x in iso
+        sum(1 << j for j, e in enumerate(row) if e % level == 0)
+        for row in _dots(_dots(iso, module.b_int), iso)
     ]
     # mask of the nonzero elements -> (elements, adjoined generators, perp mask)
     found = {0: ([module.zero()], (), (1 << len(iso)) - 1)}
@@ -341,15 +348,13 @@ def overlattice(lattice: Lattice, subgroup: IsotropicSubgroup) -> Lattice:
     module = subgroup.module
     if module.source is None or module.source.gram != lattice.gram:
         raise ValueError("subgroup does not belong to this lattice's discriminant form")
-    for x in subgroup.elements:
-        if q_value(module, x) != 0:
+    gens = subgroup.gens
+    for i, g in enumerate(gens):
+        if q_value(module, g) != 0 or any(_b_scaled(module, g, h) for h in gens[:i]):
             raise ValueError("subgroup is not isotropic")
-    n = lattice.rank
-    rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    for g in subgroup.gens:
-        rows.append(module.lift(g))
-    gram = _induced_gram_rational(lattice.gram, rows)
-    if any(gram.entries[i][i] % 2 for i in range(n)):
+    rows = _dots(gens, tuple(zip(*module.lift_num)))
+    gram = _induced_gram_rational(lattice.gram, rows, module.lift_den)
+    if any(gram.entries[i][i] % 2 for i in range(lattice.rank)):
         raise ValueError("overlattice is odd; subgroup was not isotropic for q")
     return Lattice(gram, None)
 

@@ -3,7 +3,8 @@
 Everything here is arbitrary precision: matrices carry Python ints or
 ``fractions.Fraction`` entries and no operation ever rounds.  The normal
 forms (Hermite, Smith) return their unimodular transforms so callers can
-replay every identity exactly.
+replay every identity exactly; the one exception is ``hnf_mod``, the HNF
+of a lattice containing d*Z^n, which works mod d and builds no transform.
 """
 
 from __future__ import annotations
@@ -561,6 +562,60 @@ def kernel_saturated(a: IntMat) -> tuple[tuple[int, ...], ...]:
     basis = IntMat.from_rows([u.entries[i] for i in zero_rows])
     canon = hnf(basis)[0]
     return tuple(row for row in canon.entries if any(e != 0 for e in row))
+
+
+def hnf_mod(rows, d: int, n: int) -> IntMat:
+    """Row HNF of span(rows) + d*Z^n, in ``hnf``'s convention, computed mod d.
+
+    rows are integer rows of length n, possibly none, and d >= 1.  Every
+    pivot divides d, so the work rows are kept reduced mod d and no
+    transform is built (Cohen, Alg. 2.4.8).  Column by column, the live
+    rows are gcd-ed into one pivot row p, and p[c] with d*e_c into
+    g = x*p[c] + y*d: the basis row is x*p + y*d*e_c, and the other half
+    of that unimodular step, -(d/g)*p + (p[c]/g)*d*e_c, is zero in column
+    c and goes back to the work rows.  The entries above the pivots are
+    reduced last, over the integers.  The HNF is unique, so the result is
+    ``lattice_rows_hnf`` of [d*I; rows], always n x n.
+    """
+    basis = []
+    work = [[e % d for e in row] for row in rows]
+    for c in range(n):
+        pivot = None
+        rest = []
+        for w in work:
+            if w[0]:
+                if pivot is None:
+                    pivot = w
+                    continue
+                a, b = pivot[0], w[0]
+                if b % a == 0:
+                    q = b // a
+                    w = [(t - q * p) % d for p, t in zip(pivot, w)]
+                else:
+                    x, y, g = xgcd(a, b)
+                    ag, bg = a // g, b // g
+                    pivot, w = (
+                        [(x * p + y * t) % d for p, t in zip(pivot, w)],
+                        [(ag * t - bg * p) % d for p, t in zip(pivot, w)],
+                    )
+            if any(w):
+                rest.append(w[1:])
+        if pivot is None:
+            basis.append([0] * c + [d] + [0] * (n - c - 1))
+        else:
+            x, _, g = xgcd(pivot[0], d)
+            basis.append([0] * c + [g] + [x * e % d for e in pivot[1:]])
+            left = [-(d // g) * e % d for e in pivot[1:]]
+            if any(left):
+                rest.append(left)
+        work = rest
+    for c in range(1, n):
+        row = basis[c]
+        for i in range(c):
+            q = basis[i][c] // row[c]
+            if q:
+                basis[i] = [a - q * b for a, b in zip(basis[i], row)]
+    return IntMat.from_rows(basis)
 
 
 def lattice_rows_hnf(rows: IntMat) -> IntMat:

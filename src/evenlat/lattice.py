@@ -18,8 +18,10 @@ from .exactlinalg import (
     IntMat,
     _bareiss,
     _clear_denominators,
+    _dots,
     bilinear_table,
     block_diag,
+    hnf_mod,
     kernel_saturated,
     lattice_rows_hnf,
     rational_product,
@@ -180,41 +182,49 @@ def _e8_gram() -> IntMat:
 def _nikulin_gram() -> IntMat:
     # span of N1..N8 (disjoint, square -2) and their half sum; basis
     # {N1..N7, (N1+...+N8)/2}
-    rows = [[Fraction(int(i == j)) for j in range(8)] for i in range(7)]
-    rows.append([Fraction(1, 2)] * 8)
     amb = IntMat.diagonal([-2] * 8)
-    return _induced_gram_rational(amb, rows)
+    return _induced_gram_rational(amb, [[Fraction(1, 2)] * 8])
 
 
 def _m_z2_3_gram() -> IntMat:
     # rank-14 span of m1..m14 (disjoint, square -2) plus three half sums
     half = Fraction(1, 2)
-    gens = [[Fraction(int(i == j)) for j in range(14)] for i in range(14)]
-    gens.append([half] * 8 + [Fraction(0)] * 6)
-    gens.append([Fraction(0)] * 4 + [half] * 8 + [Fraction(0)] * 2)
-    gens.append([half, half, 0, 0, half, half, 0, 0, half, half, 0, 0, half, half])
-    gens = [[Fraction(e) for e in row] for row in gens]
+    gens = [
+        [half] * 8 + [0] * 6,
+        [0] * 4 + [half] * 8 + [0] * 2,
+        [half, half, 0, 0, half, half, 0, 0, half, half, 0, 0, half, half],
+    ]
     amb = IntMat.diagonal([-2] * 14)
     return _induced_gram_rational(amb, gens)
 
 
-def _induced_gram_rational(ambient_gram: IntMat, gen_rows) -> IntMat:
-    """Gram of the lattice generated by rational rows inside a form.
+def _induced_gram_rational(ambient_gram: IntMat, rows, den: int = 1) -> IntMat:
+    """Gram of the lattice Z^n + span(rows / den) inside a form of rank n.
 
-    With B = N / den for an integer N, the Gram is N * G * N^T / den^2.
+    With the basis N / e from ``rational_span_basis``, the Gram is
+    N * G * N^T / e^2.
     """
-    basis = rational_span_basis(gen_rows)
-    num, den = bilinear_table(basis, ambient_gram.entries, basis)
-    if any(e % den for row in num for e in row):
+    basis, e = rational_span_basis(rows, ambient_gram.rows, den)
+    num = _dots(_dots(basis.entries, ambient_gram.entries), basis.entries)
+    e2 = e * e
+    if any(x % e2 for row in num for x in row):
         raise ValueError("generators do not span an integral lattice")
-    return IntMat.from_rows([[e // den for e in row] for row in num])
+    return IntMat.from_rows([[x // e2 for x in row] for row in num])
 
 
-def rational_span_basis(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """Z-basis (canonical HNF scaled back) of the Z-span of rows of ints and Fractions."""
-    scaled, den = _clear_denominators(rows)
-    basis = lattice_rows_hnf(IntMat.from_rows(scaled))
-    return tuple(tuple(Fraction(e, den) for e in row) for row in basis.entries)
+def rational_span_basis(rows, n: int, den: int = 1) -> tuple[IntMat, int]:
+    """(N, e): N / e is the canonical Z-basis of Z^n + span(rows / den).
+
+    rows mix ints and Fractions and may be empty.  The denominators are
+    cleared once, to D, and N is the HNF of D * (Z^n + span), which
+    contains D * Z^n, so ``hnf_mod`` finds it; N and D are then divided by
+    their common gcd, so e is the least common denominator of N / e.
+    """
+    scaled, d = _clear_denominators(rows)
+    d *= den
+    h = hnf_mod(scaled, d, n)
+    g = gcd(d, *(x for row in h.entries for x in row))
+    return IntMat.from_rows([[x // g for x in row] for row in h.entries]), d // g
 
 
 _DIAG_RE = re.compile(r"^diag\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)$")

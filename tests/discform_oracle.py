@@ -8,8 +8,9 @@ genus predicates take the lattice, rebuild its discriminant group and
 re-pair each generator lift, as they did before they took the module.
 ``class_of`` takes the coordinates v * T / D of the rational SNF, as it
 did before the class table.  The differential tests compare the two.
-Only the canonical HNF generators, the span basis, the discriminant group
-and the rational SNF come from the package.
+The span basis comes from ``linalg_oracle``; only the canonical HNF
+generators, the discriminant group and the rational SNF come from the
+package.
 """
 
 import math
@@ -17,7 +18,8 @@ from fractions import Fraction
 
 from evenlat.discform import IsotropicSubgroup, _canonical_gens
 from evenlat.exactlinalg import snf_rational
-from evenlat.lattice import discriminant_group, rational_span_basis
+from evenlat.lattice import discriminant_group
+from linalg_oracle import span_basis
 
 
 def _mod2(x):
@@ -94,9 +96,7 @@ def overlattice_gram(lattice, subgroup):
     """Gram B * G * B^T over Fractions, B a basis of L + lifts of the generators."""
     module = subgroup.module
     n = lattice.rank
-    rows = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    rows += [module.lift(g) for g in subgroup.gens]
-    basis = rational_span_basis(rows)
+    basis = span_basis([module.lift(g) for g in subgroup.gens], n)
     g = lattice.gram.entries
     gram = [
         [sum(u[i] * g[i][j] * v[j] for i in range(n) for j in range(n)) for v in basis]

@@ -5,10 +5,13 @@ These are the textbook eliminations over Q, one loop per operation, that
 the entry-by-entry Fraction products that it replaced by one
 denominator-cleared integer product, and the Hermite and Smith forms that
 step a matrix and its transforms separately where the package steps one
-augmented table.  The differential tests compare the two; nothing here
-shares code with the package.
+augmented table, and the span basis of Z^n and rational rows from the full
+Hermite form, where the package works mod the denominator.  The
+differential tests compare the two; nothing here shares code with the
+package.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -331,3 +334,16 @@ def snf(rows):
             _negate_row(d, i)
             _negate_row(s, i)
     return _entries(d), _entries(s), _entries(t)
+
+
+def span_basis(rows, n):
+    """Z-basis of Z^n + span(rows) for rational rows, as Fraction rows.
+
+    The rows are cleared to D * rows, stacked under D * I, and put in
+    Hermite form by ``hnf`` above; the n nonzero rows over D are the basis.
+    """
+    den = math.lcm(*(Fraction(e).denominator for row in rows for e in row))
+    stacked = [[den * int(i == j) for j in range(n)] for i in range(n)]
+    stacked += [[int(den * Fraction(e)) for e in row] for row in rows]
+    h, _ = hnf(stacked)
+    return tuple(tuple(Fraction(e, den) for e in row) for row in h[:n])

@@ -224,12 +224,18 @@ class TestConfigCommands:
             ("pullback", CFG_AB, dict(STEP_AB, shared_points=[[{}, "b", ["p"]]]), "two distinct"),
             ("pullback", CFG_AB, dict(STEP_AB, shared_points=[["a", "a", ["p"]]]), "two distinct"),
             ("pullback", CFG_AB, dict(STEP_AB, marked_points=[]), "'marked_points' must map"),
+            ("reconstruct", "nothere.json", None, "takes no file arguments"),
+            ("reconstruct", "nothere.json", "alsonot.json", "takes no file arguments"),
+            ("reconstruct", CFG_AB, INV_AB, "takes no file arguments"),
         ],
     )
     def test_malformed_document_exits_2(self, capsys, tmp_path, operation, config, data, message):
+        # a document is written to a file; a string is passed as a path as it is
         paths = []
         for name, doc in (("cfg.json", config), ("data.json", data)):
-            if doc is not None:
+            if isinstance(doc, str):
+                paths.append(str(tmp_path / doc))
+            elif doc is not None:
                 (tmp_path / name).write_text(json.dumps(doc))
                 paths.append(str(tmp_path / name))
         code, out, err = run_cli(capsys, "config", operation, *paths)
@@ -238,7 +244,11 @@ class TestConfigCommands:
 
     @pytest.mark.parametrize(
         "points, label",
-        [({"shared_points": [["X", "b", ["p"]]]}, "X"), ({"marked_points": {"Z": ["p"]}}, "Z")],
+        [
+            ({"shared_points": [["X", "b", ["p"]]]}, "X"),
+            ({"marked_points": {"Z": ["p"]}}, "Z"),
+            ({"branch_points": {"a": ["x", "y"], "W": ["u", "v"]}}, "W"),
+        ],
     )
     def test_pullback_untracked_curve_exits_3(self, capsys, tmp_path, points, label):
         (tmp_path / "cfg.json").write_text(json.dumps(CFG_AB))
@@ -298,6 +308,26 @@ class TestConfigCommands:
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+OVERLATTICE_CASES = ("u2_u2_m4", "u4_m4_a1", "u2_u3_m2")
+
+
+class TestOverlatticeGolden:
+    """Stdout of overlattices and isotropic --subgroups on fixed scrambled Grams."""
+
+    @pytest.mark.parametrize("case", OVERLATTICE_CASES)
+    @pytest.mark.parametrize(
+        "command, suffix", [(["overlattices"], "overlattices"), (["isotropic", "--subgroups"], "isotropic")]
+    )
+    def test_matches_golden_file(self, capsys, case, command, suffix):
+        # the committed output; regenerate it only for an intended change
+        gram = os.path.join(GOLDEN, f"overlattices_{case}.gram.json")
+        code, out, _ = run_cli(capsys, command[0], gram, *command[1:])
+        assert code == 0
+        path = os.path.join(GOLDEN, f"overlattices_{case}.{suffix}.json")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert out == fh.read()
 
 
 class TestVerifyPaper:

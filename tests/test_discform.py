@@ -255,6 +255,25 @@ class TestOverlattice:
         over = df.overlattice(lat, trivial)
         assert over.gram.entries == Q_GRAM.entries
 
+    def test_generators_pairing_nontrivially_rejected(self):
+        # on U(2) both generators have q = 0, but b between them is 1/2
+        lat = make_named("U(2)")
+        module = df.from_lattice(lat)
+        gens = ((1, 0), (0, 1))
+        assert [df.q_value(module, g) for g in gens] == [0, 0]
+        assert df.b_value(module, *gens) == F(1, 2)
+        sub = df.IsotropicSubgroup(module, gens, frozenset(module.elements()))
+        with pytest.raises(ValueError, match="not isotropic"):
+            df.overlattice(lat, sub)
+
+    def test_generator_with_nonzero_q_rejected(self):
+        lat = make_named("U(2)")
+        module = df.from_lattice(lat)
+        assert df.q_value(module, (1, 1)) == 1
+        sub = df.IsotropicSubgroup(module, ((1, 1),), frozenset({(0, 0), (1, 1)}))
+        with pytest.raises(ValueError, match="not isotropic"):
+            df.overlattice(lat, sub)
+
     def test_determinant_and_index(self):
         # the determinant drops by the square of the glue order, which pins
         # the inclusion index exactly

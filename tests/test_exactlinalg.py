@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import linalg_oracle as oracle
 from evenlat.exactlinalg import (
@@ -10,7 +10,9 @@ from evenlat.exactlinalg import (
     RatMat,
     bilinear_table,
     hnf,
+    hnf_mod,
     kernel_saturated,
+    lattice_rows_hnf,
     rational_product,
     signature,
     snf,
@@ -83,6 +85,39 @@ class TestHNF:
             )
             p = random_unimodular(rng, n)
             assert hnf(p * a)[0].entries == hnf(a)[0].entries
+
+
+def mod_hnf_case():
+    """(rows, d, n): up to 4 rows of length n with entries of either sign."""
+    return st.tuples(st.integers(1, 5), st.integers(1, 30)).flatmap(
+        lambda nd: st.tuples(
+            st.lists(
+                st.lists(st.integers(-60, 60), min_size=nd[0], max_size=nd[0]), max_size=4
+            ),
+            st.just(nd[1]),
+            st.just(nd[0]),
+        )
+    )
+
+
+class TestHNFMod:
+    """hnf_mod against the full HNF of the stacked [d*I; rows]."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(mod_hnf_case())
+    @example(([], 6, 3))                                # no rows: d*I
+    @example(([[5, -7, 3]], 1, 3))                      # d = 1: Z^n
+    @example(([[12, -24, 36], [0, 6, -6]], 6, 3))      # rows = 0 mod d
+    @example(([[0, 0, 0], [2, -3, 4], [0, 0, 0]], 8, 3))  # zero rows
+    @example(([[-3, -5], [-7, 2]], 12, 2))              # negative entries
+    def test_matches_stacked_hnf(self, case):
+        rows, d, n = case
+        stacked = IntMat.from_rows([[d * (i == j) for j in range(n)] for i in range(n)] + rows)
+        assert hnf_mod(rows, d, n) == lattice_rows_hnf(stacked)
+
+    def test_worked_example(self):
+        # span((1, 2)) + 4*Z^2 = {(a, b): b = 2a mod 4}
+        assert hnf_mod([[1, 2]], 4, 2).entries == ((1, 2), (0, 4))
 
 
 class TestSNF:
