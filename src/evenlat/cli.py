@@ -178,7 +178,8 @@ def cmd_overlattices(args) -> int:
                 "glue_order": sub.order,
                 "glue_generators": [list(g) for g in sub.gens],
                 "gram": ser.intmat_to_json(over.gram),
-                "det": over.det,
+                # L has index |H| in L', so det(L') = det(L) / |H|^2 exactly
+                "det": lat.det // (sub.order * sub.order),
             }
         )
     _emit({"schema": ser.SCHEMA, "overlattices": out})

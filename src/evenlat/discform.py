@@ -3,7 +3,9 @@
 Elements are exponent vectors against invariant-factor generators; q takes
 values in Q/2Z (reduced to [0, 2)) and b in Q/Z (reduced to [0, 1)).
 Internally both are integers: with the level M (the lcm of all the
-denominators), M*q is taken mod 2M and M*b mod M.
+denominators), M*q is taken mod 2M and M*b mod M.  Scans over every
+element (isotropic elements, the isomorphism fingerprint) read the integer
+table of (element order, M*q mod 2M) and build no Fraction.
 """
 
 from __future__ import annotations
@@ -135,9 +137,8 @@ def _b_scaled(module: FiniteQuadraticModule, x: GroupElement, y: GroupElement) -
     return total % module.level
 
 
-def q_value(module: FiniteQuadraticModule, x) -> Fraction:
-    """q(x) in Q/2Z, reduced into [0, 2)."""
-    x = module.reduce(x)
+def _q_scaled(module: FiniteQuadraticModule, x: GroupElement) -> int:
+    """M*q(x) mod 2M, for reduced x."""
     k = module.ngens
     total = 0
     for i, e in enumerate(x):
@@ -147,7 +148,17 @@ def q_value(module: FiniteQuadraticModule, x) -> Fraction:
             for j in range(i + 1, k):
                 if x[j]:
                     total += 2 * e * x[j] * row[j]
-    return Fraction(total % (2 * module.level), module.level)
+    return total % (2 * module.level)
+
+
+def _value_table(module: FiniteQuadraticModule) -> list[tuple[int, int]]:
+    """(order, M*q mod 2M) of every element, in ``elements()`` order."""
+    return [(module.element_order(x), _q_scaled(module, x)) for x in module.elements()]
+
+
+def q_value(module: FiniteQuadraticModule, x) -> Fraction:
+    """q(x) in Q/2Z, reduced into [0, 2)."""
+    return Fraction(_q_scaled(module, module.reduce(x)), module.level)
 
 
 def b_value(module: FiniteQuadraticModule, x, y) -> Fraction:
@@ -233,7 +244,7 @@ def isotropic_elements(module: FiniteQuadraticModule) -> list[GroupElement]:
     """All nonzero x with q(x) = 0, in lexicographic exponent order."""
     out = []
     for x in module.elements():
-        if any(x) and q_value(module, x) == 0:
+        if any(x) and _q_scaled(module, x) == 0:
             out.append(x)
     return out
 
@@ -385,7 +396,7 @@ def submodule_on(module: FiniteQuadraticModule, gens, orders) -> FiniteQuadratic
     """
     gens = [module.reduce(g) for g in gens]
     k = len(gens)
-    if _span(module, gens) != frozenset(module.elements()):
+    if len(_span(module, gens)) != module.order:
         raise ValueError("elements do not generate the module")
     for g, d in zip(gens, orders):
         if module.element_order(g) != d:
@@ -421,21 +432,27 @@ def are_isomorphic(
     of the images chosen so far is kept, grown by cosets: an image of
     order d some multiple k*cand (0 < k < d) of which already lies in it
     would make the span too small at the leaf, so it is skipped at once.
+
+    Before the search, both modules are compared by their level and by the
+    multiset of (element order, M*q mod 2M) over all elements, in integers.
+    The level is an isometry invariant: it is the lcm of the denominators
+    of all values of q and b.  Only the distinct keys of m2 become
+    (order, q) pairs with a Fraction q, to match q_value on m1's generators.
     """
     limit = guard if guard is not None else guard_order()
     if m1.order > limit or m2.order > limit:
         raise GuardExceeded(
             f"module order {max(m1.order, m2.order)} exceeds the search guard {limit}"
         )
-    if m1.order != m2.order:
+    if m1.order != m2.order or m1.level != m2.level:
         return None
-    fp1 = sorted((m1.element_order(x), q_value(m1, x)) for x in m1.elements())
-    fp2 = sorted((m2.element_order(x), q_value(m2, x)) for x in m2.elements())
-    if fp1 != fp2:
+    table2 = _value_table(m2)
+    if sorted(_value_table(m1)) != sorted(table2):
         return None
-    by_order_q: dict[tuple, list[GroupElement]] = {}
-    for y in m2.elements():
-        by_order_q.setdefault((m2.element_order(y), q_value(m2, y)), []).append(y)
+    buckets: dict[tuple[int, int], list[GroupElement]] = {}
+    for y, key in zip(m2.elements(), table2):
+        buckets.setdefault(key, []).append(y)
+    by_order_q = {(d, Fraction(v, m2.level)): ys for (d, v), ys in buckets.items()}
     k = m1.ngens
     gens1 = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     images: list[GroupElement] = []

@@ -461,9 +461,8 @@ def snf_rational(a: RatMat) -> tuple[RatMat, IntMat, IntMat]:
     # reverse the divisibility chain: largest invariant factor first
     perm = list(range(n - 1, -1, -1))
     diag = [Fraction(d_int.entries[i][i], mden) for i in perm]
-    d = RatMat.from_rows(
-        [[diag[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    )
+    zero = Fraction(0)
+    d = RatMat(tuple(tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n)))
     s_rev = IntMat.from_rows([s.entries[i] for i in perm])
     t_rev = IntMat.from_rows([[t.entries[i][perm[j]] for j in range(n)] for i in range(n)])
     return d, s_rev, t_rev

@@ -65,9 +65,19 @@ def span(module, gens):
     return frozenset(seen)
 
 
+def element_order(module, x):
+    """Order of x: the lcm over its coordinates of d_i / gcd(x_i, d_i)."""
+    return math.lcm(*(d // math.gcd(e, d) for e, d in zip(module.reduce(x), module.orders)))
+
+
+def isotropic_elements(module):
+    """Every nonzero element whose Fraction q is 0, in ``elements()`` order."""
+    return [x for x in module.elements() if any(x) and q_value(module, x) == 0]
+
+
 def isotropic_subgroups(module):
     """Closure of isotropic elements, every candidate respanned and q-checked."""
-    iso = [x for x in module.elements() if any(x) and q_value(module, x) == 0]
+    iso = isotropic_elements(module)
     trivial = frozenset({module.zero()})
     found = {trivial}
     frontier = [trivial]

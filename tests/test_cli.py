@@ -8,6 +8,7 @@ import evenlat.discform as df
 from evenlat.cli import main
 from evenlat.serialize import config_from_json, config_to_json, gram_from_json
 from evenlat.curves import hexagon_config
+from evenlat.exactlinalg import IntMat
 
 Q_ROWS = [
     [-2, 0, 1, 0, 2, -1],
@@ -328,6 +329,14 @@ class TestOverlatticeGolden:
         path = os.path.join(GOLDEN, f"overlattices_{case}.{suffix}.json")
         with open(path, encoding="utf-8", newline="") as fh:
             assert out == fh.read()
+
+    @pytest.mark.parametrize("case", OVERLATTICE_CASES)
+    def test_printed_det_is_the_gram_det(self, capsys, case):
+        gram = os.path.join(GOLDEN, f"overlattices_{case}.gram.json")
+        code, out, _ = run_cli(capsys, "overlattices", gram)
+        assert code == 0
+        for entry in json.loads(out)["overlattices"]:
+            assert entry["det"] == IntMat.from_rows(entry["gram"]).det()
 
 
 class TestVerifyPaper:

@@ -101,6 +101,40 @@ def random_small_module(rng, max_order=256):
         return lat, df.from_lattice(lat)
 
 
+def random_handbuilt_module(rng):
+    """A form with no lattice behind it, on one to three cyclic generators.
+
+    b(g_i, g_j) = c / gcd(d_i, d_j) and q(g_i) = b(g_i, g_i) + t with t in
+    {0, 1}; for odd d_i, d_i^2 q(g_i) in 2Z forces t = c mod 2.
+    """
+    orders = tuple(rng.choice((2, 3, 4, 6, 8)) for _ in range(rng.randint(1, 3)))
+    k = len(orders)
+    b = [[F(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g = math.gcd(orders[i], orders[j])
+            b[i][j] = b[j][i] = F(rng.randrange(g), g)
+    q = []
+    for i, d in enumerate(orders):
+        c = int(b[i][i] * d)
+        q.append(b[i][i] + (c % 2 if d % 2 else rng.randint(0, 1)))
+    return df.FiniteQuadraticModule(orders, tuple(q), tuple(map(tuple, b)))
+
+
+def second_generating_set(rng, module):
+    """x_i = u_i g_i + sum_{j<i} c_ij g_j, u_i a unit mod d_i.
+
+    The orders ascend by divisibility, so x_i has order d_i, and the
+    triangular change with unit diagonal keeps the set generating.
+    """
+    gens = []
+    for i, d in enumerate(module.orders):
+        u = rng.choice([a for a in range(1, d) if math.gcd(a, d) == 1])
+        gens.append(tuple(u if j == i else rng.randrange(module.orders[j]) if j < i else 0
+                          for j in range(module.ngens)))
+    return gens
+
+
 class TestFromLattice:
     def test_a_q_orders(self, a_q):
         assert a_q.orders == (2, 2, 4, 4)
@@ -390,8 +424,39 @@ class TestAgainstFractionOracle:
         lat, module = random_small_module(rng, max_order=64)
         u = random_unimodular(rng, lat.rank, steps=3 * lat.rank)
         other = df.from_lattice(Lattice(u * lat.gram * u.transpose()))
-        for m1, m2 in ((other, module), (module, df.negate(module))):
+        # the same form presented on another generating set: same level
+        represented = df.submodule_on(module, second_generating_set(rng, module), module.orders)
+        assert represented.level == module.level
+        assert df.are_isomorphic(module, represented) is not None
+        # Z/4 with q = 1/2 (level 2) and with q = 1/4 (level 4)
+        half = df.FiniteQuadraticModule((4,), (F(1, 2),), ((F(1, 2),),))
+        quarter = df.FiniteQuadraticModule((4,), (F(1, 4),), ((F(1, 4),),))
+        assert (half.order, half.level, quarter.level) == (quarter.order, 2, 4)
+        assert df.are_isomorphic(half, quarter) is None
+        pairs = ((other, module), (module, df.negate(module)), (module, represented),
+                 (half, quarter))
+        for m1, m2 in pairs:
             assert df.are_isomorphic(m1, m2) == discform_oracle.are_isomorphic(m1, m2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_value_table_and_isotropic_elements(self, seed):
+        # lattice-backed forms, and forms with no lattice behind them
+        rng = random.Random(seed)
+        _, module = random_small_module(rng, max_order=64)
+        module = rng.choice((
+            module,
+            df.negate(module),
+            df.direct_sum(module, random_handbuilt_module(rng)),
+            random_handbuilt_module(rng),
+        ))
+        want = [
+            (discform_oracle.element_order(module, x),
+             discform_oracle.q_value(module, x) * module.level)
+            for x in module.elements()
+        ]
+        assert df._value_table(module) == want
+        assert df.isotropic_elements(module) == discform_oracle.isotropic_elements(module)
 
 
 class TestIsomorphism:
@@ -441,6 +506,11 @@ class TestIsomorphism:
         # submodule_on checks that the images generate m2 with m1's orders
         image = df.submodule_on(m2, witness, m1.orders)
         assert (image.q_diag, image.b_mat) == (m1.q_diag, m1.b_mat)
+
+    def test_submodule_on_rejects_non_generating_set(self, a_q):
+        gens = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)]
+        with pytest.raises(ValueError, match="do not generate"):
+            df.submodule_on(a_q, gens, (2, 2, 4, 2))
 
     def test_scrambled_presentation_is_pruned(self, monkeypatch):
         # dependent image tuples are cut where they arise, not at the leaf:
