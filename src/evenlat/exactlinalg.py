@@ -518,26 +518,26 @@ class RationalSolution:
         return not self.kernel
 
 
-def solve_rational(a: IntMat, b) -> RationalSolution | None:
-    """Solve A*x = b exactly over Q.
+def solve_rational(a: IntMat, sides) -> list[RationalSolution | None]:
+    """Solve A*x = b exactly over Q for each right-hand side b in sides.
 
-    b is a sequence of rationals of length a.rows.  Returns None when the
-    system is inconsistent; otherwise a particular solution together with
-    a basis of the rational kernel (empty when the solution is unique).
+    Each b is a sequence of rationals of length a.rows.  One elimination of
+    [A | den*B], B holding the sides as columns, serves them all, and the
+    kernel basis (empty when solutions are unique) is shared.  The columns
+    of A come first, so the first pivots are theirs; side t is consistent
+    exactly when its column is zero below those pivot rows, and then its
+    solution is its entries on them divided by den and the final pivot.
+    Returns one solution per side, None for an inconsistent one.
     """
-    rhs = [Fraction(e) for e in b]
-    if len(rhs) != a.rows:
+    rhs = [[Fraction(e) for e in b] for b in sides]
+    if any(len(b) != a.rows for b in rhs):
         raise ValueError("dimension mismatch between matrix and right-hand side")
     n = a.cols
-    (cleared,), den = _clear_denominators([rhs])
-    # [A | den*b] becomes d * its reduced row echelon form
-    mat = [list(row) + [e] for row, e in zip(a.entries, cleared)]
+    cleared, den = _clear_denominators(rhs)
+    # [A | den*B] becomes d * its reduced row echelon form
+    mat = [list(row) + [b[i] for b in cleared] for i, row in enumerate(a.entries)]
     pivots, d, _ = _bareiss(mat)
-    if pivots and pivots[-1] == n:
-        return None
-    x = [Fraction(0)] * n
-    for row, c in zip(mat, pivots):
-        x[c] = Fraction(row[n], d * den)
+    pivots = [c for c in pivots if c < n]
     kernel = []
     for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
@@ -545,7 +545,22 @@ def solve_rational(a: IntMat, b) -> RationalSolution | None:
         for row, c in zip(mat, pivots):
             v[c] = Fraction(-row[fc], d)
         kernel.append(tuple(v))
-    return RationalSolution(tuple(x), tuple(kernel))
+    kernel = tuple(kernel)
+    out = []
+    for t in range(n, n + len(rhs)):
+        if any(row[t] for row in mat[len(pivots):]):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * n
+        for row, c in zip(mat, pivots):
+            x[c] = Fraction(row[t], d * den)
+        out.append(RationalSolution(tuple(x), kernel))
+    return out
+
+
+def row_rank(a: IntMat) -> int:
+    """Rank of an integer matrix over Q."""
+    return len(_bareiss([list(row) for row in a.entries])[0])
 
 
 def kernel_saturated(a: IntMat) -> tuple[tuple[int, ...], ...]:

@@ -16,7 +16,6 @@ from math import gcd
 
 from .exactlinalg import (
     IntMat,
-    _bareiss,
     _clear_denominators,
     _dots,
     bilinear_table,
@@ -25,6 +24,7 @@ from .exactlinalg import (
     kernel_saturated,
     lattice_rows_hnf,
     rational_product,
+    row_rank,
     signature,
     snf,
     snf_rational,
@@ -340,14 +340,10 @@ def sublattice(host: Lattice, gens: IntMat) -> SublatticeData:
     """Sublattice spanned by integer generator rows (must be independent)."""
     if gens.cols != host.rank:
         raise ValueError("generator length does not match host rank")
-    if _row_rank(gens) != gens.rows:
+    if row_rank(gens) != gens.rows:
         raise ValueError("generators are linearly dependent; use saturation instead")
     induced = gens * host.gram * gens.transpose()
     return SublatticeData(host, gens, induced)
-
-
-def _row_rank(a: IntMat) -> int:
-    return len(_bareiss([list(row) for row in a.entries])[0])
 
 
 def saturation(host: Lattice, gens: IntMat) -> IntMat:

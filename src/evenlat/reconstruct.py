@@ -29,7 +29,8 @@ values, so the sums of two halves of the blocks are matched in a table
 instead of testing every tier-1 solution.
 
 On X', the relation-only system for the curve/exceptional incidences
-splits into one small system per exceptional curve N_j.
+is one 7x12 coefficient matrix, read off the generator rows, with one
+right-hand side per exceptional curve N_j.
 """
 
 from __future__ import annotations
@@ -551,7 +552,7 @@ def reconstruct_xprime(base24: CurveConfig) -> XprimeReconstruction:
     basis = [gens[i] for i in index]
     m_pres = pres.adjoin([gens[20], gens[21], gens[22]])
 
-    kdim = _incidence_kernel_dim()
+    kdim = _incidence_kernel_dim(gens)
     return XprimeReconstruction(
         config, quot, pres, m_pres, tuple(tuple(b) for b in basis), m_gram,
         tuple(report), kdim,
@@ -568,57 +569,27 @@ def _half(n, support):
     return tuple(Fraction(1, 2) if i in support else Fraction(0) for i in range(n))
 
 
-def _incidence_kernel_dim() -> int:
+def _incidence_kernel_dim(gens) -> int:
     """Rank deficiency of the relation-only system for the C.N incidences.
 
     Treat the 96 products C_i.N_j as unknowns and impose only that the
     published relations pair equally against every curve; the dimension of
     the solution space records that the relations alone underdetermine the
-    incidences (the fixed-point geometry is what pins them to zero).  The
-    equations against N_j contain only the unknowns C_i.N_j, so the 56x96
-    system splits into one 7x12 system per N_j, and the dimension is the
-    sum of their kernel dimensions.
+    incidences (the fixed-point geometry is what pins them to zero).  A
+    relation, as the vector r = sum of its coefficients times gens over the
+    20 curves, pairs with N_j to sum_i r_i C_i.N_j - 2 r_(N_j).  So the
+    equations against N_j contain only the unknowns C_i.N_j, with one 7x12
+    coefficient matrix for every j: the 56x96 system is one solve with
+    eight right-hand sides, and the dimension is the sum of their kernel
+    dimensions.
     """
-    combos, rows = [], []
-    for target, combo in refdata.XPRIME_RELATIONS:
-        coeffs = {target: Fraction(-1)}
-        for gi, c in combo.items():
-            coeffs[gi] = coeffs.get(gi, Fraction(0)) + c
-        # the coefficient of C_i.N_j does not depend on j; entries in (1/2)Z
-        row = [Fraction(0)] * 12
-        for gi, c in coeffs.items():
-            for ci, w in _c_weights(gi):
-                row[ci] += c * w
-        combos.append(coeffs)
-        rows.append([int(e * 2) for e in row])
-    a = IntMat.from_rows(rows)
-    dim = 0
-    for j in range(8):
-        # each combination must pair to zero with N_j
-        rhs = [-2 * sum(c * _n_part_pairing(gi, j) for gi, c in coeffs.items()) for coeffs in combos]
-        sol = solve_rational(a, rhs)
-        if sol is None:
-            raise ReconstructionError("relation-only incidence system inconsistent")
-        dim += len(sol.kernel)
-    return dim
-
-
-def _c_weights(gi):
-    """Weight of each C-row in generator gi (half sums weigh 1/2)."""
-    if gi < 12:
-        return ((gi, Fraction(1)),)
-    if gi < 20:
-        return ()
-    support = {20: refdata.N_SUPPORT, 21: refdata.LAMBDA1_SUPPORT, 22: refdata.LAMBDA2_SUPPORT}[gi]
-    return tuple((i, Fraction(1, 2)) for i in support if i < 12)
-
-
-def _n_part_pairing(gi, j) -> Fraction:
-    """Pairing of the pure-N part of generator gi with N_j (N_i.N_j known)."""
-    nj = 12 + j
-    if gi < 12:
-        return Fraction(0)
-    if gi < 20:
-        return Fraction(-2) if gi == nj else Fraction(0)
-    support = {20: refdata.N_SUPPORT, 21: refdata.LAMBDA1_SUPPORT, 22: refdata.LAMBDA2_SUPPORT}[gi]
-    return Fraction(-1) if nj in support else Fraction(0)
+    rels = [
+        [sum(c * gens[gi][k] for gi, c in combo.items()) - gens[target][k] for k in range(20)]
+        for target, combo in refdata.XPRIME_RELATIONS
+    ]
+    # doubled: the entries of the relations lie in (1/2)Z
+    a = IntMat.from_rows([[int(2 * e) for e in r[:12]] for r in rels])
+    sols = solve_rational(a, [[4 * r[12 + j] for r in rels] for j in range(8)])
+    if None in sols:
+        raise ReconstructionError("relation-only incidence system inconsistent")
+    return sum(len(sol.kernel) for sol in sols)

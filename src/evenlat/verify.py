@@ -21,7 +21,7 @@ from itertools import combinations
 from . import discform as df
 from . import refdata as rd
 from .curves import find_even_four_certificate, present, triple_double_tower
-from .exactlinalg import IntMat, _bareiss, snf, snf_rational
+from .exactlinalg import IntMat, snf, snf_rational, solve_rational
 from .lattice import Lattice, norm_gcd, parse_lattice_expr, scale_gcd, sublattice
 from .ratfun import INFINITY, Poly, RatFun, mobius_images
 from .reconstruct import Reconstruction24, config_24, reconstruct_24, reconstruct_xprime, q_gram_of
@@ -626,32 +626,12 @@ def verify_section_6(gram24: IntMat) -> Entry:
 
 
 def _m_coords(xp, halfsets) -> list[tuple[Fraction, ...] | None]:
-    """Coordinates of each curve half-sum in the rank-16 basis, or None for
-    one outside the span of the basis rows.
-
-    One elimination of [2 B^T | T], T holding the doubled half-sums as
-    columns, serves them all.  The basis columns come first, so the first
-    pivots are theirs; column t lies in their span exactly when it is zero
-    below those pivot rows, and then its coordinates are its entries on
-    them divided by the final pivot d.
-    """
-    n = len(xp.m_basis)
-    mat = [
-        [int(2 * v[i]) for v in xp.m_basis] + [int(i in h) for h in halfsets]
-        for i in range(len(xp.m_basis[0]))
-    ]
-    pivots, d, _ = _bareiss(mat)
-    rank = sum(c < n for c in pivots)
-    out = []
-    for t in range(n, n + len(halfsets)):
-        if any(row[t] for row in mat[rank:]):
-            out.append(None)
-            continue
-        x = [Fraction(0)] * n
-        for row, c in zip(mat, pivots[:rank]):
-            x[c] = Fraction(row[t], d)
-        out.append(tuple(x))
-    return out
+    """Coordinates of each curve half-sum in the rank-16 basis B, or None for
+    one outside the span of the basis rows: one solve of 2 B^T x = h over
+    the 0/1 indicator vectors h of the half-sets."""
+    a = IntMat.from_rows([[int(2 * e) for e in col] for col in zip(*xp.m_basis)])
+    sols = solve_rational(a, [[int(i in h) for i in range(a.rows)] for h in halfsets])
+    return [None if sol is None else sol.particular for sol in sols]
 
 
 def verify_prop_6_2() -> Entry:

@@ -7,10 +7,11 @@ against the 21 affine rank-6 Gram conditions one by one.  It runs the
 reference embedding search below, keyed by frozensets, with a
 determinant and signature check of the ten-curve block of every
 embedding.  ``incidence_kernel_dim`` solves the relation-only incidence
-system as one 56x96 system, and ``m_solution`` solves for the
-coordinates of one half-sum of X' curves in the rank-16 basis.  The
-differential tests compare each with the package.  The arrangements, block completions, Gram tests and
-assembly come from the package.
+system as one 56x96 system, with generator weights of its own built from
+the printed supports, and ``m_solution`` solves for the coordinates of
+one half-sum of X' curves in the rank-16 basis, one side per solve.  The
+differential tests compare each with the package.  The arrangements,
+block completions, Gram tests and assembly come from the package.
 """
 
 import itertools
@@ -29,9 +30,7 @@ from evenlat.reconstruct import (
     _adjacency,
     _assemble,
     _block_completions,
-    _c_weights,
     _hexagon_arrangements,
-    _n_part_pairing,
     _qgram_linear_tests,
     relations_hold,
 )
@@ -147,9 +146,21 @@ def s_block_valid(orbit_vals: dict) -> bool:
     return signature(sm) == (1, 9, 0)
 
 
+def generator_weights() -> list[dict[int, Fraction]]:
+    """The 23 generators of X' over the 20 curves, as {curve index: weight}:
+    the curves themselves, then N, Lambda1 and Lambda2, the half-sums over
+    their printed supports."""
+    weights = [{i: Fraction(1)} for i in range(20)]
+    for support in (refdata.N_SUPPORT, refdata.LAMBDA1_SUPPORT, refdata.LAMBDA2_SUPPORT):
+        weights.append({i: Fraction(1, 2) for i in support})
+    return weights
+
+
 def incidence_kernel_dim() -> int:
     """Kernel dimension of the relation-only C.N incidence system, solved
-    as one system in the 96 unknowns C_i.N_j (unknown index 8i + j)."""
+    as one system in the 96 unknowns C_i.N_j (unknown index 8i + j).  The
+    N-curves are disjoint (-2)-curves, so N_k.N_j = -2 exactly when k = j."""
+    weights = generator_weights()
     nvars = 12 * 8
     rows = []
     rhs = []
@@ -162,17 +173,17 @@ def incidence_kernel_dim() -> int:
             row = [Fraction(0)] * nvars
             const = Fraction(0)
             for gi, c in coeffs.items():
-                if c == 0:
-                    continue
-                for ci, w in _c_weights(gi):
-                    row[ci * 8 + j] += c * w
-                const += c * _n_part_pairing(gi, j)
+                for curve, w in weights[gi].items():
+                    if curve < 12:
+                        row[curve * 8 + j] += c * w
+                    elif curve == 12 + j:
+                        const -= 2 * c * w
             rows.append(row)
             rhs.append(-const)
     a = IntMat.from_rows(
         [[int(e * 2) for e in row] for row in rows]  # entries in (1/2)Z
     )
-    sol = solve_rational(a, [e * 2 for e in rhs])
+    [sol] = solve_rational(a, [[e * 2 for e in rhs]])
     if sol is None:
         raise ReconstructionError("relation-only incidence system inconsistent")
     return len(sol.kernel)
@@ -241,4 +252,5 @@ def m_solution(xp, halfset):
     cols = IntMat.from_rows(
         [[int(2 * xp.m_basis[k][i]) for k in range(16)] for i in range(20)]
     )
-    return solve_rational(cols, [2 * t for t in target])
+    [sol] = solve_rational(cols, [[2 * t for t in target]])
+    return sol

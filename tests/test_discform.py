@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,45 @@ class TestFromLattice:
     def test_odd_lattice_rejected(self):
         with pytest.raises(ValueError):
             df.from_lattice(Lattice(IntMat.diagonal([1, -3])))
+
+
+class TestConstructor:
+    # one minimal module per check, each passing the checks before it
+    @pytest.mark.parametrize(
+        "orders, q_diag, b_mat, message",
+        [
+            pytest.param(
+                (1,), (F(0),), ((F(0),),), "generator orders must be at least 2", id="order"
+            ),
+            pytest.param(
+                (2,), (F(0), F(0)), ((F(0),),), "inconsistent generator data", id="ragged"
+            ),
+            pytest.param(
+                (2,), (F(2),), ((F(0),),), "q values must be reduced into [0, 2)", id="q_reduced"
+            ),
+            pytest.param(
+                (2,), (F(0),), ((F(1),),), "b values must be reduced into [0, 1)", id="b_reduced"
+            ),
+            pytest.param(
+                (2, 2), (F(0), F(0)), ((F(0), F(1, 2)), (F(0), F(0))), "b must be symmetric",
+                id="b_symmetric",
+            ),
+            pytest.param(
+                (2,), (F(1, 2),), ((F(0),),), "b(g, g) must equal q(g) mod Z", id="b_diagonal"
+            ),
+            pytest.param(
+                (2,), (F(1, 4),), ((F(1, 4),),), "q incompatible with the generator order",
+                id="q_order",
+            ),
+            pytest.param(
+                (2, 2), (F(0), F(0)), ((F(0), F(1, 4)), (F(1, 4), F(0))),
+                "b incompatible with the generator orders", id="b_orders",
+            ),
+        ],
+    )
+    def test_rejects_bad_module(self, orders, q_diag, b_mat, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            df.FiniteQuadraticModule(orders, q_diag, b_mat)
 
 
 class TestValues:

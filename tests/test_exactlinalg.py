@@ -1,9 +1,12 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import evenlat
 import linalg_oracle as oracle
 from evenlat.exactlinalg import (
     IntMat,
@@ -14,12 +17,12 @@ from evenlat.exactlinalg import (
     kernel_saturated,
     lattice_rows_hnf,
     rational_product,
+    row_rank,
     signature,
     snf,
     snf_rational,
     solve_rational,
 )
-from evenlat.lattice import _row_rank
 
 F = Fraction
 
@@ -257,21 +260,21 @@ class TestSignature:
 
 class TestSolveRational:
     def test_identity(self):
-        sol = solve_rational(IntMat.identity(3), [F(1, 2), 3, F(-7, 5)])
+        [sol] = solve_rational(IntMat.identity(3), [[F(1, 2), 3, F(-7, 5)]])
         assert sol is not None and sol.is_unique
         assert sol.particular == (F(1, 2), F(3), F(-7, 5))
 
     def test_diagonal(self):
-        sol = solve_rational(IntMat.diagonal([2, 2]), [1, 3])
+        [sol] = solve_rational(IntMat.diagonal([2, 2]), [[1, 3]])
         assert sol.particular == (F(1, 2), F(3, 2))
 
     def test_inconsistent(self):
         a = IntMat.from_rows([[1, 1], [1, 1]])
-        assert solve_rational(a, [0, 1]) is None
+        assert solve_rational(a, [[0, 1]]) == [None]
 
     def test_underdetermined(self):
         a = IntMat.from_rows([[1, 1]])
-        sol = solve_rational(a, [2])
+        [sol] = solve_rational(a, [[2]])
         assert sol is not None and not sol.is_unique
         assert len(sol.kernel) == 1
         x = sol.particular
@@ -294,7 +297,7 @@ class TestSolveRational:
         rhs = [
             sum(q.entries[i][j] * F(v1[j]) for j in range(6)) for i in range(6)
         ]
-        sol = solve_rational(q, rhs)
+        [sol] = solve_rational(q, [rhs])
         assert sol is not None and sol.is_unique
         assert sol.particular == tuple(F(x) for x in v1)
 
@@ -371,26 +374,38 @@ class TestAgainstFractionOracle:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(low_rank_intmat() | small_intmat())
     def test_rank(self, a):
-        assert _row_rank(a) == oracle.rank(a.entries)
+        assert row_rank(a) == oracle.rank(a.entries)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         low_rank_intmat(),
-        st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 4)), min_size=5, max_size=5),
-        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(
+                    st.builds(F, st.integers(-6, 6), st.integers(1, 4)), min_size=5, max_size=5
+                ),
+            ),
+            max_size=4,
+        ),
     )
-    def test_solve(self, a, x, consistent):
-        if consistent:
-            # b = A*x: always solvable, unique only at full column rank
-            b = [sum(e * xi for e, xi in zip(row, x)) for row in a.entries]
-        else:
-            b = x[: a.rows]
-        sol = solve_rational(a, b)
-        want = oracle.solve(a.entries, b)
-        if want is None:
-            assert sol is None
-        else:
-            assert (sol.particular, sol.kernel) == want
+    def test_solve(self, a, draws):
+        # up to four sides per matrix, consistent and drawn ones in a drawn
+        # order: b = A*x is always solvable, unique only at full column
+        # rank; a drawn b is inconsistent once it leaves the column space
+        sides = [
+            [sum(e * xi for e, xi in zip(row, x)) for row in a.entries] if consistent
+            else x[: a.rows]
+            for consistent, x in draws
+        ]
+        sols = solve_rational(a, sides)
+        assert len(sols) == len(sides)
+        for sol, b in zip(sols, sides):
+            want = oracle.solve(a.entries, b)
+            if want is None:
+                assert sol is None
+            else:
+                assert (sol.particular, sol.kernel) == want
 
 
 def with_zero_rows(mats):
@@ -472,6 +487,21 @@ class TestIntegerEntries:
             IntMat.from_rows([[1, bad]])
         with pytest.raises(TypeError):
             IntMat.diagonal([bad])
+
+
+def test_only_exactlinalg_runs_bareiss():
+    # the elimination kernel stays private: every other module goes through
+    # the solvers built on it (det, inverse, solve_rational, row_rank)
+    offenders = set()
+    for path in sorted(Path(evenlat.__file__).parent.glob("*.py")):
+        if path.stem == "exactlinalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and "_bareiss" in (a.name for a in node.names):
+                offenders.add(path.stem)
+            elif isinstance(node, ast.Attribute) and node.attr == "_bareiss":
+                offenders.add(path.stem)
+    assert offenders == set()
 
 
 def test_bareiss_matches_fraction_gauss():

@@ -26,7 +26,6 @@ from evenlat.reconstruct import (
     _adjacency,
     _e8_embeddings,
     _hexagon_arrangements,
-    _incidence_kernel_dim,
     _union_size,
     q_gram_of,
     reconstruct_24,
@@ -124,8 +123,8 @@ class TestAgainstEnumeration:
         with pytest.raises(ReconstructionError, match="shape"):
             reconstruct_24()
 
-    def test_split_incidence_system_matches_oracle(self):
-        assert _incidence_kernel_dim() == reconstruct_oracle.incidence_kernel_dim() == 64
+    def test_split_incidence_system_matches_oracle(self, xprime):
+        assert xprime.incidence_kernel_dim == reconstruct_oracle.incidence_kernel_dim() == 64
 
     def test_every_orbit_lies_in_one_block(self):
         # the product count and the split join both rest on this
