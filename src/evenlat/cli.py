@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import discform as df
 from . import serialize as ser
@@ -74,30 +75,20 @@ def cmd_snf(args) -> int:
                 raise PreconditionError("matrix is singular; no inverse to decompose")
             mat = gram.inverse()
         d, s, t = snf_rational(mat)
-        _emit(
-            {
-                "schema": ser.SCHEMA,
-                "D": ser.ratmat_to_json(d),
-                "S": ser.intmat_to_json(s),
-                "T": ser.intmat_to_json(t),
-                "invariant_factors": [
-                    ser.rational_to_json(d.entries[i][i]) for i in range(d.rows)
-                ],
-            }
-        )
     else:
         d, s, t = snf(gram)
-        _emit(
-            {
-                "schema": ser.SCHEMA,
-                "D": ser.intmat_to_json(d),
-                "S": ser.intmat_to_json(s),
-                "T": ser.intmat_to_json(t),
-                "invariant_factors": [
-                    d.entries[i][i] for i in range(min(d.rows, d.cols))
-                ],
-            }
-        )
+    # integer entries print as integers, so one layout serves both forms
+    _emit(
+        {
+            "schema": ser.SCHEMA,
+            "D": ser.ratmat_to_json(d),
+            "S": ser.intmat_to_json(s),
+            "T": ser.intmat_to_json(t),
+            "invariant_factors": [
+                ser.rational_to_json(d.entries[i][i]) for i in range(min(d.rows, d.cols))
+            ],
+        }
+    )
     return 0
 
 
@@ -115,7 +106,8 @@ def cmd_disc(args) -> int:
             "invariant_factors": list(module.orders),
             "order": module.order,
             "generators": [
-                [ser.rational_to_json(c) for c in lift] for lift in module.lifts
+                [ser.rational_to_json(Fraction(a, module.disc.lift_den)) for a in row]
+                for row in module.disc.lift_num
             ],
             "q_table": [ser.rational_to_json(q) for q in module.q_diag],
             "b_table": [

@@ -2,10 +2,11 @@
 
 Elements are exponent vectors against invariant-factor generators; q takes
 values in Q/2Z (reduced to [0, 2)) and b in Q/Z (reduced to [0, 1)).
-Internally both are integers: with the level M (the lcm of all the
-denominators), M*q is taken mod 2M and M*b mod M.  Scans over every
-element (isotropic elements, the isomorphism fingerprint) read the integer
-table of (element order, M*q mod 2M) and build no Fraction.
+Both are stored once, as integers: with the level M (the lcm of all the
+denominators), M*q is taken mod 2M and M*b mod M; Fractions appear only at
+the API edge.  Scans over every element (isotropic elements, the
+isomorphism fingerprint) read the integer table of (element order,
+M*q mod 2M) and build no Fraction.
 """
 
 from __future__ import annotations
@@ -13,18 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlinalg import (
-    IntMat,
-    _clear_denominators,
-    _dots,
-    bilinear_table,
-    lattice_rows_hnf,
-    rational_product,
-)
-from .lattice import DualVector, Lattice, _induced_gram_rational, discriminant_group
+from .exactlinalg import IntMat, _dots, lattice_rows_hnf, rational_product
+from .lattice import DiscGroupData, DualVector, Lattice, _induced_gram_rational, discriminant_group
 
 GroupElement = tuple[int, ...]
 
@@ -33,53 +27,51 @@ DEFAULT_GUARD_ORDER = 1 << 10
 
 @dataclass(frozen=True)
 class FiniteQuadraticModule:
-    """Generators g_i of order d_i with q(g_i) in Q/2Z and b(g_i, g_j) in Q/Z."""
+    """Generators g_i of order d_i with q(g_i) in Q/2Z and b(g_i, g_j) in Q/Z.
+
+    q_int[i] = M*q(g_i) mod 2M and b_int[i][j] = M*b(g_i, g_j) mod M over
+    the level M; a lattice-backed module keeps its discriminant group.
+    """
 
     orders: tuple[int, ...]
-    q_diag: tuple[Fraction, ...]
-    b_mat: tuple[tuple[Fraction, ...], ...]
-    source: Lattice | None = None
-    lifts: tuple[tuple[Fraction, ...], ...] | None = None
-    class_columns: tuple[tuple[int, ...], ...] | None = None
-    # derived: the level M and the integer tables M*q_diag and M*b_mat;
-    # the lifts as integer rows over one denominator, lifts = lift_num / lift_den
-    level: int = field(init=False, repr=False, compare=False)
-    q_int: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    b_int: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    lift_num: tuple[tuple[int, ...], ...] | None = field(init=False, repr=False, compare=False)
-    lift_den: int = field(init=False, repr=False, compare=False)
+    level: int
+    q_int: tuple[int, ...]
+    b_int: tuple[tuple[int, ...], ...]
+    disc: DiscGroupData | None = None
 
     def __post_init__(self):
         k = len(self.orders)
+        q, b, m = self.q_int, self.b_int, self.level
         if any(d < 2 for d in self.orders):
             raise ValueError("generator orders must be at least 2")
-        if len(self.q_diag) != k or len(self.b_mat) != k:
+        if len(q) != k or len(b) != k or any(len(row) != k for row in b):
             raise ValueError("inconsistent generator data")
+        if m < 1:
+            raise ValueError("level must be a positive integer")
         for i in range(k):
-            if not (0 <= self.q_diag[i] < 2):
+            if not (0 <= q[i] < 2 * m):
                 raise ValueError("q values must be reduced into [0, 2)")
             for j in range(k):
-                if not (0 <= self.b_mat[i][j] < 1):
+                if not (0 <= b[i][j] < m):
                     raise ValueError("b values must be reduced into [0, 1)")
-                if self.b_mat[i][j] != self.b_mat[j][i]:
+                if b[i][j] != b[j][i]:
                     raise ValueError("b must be symmetric")
-            if self.q_diag[i] % 1 != self.b_mat[i][i]:
+            if q[i] % m != b[i][i]:
                 raise ValueError("b(g, g) must equal q(g) mod Z")
-            if self.orders[i] ** 2 * self.q_diag[i] % 2 != 0:
+            if self.orders[i] ** 2 * q[i] % (2 * m):
                 raise ValueError("q incompatible with the generator order")
-            for j in range(k):
-                if self.orders[i] * self.b_mat[i][j] % 1 != 0:
-                    raise ValueError("b incompatible with the generator orders")
-        level = math.lcm(*(x.denominator for x in self.q_diag),
-                         *(x.denominator for row in self.b_mat for x in row))
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "q_int", tuple(int(x * level) for x in self.q_diag))
-        object.__setattr__(
-            self, "b_int", tuple(tuple(int(x * level) for x in row) for row in self.b_mat)
-        )
-        num, den = _clear_denominators(self.lifts or ())
-        object.__setattr__(self, "lift_num", None if self.lifts is None else tuple(map(tuple, num)))
-        object.__setattr__(self, "lift_den", den)
+            if any(self.orders[i] * e % m for e in b[i]):
+                raise ValueError("b incompatible with the generator orders")
+        if math.gcd(m, *q, *(e for row in b for e in row)) != 1:
+            raise ValueError("level must be the least common denominator of q and b")
+
+    @property
+    def q_diag(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.level) for v in self.q_int)
+
+    @property
+    def b_mat(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, self.level) for v in row) for row in self.b_int)
 
     @property
     def ngens(self) -> int:
@@ -87,10 +79,7 @@ class FiniteQuadraticModule:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
+        return math.prod(self.orders)
 
     def zero(self) -> GroupElement:
         return (0,) * self.ngens
@@ -120,12 +109,12 @@ class FiniteQuadraticModule:
 
     def lift(self, x: GroupElement) -> tuple[Fraction, ...]:
         """A dual-lattice representative, available for lattice-backed modules."""
-        if self.lifts is None:
+        if self.disc is None:
             raise ValueError("module has no lattice back-reference")
-        if not self.lifts:
-            return (Fraction(0),) * self.source.rank
-        (num,) = _dots([x], tuple(zip(*self.lift_num)))
-        return tuple(Fraction(a, self.lift_den) for a in num)
+        if not self.ngens:
+            return (Fraction(0),) * self.disc.lattice.rank
+        (num,) = _dots([x], tuple(zip(*self.disc.lift_num)))
+        return tuple(Fraction(a, self.disc.lift_den) for a in num)
 
 
 def _b_scaled(module: FiniteQuadraticModule, x: GroupElement, y: GroupElement) -> int:
@@ -171,12 +160,14 @@ def from_lattice(lattice: Lattice) -> FiniteQuadraticModule:
     if not lattice.is_even:
         raise ValueError("discriminant form needs an even lattice (q is mod 2Z)")
     disc = discriminant_group(lattice)
-    orders = disc.invariant_factors
-    lifts = tuple(v.coords for v in disc.generator_lifts)
-    raw, den = bilinear_table(lifts, lattice.gram.entries, lifts)
-    q_diag = tuple(Fraction(row[i] % (2 * den), den) for i, row in enumerate(raw))
-    b_mat = tuple(tuple(Fraction(e % den, den) for e in row) for row in raw)
-    return FiniteQuadraticModule(orders, q_diag, b_mat, lattice, lifts, disc.class_columns)
+    # the pairings of the lifts are raw / den, both divided by their gcd
+    raw = _dots(_dots(disc.lift_num, lattice.gram.entries), disc.lift_num)
+    den = disc.lift_den * disc.lift_den
+    g = math.gcd(den, *(e for row in raw for e in row))
+    level = den // g
+    q = tuple(row[i] // g % (2 * level) for i, row in enumerate(raw))
+    b = tuple(tuple(e // g % level for e in row) for row in raw)
+    return FiniteQuadraticModule(disc.invariant_factors, level, q, b, disc)
 
 
 def class_of(module: FiniteQuadraticModule, vector: DualVector) -> GroupElement:
@@ -186,12 +177,15 @@ def class_of(module: FiniteQuadraticModule, vector: DualVector) -> GroupElement:
     class is then (w . col_j mod n_j)_j over the class table built by
     ``discriminant_group``.
     """
-    if module.class_columns is None or module.source is None:
+    disc = module.disc
+    if disc is None:
         raise ValueError("module has no lattice back-reference")
-    (num,), den = rational_product([vector.coords], module.source.gram.entries)
+    if vector.lattice.gram != disc.lattice.gram:
+        raise ValueError("vector does not belong to this module's lattice")
+    (num,), den = rational_product([vector.coords], disc.lattice.gram.entries)
     if any(e % den for e in num):
         raise ValueError("vector is not in the dual lattice")
-    (dots,) = _dots([[e // den for e in num]], module.class_columns)
+    (dots,) = _dots([[e // den for e in num]], disc.class_columns)
     return tuple(e % n for e, n in zip(dots, module.orders))
 
 
@@ -204,9 +198,9 @@ def class_of(module: FiniteQuadraticModule, vector: DualVector) -> GroupElement:
 # nondegenerate lattice, so the signature has no zero part.
 
 def _source_signature(module: FiniteQuadraticModule) -> tuple[int, int]:
-    if module.source is None:
+    if module.disc is None:
         raise ValueError("module has no lattice back-reference")
-    t_plus, t_minus, _ = module.source.signature
+    t_plus, t_minus, _ = module.disc.lattice.signature
     return t_plus, t_minus
 
 
@@ -236,7 +230,7 @@ def two_elem_invariants(module: FiniteQuadraticModule) -> tuple[tuple[int, int],
     signature = _source_signature(module)
     if any(d != 2 for d in module.orders):
         return None
-    delta = int(any(q.denominator != 1 for q in module.q_diag))
+    delta = int(any(v % module.level for v in module.q_int))
     return signature, module.ngens, delta
 
 
@@ -357,53 +351,54 @@ def overlattice(lattice: Lattice, subgroup: IsotropicSubgroup) -> Lattice:
     determinant is det(L) / |H|^2 and it contains L with index |H|.
     """
     module = subgroup.module
-    if module.source is None or module.source.gram != lattice.gram:
+    disc = module.disc
+    if disc is None or disc.lattice.gram != lattice.gram:
         raise ValueError("subgroup does not belong to this lattice's discriminant form")
     gens = subgroup.gens
     for i, g in enumerate(gens):
         if q_value(module, g) != 0 or any(_b_scaled(module, g, h) for h in gens[:i]):
             raise ValueError("subgroup is not isotropic")
-    rows = _dots(gens, tuple(zip(*module.lift_num)))
-    gram = _induced_gram_rational(lattice.gram, rows, module.lift_den)
+    rows = _dots(gens, tuple(zip(*disc.lift_num)))
+    gram = _induced_gram_rational(lattice.gram, rows, disc.lift_den)
     if any(gram.entries[i][i] % 2 for i in range(lattice.rank)):
         raise ValueError("overlattice is odd; subgroup was not isotropic for q")
     return Lattice(gram, None)
 
 
 def negate(module: FiniteQuadraticModule) -> FiniteQuadraticModule:
-    q = tuple(-x % 2 for x in module.q_diag)
-    b = tuple(tuple(-x % 1 for x in row) for row in module.b_mat)
-    return FiniteQuadraticModule(module.orders, q, b)
+    m = module.level
+    q = tuple(-v % (2 * m) for v in module.q_int)
+    b = tuple(tuple(-v % m for v in row) for row in module.b_int)
+    return FiniteQuadraticModule(module.orders, m, q, b)
 
 
 def direct_sum(m1: FiniteQuadraticModule, m2: FiniteQuadraticModule) -> FiniteQuadraticModule:
-    orders = m1.orders + m2.orders
-    q = m1.q_diag + m2.q_diag
+    """The orthogonal sum, its values rescaled to the lcm of the two levels."""
+    level = math.lcm(m1.level, m2.level)
+    s1, s2 = level // m1.level, level // m2.level
+    q = tuple(s1 * v for v in m1.q_int) + tuple(s2 * v for v in m2.q_int)
     k1, k2 = m1.ngens, m2.ngens
-    b = []
-    for i in range(k1):
-        b.append(tuple(m1.b_mat[i]) + (Fraction(0),) * k2)
-    for i in range(k2):
-        b.append((Fraction(0),) * k1 + tuple(m2.b_mat[i]))
-    return FiniteQuadraticModule(orders, q, tuple(b))
+    b = tuple(tuple(s1 * v for v in row) + (0,) * k2 for row in m1.b_int) + tuple(
+        (0,) * k1 + tuple(s2 * v for v in row) for row in m2.b_int
+    )
+    return FiniteQuadraticModule(m1.orders + m2.orders, level, q, b)
 
 
 def submodule_on(module: FiniteQuadraticModule, gens, orders) -> FiniteQuadraticModule:
     """The quadratic module presented on the given elements as generators.
 
     Used for change of generators: the elements must generate the whole
-    group with the stated orders (checked).
+    group with the stated orders (checked), so the level stays the same.
     """
     gens = [module.reduce(g) for g in gens]
-    k = len(gens)
     if len(_span(module, gens)) != module.order:
         raise ValueError("elements do not generate the module")
     for g, d in zip(gens, orders):
         if module.element_order(g) != d:
             raise ValueError("stated generator order is wrong")
-    q = tuple(q_value(module, g) for g in gens)
-    b = tuple(tuple(b_value(module, gens[i], gens[j]) for j in range(k)) for i in range(k))
-    return FiniteQuadraticModule(tuple(orders), q, b)
+    q = tuple(_q_scaled(module, g) for g in gens)
+    b = tuple(tuple(_b_scaled(module, x, y) for y in gens) for x in gens)
+    return FiniteQuadraticModule(tuple(orders), module.level, q, b)
 
 
 def guard_order() -> int:
@@ -421,7 +416,7 @@ def guard_order() -> int:
 
 
 def are_isomorphic(
-    m1: FiniteQuadraticModule, m2: FiniteQuadraticModule, guard: int | None = None
+    m1: FiniteQuadraticModule, m2: FiniteQuadraticModule
 ) -> tuple[GroupElement, ...] | None:
     """Search for a group isomorphism preserving q (b follows from q).
 
@@ -439,7 +434,7 @@ def are_isomorphic(
     of all values of q and b.  Only the distinct keys of m2 become
     (order, q) pairs with a Fraction q, to match q_value on m1's generators.
     """
-    limit = guard if guard is not None else guard_order()
+    limit = guard_order()
     if m1.order > limit or m2.order > limit:
         raise GuardExceeded(
             f"module order {max(m1.order, m2.order)} exceeds the search guard {limit}"
@@ -454,6 +449,7 @@ def are_isomorphic(
         buckets.setdefault(key, []).append(y)
     by_order_q = {(d, Fraction(v, m2.level)): ys for (d, v), ys in buckets.items()}
     k = m1.ngens
+    b1 = m1.b_mat
     gens1 = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     images: list[GroupElement] = []
 
@@ -469,7 +465,7 @@ def are_isomorphic(
                 continue
             ok = True
             for prev_i in range(depth):
-                if b_value(m2, images[prev_i], cand) != m1.b_mat[prev_i][depth]:
+                if b_value(m2, images[prev_i], cand) != b1[prev_i][depth]:
                     ok = False
                     break
             if not ok:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .exactlinalg import (
     IntMat,
@@ -113,23 +113,23 @@ def contains(lattice: Lattice, v: DualVector) -> bool:
 class DiscGroupData:
     """Invariant factors, generator lifts and class table of the discriminant group.
 
-    ``class_columns`` holds, for each generator j of order n_j, the
-    integer column j of S^-1 reduced mod n_j, where S * gram^-1 * T = D
-    is the rational SNF.  A dual vector v has the class
+    Generator i lifts to the dual vector ``lift_num[i] / lift_den``, in
+    host-basis coordinates; ``lift_den`` is the least common denominator
+    of all the lifts.  ``class_columns`` holds, for each generator j of
+    order n_j, the integer column j of S^-1 reduced mod n_j, where
+    S * gram^-1 * T = D is the rational SNF.  A dual vector v has the class
     ((v * gram) . col_j mod n_j)_j.
     """
 
     lattice: Lattice
     invariant_factors: tuple[int, ...]
-    generator_lifts: tuple[DualVector, ...]
+    lift_num: tuple[tuple[int, ...], ...] = field(repr=False)
+    lift_den: int
     class_columns: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
 
 def discriminant_group(lattice: Lattice) -> DiscGroupData:
@@ -158,9 +158,10 @@ def discriminant_group(lattice: Lattice) -> DiscGroupData:
     num, den = rational_product(inv.entries, picked)
     cols = tuple(zip(*num))
     k = len(gens)
-    lifts = tuple(DualVector(lattice, tuple(Fraction(e, den) for e in col)) for col in cols[:k])
+    g = gcd(den, *(e for col in cols[:k] for e in col))
+    lifts = tuple(tuple(e // g for e in col) for col in cols[:k])
     columns = tuple(tuple(e * n // den % n for e in col) for col, n in zip(cols[k:], factors))
-    return DiscGroupData(lattice, factors, lifts, columns)
+    return DiscGroupData(lattice, factors, lifts, den // g, columns)
 
 
 # ---------------------------------------------------------------------------

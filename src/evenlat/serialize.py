@@ -19,7 +19,7 @@ class ParseError(ValueError):
     """Malformed or schema-violating input."""
 
 
-def rational_to_json(x: Fraction):
+def rational_to_json(x: Fraction | int):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -27,7 +27,7 @@ def intmat_to_json(m: IntMat) -> list:
     return [list(row) for row in m.entries]
 
 
-def ratmat_to_json(m: RatMat) -> list:
+def ratmat_to_json(m: RatMat | IntMat) -> list:
     return [[rational_to_json(e) for e in row] for row in m.entries]
 
 

@@ -241,8 +241,13 @@ def _block_form(module, elems, witnesses):
         if b:
             b_off[i, j] = b
     witnesses["block_q_diag"] = q_diag
-    witnesses["block_b_offdiag"] = {f"{i + 1},{j + 1}": v for (i, j), v in b_off.items()}
+    witnesses["block_b_offdiag"] = _pair_keys(b_off)
     return q_diag, b_off
+
+
+def _pair_keys(b_off) -> dict:
+    """b values keyed by 0-based pairs (i, j), rekeyed "i,j" from 1 for the report."""
+    return {f"{i + 1},{j + 1}": v for (i, j), v in b_off.items()}
 
 
 def verify_lemma_4_2(aq) -> Entry:
@@ -379,7 +384,7 @@ def verify_prop_4_4(aq) -> Entry:
     qd, boff = _block_form(ns_module, elems, witnesses)
     expected |= {
         "block_q_diag": rd.PROP44_Q_DIAG,
-        "block_b_offdiag": {"1,2": Fraction(1, 2)},
+        "block_b_offdiag": _pair_keys(rd.PROP44_B_OFFDIAG),
         "uniqueness_predicate": True,
     }
     ok = (
@@ -562,11 +567,15 @@ def verify_section_6(gram24: IntMat) -> Entry:
         return _fail(
             "section_6",
             witnesses,
-            {"block_q_diag": rd.SECTION6_Q_DIAG, "block_b_offdiag": rd.SECTION6_B_OFFDIAG},
+            {"block_q_diag": rd.SECTION6_Q_DIAG,
+             "block_b_offdiag": _pair_keys(rd.SECTION6_B_OFFDIAG)},
         )
     # isotropic census and even-four certificates
     iso = set(df.isotropic_elements(module))
     witnesses["isotropic_count"] = len(iso)
+    expected = {"isotropic_count": 31}
+    if len(iso) != expected["isotropic_count"]:
+        return _fail("section_6", witnesses, expected)
     labels = xp.config.labels
     printed_classes = set()
     families = [tuple(labels[i] for i in fam) for fam in rd.XPRIME_RELATION_FAMILIES]
@@ -622,7 +631,7 @@ def verify_section_6(gram24: IntMat) -> Entry:
         f"incidences a {xp.incidence_kernel_dim}-dimensional freedom; they "
         "are pinned to zero by the fixed points avoiding the curves",
     )
-    return _ok("section_6", witnesses, {"isotropic_count": 31}, notes)
+    return _ok("section_6", witnesses, expected, notes)
 
 
 def _m_coords(xp, halfsets) -> list[tuple[Fraction, ...] | None]:

@@ -1,7 +1,8 @@
 """Reference Fraction rules for the discriminant-form operations.
 
 These are the direct definitions that ``evenlat.discform`` replaced by
-integer tables and coset growth: q and b summed over Fractions, subgroups
+integer tables and coset growth: the constructor's validity rules on
+Fraction values, q and b summed over Fractions, subgroups
 spanned by a BFS over all their elements and re-checked element by
 element, and the overlattice Gram as a Fraction product B * G * B^T.  The
 genus predicates take the lattice, rebuild its discriminant group and
@@ -16,7 +17,7 @@ package.
 import math
 from fractions import Fraction
 
-from evenlat.discform import IsotropicSubgroup, _canonical_gens
+from evenlat.discform import FiniteQuadraticModule, IsotropicSubgroup, _canonical_gens
 from evenlat.exactlinalg import snf_rational
 from evenlat.lattice import discriminant_group
 from linalg_oracle import span_basis
@@ -30,24 +31,74 @@ def _mod1(x):
     return x - math.floor(x)
 
 
+def check_fraction_rules(orders, q_diag, b_mat):
+    """The constructor's rules on Fraction values q(g_i) and b(g_i, g_j)."""
+    k = len(orders)
+    if any(d < 2 for d in orders):
+        raise ValueError("generator orders must be at least 2")
+    if len(q_diag) != k or len(b_mat) != k:
+        raise ValueError("inconsistent generator data")
+    for i in range(k):
+        if not (0 <= q_diag[i] < 2):
+            raise ValueError("q values must be reduced into [0, 2)")
+        for j in range(k):
+            if not (0 <= b_mat[i][j] < 1):
+                raise ValueError("b values must be reduced into [0, 1)")
+            if b_mat[i][j] != b_mat[j][i]:
+                raise ValueError("b must be symmetric")
+        if q_diag[i] % 1 != b_mat[i][i]:
+            raise ValueError("b(g, g) must equal q(g) mod Z")
+        if orders[i] ** 2 * q_diag[i] % 2 != 0:
+            raise ValueError("q incompatible with the generator order")
+        for j in range(k):
+            if orders[i] * b_mat[i][j] % 1 != 0:
+                raise ValueError("b incompatible with the generator orders")
+
+
+def module_from_values(orders, level, q_int, b_int):
+    """The module with the values q_int / level and b_int / level, level >= 1.
+
+    The Fraction rules decide validity; the level must then be the lcm of
+    the denominators of all the values.
+    """
+    q_diag = tuple(Fraction(v, level) for v in q_int)
+    b_mat = tuple(tuple(Fraction(v, level) for v in row) for row in b_int)
+    check_fraction_rules(orders, q_diag, b_mat)
+    values = q_diag + tuple(e for row in b_mat for e in row)
+    if math.lcm(*(e.denominator for e in values)) != level:
+        raise ValueError("level must be the least common denominator of q and b")
+    return FiniteQuadraticModule(tuple(orders), level, tuple(q_int), tuple(map(tuple, b_int)))
+
+
+def module_from_fractions(orders, q_diag, b_mat):
+    """The module with the Fraction values q(g_i) and b(g_i, g_j), at their level."""
+    values = tuple(q_diag) + tuple(e for row in b_mat for e in row)
+    level = math.lcm(*(e.denominator for e in values))
+    q_int = [int(v * level) for v in q_diag]
+    b_int = [[int(v * level) for v in row] for row in b_mat]
+    return module_from_values(orders, level, q_int, b_int)
+
+
 def q_value(module, x):
     """q(x) in Q/2Z, reduced into [0, 2)."""
     x = module.reduce(x)
+    q_diag, b_mat = module.q_diag, module.b_mat
     total = Fraction(0)
     for i, e in enumerate(x):
-        total += e * e * module.q_diag[i]
+        total += e * e * q_diag[i]
         for j in range(i + 1, module.ngens):
-            total += 2 * e * x[j] * module.b_mat[i][j]
+            total += 2 * e * x[j] * b_mat[i][j]
     return _mod2(total)
 
 
 def b_value(module, x, y):
     """b(x, y) in Q/Z, reduced into [0, 1)."""
     x, y = module.reduce(x), module.reduce(y)
+    b_mat = module.b_mat
     total = Fraction(0)
     for i, a in enumerate(x):
         for j, c in enumerate(y):
-            total += a * c * module.b_mat[i][j]
+            total += a * c * b_mat[i][j]
     return _mod1(total)
 
 
@@ -126,6 +177,7 @@ def are_isomorphic(m1, m2):
     if fp1 != fp2:
         return None
     k = m1.ngens
+    b1 = m1.b_mat
     images = []
 
     def extend(depth):
@@ -135,7 +187,7 @@ def are_isomorphic(m1, m2):
         for cand in m2.elements():
             if (m2.element_order(cand), q_value(m2, cand)) != (m1.orders[depth], q_value(m1, g)):
                 continue
-            if any(b_value(m2, images[i], cand) != m1.b_mat[i][depth] for i in range(depth)):
+            if any(b_value(m2, images[i], cand) != b1[i][depth] for i in range(depth)):
                 continue
             images.append(cand)
             if extend(depth + 1):
@@ -188,7 +240,8 @@ def two_elem_invariants(lattice):
     disc = discriminant_group(lattice)
     if any(d != 2 for d in disc.invariant_factors):
         return None
-    delta = int(any(lift.norm().denominator != 1 for lift in disc.generator_lifts))
+    lifts = [lattice.dual_vector([Fraction(a, disc.lift_den) for a in row]) for row in disc.lift_num]
+    delta = int(any(lift.norm().denominator != 1 for lift in lifts))
     t_plus, t_minus, _ = lattice.signature
     return (t_plus, t_minus), len(disc.invariant_factors), delta
 

@@ -315,11 +315,16 @@ OVERLATTICE_CASES = ("u2_u2_m4", "u4_m4_a1", "u2_u3_m2")
 
 
 class TestOverlatticeGolden:
-    """Stdout of overlattices and isotropic --subgroups on fixed scrambled Grams."""
+    """Stdout of overlattices, isotropic --subgroups and disc on fixed scrambled Grams."""
 
     @pytest.mark.parametrize("case", OVERLATTICE_CASES)
     @pytest.mark.parametrize(
-        "command, suffix", [(["overlattices"], "overlattices"), (["isotropic", "--subgroups"], "isotropic")]
+        "command, suffix",
+        [
+            (["overlattices"], "overlattices"),
+            (["isotropic", "--subgroups"], "isotropic"),
+            (["disc"], "disc"),
+        ],
     )
     def test_matches_golden_file(self, capsys, case, command, suffix):
         # the committed output; regenerate it only for an intended change

@@ -53,7 +53,7 @@ def a_q():
 
 
 def printed_generator_classes(module):
-    lat = module.source
+    lat = module.disc.lattice
     printed = {
         "v1": (F(1, 2), F(-1, 2), 0, 0, F(1, 2), 0),
         "v2": (F(-1, 2), F(1, 2), 0, 0, 0, 0),
@@ -119,7 +119,7 @@ def random_handbuilt_module(rng):
     for i, d in enumerate(orders):
         c = int(b[i][i] * d)
         q.append(b[i][i] + (c % 2 if d % 2 else rng.randint(0, 1)))
-    return df.FiniteQuadraticModule(orders, tuple(q), tuple(map(tuple, b)))
+    return discform_oracle.module_from_fractions(orders, q, b)
 
 
 def second_generating_set(rng, module):
@@ -158,43 +158,101 @@ class TestFromLattice:
             df.from_lattice(Lattice(IntMat.diagonal([1, -3])))
 
 
+@st.composite
+def module_values(draw):
+    """(orders, level, q_int, b_int): a valid form, maybe with one datum changed.
+
+    The form is ``random_handbuilt_module`` written over its level, or the
+    trivial one; the change scales the level and values (so the level is
+    no longer minimal), moves one q or b entry, or replaces one order or
+    the level.  Valid and invalid inputs both occur often.
+    """
+    if draw(st.integers(0, 7)):
+        module = random_handbuilt_module(random.Random(draw(st.integers(0, 10**6))))
+    else:
+        module = df.FiniteQuadraticModule((), 1, (), ())
+    orders, level = list(module.orders), module.level
+    q, b = list(module.q_int), [list(row) for row in module.b_int]
+    k = len(orders)
+    change = draw(st.sampled_from(("none", "scale", "q", "b", "order", "level")))
+    if change == "scale":
+        f = draw(st.integers(2, 3))
+        level, q, b = f * level, [f * v for v in q], [[f * v for v in row] for row in b]
+    elif change == "q" and k:
+        i = draw(st.integers(0, k - 1))
+        q[i] += draw(st.integers(-2 * level, 2 * level))
+    elif change == "b" and k:
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        b[i][j] += draw(st.integers(-level, level))
+    elif change == "order" and k:
+        orders[draw(st.integers(0, k - 1))] = draw(st.integers(1, 9))
+    elif change == "level":
+        level = draw(st.integers(1, 2 * level + 1))
+    return tuple(orders), level, tuple(q), tuple(map(tuple, b))
+
+
 class TestConstructor:
     # one minimal module per check, each passing the checks before it
     @pytest.mark.parametrize(
-        "orders, q_diag, b_mat, message",
+        "orders, level, q_int, b_int, message",
         [
+            pytest.param((1,), 1, (0,), ((0,),), "generator orders must be at least 2", id="order"),
+            pytest.param((2,), 1, (0, 0), ((0,),), "inconsistent generator data", id="ragged"),
             pytest.param(
-                (1,), (F(0),), ((F(0),),), "generator orders must be at least 2", id="order"
+                (2,), 1, (0,), ((0, 0),), "inconsistent generator data", id="ragged_row"
+            ),
+            pytest.param((2,), 0, (0,), ((0,),), "level must be a positive integer", id="level"),
+            pytest.param(
+                (2,), 1, (2,), ((0,),), "q values must be reduced into [0, 2)", id="q_reduced"
             ),
             pytest.param(
-                (2,), (F(0), F(0)), ((F(0),),), "inconsistent generator data", id="ragged"
+                (2,), 1, (0,), ((1,),), "b values must be reduced into [0, 1)", id="b_reduced"
             ),
             pytest.param(
-                (2,), (F(2),), ((F(0),),), "q values must be reduced into [0, 2)", id="q_reduced"
+                (2, 2), 2, (0, 0), ((0, 1), (0, 0)), "b must be symmetric", id="b_symmetric"
             ),
             pytest.param(
-                (2,), (F(0),), ((F(1),),), "b values must be reduced into [0, 1)", id="b_reduced"
+                (2,), 2, (1,), ((0,),), "b(g, g) must equal q(g) mod Z", id="b_diagonal"
             ),
             pytest.param(
-                (2, 2), (F(0), F(0)), ((F(0), F(1, 2)), (F(0), F(0))), "b must be symmetric",
-                id="b_symmetric",
+                (2,), 4, (1,), ((1,),), "q incompatible with the generator order", id="q_order"
             ),
             pytest.param(
-                (2,), (F(1, 2),), ((F(0),),), "b(g, g) must equal q(g) mod Z", id="b_diagonal"
+                (2, 2), 4, (0, 0), ((0, 1), (1, 0)), "b incompatible with the generator orders",
+                id="b_orders",
             ),
+            # q = b = 1/2 written over level 4: are_isomorphic compares levels
             pytest.param(
-                (2,), (F(1, 4),), ((F(1, 4),),), "q incompatible with the generator order",
-                id="q_order",
-            ),
-            pytest.param(
-                (2, 2), (F(0), F(0)), ((F(0), F(1, 4)), (F(1, 4), F(0))),
-                "b incompatible with the generator orders", id="b_orders",
+                (4,), 4, (2,), ((2,),), "level must be the least common denominator of q and b",
+                id="level_minimal",
             ),
         ],
     )
-    def test_rejects_bad_module(self, orders, q_diag, b_mat, message):
+    def test_rejects_bad_module(self, orders, level, q_int, b_int, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            df.FiniteQuadraticModule(orders, q_diag, b_mat)
+            df.FiniteQuadraticModule(orders, level, q_int, b_int)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(module_values())
+    def test_integer_rules_match_fraction_rules(self, values):
+        # the same inputs accepted, and rejected with the same message
+        def outcome(build):
+            try:
+                return build(*values)
+            except ValueError as exc:
+                return str(exc)
+
+        got = outcome(df.FiniteQuadraticModule)
+        want = outcome(discform_oracle.module_from_values)
+        assert got == want
+        if isinstance(got, df.FiniteQuadraticModule):
+            orders, level, q, b = values
+            assert got.q_diag == tuple(F(v, level) for v in q)
+            assert got.b_mat == tuple(tuple(F(v, level) for v in row) for row in b)
+
+    def test_lift_needs_a_lattice(self):
+        with pytest.raises(ValueError, match="no lattice back-reference"):
+            df.FiniteQuadraticModule((), 1, (), ()).lift(())
 
 
 class TestValues:
@@ -426,10 +484,15 @@ class TestAgainstFractionOracle:
             lat, module = random_small_module(rng)
         assert all(b % a == 0 for a, b in zip(module.orders, module.orders[1:]))
         g = lat.gram.entries
-        raw = [[oracle.pairing(g, x, y) for y in module.lifts] for x in module.lifts]
+        disc = module.disc
+        assert disc.lattice is lat
+        lifts = [tuple(F(a, disc.lift_den) for a in row) for row in disc.lift_num]
+        raw = [[oracle.pairing(g, x, y) for y in lifts] for x in lifts]
         assert module.q_diag == tuple(discform_oracle._mod2(row[i]) for i, row in enumerate(raw))
         assert module.b_mat == tuple(tuple(discform_oracle._mod1(e) for e in row) for row in raw)
-        for x in module.lifts:
+        values = module.q_diag + tuple(e for row in module.b_mat for e in row)
+        assert module.level == math.lcm(*(e.denominator for e in values))
+        for x in lifts:
             assert lat.dual_vector(x).in_dual() and oracle.in_dual(g, x)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -469,8 +532,8 @@ class TestAgainstFractionOracle:
         assert represented.level == module.level
         assert df.are_isomorphic(module, represented) is not None
         # Z/4 with q = 1/2 (level 2) and with q = 1/4 (level 4)
-        half = df.FiniteQuadraticModule((4,), (F(1, 2),), ((F(1, 2),),))
-        quarter = df.FiniteQuadraticModule((4,), (F(1, 4),), ((F(1, 4),),))
+        half = df.FiniteQuadraticModule((4,), 2, (1,), ((1,),))
+        quarter = df.FiniteQuadraticModule((4,), 4, (1,), ((1,),))
         assert (half.order, half.level, quarter.level) == (quarter.order, 2, 4)
         assert df.are_isomorphic(half, quarter) is None
         pairs = ((other, module), (module, df.negate(module)), (module, represented),
@@ -515,8 +578,8 @@ class TestIsomorphism:
             (F(0), F(0), quarter, F(0)),
             (F(0), F(0), F(0), quarter),
         ]
-        block = df.FiniteQuadraticModule(
-            (2, 2, 4, 4), (F(0), F(0), quarter, quarter), tuple(b)
+        block = discform_oracle.module_from_fractions(
+            (2, 2, 4, 4), (F(0), F(0), quarter, quarter), b
         )
         assert df.are_isomorphic(a_q, block) is not None
 
@@ -576,10 +639,6 @@ class TestIsomorphism:
     def test_self_isomorphic(self, a_q):
         assert df.are_isomorphic(a_q, a_q) is not None
 
-    def test_guard(self, a_q):
-        with pytest.raises(df.GuardExceeded):
-            df.are_isomorphic(a_q, a_q, guard=32)
-
     def test_guard_env_override(self, a_q, monkeypatch):
         monkeypatch.setenv("EVENLAT_GUARD_ORDER", "32")
         with pytest.raises(df.GuardExceeded):
@@ -591,7 +650,7 @@ class TestIsomorphism:
 class TestNegateAndSum:
     def test_negate_involution(self, a_q):
         assert df.negate(df.negate(a_q)) == df.FiniteQuadraticModule(
-            a_q.orders, a_q.q_diag, a_q.b_mat
+            a_q.orders, a_q.level, a_q.q_int, a_q.b_int
         )
 
     def test_direct_sum_with_trivial(self, a_q):
@@ -605,6 +664,10 @@ class TestNegateAndSum:
         s = df.direct_sum(m1, m2)
         assert s.orders == m1.orders + m2.orders
         assert s.b_mat[0][1] == 0 and s.b_mat[0][2] == 0
+        # levels 4 and 2: the sum is written over level 4
+        assert (m1.level, m2.level, s.level) == (4, 2, 4)
+        assert s.q_diag == m1.q_diag + m2.q_diag
+        assert s.b_mat[1][2] == m2.b_mat[0][1] == F(1, 2)
 
 
 class TestLatticeBackReference:
@@ -612,7 +675,15 @@ class TestLatticeBackReference:
         for i, d in enumerate(a_q.orders):
             gen = tuple(int(j == i) for j in range(a_q.ngens))
             lift = a_q.lift(gen)
-            assert df.class_of(a_q, a_q.source.dual_vector(lift)) == gen
+            assert df.class_of(a_q, a_q.disc.lattice.dual_vector(lift)) == gen
+
+    def test_class_of_rejects_another_lattice(self):
+        module = df.from_lattice(parse_lattice_expr("U(2)+A1"))
+        other = parse_lattice_expr("U(4)+A1")
+        vector = other.dual_vector([0, F(1, 2), 0])
+        assert vector.in_dual()
+        with pytest.raises(ValueError, match="does not belong"):
+            df.class_of(module, vector)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -163,9 +164,13 @@ class TestDiscriminantGroup:
         disc = discriminant_group(Lattice(Q_GRAM, "Q"))
         assert disc.invariant_factors == (2, 2, 4, 4)
         assert disc.order == 64 == abs(Q_GRAM.det())
-        for d, lift in zip(disc.invariant_factors, disc.generator_lifts):
+        assert len(disc.lift_num) == 4
+        for d, row in zip(disc.invariant_factors, disc.lift_num):
+            lift = disc.lattice.dual_vector([F(a, disc.lift_den) for a in row])
             assert lift.in_dual()
             assert all((d * c).denominator == 1 for c in lift.coords)
+        # lift_den is the least common denominator of the lifts
+        assert math.gcd(disc.lift_den, *(a for row in disc.lift_num for a in row)) == 1
 
     def test_printed_generators_generate_same_group(self):
         lat = Lattice(Q_GRAM, "Q")

@@ -3,14 +3,17 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import evenlat
 import evenlat.refdata as rd
+from evenlat import discform as df
 from evenlat import lattice
 from evenlat.exactlinalg import IntMat
+from evenlat.lattice import Lattice
 from evenlat.reconstruct import q_gram_of
 from evenlat.verify import (
     CHECKS,
@@ -165,6 +168,33 @@ class TestHalfSumCoordinates:
         rng.shuffle(halfsets)
         got = _m_coords(xprime, halfsets)
         assert got == [self._by_solve(xprime, h) for h in halfsets]
+
+
+class TestSection6FailPaths:
+    def test_isotropic_count_is_compared(self, gram24, xprime, monkeypatch):
+        # one printed half-set and its class dropped together: the printed
+        # classes still equal the isotropic set, but there are 30, not 31
+        module = df.from_lattice(Lattice(xprime.m_gram))
+        halfset = rd.ISOTROPIC_AM_HALFSETS[0]
+        (coords,) = _m_coords(xprime, [halfset])
+        dropped = df.class_of(module, module.disc.lattice.dual_vector(coords))
+        isotropic_elements = df.isotropic_elements
+        monkeypatch.setattr(rd, "ISOTROPIC_AM_HALFSETS", rd.ISOTROPIC_AM_HALFSETS[1:])
+        monkeypatch.setattr(
+            df, "isotropic_elements", lambda m: [x for x in isotropic_elements(m) if x != dropped]
+        )
+        entry = verify_section_6(gram24)
+        assert entry.status == "fail"
+        assert entry.witnesses["isotropic_count"] == 30
+        assert entry.expected == {"isotropic_count": 31}
+
+    def test_block_form_expectation_has_report_keys(self, gram24, monkeypatch):
+        monkeypatch.setattr(rd, "SECTION6_Q_DIAG", (0,) * 6)
+        entry = verify_section_6(gram24)
+        assert entry.status == "fail"
+        half = Fraction(1, 2)
+        assert entry.expected["block_b_offdiag"] == {"1,2": half, "3,4": half}
+        assert entry.witnesses["block_b_offdiag"] == entry.expected["block_b_offdiag"]
 
 
 def test_each_discriminant_form_is_built_once(monkeypatch):
