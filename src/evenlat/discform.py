@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .exactlinalg import IntMat, _dots, lattice_rows_hnf, rational_product
 from .lattice import DiscGroupData, DualVector, Lattice, _induced_gram_rational, discriminant_group
@@ -141,8 +142,28 @@ def _q_scaled(module: FiniteQuadraticModule, x: GroupElement) -> int:
 
 
 def _value_table(module: FiniteQuadraticModule) -> list[tuple[int, int]]:
-    """(order, M*q mod 2M) of every element, in ``elements()`` order."""
-    return [(module.element_order(x), _q_scaled(module, x)) for x in module.elements()]
+    """(order, M*q mod 2M) of every element, in ``elements()`` order.
+
+    Built one generator at a time.  Each partial entry x has its order and
+    M*q(x), and alongside, its pairings M*b(x, g_j) with the generators
+    still to come.  Adding t*g_i adds t*(t*M*q(g_i) + 2*M*b(x, g_i)) to
+    M*q, and the order becomes the lcm with n_i / gcd(t, n_i).  The
+    pairings enter only as 2*M*b mod 2M, so they need no reduction mod M.
+    """
+    two_m = 2 * module.level
+    table, pairings = [(1, 0)], [(0,) * module.ngens]
+    for i, n in enumerate(module.orders):
+        q_i, b_later = module.q_int[i], module.b_int[i][i + 1:]
+        steps = [(t, n // math.gcd(t, n), t * q_i) for t in range(n)]
+        table = [
+            (math.lcm(order, n_t), (q + t * (tq + 2 * lin[0])) % two_m)
+            for (order, q), lin in zip(table, pairings)
+            for t, n_t, tq in steps
+        ]
+        if b_later:
+            shifts = [tuple(t * b for b in b_later) for t in range(n)]
+            pairings = [tuple(map(add, lin[1:], shift)) for lin in pairings for shift in shifts]
+    return table
 
 
 def q_value(module: FiniteQuadraticModule, x) -> Fraction:
@@ -236,11 +257,9 @@ def two_elem_invariants(module: FiniteQuadraticModule) -> tuple[tuple[int, int],
 
 def isotropic_elements(module: FiniteQuadraticModule) -> list[GroupElement]:
     """All nonzero x with q(x) = 0, in lexicographic exponent order."""
-    out = []
-    for x in module.elements():
-        if any(x) and _q_scaled(module, x) == 0:
-            out.append(x)
-    return out
+    table = _value_table(module)
+    # the zero element comes first
+    return [x for x, (_, q) in zip(module.elements(), table) if q == 0][1:]
 
 
 @dataclass(frozen=True)

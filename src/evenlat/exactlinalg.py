@@ -116,7 +116,7 @@ class IntMat:
         """Determinant by fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        pivots, d, sign = _bareiss([list(row) for row in self.entries])
+        pivots, d, sign = _bareiss([list(row) for row in self.entries], above=False)
         return sign * d if len(pivots) == self.rows else 0
 
     def inverse(self) -> RatMat:
@@ -195,7 +195,7 @@ class RatMat:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         rows, den = _clear_denominators(self.entries)
-        pivots, d, sign = _bareiss(rows)
+        pivots, d, sign = _bareiss(rows, above=False)
         return Fraction(sign * d, den**self.rows) if len(pivots) == self.rows else Fraction(0)
 
     def inverse(self) -> RatMat:
@@ -303,34 +303,29 @@ def bilinear_table(xs, gram, ys) -> tuple[list[list[int]], int]:
     return _dots(left, right), dx * dy
 
 
-def _pivot_step(m: list[list[int]], r: int, c: int, prev: int) -> None:
-    """One fraction-free Gauss-Jordan step on pivot m[r][c].
+def _bareiss(m: list[list[int]], above: bool = True) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) elimination of integer rows, in place.
 
-    Every other row becomes (p * row - row[c] * m[r]) / prev, p = m[r][c]
-    and prev the previous pivot (1 before the first).  Each entry is then a
-    minor of the input, so the division is exact.
-    """
-    pivot_row = m[r]
-    p = pivot_row[c]
-    for i, row in enumerate(m):
-        if i == r:
-            continue
-        f = row[c]
-        if f:
-            m[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
-        elif p != prev:
-            m[i] = [p * a // prev for a in row]
+    Returns the pivot columns, the last pivot d (1 when there is none) and
+    the sign of the row swaps; for a square matrix of full rank, sign * d
+    is the determinant.  With ``above``, the rows above each pivot are
+    eliminated too (Gauss-Jordan) and m ends as d times its reduced row
+    echelon form, zero rows at the bottom.  Without, only the rows below
+    each pivot are, and only the pivots and d are meaningful.
 
-
-def _bareiss(m: list[list[int]]) -> tuple[list[int], int, int]:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in place.
-
-    Leaves m equal to d times its reduced row echelon form, zero rows at the
-    bottom, where d is the last pivot (1 when there is none).  Returns the
-    pivot columns, d and the sign of the row swaps.  For a square matrix of
-    full rank, sign * d is the determinant.
+    At the step on pivot p = m[r][c], with prev the previous pivot, eager
+    Bareiss replaces each other row by (p * row - row[c] * m[r]) / prev:
+    its entries stay minors of the input, so the division is exact.  For
+    row[c] == 0 that only rescales the row by p / prev, so such a row is
+    left alone here, and scale[i] records the pivot it was last brought
+    to: the eager row is row * prev / scale[i].  Substituted into the step,
+    the factor prev / scale[i] cancels, and a combined row becomes
+    (p * row - row[c] * m[r]) / scale[i], at scale p.  The pivot row is
+    brought to prev before its step and is at scale p after it; with
+    ``above``, every row is brought to d at the end.
     """
     pivots: list[int] = []
+    scale = [1] * len(m)
     d = sign = 1
     for c in range(len(m[0])):
         r = len(pivots)
@@ -341,10 +336,26 @@ def _bareiss(m: list[list[int]]) -> tuple[list[int], int, int]:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            scale[r], scale[piv] = scale[piv], scale[r]
             sign = -sign
-        _pivot_step(m, r, c, d)
-        d = m[r][c]
+        s = scale[r]
+        if s != d:
+            m[r] = [a * d // s for a in m[r]]
+        pivot_row = m[r]
+        p = pivot_row[c]
+        for i in range(0 if above else r + 1, len(m)):
+            row = m[i]
+            if i == r or not row[c]:
+                continue
+            f, s = row[c], scale[i]
+            m[i] = [(p * a - f * b) // s for a, b in zip(row, pivot_row)]
+            scale[i] = p
+        scale[r] = d = p
         pivots.append(c)
+    if above:
+        for i, s in enumerate(scale):
+            if s != d:
+                m[i] = [a * d // s for a in m[i]]
     return pivots, d, sign
 
 
@@ -477,33 +488,40 @@ def signature(g: IntMat) -> tuple[int, int, int]:
     the sign of the square split off.  When its diagonal is all zero, the
     congruence e_i += e_j with g_ij != 0 makes the diagonal entry 2*g_ij;
     it touches only rows and columns not yet used, so the division stays
-    exact.
+    exact.  Nothing outside that block is read, so m holds only the block:
+    each step removes its pivot's row and column and updates the rest.
     """
     if not g.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
     m = [list(row) for row in g.entries]
-    active = list(range(g.rows))
     n_plus = n_minus = 0
     prev = 1
-    while active:
-        piv = next((i for i in active if m[i][i]), None)
+    while m:
+        piv = next((i for i, row in enumerate(m) if row[i]), None)
         if piv is None:
-            pair = next(((i, j) for i in active for j in active if i < j and m[i][j]), None)
+            pair = next(
+                ((i, j) for i, row in enumerate(m) for j in range(i + 1, len(m)) if row[j]), None
+            )
             if pair is None:
                 break
             piv, j = pair
             m[piv] = [a + b for a, b in zip(m[piv], m[j])]
             for row in m:
                 row[piv] += row[j]
-        p = m[piv][piv]
+        pivot_row = m.pop(piv)
+        p = pivot_row.pop(piv)
         if (p > 0) == (prev > 0):
             n_plus += 1
         else:
             n_minus += 1
-        _pivot_step(m, piv, piv, prev)
+        for i, row in enumerate(m):
+            f = row.pop(piv)
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in row]
         prev = p
-        active.remove(piv)
-    return n_plus, n_minus, len(active)
+    return n_plus, n_minus, len(m)
 
 
 @dataclass(frozen=True)
@@ -560,7 +578,7 @@ def solve_rational(a: IntMat, sides) -> list[RationalSolution | None]:
 
 def row_rank(a: IntMat) -> int:
     """Rank of an integer matrix over Q."""
-    return len(_bareiss([list(row) for row in a.entries])[0])
+    return len(_bareiss([list(row) for row in a.entries], above=False)[0])
 
 
 def kernel_saturated(a: IntMat) -> tuple[tuple[int, ...], ...]:

@@ -534,9 +534,8 @@ def verify_section_6(gram24: IntMat) -> Entry:
     module = df.from_lattice(m_lat)
     # the rational SNF of gram^-1 has the entries 1/e_i, e_i the invariant
     # factors of the gram
-    diag = (Fraction(1),) * (m_lat.rank - module.ngens) + tuple(
-        Fraction(1, n) for n in module.orders
-    )
+    d, _, _ = snf_rational(m_lat.gram.inverse())
+    diag = tuple(d.entries[i][i] for i in range(m_lat.rank))
     expected_diag = (1,) * 10 + (Fraction(1, 2),) * 4 + (Fraction(1, 4),) * 2
     witnesses["snf_diagonal"] = diag
     if diag != expected_diag:

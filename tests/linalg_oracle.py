@@ -82,8 +82,13 @@ def _rref(rows, ncols):
     return m, pivots
 
 
+def rref(rows):
+    """(reduced row echelon form over Q, pivot columns)."""
+    return _rref(rows, len(rows[0]))
+
+
 def rank(rows) -> int:
-    return len(_rref(rows, len(rows[0]))[1])
+    return len(rref(rows)[1])
 
 
 def solve(rows, b):

@@ -136,6 +136,17 @@ def second_generating_set(rng, module):
     return gens
 
 
+def assert_value_table(module):
+    """The integer table and isotropic scan against the Fraction rules."""
+    want = [
+        (discform_oracle.element_order(module, x),
+         discform_oracle.q_value(module, x) * module.level)
+        for x in module.elements()
+    ]
+    assert df._value_table(module) == want
+    assert df.isotropic_elements(module) == discform_oracle.isotropic_elements(module)
+
+
 class TestFromLattice:
     def test_a_q_orders(self, a_q):
         assert a_q.orders == (2, 2, 4, 4)
@@ -553,13 +564,26 @@ class TestAgainstFractionOracle:
             df.direct_sum(module, random_handbuilt_module(rng)),
             random_handbuilt_module(rng),
         ))
-        want = [
-            (discform_oracle.element_order(module, x),
-             discform_oracle.q_value(module, x) * module.level)
-            for x in module.elements()
+        assert_value_table(module)
+
+    def test_value_table_trivial_and_mixed_orders(self):
+        trivial = df.FiniteQuadraticModule((), 1, (), ())
+        assert df._value_table(trivial) == [(1, 0)]
+        assert df.isotropic_elements(trivial) == []
+        assert_value_table(trivial)
+        # Z/3 + Z/12 + Z/2 + Z/4, odd and even orders, every pairing allowed
+        # by the orders nonzero
+        b = [
+            [F(1, 3), F(2, 3), F(0), F(0)],
+            [F(2, 3), F(5, 12), F(1, 2), F(3, 4)],
+            [F(0), F(1, 2), F(1, 2), F(1, 2)],
+            [F(0), F(3, 4), F(1, 2), F(1, 4)],
         ]
-        assert df._value_table(module) == want
-        assert df.isotropic_elements(module) == discform_oracle.isotropic_elements(module)
+        q = [F(4, 3), F(5, 12), F(1, 2), F(5, 4)]
+        mixed = discform_oracle.module_from_fractions((3, 12, 2, 4), q, b)
+        assert (mixed.order, mixed.level) == (288, 12)
+        assert_value_table(mixed)
+        assert df.isotropic_elements(mixed)
 
 
 class TestIsomorphism:

@@ -11,6 +11,7 @@ import linalg_oracle as oracle
 from evenlat.exactlinalg import (
     IntMat,
     RatMat,
+    _bareiss,
     bilinear_table,
     hnf,
     hnf_mod,
@@ -346,6 +347,57 @@ def low_rank_intmat(max_dim=5, max_entry=3, square=False):
         ).map(lambda ab: ab[0] * ab[1])
 
     return dims.flatmap(build)
+
+
+@st.composite
+def zero_heavy_intmat(draw, max_dim=6):
+    """Sparse integer matrices, often rank-deficient or needing row swaps.
+
+    A row with a zero in the pivot column sits out that step, so sparse
+    rows sit out several steps in a row.  Optionally the rows with a zero
+    in the first column come first, forcing a swap, and a combination of
+    two rows is inserted, lowering the rank.
+    """
+    n, w = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    zeros = draw(st.integers(3, 9))
+    cell = st.tuples(st.integers(0, 9), st.integers(-9, 9)).map(
+        lambda t: 0 if t[0] < zeros else t[1]
+    )
+    rows = draw(st.lists(st.lists(cell, min_size=w, max_size=w), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: row[0] != 0)
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.insert(draw(st.integers(0, n)), [a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return IntMat.from_rows(rows)
+
+
+class TestBareissKernel:
+    """Both modes of the lazily scaled kernel against the Fraction RREF."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(zero_heavy_intmat() | low_rank_intmat(max_dim=6))
+    def test_both_modes(self, a):
+        rows = a.entries
+        reduced, want_pivots = oracle.rref(rows)
+        det = oracle.det(rows) if a.rows == a.cols else None
+        for above in (True, False):
+            m = [list(row) for row in rows]
+            pivots, d, sign = _bareiss(m, above=above)
+            assert pivots == want_pivots
+            assert len(pivots) == oracle.rank(rows)
+            if det is not None:
+                assert (sign * d if len(pivots) == a.rows else 0) == det
+            if above:
+                assert m == [[d * e for e in row] for row in reduced]
+
+    def test_pivot_row_keeps_its_scale(self):
+        # the pivot row counts as being at the new scale after its step;
+        # left at the old one, the final rescale would double it
+        m = [[2, 5], [0, 0]]
+        assert _bareiss(m) == ([0], 2, 1)
+        assert m == [[2, 5], [0, 0]]
 
 
 class TestAgainstFractionOracle:

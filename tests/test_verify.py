@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 import evenlat
 import evenlat.refdata as rd
 from evenlat import discform as df
-from evenlat import lattice
-from evenlat.exactlinalg import IntMat
+from evenlat import lattice, verify
+from evenlat.exactlinalg import IntMat, RatMat, snf_rational
 from evenlat.lattice import Lattice
 from evenlat.reconstruct import q_gram_of
 from evenlat.verify import (
@@ -187,6 +187,22 @@ class TestSection6FailPaths:
         assert entry.status == "fail"
         assert entry.witnesses["isotropic_count"] == 30
         assert entry.expected == {"isotropic_count": 31}
+
+    def test_snf_diagonal_is_read_off_the_rational_snf(self, gram24, monkeypatch):
+        # one wrong invariant factor in the SNF of M^-1 fails the entry,
+        # although the discriminant group still has the right orders
+        def one_wrong(a):
+            d, s, t = snf_rational(a)
+            rows = [list(row) for row in d.entries]
+            rows[-1][-1] /= 2
+            return RatMat.from_rows(rows), s, t
+
+        monkeypatch.setattr(verify, "snf_rational", one_wrong)
+        entry = verify_section_6(gram24)
+        assert entry.status == "fail"
+        quarter, eighth = Fraction(1, 4), Fraction(1, 8)
+        assert entry.witnesses["snf_diagonal"][-2:] == (quarter, eighth)
+        assert entry.expected["snf_diagonal"][-2:] == (quarter, quarter)
 
     def test_block_form_expectation_has_report_keys(self, gram24, monkeypatch):
         monkeypatch.setattr(rd, "SECTION6_Q_DIAG", (0,) * 6)
