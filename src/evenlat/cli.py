@@ -71,13 +71,15 @@ def cmd_snf(args) -> int:
     if args.rational or args.inverse:
         mat = gram.to_rational()
         if args.inverse:
-            if gram.det() == 0:
+            try:
+                mat = gram.inverse()
+            except ValueError:
                 raise PreconditionError("matrix is singular; no inverse to decompose")
-            mat = gram.inverse()
         d, s, t = snf_rational(mat)
     else:
         d, s, t = snf(gram)
     # integer entries print as integers, so one layout serves both forms
+    entries = d.entries
     _emit(
         {
             "schema": ser.SCHEMA,
@@ -85,7 +87,7 @@ def cmd_snf(args) -> int:
             "S": ser.intmat_to_json(s),
             "T": ser.intmat_to_json(t),
             "invariant_factors": [
-                ser.rational_to_json(d.entries[i][i]) for i in range(min(d.rows, d.cols))
+                ser.rational_to_json(entries[i][i]) for i in range(min(d.rows, d.cols))
             ],
         }
     )

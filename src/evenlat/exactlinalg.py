@@ -1,17 +1,19 @@
 """Exact dense linear algebra over the integers and rationals.
 
-Everything here is arbitrary precision: matrices carry Python ints or
-``fractions.Fraction`` entries and no operation ever rounds.  The normal
-forms (Hermite, Smith) return their unimodular transforms so callers can
-replay every identity exactly; the one exception is ``hnf_mod``, the HNF
-of a lattice containing d*Z^n, which works mod d and builds no transform.
+Everything here is arbitrary precision: matrices carry Python ints, a
+rational matrix being integer rows over one least denominator, and no
+operation ever rounds.  The normal forms (Hermite, Smith) return their
+unimodular transforms so callers can replay every identity exactly; the
+one exception is ``hnf_mod``, the HNF of a lattice containing d*Z^n,
+which works mod d and builds no transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 
 
@@ -37,17 +39,7 @@ class IntMat:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.entries or not self.entries[0]:
-            raise ValueError("matrix dimensions must be at least 1x1")
-        width = len(self.entries[0])
-        types = set()
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            types.update(map(type, row))
-        types.discard(int)
-        if types:
-            raise TypeError(f"integer entry expected, got {types.pop().__name__}")
+        _check_int_rows(self.entries)
 
     @classmethod
     def from_rows(cls, rows) -> IntMat:
@@ -110,7 +102,7 @@ class IntMat:
         return all(e == 0 for row in self.entries for e in row)
 
     def to_rational(self) -> RatMat:
-        return RatMat(tuple(tuple(Fraction(e) for e in row) for row in self.entries))
+        return RatMat(self.entries)
 
     def det(self) -> int:
         """Determinant by fraction-free Bareiss elimination."""
@@ -135,81 +127,116 @@ class IntMat:
 
 @dataclass(frozen=True)
 class RatMat:
-    """Immutable dense rational matrix; entries are normalized Fractions."""
+    """Immutable dense rational matrix num / den, stored in integers.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    num holds integer rows and den >= 1 is the least common denominator of
+    the entries, so gcd(den, every entry of num) == 1 and equal matrices
+    have equal fields.  ``entries`` is a read-only view as Fractions.
+    """
+
+    num: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self):
-        if not self.entries or not self.entries[0]:
-            raise ValueError("matrix dimensions must be at least 1x1")
-        width = len(self.entries[0])
-        for row in self.entries:
-            if len(row) != width:
-                raise ValueError("ragged rows")
-            for e in row:
-                if not isinstance(e, Fraction):
-                    raise TypeError(f"Fraction entry expected, got {type(e).__name__}")
+        _check_int_rows(self.num)
+        if type(self.den) is not int:
+            raise TypeError(f"integer denominator expected, got {type(self.den).__name__}")
+        if self.den < 1:
+            raise ValueError("denominator must be at least 1")
+        if self.den != 1 and gcd(self.den, *chain.from_iterable(self.num)) != 1:
+            raise ValueError("denominator must be the least common denominator")
 
     @classmethod
     def from_rows(cls, rows) -> RatMat:
-        return cls(tuple(tuple(Fraction(e) for e in row) for row in rows))
+        """The matrix of rows of ints and Fractions."""
+        rows = [tuple(row) for row in rows]
+        bad = {type(e) for row in rows for e in row} - {int, Fraction}
+        if bad:
+            raise TypeError(f"int or Fraction entry expected, got {bad.pop().__name__}")
+        # the lcm of the denominators of normalized entries is already least
+        num, den = _clear_denominators(rows)
+        return cls(tuple(map(tuple, num)), den)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.num)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0])
+        return len(self.num[0])
 
     def transpose(self) -> RatMat:
-        return RatMat(tuple(zip(*self.entries)))
+        return RatMat(tuple(zip(*self.num)), self.den)
 
     def __mul__(self, other: RatMat) -> RatMat:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
-        mat, d = _clear_denominators(other.entries)
-        num, den = rational_product(self.entries, mat)
-        return RatMat(tuple(tuple(Fraction(e, den * d) for e in row) for row in num))
+        return _reduced(_dots(self.num, tuple(zip(*other.num))), self.den * other.den)
 
     def __add__(self, other: RatMat) -> RatMat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in sum")
-        return RatMat(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return _reduced(
+            [[fa * a + fb * b for a, b in zip(r1, r2)] for r1, r2 in zip(self.num, other.num)], den
         )
 
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for row in self.entries for e in row)
+        return self.den == 1
 
     def to_integer(self) -> IntMat:
         if not self.is_integral():
             raise ValueError("matrix has non-integral entries")
-        return IntMat(tuple(tuple(int(e) for e in row) for row in self.entries))
+        return IntMat(self.num)
 
     def det(self) -> Fraction:
-        """det(den*A) / den^n, den*A being the integer matrix cleared of denominators."""
+        """det(num) / den^n."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        rows, den = _clear_denominators(self.entries)
-        pivots, d, sign = _bareiss(rows, above=False)
-        return Fraction(sign * d, den**self.rows) if len(pivots) == self.rows else Fraction(0)
+        pivots, d, sign = _bareiss([list(row) for row in self.num], above=False)
+        return Fraction(sign * d, self.den**self.rows) if len(pivots) == self.rows else Fraction(0)
 
     def inverse(self) -> RatMat:
-        """Gauss-Jordan inverse of den*A on [den*A | I]; raises on singular input."""
+        """Gauss-Jordan inverse den * num^-1 on [num | I]; raises on singular input."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        rows, den = _clear_denominators(self.entries)
-        m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.num)]
         pivots, d, _ = _bareiss(m)
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
-        # m = d * [I | (den*A)^-1]
-        return RatMat(tuple(tuple(Fraction(den * e, d) for e in row[n:]) for row in m))
+        # m = d * [I | num^-1]
+        return _reduced([[self.den * e for e in row[n:]] for row in m], d)
+
+
+def _check_int_rows(rows) -> None:
+    """Raise unless rows is a nonempty rectangle of ints (bools excluded)."""
+    if not rows or not rows[0]:
+        raise ValueError("matrix dimensions must be at least 1x1")
+    width = len(rows[0])
+    types = set()
+    for row in rows:
+        if len(row) != width:
+            raise ValueError("ragged rows")
+        types.update(map(type, row))
+    types.discard(int)
+    if types:
+        raise TypeError(f"integer entry expected, got {types.pop().__name__}")
+
+
+def _reduced(rows, den: int) -> RatMat:
+    """The RatMat rows / den for integer rows and a nonzero den, in lowest terms."""
+    g = gcd(den, *chain.from_iterable(rows))
+    if den < 0:
+        g = -g
+    if g != 1:
+        rows = [[e // g for e in row] for row in rows]
+    return RatMat(tuple(map(tuple, rows)), den // g)
 
 
 def block_diag(*mats: IntMat) -> IntMat:
@@ -456,24 +483,22 @@ def snf(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
 def snf_rational(a: RatMat) -> tuple[RatMat, IntMat, IntMat]:
     """Smith normal form of a nonsingular rational matrix.
 
-    Clears the global lcm of denominators, runs the integer SNF, and
-    rescales back, so S and T stay unimodular over the integers.  The
-    diagonal is ordered with the largest entry first (each entry divides
-    the previous one in Q); for the inverse Gram matrix of a lattice this
-    puts the unit factors first and the discriminant denominators last.
+    Runs the integer SNF on num and divides by den, so S and T stay
+    unimodular over the integers.  The diagonal is ordered with the
+    largest entry first (each entry divides the previous one in Q); for
+    the inverse Gram matrix of a lattice this puts the unit factors first
+    and the discriminant denominators last.
     """
     if a.rows != a.cols:
         raise ValueError("rational SNF requires a square matrix")
     if a.det() == 0:
         raise ValueError("rational SNF requires a nonsingular matrix")
-    scaled, mden = _clear_denominators(a.entries)
-    d_int, s, t = snf(IntMat.from_rows(scaled))
+    d_int, s, t = snf(IntMat(a.num))
     n = a.rows
     # reverse the divisibility chain: largest invariant factor first
     perm = list(range(n - 1, -1, -1))
-    diag = [Fraction(d_int.entries[i][i], mden) for i in perm]
-    zero = Fraction(0)
-    d = RatMat(tuple(tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n)))
+    diag = [d_int.entries[i][i] for i in perm]
+    d = _reduced([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], a.den)
     s_rev = IntMat.from_rows([s.entries[i] for i in perm])
     t_rev = IntMat.from_rows([[t.entries[i][perm[j]] for j in range(n)] for i in range(n)])
     return d, s_rev, t_rev

@@ -148,15 +148,16 @@ def discriminant_group(lattice: Lattice) -> DiscGroupData:
         raise ValueError("discriminant group needs a nondegenerate lattice")
     inv = lattice.gram.inverse()
     d, s, t = snf_rational(inv)
-    gens = [i for i in range(lattice.rank) if d.entries[i][i].denominator != 1]
-    factors = tuple(d.entries[i][i].denominator for i in gens)
-    # one product gram^-1 * [S^T | T] on the generator columns: gram^-1 is
-    # symmetric, so column i of gram^-1 * S^T is row i of S * gram^-1
-    picked = [
-        [a[i] for i in gens] + [b[i] for i in gens] for a, b in zip(zip(*s.entries), t.entries)
-    ]
-    num, den = rational_product(inv.entries, picked)
-    cols = tuple(zip(*num))
+    # d_i = d.num[i][i] / d.den, whose reduced denominator is n_i
+    orders = [d.den // gcd(d.num[i][i], d.den) for i in range(lattice.rank)]
+    gens = [i for i, n in enumerate(orders) if n != 1]
+    factors = tuple(orders[i] for i in gens)
+    # one product den * gram^-1 * [S^T | T] on the generator columns, each
+    # row of cols one column: gram^-1 is symmetric, so column i of
+    # gram^-1 * S^T is row i of S * gram^-1
+    t_cols = tuple(zip(*t.entries))
+    cols = _dots([s.entries[i] for i in gens] + [t_cols[i] for i in gens], inv.num)
+    den = inv.den
     k = len(gens)
     g = gcd(den, *(e for col in cols[:k] for e in col))
     lifts = tuple(tuple(e // g for e in col) for col in cols[:k])

@@ -181,8 +181,9 @@ def verify_lemma_4_1(aq) -> Entry:
     lat, module, _, _ = aq
     inv = lat.gram.inverse()
     d, s, t = snf_rational(inv)
-    diag = tuple(d.entries[i][i] for i in range(6))
-    identity_ok = (s.to_rational() * inv * t.to_rational()).entries == d.entries
+    entries = d.entries
+    diag = tuple(entries[i][i] for i in range(6))
+    identity_ok = s.to_rational() * inv * t.to_rational() == d
     witnesses = {
         "snf_diagonal": diag,
         "transform_identity": identity_ok,
@@ -535,7 +536,8 @@ def verify_section_6(gram24: IntMat) -> Entry:
     # the rational SNF of gram^-1 has the entries 1/e_i, e_i the invariant
     # factors of the gram
     d, _, _ = snf_rational(m_lat.gram.inverse())
-    diag = tuple(d.entries[i][i] for i in range(m_lat.rank))
+    entries = d.entries
+    diag = tuple(entries[i][i] for i in range(m_lat.rank))
     expected_diag = (1,) * 10 + (Fraction(1, 2),) * 4 + (Fraction(1, 4),) * 2
     witnesses["snf_diagonal"] = diag
     if diag != expected_diag:

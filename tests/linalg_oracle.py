@@ -5,8 +5,10 @@ These are the textbook eliminations over Q, one loop per operation, that
 the entry-by-entry Fraction products that it replaced by one
 denominator-cleared integer product, and the Hermite and Smith forms that
 step a matrix and its transforms separately where the package steps one
-augmented table, and the span basis of Z^n and rational rows from the full
-Hermite form, where the package works mod the denominator.  The
+augmented table, the rational Smith form that clears a Fraction matrix
+where the package reads its stored integer rows, and the span basis of
+Z^n and rational rows from the full Hermite form, where the package works
+mod the denominator.  The
 differential tests compare the two; nothing here shares code with the
 package.
 """
@@ -352,3 +354,22 @@ def span_basis(rows, n):
     stacked += [[int(den * Fraction(e)) for e in row] for row in rows]
     h, _ = hnf(stacked)
     return tuple(tuple(Fraction(e, den) for e in row) for row in h[:n])
+
+
+def snf_rational(rows):
+    """(D as Fraction rows, S, T) for a nonsingular rational matrix, by clearing.
+
+    The denominators are cleared by their lcm, the integer matrix goes
+    through ``snf`` above, and the diagonal is divided back entry by entry
+    and reversed, largest invariant factor first, with S's rows and T's
+    columns reversed to match.
+    """
+    n = len(rows)
+    den = math.lcm(*(Fraction(e).denominator for row in rows for e in row))
+    d, s, t = snf([[int(den * Fraction(e)) for e in row] for row in rows])
+    perm = range(n - 1, -1, -1)
+    diag = [Fraction(d[i][i], den) for i in perm]
+    d_rev = tuple(tuple(diag[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
+    s_rev = tuple(s[i] for i in perm)
+    t_rev = tuple(tuple(row[j] for j in perm) for row in t)
+    return d_rev, s_rev, t_rev

@@ -76,6 +76,16 @@ class TestSNF:
         assert code == 3
         assert err == "error: rational SNF requires a nonsingular matrix\n"
 
+    @pytest.mark.parametrize("gram", [[[1, 1], [1, 1]], [[0]]])
+    @pytest.mark.parametrize("flags", [["--inverse"], ["--rational", "--inverse"]])
+    def test_singular_inverse_exits_3(self, capsys, tmp_path, gram, flags):
+        path = tmp_path / "sing.json"
+        path.write_text(json.dumps({"schema": 1, "gram": gram}))
+        code, out, err = run_cli(capsys, "snf", str(path), *flags)
+        assert code == 3
+        assert out == ""
+        assert err == "error: matrix is singular; no inverse to decompose\n"
+
 
 class TestDiscAndIsotropic:
     def test_disc(self, capsys, q_file):

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import evenlat
+import evenlat.discform as discform
+import evenlat.exactlinalg as exactlinalg
 import linalg_oracle as oracle
 from evenlat.exactlinalg import (
     IntMat,
@@ -24,6 +27,7 @@ from evenlat.exactlinalg import (
     snf_rational,
     solve_rational,
 )
+from evenlat.lattice import Lattice, parse_lattice_expr
 
 F = Fraction
 
@@ -328,6 +332,35 @@ def rational_matrix(rows, cols, max_entry=6, max_den=4):
     )
 
 
+# zero, negative, integral and proper fractional entries, as ints or Fractions
+MIXED_ENTRY = st.integers(-9, 9) | st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+
+
+def mixed_rows(rows, cols):
+    return st.lists(
+        st.lists(MIXED_ENTRY, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+
+
+def fraction_matrix(rows, cols):
+    """Fraction rows: integer only, mixed denominators, one common denominator,
+    or numerators sharing a factor c with a common denominator c * den, so
+    that c cancels in every entry."""
+    ints = st.lists(
+        st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )
+    return st.one_of(
+        ints,
+        mixed_rows(rows, cols),
+        st.tuples(ints, st.integers(1, 12)).map(
+            lambda a: [[F(e, a[1]) for e in row] for row in a[0]]
+        ),
+        st.tuples(ints, st.integers(1, 4), st.integers(2, 3)).map(
+            lambda a: [[F(a[2] * e, a[2] * a[1]) for e in row] for row in a[0]]
+        ),
+    )
+
+
 def int_matrix(rows, cols, max_entry=9):
     return st.lists(
         st.lists(st.integers(-max_entry, max_entry), min_size=cols, max_size=cols),
@@ -412,6 +445,7 @@ class TestAgainstFractionOracle:
     @given(
         st.integers(1, 5).flatmap(lambda n: rational_matrix(n, n))
         | low_rank_intmat(square=True).map(lambda a: [[F(e, 3) for e in row] for row in a.entries])
+        | st.integers(1, 4).flatmap(lambda n: fraction_matrix(n, n))
     )
     def test_rational_det_and_inverse(self, rows):
         a = RatMat.from_rows(rows)
@@ -484,16 +518,6 @@ class TestNormalFormsAgainstTwoMatrixForms:
         assert (d.entries, s.entries, t.entries) == oracle.snf(a.entries)
 
 
-# zero, negative, integral and proper fractional entries, as ints or Fractions
-MIXED_ENTRY = st.integers(-9, 9) | st.builds(F, st.integers(-9, 9), st.integers(1, 6))
-
-
-def mixed_rows(rows, cols):
-    return st.lists(
-        st.lists(MIXED_ENTRY, min_size=cols, max_size=cols), min_size=rows, max_size=rows
-    )
-
-
 class TestRationalProduct:
     """The denominator-cleared integer product against entry-by-entry Fractions."""
 
@@ -531,6 +555,93 @@ class TestRationalProduct:
         assert rational_product([], [[1, 2], [3, 4]]) == ([], 1)
 
 
+def fractions(rows):
+    return tuple(tuple(F(e) for e in row) for row in rows)
+
+
+class TestRationalRepresentation:
+    """RatMat's integer rows over a least denominator against Fraction entries."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+            lambda d: st.tuples(
+                fraction_matrix(d[0], d[1]), fraction_matrix(d[0], d[1]), fraction_matrix(d[1], d[2])
+            )
+        )
+    )
+    def test_against_oracle(self, draws):
+        # det and inverse: TestAgainstFractionOracle draws these matrices too
+        ra, rb, rc = draws
+        a, b, c = map(RatMat.from_rows, draws)
+        want = fractions(ra)
+        assert a.entries == want
+        assert a.den == math.lcm(*(e.denominator for row in want for e in row))
+        assert (a * c).entries == oracle.matmul(ra, rc)
+        assert (a + b).entries == tuple(
+            tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(want, fractions(rb))
+        )
+        assert (a + RatMat.from_rows([[-e for e in row] for row in want])).den == 1
+        assert a.transpose().entries == tuple(zip(*want))
+        if all(e.denominator == 1 for row in want for e in row):
+            assert a.to_integer().entries == tuple(tuple(map(int, row)) for row in want)
+        else:
+            with pytest.raises(ValueError):
+                a.to_integer()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.tuples(st.integers(1, 2), st.integers(1, 2)).flatmap(
+            lambda d: st.tuples(fraction_matrix(*d), fraction_matrix(*d))
+        )
+    )
+    def test_equal_exactly_when_entries_are(self, draws):
+        a, b = map(RatMat.from_rows, draws)
+        assert (a == b) == (a.entries == b.entries)
+        # the same matrix reached by another route has the same fields
+        again = a.transpose().transpose() * RatMat.from_rows(
+            [[int(i == j) for j in range(a.cols)] for i in range(a.cols)]
+        )
+        assert again == a and hash(again) == hash(a)
+
+
+SCRAMBLE_BLOCKS = (("U", 2), ("E8", 8), ("U(2)", 2), ("U(4)", 2), ("A1", 1), ("<-4>", 1))
+
+
+class TestRationalSNFAgainstClearing:
+    """snf_rational on stored integer rows against clearing Fraction entries."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 5).flatmap(lambda n: fraction_matrix(n, n)))
+    def test_random_matrices(self, rows):
+        a = RatMat.from_rows(rows)
+        if oracle.det(rows) == 0:
+            with pytest.raises(ValueError):
+                snf_rational(a)
+            return
+        d, s, t = snf_rational(a)
+        assert (d.entries, s.entries, t.entries) == oracle.snf_rational(rows)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_scrambled_inverse_grams(self, seed):
+        # sums of U, E8, U(2), U(4), A1 and <-4> up to rank 22 under n/2
+        # random row additions, as the benchmark's discriminant-form queries
+        rng = random.Random(seed)
+        blocks, rank = [], 0
+        target = rng.randint(2, 22)
+        while rank < target:
+            block, size = rng.choice(SCRAMBLE_BLOCKS)
+            if rank + size <= 22:
+                blocks.append(block)
+                rank += size
+        gram = parse_lattice_expr("+".join(blocks)).gram
+        u = random_unimodular(rng, rank, steps=rank // 2)
+        inv = (u * gram * u.transpose()).inverse()
+        d, s, t = snf_rational(inv)
+        assert (d.entries, s.entries, t.entries) == oracle.snf_rational(inv.entries)
+
+
 class TestIntegerEntries:
     @pytest.mark.parametrize("bad", [F(1, 2), F(3), True, 2.0])
     def test_non_int_entries_rejected(self, bad):
@@ -539,6 +650,46 @@ class TestIntegerEntries:
             IntMat.from_rows([[1, bad]])
         with pytest.raises(TypeError):
             IntMat.diagonal([bad])
+        with pytest.raises(TypeError):
+            RatMat(((1, bad),))
+
+    @pytest.mark.parametrize("bad", [True, 2.0, F(2)])
+    def test_non_int_denominator_rejected(self, bad):
+        with pytest.raises(TypeError):
+            RatMat(((1,),), bad)
+
+    @pytest.mark.parametrize(
+        "num, den", [(((1,),), 0), (((1,),), -1), (((2,),), 4), (((0, 0),), 2), (((2, 4),), 6)]
+    )
+    def test_denominator_not_least_rejected(self, num, den):
+        with pytest.raises(ValueError):
+            RatMat(num, den)
+
+    @pytest.mark.parametrize("bad", [2.0, "1/2", True])
+    def test_from_rows_takes_ints_and_fractions(self, bad):
+        assert RatMat.from_rows([[1, F(2, 4)]]) == RatMat(((2, 1),), 2)
+        with pytest.raises(TypeError):
+            RatMat.from_rows([[1, bad]])
+
+
+def test_from_lattice_makes_one_fraction_in_exactlinalg(monkeypatch):
+    # a rank-22 discriminant form: the inverse, its determinant, the rational
+    # SNF and the lift product run on integer rows; the one Fraction is the
+    # value that the nonsingularity check's RatMat.det returns
+    gram = parse_lattice_expr("U+E8+E8+U(2)+<-4>+<-4>").gram
+    u = random_unimodular(random.Random(3), 22, steps=11)
+    lat = Lattice(u * gram * u.transpose())
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(exactlinalg, "Fraction", Counting)
+    module = discform.from_lattice(lat)
+    assert module.orders == (2, 2, 4, 4)
+    assert len(made) == 1
 
 
 def test_only_exactlinalg_runs_bareiss():

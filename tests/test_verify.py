@@ -100,6 +100,27 @@ class TestIndividualCheckers:
         assert entry.status == "pass"
         assert entry.witnesses["order"] == 64
 
+    @pytest.mark.parametrize("corrupt", ["swap_s_rows", "shear_t"])
+    def test_lemma_4_1_fails_on_a_wrong_transform(self, aq, monkeypatch, corrupt):
+        # S and T stay unimodular and D keeps the right diagonal, so only the
+        # exact comparison S * Q^-1 * T == D can fail the entry
+        def wrong(a):
+            d, s, t = snf_rational(a)
+            if corrupt == "swap_s_rows":
+                rows = list(s.entries)
+                rows[0], rows[1] = rows[1], rows[0]
+                return d, IntMat.from_rows(rows), t
+            rows = [list(row) for row in t.entries]
+            for row in rows:
+                row[0] += row[1]
+            return d, s, IntMat.from_rows(rows)
+
+        monkeypatch.setattr(verify, "snf_rational", wrong)
+        entry = verify_lemma_4_1(aq)
+        assert entry.status == "fail"
+        assert entry.witnesses["transform_identity"] is False
+        assert entry.witnesses["snf_diagonal"] == entry.expected["snf_diagonal"]
+
     def test_lemma_4_2(self, aq):
         entry = verify_lemma_4_2(aq)
         assert entry.status == "pass"
