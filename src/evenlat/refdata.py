@@ -241,3 +241,95 @@ ISOTROPIC_AM_HALFSETS = (
 # embedding check for Prop 6.2(i): diag(-4,-4) inside U(2)+diag(-8)
 P62_AMBIENT_EXPR = "U(2)+diag(-8)"
 P62_GENS = ((1, 1, 1), (-1, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# expected values of the report entries
+
+
+def report_pairs(b_off) -> dict:
+    """b values keyed by 0-based pairs (i, j), rekeyed "i,j" from 1 for the report."""
+    return {f"{i + 1},{j + 1}": v for (i, j), v in b_off.items()}
+
+
+# result id -> {witness name: value}; an entry passes exactly when each of
+# these equals the checker's witness of the same name.  Checkers read this
+# table when they run.
+EXPECTED = {
+    "reconstruction_24": {"selected_solutions": 1},
+    "lemma_3_1": {
+        "S_det": -1,
+        "S_signature": (1, 9, 0),
+        "S_even": True,
+        "S_dot_Q": "all zero",
+        "Q_gram": Q_GRAM,
+    },
+    "lemma_4_1": {
+        "snf_diagonal": (F(1), F(1), F(1, 2), F(1, 2), F(1, 4), F(1, 4)),
+        "transform_identity": True,
+        "invariant_factors": (2, 2, 4, 4),
+        "order": 64,
+        "det": 64,
+    },
+    "lemma_4_2": {
+        "pairing_table": PAIRING_TABLE_Q,
+        "isotropic_count": 7,
+        "printed_is_whole_set": True,
+    },
+    "thm_4_3": {
+        "s_plus_q_index": 1,
+        "classes_without_certificate": (),
+        "subgroups_without_certified_class": (),
+        "splitting": {
+            "basis": True,
+            "block_diagonal": True,
+            "u_block_hyperbolic": True,
+            "e8_block_is_e8": True,
+            "q_block_printed": True,
+        },
+        "ns_invariant_factors": (2, 2, 4, 4),
+    },
+    "prop_4_4": {
+        "even": True,
+        "signature": (2, 4, 0),
+        "disc_isomorphic": True,
+        "rank_bound": True,
+        "block_q_diag": PROP44_Q_DIAG,
+        "block_b_offdiag": report_pairs(PROP44_B_OFFDIAG),
+        "uniqueness_predicate": True,
+    },
+    # the images of the branch points s, -s, -1/s, 1/s are 0, s^2,
+    # (1+s^2)^2/4 and infinity, in the canonical rendering of a reduced
+    # rational function
+    "thm_4_5_mobius": {"images": ("0", "s^2", "1/4 + 1/2*s^2 + 1/4*s^4", "INFINITY")},
+    "km_embedding": {"gram": IntMat.diagonal([4, 4]), "snf_invariant_factors": (1, 1)},
+    "prop_4_6": {
+        "square": F(2),
+        "norm_gcd_omega_perp": 4,
+        "m_z23_rank": 14,
+        "m_z23_invariant_factors": (2,) * 8,
+        "m_z23_negative_definite": True,
+        # the complement of a rank-14 negative definite block in signature (3, 19)
+        "perp_candidate_signature": (3, 5),
+        "perp_candidate_l": 8,
+        "perp_disc_isomorphic": True,
+        "scale_gcd_perp": 2,
+        "odd_pairing_in_tx": F(1),
+    },
+    "section_6": {
+        # the entries 1/e_i, e_i the invariant factors of the Gram of M
+        "snf_diagonal": (F(1),) * 10 + (F(1, 2),) * 4 + (F(1, 4),) * 2,
+        "disc_invariant_factors": (2, 2, 2, 2, 4, 4),
+        "block_q_diag": SECTION6_Q_DIAG,
+        "block_b_offdiag": report_pairs(SECTION6_B_OFFDIAG),
+        "isotropic_count": 31,
+        "halfsets_without_certificate": (),
+        "printed_equals_isotropic_set": True,
+        "even_eight_half_sum_in_lattice": True,
+        "even_eight_certificate": None,
+        "t_xprime_even": True,
+        "t_xprime_signature": (2, 4, 0),
+        "t_xprime_disc_isomorphic": True,
+    },
+    "prop_6_2": {"gram": IntMat.diagonal([-4, -4]), "snf_invariant_factors": (1, 1)},
+}

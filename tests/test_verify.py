@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -17,9 +18,12 @@ from evenlat.lattice import Lattice
 from evenlat.reconstruct import q_gram_of
 from evenlat.verify import (
     CHECKS,
+    REPORT_ONLY,
     RESULT_IDS,
     _aq_with_printed_generators,
     _m_coords,
+    jsonable,
+    reconstruction_entry,
     run_all,
     verify_km_embedding,
     verify_lemma_3_1,
@@ -83,6 +87,156 @@ class TestFullRun:
                 if any(n.startswith("prerequisite ") for n in e.notes):
                     assert e.notes == (f"prerequisite {prereq[e.result_id]} did not pass",)
                     assert rep.entry(prereq[e.result_id]).status == "fail"
+
+
+def _perturbed_q(gram24):
+    """gram24 with R16.R12 raised by one: the rank-6 block entry (1, 5) moves."""
+    g = [list(row) for row in gram24.entries]
+    g[15][11] += 1
+    g[11][15] += 1
+    return IntMat.from_rows(g)
+
+
+def _blocked(entry):
+    return any(n.startswith("prerequisite ") for n in entry.notes)
+
+
+def _dependents(rid):
+    """rid and every entry that depends on it through CHECKS, transitively."""
+    out = {rid}
+    for r, prereq in CHECKS:  # prerequisites come first in report order
+        if prereq in out:
+            out.add(r)
+    return out
+
+
+class _Unequal:
+    """An expectation that no witness equals."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = None
+
+
+CHECKED_IDS = tuple(rid for rid in RESULT_IDS if rid not in REPORT_ONLY)
+EXPECTED_KEYS = [(rid, key) for rid, expected in rd.EXPECTED.items() for key in expected]
+
+
+class TestJudge:
+    """An entry passes exactly when each expected value equals its witness."""
+
+    @pytest.fixture(scope="class")
+    def checkers(self, reconstruction, gram24):
+        aq = _aq_with_printed_generators(q_gram_of(gram24))
+        return {
+            "reconstruction_24": lambda: reconstruction_entry(reconstruction),
+            "lemma_3_1": lambda: verify_lemma_3_1(gram24),
+            "lemma_4_1": lambda: verify_lemma_4_1(aq),
+            "lemma_4_2": lambda: verify_lemma_4_2(aq),
+            "thm_4_3": lambda: verify_thm_4_3(gram24),
+            "prop_4_4": lambda: verify_prop_4_4(aq),
+            "thm_4_5_mobius": verify_thm_4_5_mobius,
+            "km_embedding": verify_km_embedding,
+            "prop_4_6": verify_prop_4_6,
+            "section_6": lambda: verify_section_6(gram24),
+            "prop_6_2": verify_prop_6_2,
+        }
+
+    def test_every_checked_entry_has_expectations(self, checkers):
+        assert set(rd.EXPECTED) == set(CHECKED_IDS) == set(checkers)
+        assert all(rd.EXPECTED.values())
+
+    @pytest.mark.parametrize("run", ["default", "tier1", "perturbed_q", "crash"])
+    def test_status_follows_the_rule(self, report, gram24, monkeypatch, run):
+        if run == "crash":
+            monkeypatch.setattr(verify, "verify_prop_6_2", lambda: 1 // 0)
+        rep = {
+            "default": lambda: report,
+            "tier1": lambda: run_all("1"),
+            "perturbed_q": lambda: run_all(gram24=_perturbed_q(gram24)),
+            "crash": run_all,
+        }[run]()
+        for e in rep.entries:
+            if e.status == "report-only" or _blocked(e):
+                assert e.expected == {}, e.result_id
+                continue
+            assert e.expected == rd.EXPECTED[e.result_id]
+            equal = all(k in e.witnesses and v == e.witnesses[k] for k, v in e.expected.items())
+            assert (e.status == "pass") == equal, e.result_id
+            if e.status == "pass":
+                assert set(e.expected) <= set(e.witnesses), e.result_id
+
+    def test_pass_shows_expected_as_its_witness(self, report):
+        for e in report.entries:
+            if e.status == "pass":
+                for k, v in e.expected.items():
+                    assert jsonable(v) == jsonable(e.witnesses[k]), (e.result_id, k)
+
+    @pytest.mark.parametrize("rid,key", EXPECTED_KEYS)
+    def test_each_expectation_is_compared(self, checkers, monkeypatch, rid, key):
+        assert checkers[rid]().status == "pass"
+        sentinel = _Unequal()
+        monkeypatch.setitem(rd.EXPECTED[rid], key, sentinel)
+        entry = checkers[rid]()
+        assert entry.status == "fail"
+        assert entry.expected[key] is sentinel
+
+    @pytest.fixture(scope="class")
+    def injected(self, gram24):
+        return run_all(gram24=gram24)
+
+    @pytest.mark.parametrize("rid", CHECKED_IDS)
+    def test_a_perturbed_entry_fails_with_its_dependents(
+        self, report, injected, gram24, monkeypatch, rid
+    ):
+        # the reconstruction entry is checked only when the Gram is not injected
+        if rid == "reconstruction_24":
+            before, run = report, run_all
+        else:
+            before, run = injected, lambda: run_all(gram24=gram24)
+        monkeypatch.setitem(rd.EXPECTED[rid], next(iter(rd.EXPECTED[rid])), _Unequal())
+        after = run()
+        failed = _dependents(rid)
+        for old, new in zip(before.entries, after.entries):
+            assert old.status != "fail"
+            want = "fail" if new.result_id in failed else old.status
+            assert new.status == want, new.result_id
+
+
+class TestGuards:
+    """An early exit judges the witnesses so far: the expectations it did
+    not reach fail the entry, and the entry still lists all of them."""
+
+    @staticmethod
+    def _check(entry, rid, last_key):
+        assert entry.status == "fail"
+        assert list(entry.witnesses)[-1] == last_key
+        assert entry.expected == rd.EXPECTED[rid]
+
+    def test_half_sum_not_in_the_dual(self, gram24, monkeypatch):
+        # a lone curve meets others, so half of it pairs to 1/2 with them
+        monkeypatch.setattr(rd, "HALFSET_AQ", {(0, 0, 0, 0): (0,)})
+        self._check(verify_thm_4_3(gram24), "thm_4_3", "halfset_not_in_dual")
+
+    def test_failed_relation(self, gram24, xprime, monkeypatch):
+        (name, _), *rest = xprime.relation_report
+        broken = dataclasses.replace(xprime, relation_report=((name, False), *rest))
+        monkeypatch.setattr(verify, "reconstruct_xprime", lambda _config: broken)
+        self._check(verify_section_6(gram24), "section_6", "incidence_kernel_dim")
+
+    def test_generator_not_in_the_dual(self, gram24, monkeypatch):
+        monkeypatch.setattr(rd, "V1_M", {0: Fraction(1, 3)})
+        self._check(verify_section_6(gram24), "section_6", "generator_not_in_dual")
+
+    def test_generators_do_not_generate(self, gram24, monkeypatch):
+        monkeypatch.setattr(rd, "V2_M", rd.V1_M)
+        self._check(verify_section_6(gram24), "section_6", "generators")
+
+    def test_half_set_outside_the_span(self, gram24, xprime, monkeypatch):
+        outside = next((i,) for i in range(20) if _m_coords(xprime, [(i,)]) == [None])
+        monkeypatch.setattr(rd, "ISOTROPIC_AM_HALFSETS", (outside,) + rd.ISOTROPIC_AM_HALFSETS)
+        self._check(verify_section_6(gram24), "section_6", "halfset_outside_dual")
 
 
 class TestIndividualCheckers:
@@ -207,7 +361,7 @@ class TestSection6FailPaths:
         entry = verify_section_6(gram24)
         assert entry.status == "fail"
         assert entry.witnesses["isotropic_count"] == 30
-        assert entry.expected == {"isotropic_count": 31}
+        assert entry.expected["isotropic_count"] == 31
 
     def test_snf_diagonal_is_read_off_the_rational_snf(self, gram24, monkeypatch):
         # one wrong invariant factor in the SNF of M^-1 fails the entry,
@@ -226,7 +380,7 @@ class TestSection6FailPaths:
         assert entry.expected["snf_diagonal"][-2:] == (quarter, quarter)
 
     def test_block_form_expectation_has_report_keys(self, gram24, monkeypatch):
-        monkeypatch.setattr(rd, "SECTION6_Q_DIAG", (0,) * 6)
+        monkeypatch.setitem(rd.EXPECTED["section_6"], "block_q_diag", (0,) * 6)
         entry = verify_section_6(gram24)
         assert entry.status == "fail"
         half = Fraction(1, 2)
@@ -271,11 +425,7 @@ def test_traced_paper_run_is_correct():
 
 class TestFaultInjection:
     def test_perturbed_q_entry_fails_with_coordinates(self, gram24):
-        g = [list(row) for row in gram24.entries]
-        # R16.R12 feeds exactly the rank-6 block entry (1, 5)
-        g[15][11] += 1
-        g[11][15] += 1
-        report = run_all(gram24=IntMat.from_rows(g))
+        report = run_all(gram24=_perturbed_q(gram24))
         entry = report.entry("lemma_3_1")
         assert entry.status == "fail"
         mismatch = entry.witnesses["Q_gram_mismatch"]
@@ -283,10 +433,7 @@ class TestFaultInjection:
         assert not report.all_passed
 
     def test_dependents_blocked_after_failure(self, gram24):
-        g = [list(row) for row in gram24.entries]
-        g[15][11] += 1
-        g[11][15] += 1
-        report = run_all(gram24=IntMat.from_rows(g))
+        report = run_all(gram24=_perturbed_q(gram24))
         prereq = dict(CHECKS)
         for rid in ("lemma_4_1", "lemma_4_2", "thm_4_3", "prop_4_4"):
             entry = report.entry(rid)
