@@ -17,6 +17,10 @@ from evenlat.reconstruct import q_gram_of, reconstruct_24, relations_hold
 import evenlat.refdata as rd
 
 
+def _ms(start: float) -> str:
+    return f"{1000 * (time.perf_counter() - start):.0f} ms"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--tier", default="auto", choices=("auto", "1", "2", "3"))
@@ -28,7 +32,7 @@ def main() -> int:
     rec = reconstruct_24(args.tier)
     sizes = rec.census_sizes()
     print(f"tier policy {args.tier!r}: used tier {rec.tier_used} "
-          f"({time.perf_counter() - t0:.1f}s)")
+          f"({_ms(t0)})")
     print(f"  census: tier1={sizes['tier1']} tier2={sizes['tier2']} tier3={sizes['tier3']}")
 
     for k, gram in enumerate(rec.tier2):
@@ -46,7 +50,7 @@ def main() -> int:
         extra2 = ws["tier2"] - sizes["tier2"]
         extra3 = ws["tier3"] - sizes["tier3"]
         print(f"  anomaly scan cap={cap}: tier1={ws['tier1']} "
-              f"new tier2={extra2} new tier3={extra3} ({time.perf_counter() - t1:.1f}s)")
+              f"new tier2={extra2} new tier3={extra3} ({_ms(t1)})")
 
     tower = triple_double_tower()
     shapes = []

@@ -15,10 +15,15 @@ Tier 3: tier 2 plus the two printed curve relations as identities.
 The node assignments of each arrangement come from a depth-first search
 driven by tables built once: a 24x24 table of pair orbits, the entries
 each node pins against the earlier nodes and the section, and the 6x6
-group adjacency of the arrangement.  The search pins every entry among
-the ten distinguished curves to the affine-E8-plus-section shape, so the
-unimodularity and signature of their block are checked once, on the
-shape Gram, per census.
+group adjacency of the arrangement.  The shape gives every node one edge
+back to an earlier node or the section, its parent, so a node's
+candidates are the fiber curves that can meet its parent's curve (listed
+once per arrangement), and a candidate whose edge orbit is already
+pinned to 0 is passed over before it pins anything.  The search pins
+every entry among the ten distinguished curves to the affine-E8-plus-
+section shape, so the unimodularity and signature of their block are
+checked once, on the shape Gram, per census.  The orbits of each of the
+15 group-pair blocks, with their sizes, are one table built at import.
 
 The tier-1 solutions of one arrangement and node assignment form a product
 of independent per-block completions.  Tier 1 is counted by the sizes of
@@ -104,6 +109,23 @@ def _pair_orbits() -> tuple[list[list[int]], dict[int, list[tuple[int, int]]]]:
 _ORBIT_OF, _ORBIT_MEMBERS = _pair_orbits()
 
 
+def _block_orbits() -> list[list[tuple[tuple[int, int], ...]]]:
+    """The (orbit, size) pairs of each group-pair block, in orbit order; the
+    sizes count the entries of the 4x4 block, so they sum to 16."""
+    table = [[()] * 6 for _ in range(6)]
+    for g1, g2 in itertools.combinations(range(6), 2):
+        sizes: dict[int, int] = {}
+        for i in _GROUPS[g1]:
+            for j in _GROUPS[g2]:
+                orb = _ORBIT_OF[i][j]
+                sizes[orb] = sizes.get(orb, 0) + 1
+        table[g1][g2] = table[g2][g1] = tuple(sorted(sizes.items()))
+    return table
+
+
+_BLOCK_ORBITS = _block_orbits()
+
+
 def _hexagon_arrangements():
     """Cyclic orders of the six groups, reflection-reduced, group 0 first."""
     for perm in itertools.permutations(range(1, 6)):
@@ -122,16 +144,39 @@ class ReconstructionError(Exception):
     pass
 
 
+def _parents() -> list[int]:
+    """Each node's parent: its first entry of value 1 in ``_NODE_WANTS``, as
+    a position in the placed list (an earlier node, or the section last)."""
+    parents = []
+    for node, wants in enumerate(_NODE_WANTS):
+        if 1 not in wants:
+            raise ReconstructionError(
+                f"the affine-E8-plus-section shape has node {node} meeting no "
+                "earlier node and not the section"
+            )
+        parents.append(wants.index(1))
+    return parents
+
+
 def _e8_embeddings(adjacency):
     """All assignments of the fiber curves to affine-E8 nodes compatible with
     the given hexagon adjacency and with involution equivariance of the
     entries the shape constraint pins.
 
     An entry between curves of one group, or of two groups that are not
-    adjacent, must be 0; any other entry pins the value of its orbit.
+    adjacent, must be 0; any other entry pins the value of its orbit.  The
+    candidates of a node are the unplaced fiber curves that can meet its
+    parent, whose entry the shape pins to 1, so every other curve is
+    passed over before any entry is pinned.
     """
     fiber = refdata.FIBER_CURVES
+    parents = _parents()
     adjacent = [[frozenset((g1, g2)) in adjacency for g2 in range(6)] for g1 in range(6)]
+    # the fiber curves, in fiber order, that can meet each possible parent
+    meets = {
+        p: tuple(c for c in fiber if _ORBIT_OF[p][c] >= 0 and adjacent[_GROUP_OF[p]][_GROUP_OF[c]])
+        for p in (*fiber, refdata.SECTION)
+    }
     results = []
     placed = [refdata.SECTION]  # the curves at nodes 0, 1, ..., then the section
     orbit_vals: dict[int, int] = {}
@@ -141,8 +186,11 @@ def _e8_embeddings(adjacency):
             results.append((tuple(placed[:-1]), dict(orbit_vals)))
             return
         wants = _NODE_WANTS[node]
-        for curve in fiber:
-            if curve in placed:
+        parent = placed[parents[node]]
+        parent_row = _ORBIT_OF[parent]
+        for curve in meets[parent]:
+            # pinned values are 0 or 1: an edge orbit pinned to 0 is closed
+            if curve in placed or orbit_vals.get(parent_row[curve]) == 0:
                 continue
             orbit_row, near = _ORBIT_OF[curve], adjacent[_GROUP_OF[curve]]
             undo: list[int] = []
@@ -172,15 +220,10 @@ def _e8_embeddings(adjacency):
 def _block_completions(g1: int, g2: int, adjacent: bool, orbit_vals: dict, cap: int):
     """Orbit-value assignments for one group-pair block: entries in 0..cap,
     total intersection 8 for hexagon-adjacent groups and 0 otherwise."""
-    orbits = {}
-    for i in _GROUPS[g1]:
-        for j in _GROUPS[g2]:
-            orb = _ORBIT_OF[i][j]
-            orbits[orb] = orbits.get(orb, 0) + 1
     target = 8 if adjacent else 0
     fixed_total = 0
     free = []
-    for orb, size in sorted(orbits.items()):
+    for orb, size in _BLOCK_ORBITS[g1][g2]:
         if orb in orbit_vals:
             fixed_total += size * orbit_vals[orb]
         else:
@@ -436,14 +479,15 @@ def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reco
     Gram; "1", "2", "3" stop at the stated tier regardless of ambiguity.
     ``multiplicity_cap`` bounds the per-pair intersection numbers explored
     (2 by default; raise it to scan for solutions beyond simple tangencies).
-    An unknown policy or a cap below 1 raises ``ValueError``.
+    An unknown policy, or a cap that is not an ``int`` (a bool included) or
+    is below 1, raises ``ValueError``.
     """
     if tier_policy not in ("auto", "1", "2", "3"):
         raise ValueError(f"unknown tier policy: {tier_policy!r}")
-    if multiplicity_cap < 1:
+    if type(multiplicity_cap) is not int or multiplicity_cap < 1:
         raise ValueError(
-            f"multiplicity cap must be at least 1, since the shape constraint "
-            f"pins entries to 1: {multiplicity_cap!r}"
+            f"multiplicity cap must be an int of at least 1, since the shape "
+            f"constraint pins entries to 1: {multiplicity_cap!r}"
         )
     _check_shape()
     products = []

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import evenlat
 import evenlat.refdata as rd
@@ -17,6 +18,7 @@ from evenlat.exactlinalg import snf_rational
 from evenlat.lattice import Lattice, discriminant_group
 from evenlat import reconstruct
 from evenlat.reconstruct import (
+    _BLOCK_ORBITS,
     _GROUP_OF,
     _N_ORBITS,
     _NODE_WANTS,
@@ -33,6 +35,7 @@ from evenlat.reconstruct import (
 )
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_GROUP_PAIRS = [frozenset(pair) for pair in itertools.combinations(range(6), 2)]
 
 
 class TestCensus:
@@ -67,7 +70,7 @@ class TestCensus:
         sizes = rec.census_sizes()
         assert sizes["tier2"] == 2 and sizes["tier3"] == 1
 
-    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize("cap", [0, -1, True, 2.5, "2"])
     def test_cap_below_one_is_rejected(self, cap):
         with pytest.raises(ValueError, match="multiplicity cap"):
             reconstruct_24(multiplicity_cap=cap)
@@ -105,6 +108,17 @@ class TestAgainstEnumeration:
             got = listed(_e8_embeddings(adjacency))
             assert got == listed(reconstruct_oracle.e8_embeddings(adjacency))
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sets(st.sampled_from(_GROUP_PAIRS)))
+    @example(set())
+    @example(set(_GROUP_PAIRS))  # the complete graph: 1,504 embeddings
+    def test_e8_embeddings_match_oracle_on_any_adjacency(self, pairs):
+        def listed(embeddings):
+            return [(assignment, list(pinned.items())) for assignment, pinned in embeddings]
+
+        adjacency = frozenset(pairs)
+        assert listed(_e8_embeddings(adjacency)) == listed(reconstruct_oracle.e8_embeddings(adjacency))
+
     def test_every_embedding_has_a_valid_s_block(self):
         # the single shape check in reconstruct_24 rests on this: every
         # embedding pins the ten-curve block to the shape
@@ -123,6 +137,16 @@ class TestAgainstEnumeration:
         with pytest.raises(ReconstructionError, match="shape"):
             reconstruct_24()
 
+    @pytest.mark.parametrize("node", range(8))
+    def test_node_without_parent_fails_closed(self, monkeypatch, node):
+        # the node keeps only its edges to later nodes, so no earlier node
+        # or the section can anchor its candidates
+        wants = list(_NODE_WANTS)
+        wants[node] = (0,) * len(wants[node])
+        monkeypatch.setattr(reconstruct, "_NODE_WANTS", tuple(wants))
+        with pytest.raises(ReconstructionError, match="shape"):
+            _e8_embeddings(_adjacency(next(_hexagon_arrangements())))
+
     def test_split_incidence_system_matches_oracle(self, xprime):
         assert xprime.incidence_kernel_dim == reconstruct_oracle.incidence_kernel_dim() == 64
 
@@ -131,6 +155,16 @@ class TestAgainstEnumeration:
         for pairs in _ORBIT_MEMBERS.values():
             blocks = {frozenset(_GROUP_OF[i] for i in pair) for pair in pairs}
             assert len(blocks) == 1
+
+    def test_block_orbit_table_counts_each_block(self):
+        for g1, g2 in itertools.combinations(range(6), 2):
+            sizes = {}
+            for i in rd.GROUPS_24[g1]:
+                for j in rd.GROUPS_24[g2]:
+                    sizes[_ORBIT_OF[i][j]] = sizes.get(_ORBIT_OF[i][j], 0) + 1
+            assert _BLOCK_ORBITS[g1][g2] == tuple(sorted(sizes.items()))
+            assert sum(size for _, size in _BLOCK_ORBITS[g1][g2]) == 16
+            assert _BLOCK_ORBITS[g2][g1] == _BLOCK_ORBITS[g1][g2]
 
     def test_overlapping_products_count_their_union(self):
         products = [
