@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlinalg import IntMat, kernel_saturated, rational_product, snf
+from .exactlinalg import IntMat, RatMat, kernel_saturated, rational_product, snf
 from .lattice import Lattice, rational_span_basis
 
 
@@ -97,49 +97,46 @@ class CurvePresentation:
     """A lattice spanned by the curves, presented exactly.
 
     ``proj`` maps a row coordinate vector (over the curves) to coordinates
-    in Z^n modulo the Gram radical.  For the plain curve span a rational
-    combination lies in the lattice exactly when its projection is
-    integral.  When half-sum generators have been adjoined (an overlattice
-    of the span), ``overlattice_basis`` holds den times its basis as an
-    integer echelon matrix, and membership reduces den * projection
-    against it.
+    in Z^n modulo the Gram radical.  A rational combination of the curves
+    lies in the lattice exactly when its product with the integer
+    membership columns ``member`` is integral.  For the plain curve span
+    these are ``proj`` itself.  When half-sum generators have been adjoined
+    (an overlattice of the span, with Z-basis B), they are proj * B^-1,
+    which is integral because the overlattice contains Z^n.  A vector of
+    another length than the number of curves raises ``ValueError``.
     """
 
     config: CurveConfig
     lattice: Lattice
     proj: IntMat = field(repr=False)
     radical_rank: int
-    overlattice_basis: IntMat | None = field(repr=False, default=None)
-    overlattice_den: int = 1
+    member: IntMat = field(repr=False)
+
+    def _times(self, vec, mat: IntMat) -> tuple[list[int], int]:
+        """(num, den) with vec * mat = num / den, for a vector over the curves."""
+        if len(vec) != self.config.size:
+            raise ValueError(
+                f"vector of length {len(vec)} over a configuration of {self.config.size} curves"
+            )
+        (num,), den = rational_product([vec], mat.entries)
+        return num, den
 
     def project(self, vec) -> tuple[Fraction, ...]:
-        (num,), den = rational_product([vec], self.proj.entries)
+        num, den = self._times(vec, self.proj)
         return tuple(Fraction(e, den) for e in num)
 
     def contains(self, vec) -> bool:
-        (num,), den = rational_product([vec], self.proj.entries)
-        x = [a * self.overlattice_den for a in num]
-        if any(a % den for a in x):
-            return False
-        if self.overlattice_basis is None:
-            return True
-        # square upper-triangular basis: row k has its pivot in column k
-        x = [a // den for a in x]
-        for k, row in enumerate(self.overlattice_basis.entries):
-            q, rem = divmod(x[k], row[k])
-            if rem:
-                return False
-            if q:
-                x = [a - q * b for a, b in zip(x, row)]
-        return True
+        num, den = self._times(vec, self.member)
+        return all(e % den == 0 for e in num)
 
     def adjoin(self, extra_vectors) -> CurvePresentation:
         """Presentation of the overlattice generated with the given rational
         curve combinations (for instance 2-divisible half sums)."""
         rows = [self.project(vec) for vec in extra_vectors]
         basis, den = rational_span_basis(rows, self.proj.cols)
+        basis_inv = RatMat(basis.entries, den).inverse().to_integer()
         return CurvePresentation(
-            self.config, self.lattice, self.proj, self.radical_rank, basis, den
+            self.config, self.lattice, self.proj, self.radical_rank, self.proj * basis_inv
         )
 
 
@@ -149,7 +146,8 @@ def present(config: CurveConfig) -> CurvePresentation:
     ker = kernel_saturated(g)
     n = g.rows
     if not ker:
-        return CurvePresentation(config, Lattice(g), IntMat.identity(n), 0)
+        ident = IntMat.identity(n)
+        return CurvePresentation(config, Lattice(g), ident, 0, ident)
     k = len(ker)
     kmat = IntMat.from_rows(ker)
     _, _, t = snf(kmat)
@@ -164,7 +162,7 @@ def present(config: CurveConfig) -> CurvePresentation:
     for i in range(k):
         if any(full.entries[i][j] != 0 for j in range(n)):
             raise AssertionError("radical reduction failed")
-    return CurvePresentation(config, Lattice(induced), proj, k)
+    return CurvePresentation(config, Lattice(induced), proj, k, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -439,24 +437,21 @@ def find_even_four_certificate(
     ``relations`` are label sets whose half-sums must already lie in the
     curve lattice (verified first; a failing relation is an error).  Returns
     the first certificate in deterministic order (shortest chains first),
-    or None when the coset holds no disjoint weight-4 representative.
+    or None when the coset holds no disjoint weight-4 representative.  An
+    unknown or repeated label in the halfset or a relation raises
+    ``ValueError``: a repeated label would not be a half-sum of distinct
+    curves.
     """
     pres = presentation if presentation is not None else present(config)
     labels = config.labels
     index = {lab: i for i, lab in enumerate(labels)}
-    for lab in halfset:
-        if lab not in index:
-            raise ValueError(f"unknown curve in halfset: {lab}")
+    start = _label_set(halfset, index, "halfset")
     rel_sets = []
     for rel in relations:
-        chi = frozenset(rel)
-        if not chi <= set(labels):
-            raise ValueError(f"unknown curve in relation: {sorted(chi)}")
-        half = [Fraction(1, 2) if lab in chi else Fraction(0) for lab in labels]
-        if not pres.contains(half):
+        chi = _label_set(rel, index, "relation")
+        if not pres.contains(_half_sum(chi, index)):
             raise ValueError(f"relation half-sum not in the lattice: {sorted(chi)}")
         rel_sets.append(chi)
-    start = frozenset(halfset)
     mult = config.mult.entries
     for size in range(len(rel_sets) + 1):
         for combo in itertools.combinations(range(len(rel_sets)), size):
@@ -479,13 +474,34 @@ def find_even_four_certificate(
     return None
 
 
+_HALF = Fraction(1, 2)
+
+
+def _label_set(labs, index: dict, what: str) -> frozenset:
+    """The labels as a set, after checking each is known and none repeats."""
+    labs = tuple(labs)
+    for lab in labs:
+        if lab not in index:
+            raise ValueError(f"unknown curve in {what}: {lab}")
+    chi = frozenset(labs)
+    if len(chi) != len(labs):
+        raise ValueError(f"repeated curve in {what}: {sorted(labs)}")
+    return chi
+
+
+def _half_sum(labs, index: dict) -> list:
+    """Half the sum of the labelled curves, as a coordinate vector."""
+    vec = [0] * len(index)
+    for lab in labs:
+        vec[index[lab]] = _HALF
+    return vec
+
+
 def _replay_check(cert: EvenFourCertificate, pres: CurvePresentation) -> None:
-    labels = pres.config.labels
-    diff = [Fraction(0)] * len(labels)
-    for lab in cert.start:
-        diff[labels.index(lab)] += Fraction(1, 2)
+    index = {lab: i for i, lab in enumerate(pres.config.labels)}
+    diff = _half_sum(cert.start, index)
     for lab in cert.final:
-        diff[labels.index(lab)] -= Fraction(1, 2)
+        diff[index[lab]] -= _HALF
     if not pres.contains(diff):
         raise AssertionError("certificate replay failed: difference not in the lattice")
 

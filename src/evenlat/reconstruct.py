@@ -31,11 +31,16 @@ these products, after a checked condition that they are pairwise disjoint
 (any overlap is enumerated and counted once).  Tier 2 is found per product
 by a split join: the rank-6 Gram conditions are linear in the orbit
 values, so the sums of two halves of the blocks are matched in a table
-instead of testing every tier-1 solution.
+instead of testing every tier-1 solution.  The 21 test sums of a
+completion are packed into one integer, test t in the digits of weight
+2^(w*t), so a half-sum is one integer sum and a table key one integer.
+The width w = bound.bit_length() + 2, with bound the largest
+|rhs_t| + cap * sum |c_t| over the tests, keeps every compared sum inside
+its signed digits, so equal packed sums are equal test vectors.
 
 On X', the relation-only system for the curve/exceptional incidences
-is one 7x12 coefficient matrix, read off the generator rows, with one
-right-hand side per exceptional curve N_j.
+is one 7x12 coefficient matrix, read off the generator rows with their
+denominators cleared, with one right-hand side per exceptional curve N_j.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .curves import (
     present,
     quotient_by_involution,
 )
-from .exactlinalg import IntMat, bilinear_table, signature, solve_rational
+from .exactlinalg import IntMat, _clear_denominators, bilinear_table, signature, solve_rational
 
 # affine E8: chain of eight nodes with multiplicities 1-2-3-4-5-6-4-2 and a
 # multiplicity-3 node attached to the multiplicity-6 one
@@ -383,32 +388,54 @@ def _union_size(products) -> int:
     return count + len(keys)
 
 
-def _qgram_solutions(pinned: dict, blocks, qtests):
+def _packed(tests, cap: int) -> tuple[list[int], int]:
+    """The affine tests packed into integers: per-orbit columns and the target.
+
+    Test t takes the digits of weight 2^(w*t), so a vector x of test sums
+    packs to the integer sum of x_t * 2^(w*t), and packing is linear.  A
+    vector with every |x_t| < 2^w packs to 0 only when it is 0.  The join
+    compares a left-half sum with the target minus a right-half sum; they
+    differ by the residual A(v) - rhs of one choice v of orbit values in
+    0..cap, whose entries are at most bound = max over t of
+    (|rhs_t| + cap * sum |c_t|) in absolute value.  So w = bound.bit_length()
+    would already separate them; w is two bits wider, so that every
+    compared sum also fits its own signed digit, |x_t| < 2^(w-1).
+    """
+    bound = max(abs(rhs) + cap * sum(abs(c) for _, c in terms) for terms, rhs in tests)
+    w = bound.bit_length() + 2
+    columns = [0] * _N_ORBITS
+    target = 0
+    for t, (terms, rhs) in enumerate(tests):
+        for orb, c in terms:
+            columns[orb] += c << (w * t)
+        target += rhs << (w * t)
+    return columns, target
+
+
+def _qgram_solutions(pinned: dict, blocks, packed):
     """Keys of the solutions of one product that pass every rank-6 Gram test.
 
     The tests are affine in the orbit values and the blocks own disjoint
-    orbits, so each completion adds a fixed vector to the test sums.  The
-    blocks are split into two halves of about equal product size; the sums
-    of the left half go into a table, and each right-half sum looks up the
-    left sums that complete it to the targets (the Horowitz-Sahni split).
+    orbits, so each completion adds a fixed vector to the test sums;
+    ``packed`` (from ``_packed``) holds each such vector as one integer, so
+    a sum of completions is one integer sum.  The blocks are split into two
+    halves of about equal product size; the sums of the left half go into
+    a table, and each right-half sum looks up the left sums that complete
+    it to the targets (the Horowitz-Sahni split).
     """
-    columns = defaultdict(list)  # orbit -> its (test, coefficient) pairs
-    for t, (terms, _) in enumerate(qtests):
-        for orb, c in terms:
-            columns[orb].append((t, c))
-    zero = (0,) * len(qtests)
+    columns, target = packed
 
-    def effect(part) -> tuple[int, ...]:
-        vec = list(zero)
-        for orb, v in part:
-            for t, c in columns[orb]:
-                vec[t] += c * v
-        return tuple(vec)
+    def effect(part) -> int:
+        return sum(columns[orb] * v for orb, v in part)
 
-    def total(choice) -> tuple[int, ...]:
-        return tuple(map(sum, zip(zero, *(vec for vec, _ in choice))))
+    def sums(half) -> list[tuple[int, tuple]]:
+        # (packed sum, parts) over itertools.product(*half), in its order
+        out = [(0, ())]
+        for comps in half:
+            out = [(s + e, parts + (part,)) for s, parts in out for e, part in comps]
+        return out
 
-    need = tuple(rhs - e for (_, rhs), e in zip(qtests, effect(pinned.items())))
+    need = target - effect(pinned.items())
     halves: tuple[list, list] = ([], [])
     sizes = [1, 1]
     for comps in sorted(blocks, key=len, reverse=True):
@@ -416,13 +443,12 @@ def _qgram_solutions(pinned: dict, blocks, qtests):
         halves[side].append([(effect(part), part) for part in comps])
         sizes[side] *= len(comps)
     left_parts = defaultdict(list)
-    for choice in itertools.product(*halves[0]):
-        left_parts[total(choice)].append(tuple(part for _, part in choice))
+    for s, parts in sums(halves[0]):
+        left_parts[s].append(parts)
     base = _base_values(pinned)
-    for choice in itertools.product(*halves[1]):
-        rest = tuple(n - s for n, s in zip(need, total(choice)))
-        for parts in left_parts.get(rest, ()):
-            yield _solution_key(base, parts + tuple(part for _, part in choice))
+    for s, right in sums(halves[1]):
+        for parts in left_parts.get(need - s, ()):
+            yield _solution_key(base, parts + right)
 
 
 @dataclass(frozen=True)
@@ -506,10 +532,10 @@ def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reco
     tier1_count = _union_size(products)
     if not tier1_count:
         raise ReconstructionError("no solution at tier 1: constraint bug")
-    qtests = _qgram_linear_tests()
+    packed = _packed(_qgram_linear_tests(), multiplicity_cap)
     tier2_keys = set()
     for pinned, blocks in products:
-        tier2_keys.update(_qgram_solutions(pinned, blocks, qtests))
+        tier2_keys.update(_qgram_solutions(pinned, blocks, packed))
     tier2 = tuple(_assemble(key) for key in sorted(tier2_keys))
     tier3 = tuple(g for g in tier2 if relations_hold(g))
     if tier_policy == "auto":
@@ -625,15 +651,18 @@ def _incidence_kernel_dim(gens) -> int:
     equations against N_j contain only the unknowns C_i.N_j, with one 7x12
     coefficient matrix for every j: the 56x96 system is one solve with
     eight right-hand sides, and the dimension is the sum of their kernel
-    dimensions.
+    dimensions.  The denominators of the generators are cleared once, to d,
+    so each relation is the integer row d * r, and the system is d * r[:12]
+    against 2 * d * r[12 + j].
     """
+    cleared, _ = _clear_denominators(gens)
+    # d * r for each relation r, in integers
     rels = [
-        [sum(c * gens[gi][k] for gi, c in combo.items()) - gens[target][k] for k in range(20)]
+        [sum(c * cleared[gi][k] for gi, c in combo.items()) - cleared[target][k] for k in range(20)]
         for target, combo in refdata.XPRIME_RELATIONS
     ]
-    # doubled: the entries of the relations lie in (1/2)Z
-    a = IntMat.from_rows([[int(2 * e) for e in r[:12]] for r in rels])
-    sols = solve_rational(a, [[4 * r[12 + j] for r in rels] for j in range(8)])
+    a = IntMat.from_rows([r[:12] for r in rels])
+    sols = solve_rational(a, [[2 * r[12 + j] for r in rels] for j in range(8)])
     if None in sols:
         raise ReconstructionError("relation-only incidence system inconsistent")
     return sum(len(sol.kernel) for sol in sols)

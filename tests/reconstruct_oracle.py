@@ -9,9 +9,12 @@ determinant and signature check of the ten-curve block of every
 embedding.  ``incidence_kernel_dim`` solves the relation-only incidence
 system as one 56x96 system, with generator weights of its own built from
 the printed supports, and ``m_solution`` solves for the coordinates of
-one half-sum of X' curves in the rank-16 basis, one side per solve.  The
-differential tests compare each with the package.  The arrangements,
-block completions, Gram tests and assembly come from the package.
+one half-sum of X' curves in the rank-16 basis, one side per solve.
+``qgram_solutions`` tests every choice of block completions of one
+product against unpacked affine tests, where the package joins packed
+half-sums.  The differential tests compare each with the package.  The
+arrangements, block completions, Gram tests and assembly come from the
+package.
 """
 
 import itertools
@@ -243,6 +246,23 @@ def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reco
     return Reconstruction24(
         len(tier1_keys), tier2, tier3, used, tier_policy, multiplicity_cap
     )
+
+
+def qgram_solutions(pinned: dict, blocks, tests) -> list[bytes]:
+    """Keys of the solutions of one product that pass every affine test,
+    by testing each choice of one completion per block, test by test."""
+    base = [0] * _N_ORBITS
+    for orb, v in pinned.items():
+        base[orb] = v
+    keys = []
+    for choice in itertools.product(*blocks):
+        vals = list(base)
+        for part in choice:
+            for orb, v in part:
+                vals[orb] = v
+        if all(sum(c * vals[orb] for orb, c in terms) == rhs for terms, rhs in tests):
+            keys.append(bytes(vals))
+    return keys
 
 
 def m_solution(xp, halfset):

@@ -288,6 +288,27 @@ class TestCertificates:
                 ("C1", "C2", "C7", "C8"), [("C1", "C2")], cfg, xprime.m_presentation
             )
 
+    def test_repeated_label_rejected(self, xprime):
+        # ("C1", "C1", "C2", "C7", "C8") is C1 + (C2 + C7 + C8) / 2, not the
+        # half-sum of (C1, C2, C7, C8) that a set of labels would make of it
+        import evenlat.refdata as rd
+
+        cfg = xprime.config
+        pres = xprime.m_presentation
+        with pytest.raises(ValueError, match="repeated curve in halfset"):
+            find_even_four_certificate(("C1", "C1", "C2", "C7", "C8"), [], cfg, pres)
+        family = [cfg.labels[i] for i in rd.XPRIME_RELATION_FAMILIES[0]]
+        with pytest.raises(ValueError, match="repeated curve in relation"):
+            find_even_four_certificate(
+                ("C1", "C2", "C7", "C8"), [family + family[:1]], cfg, pres
+            )
+
+    @pytest.mark.parametrize("method", ["contains", "project"])
+    @pytest.mark.parametrize("vec", [[0] * 20 + [F(1, 2)], [1]])
+    def test_wrong_length_rejected(self, xprime, method, vec):
+        with pytest.raises(ValueError, match="length"):
+            getattr(xprime.m_presentation, method)(vec)
+
     def test_replay_is_exact(self, xprime):
         import evenlat.refdata as rd
 
@@ -335,28 +356,28 @@ def test_project_matches_fraction_rule(seed, entries):
     assert all(type(c) is Fraction for c in got)
 
 
-def test_contains_matches_inverted_basis():
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.lists(st.sampled_from((2, 3, 4, 6)), max_size=3))
+def test_contains_matches_inverted_basis(seed, dens):
     # the rule contains replaced: proj * B^-1 integral, B the Z-basis of
-    # the overlattice spanned by Z^r and the projected adjoined vectors
-    rng = random.Random(4711)
-    for _ in range(40):
-        pres = random_presentation(rng)
-        n = pres.proj.rows
-        extra = [
-            tuple(F(rng.randint(0, k - 1), k) for _ in range(n))
-            for k in rng.choices((2, 3, 4), k=rng.randint(1, 2))
-        ]
-        over = pres.adjoin(extra)
-        r = pres.proj.cols
-        basis_inv = oracle.inverse(oracle.span_basis([pres.project(v) for v in extra], r))
-        for _ in range(10):
-            vec = [F(rng.randint(-3, 3)) for _ in range(n)]
-            for v in extra:
-                c = rng.randint(-2, 2)
-                vec = [a + c * b for a, b in zip(vec, v)]
-            if rng.random() < 0.3:
-                vec[rng.randrange(n)] += F(1, rng.randint(2, 6))
-            proj = pres.project(vec)
-            coords = [sum(proj[i] * basis_inv[i][j] for i in range(r)) for j in range(r)]
-            assert over.contains(vec) == all(c.denominator == 1 for c in coords)
-            assert pres.contains(vec) == all(c.denominator == 1 for c in proj)
+    # the overlattice spanned by Z^r and the projected adjoined vectors;
+    # with nothing adjoined B = I, and the membership columns are proj
+    rng = random.Random(seed)
+    pres = random_presentation(rng)
+    n = pres.proj.rows
+    extra = [tuple(F(rng.randint(0, k - 1), k) for _ in range(n)) for k in dens]
+    over = pres.adjoin(extra) if extra else pres
+    assert pres.member == pres.proj
+    r = pres.proj.cols
+    basis_inv = oracle.inverse(oracle.span_basis([pres.project(v) for v in extra], r))
+    for _ in range(10):
+        vec = [F(rng.randint(-3, 3)) for _ in range(n)]
+        for v in extra:
+            c = rng.randint(-2, 2)
+            vec = [a + c * b for a, b in zip(vec, v)]
+        if rng.random() < 0.3:
+            vec[rng.randrange(n)] += F(1, rng.randint(2, 6))
+        proj = pres.project(vec)
+        coords = [sum(proj[i] * basis_inv[i][j] for i in range(r)) for j in range(r)]
+        assert over.contains(vec) == all(c.denominator == 1 for c in coords)
+        assert pres.contains(vec) == all(c.denominator == 1 for c in proj)

@@ -28,6 +28,8 @@ from evenlat.reconstruct import (
     _adjacency,
     _e8_embeddings,
     _hexagon_arrangements,
+    _packed,
+    _qgram_solutions,
     _union_size,
     q_gram_of,
     reconstruct_24,
@@ -181,6 +183,59 @@ class TestAgainstEnumeration:
                 keys.add(bytes(vals))
         assert len(keys) == 7
         assert _union_size(products) == 7
+
+
+@st.composite
+def affine_products(draw):
+    """One product (pinned, blocks) over a few orbits, affine tests on them
+    with negative coefficients, and a multiplicity cap bounding every value.
+
+    Each right-hand side is drawn, taken from one choice of completions so
+    that the tests have a solution, or, for the first test, set so that
+    the packing bound max |rhs_t| + cap * sum |c_t| is a power of two."""
+    cap = draw(st.integers(1, 3))
+    orbits = draw(st.lists(st.integers(0, _N_ORBITS - 1), min_size=1, max_size=8, unique=True))
+    owners = draw(st.lists(st.integers(-1, 3), min_size=len(orbits), max_size=len(orbits)))
+    values = st.integers(0, cap)
+    pinned = {orb: draw(values) for orb, owner in zip(orbits, owners) if owner < 0}
+    blocks = []
+    for k in range(4):
+        members = [orb for orb, owner in zip(orbits, owners) if owner == k]
+        if members:
+            rows = draw(st.lists(
+                st.tuples(*[values] * len(members)), min_size=1, max_size=4, unique=True
+            ))
+            blocks.append([tuple(zip(members, row)) for row in rows])
+    coeffs = st.lists(st.integers(-5, 5), min_size=len(orbits), max_size=len(orbits))
+    terms = [
+        tuple((orb, c) for orb, c in zip(orbits, draw(coeffs)) if c)
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    vals = dict(pinned)
+    for comps in blocks:
+        vals.update(comps[draw(st.integers(0, len(comps) - 1))])
+    rhs = [sum(c * vals[orb] for orb, c in t) for t in terms]
+    mode = draw(st.sampled_from(("drawn", "solvable", "power of two")))
+    if mode == "drawn":
+        rhs = [draw(st.integers(-40, 40)) for _ in terms]
+    elif mode == "power of two":
+        reach = [cap * sum(abs(c) for _, c in t) for t in terms]
+        top = max([reach[0]] + [abs(r) + m for r, m in zip(rhs[1:], reach[1:])])
+        bound = 1 << max(top - 1, 0).bit_length()
+        rhs[0] = draw(st.sampled_from((1, -1))) * (bound - reach[0])
+    return pinned, blocks, tuple(zip(terms, rhs)), cap
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(affine_products())
+# bound 4 gives w = 5; with w = 2 the candidate (1, 0), residuals (4, -1),
+# would pack to 0 and falsely match the targets
+@example(({}, [[((0, 0),), ((0, 1),)], [((1, 0),), ((1, 1),)]],
+          ((((0, 4),), 0), (((1, 1),), 1)), 1))
+def test_packed_join_matches_brute_force(system):
+    pinned, blocks, tests, cap = system
+    got = sorted(_qgram_solutions(pinned, blocks, _packed(tests, cap)))
+    assert got == sorted(reconstruct_oracle.qgram_solutions(pinned, blocks, tests))
 
 
 def test_census_script():
