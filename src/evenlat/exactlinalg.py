@@ -50,10 +50,6 @@ class IntMat:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> IntMat:
-        return cls(tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
     def diagonal(cls, diag) -> IntMat:
         d = tuple(diag)
         n = len(d)
@@ -150,9 +146,6 @@ class RatMat:
     def from_rows(cls, rows) -> RatMat:
         """The matrix of rows of ints and Fractions."""
         rows = [tuple(row) for row in rows]
-        bad = {type(e) for row in rows for e in row} - {int, Fraction}
-        if bad:
-            raise TypeError(f"int or Fraction entry expected, got {bad.pop().__name__}")
         # the lcm of the denominators of normalized entries is already least
         num, den = _clear_denominators(rows)
         return cls(tuple(map(tuple, num)), den)
@@ -298,7 +291,14 @@ def _gcd_cols(m: list[list[int]], j: int, k: int, r: int) -> None:
 
 
 def _clear_denominators(rows) -> tuple[list[list[int]], int]:
-    """(den * rows as integer lists, den), den the lcm of all denominators."""
+    """(den * rows as integer lists, den), den the lcm of all denominators.
+
+    Every rational row passes through here, so this is where an entry that
+    is not an int or a Fraction (a bool included) raises ``TypeError``.
+    """
+    bad = set(map(type, chain.from_iterable(rows))) - {int, Fraction}
+    if bad:
+        raise TypeError(f"int or Fraction entry expected, got {bad.pop().__name__}")
     den = lcm(*{e.denominator for row in rows for e in row})
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
 
@@ -555,10 +555,6 @@ class RationalSolution:
 
     particular: tuple[Fraction, ...]
     kernel: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def is_unique(self) -> bool:
-        return not self.kernel
 
 
 def solve_rational(a: IntMat, sides) -> list[RationalSolution | None]:

@@ -93,9 +93,6 @@ class DualVector:
     def pair(self, other: DualVector) -> Fraction:
         return self.lattice.pairing(self.coords, other.coords)
 
-    def norm(self) -> Fraction:
-        return self.pair(self)
-
     def add(self, other: DualVector) -> DualVector:
         return DualVector(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
@@ -333,9 +330,6 @@ class SublatticeData:
     @property
     def is_degenerate(self) -> bool:
         return self.induced_gram.det() == 0
-
-    def as_lattice(self, name: str | None = None) -> Lattice:
-        return Lattice(self.induced_gram, name)
 
 
 def sublattice(host: Lattice, gens: IntMat) -> SublatticeData:

@@ -34,9 +34,13 @@ values, so the sums of two halves of the blocks are matched in a table
 instead of testing every tier-1 solution.  The 21 test sums of a
 completion are packed into one integer, test t in the digits of weight
 2^(w*t), so a half-sum is one integer sum and a table key one integer.
-The width w = bound.bit_length() + 2, with bound the largest
-|rhs_t| + cap * sum |c_t| over the tests, keeps every compared sum inside
-its signed digits, so equal packed sums are equal test vectors.
+The width w = reach.bit_length() + 2, with reach the largest
+|rhs_t| + ENTRY_BOUND * sum |c_t| over the tests, keeps every compared sum
+inside its signed digits, so equal packed sums are equal test vectors.
+
+No entry needs a cap: an adjacent block totals 8 over orbits of 2 and 4
+entries, so an orbit value is at most ENTRY_BOUND = 8 // 2 = 4, and each
+free orbit of a block takes the values up to what its total leaves.
 
 On X', the relation-only system for the curve/exceptional incidences
 is one 7x12 coefficient matrix, read off the generator rows with their
@@ -129,6 +133,12 @@ def _block_orbits() -> list[list[tuple[tuple[int, int], ...]]]:
 
 
 _BLOCK_ORBITS = _block_orbits()
+# the intersection of two hexagon-adjacent groups; other group pairs meet in 0
+_ADJACENT_TOTAL = 8
+# the largest value an orbit can take within its block's total
+ENTRY_BOUND = max(
+    _ADJACENT_TOTAL // size for row in _BLOCK_ORBITS for block in row for _, size in block
+)
 
 
 def _hexagon_arrangements():
@@ -222,10 +232,10 @@ def _e8_embeddings(adjacency):
     return results
 
 
-def _block_completions(g1: int, g2: int, adjacent: bool, orbit_vals: dict, cap: int):
-    """Orbit-value assignments for one group-pair block: entries in 0..cap,
-    total intersection 8 for hexagon-adjacent groups and 0 otherwise."""
-    target = 8 if adjacent else 0
+def _block_completions(g1: int, g2: int, adjacent: bool, orbit_vals: dict):
+    """Orbit-value assignments for one group-pair block: nonnegative entries
+    of total intersection 8 for hexagon-adjacent groups and 0 otherwise."""
+    target = _ADJACENT_TOTAL if adjacent else 0
     fixed_total = 0
     free = []
     for orb, size in _BLOCK_ORBITS[g1][g2]:
@@ -244,12 +254,9 @@ def _block_completions(g1: int, g2: int, adjacent: bool, orbit_vals: dict, cap: 
                 out.append(tuple(acc))
             return
         orb, size = free[pos]
-        for v in range(0, cap + 1):
-            used = size * v
-            if used > left:
-                break
+        for v in range(left // size + 1):
             acc.append((orb, v))
-            rec(pos + 1, left - used, acc)
+            rec(pos + 1, left - size * v, acc)
             acc.pop()
 
     rec(0, remainder, [])
@@ -388,7 +395,7 @@ def _union_size(products) -> int:
     return count + len(keys)
 
 
-def _packed(tests, cap: int) -> tuple[list[int], int]:
+def _packed(tests, bound: int) -> tuple[list[int], int]:
     """The affine tests packed into integers: per-orbit columns and the target.
 
     Test t takes the digits of weight 2^(w*t), so a vector x of test sums
@@ -396,13 +403,14 @@ def _packed(tests, cap: int) -> tuple[list[int], int]:
     vector with every |x_t| < 2^w packs to 0 only when it is 0.  The join
     compares a left-half sum with the target minus a right-half sum; they
     differ by the residual A(v) - rhs of one choice v of orbit values in
-    0..cap, whose entries are at most bound = max over t of
-    (|rhs_t| + cap * sum |c_t|) in absolute value.  So w = bound.bit_length()
-    would already separate them; w is two bits wider, so that every
-    compared sum also fits its own signed digit, |x_t| < 2^(w-1).
+    0..bound, the largest possible entry, whose entries are at most
+    reach = max over t of (|rhs_t| + bound * sum |c_t|) in absolute value.
+    So w = reach.bit_length() would already separate them; w is two bits
+    wider, so that every compared sum also fits its own signed digit,
+    |x_t| < 2^(w-1).
     """
-    bound = max(abs(rhs) + cap * sum(abs(c) for _, c in terms) for terms, rhs in tests)
-    w = bound.bit_length() + 2
+    reach = max(abs(rhs) + bound * sum(abs(c) for _, c in terms) for terms, rhs in tests)
+    w = reach.bit_length() + 2
     columns = [0] * _N_ORBITS
     target = 0
     for t, (terms, rhs) in enumerate(tests):
@@ -466,7 +474,6 @@ class Reconstruction24:
     tier3: tuple[IntMat, ...]
     tier_used: int
     requested_policy: str
-    multiplicity_cap: int
 
     @property
     def solutions(self) -> tuple[IntMat, ...]:
@@ -498,23 +505,16 @@ class Reconstruction24:
         }
 
 
-def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reconstruction24:
+def reconstruct_24(tier_policy: str = "auto") -> Reconstruction24:
     """Recover the 24-curve intersection matrix by an exhaustive tiered census.
 
     ``tier_policy``: "auto" escalates tiers until the census is a single
     Gram; "1", "2", "3" stop at the stated tier regardless of ambiguity.
-    ``multiplicity_cap`` bounds the per-pair intersection numbers explored
-    (2 by default; raise it to scan for solutions beyond simple tangencies).
-    An unknown policy, or a cap that is not an ``int`` (a bool included) or
-    is below 1, raises ``ValueError``.
+    Every entry up to ``ENTRY_BOUND``, the most the block totals allow, is
+    explored.  An unknown policy raises ``ValueError``.
     """
     if tier_policy not in ("auto", "1", "2", "3"):
         raise ValueError(f"unknown tier policy: {tier_policy!r}")
-    if type(multiplicity_cap) is not int or multiplicity_cap < 1:
-        raise ValueError(
-            f"multiplicity cap must be an int of at least 1, since the shape "
-            f"constraint pins entries to 1: {multiplicity_cap!r}"
-        )
     _check_shape()
     products = []
     for arrangement in _hexagon_arrangements():
@@ -523,7 +523,7 @@ def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reco
             blocks = []
             for g1, g2 in itertools.combinations(range(6), 2):
                 adjacent = frozenset((g1, g2)) in adjacency
-                comps = _block_completions(g1, g2, adjacent, pinned, multiplicity_cap)
+                comps = _block_completions(g1, g2, adjacent, pinned)
                 if not comps:
                     break
                 blocks.append(comps)
@@ -532,7 +532,7 @@ def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reco
     tier1_count = _union_size(products)
     if not tier1_count:
         raise ReconstructionError("no solution at tier 1: constraint bug")
-    packed = _packed(_qgram_linear_tests(), multiplicity_cap)
+    packed = _packed(_qgram_linear_tests(), ENTRY_BOUND)
     tier2_keys = set()
     for pinned, blocks in products:
         tier2_keys.update(_qgram_solutions(pinned, blocks, packed))
@@ -547,9 +547,7 @@ def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reco
             used = 3
     else:
         used = int(tier_policy)
-    return Reconstruction24(
-        tier1_count, tier2, tier3, used, tier_policy, multiplicity_cap
-    )
+    return Reconstruction24(tier1_count, tier2, tier3, used, tier_policy)
 
 
 # ---------------------------------------------------------------------------

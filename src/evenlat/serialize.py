@@ -31,13 +31,6 @@ def ratmat_to_json(m: RatMat | IntMat) -> list:
     return [[rational_to_json(e) for e in row] for row in m.entries]
 
 
-def gram_to_json(m: IntMat, name: str | None = None) -> dict:
-    out = {"schema": SCHEMA, "gram": intmat_to_json(m)}
-    if name:
-        out["name"] = name
-    return out
-
-
 def gram_from_json(data) -> tuple[IntMat, str | None]:
     if not isinstance(data, dict) or "gram" not in data:
         raise ParseError("expected an object with a 'gram' field")

@@ -27,7 +27,7 @@ from .curves import find_even_four_certificate, present, triple_double_tower
 from .exactlinalg import IntMat, snf, snf_rational, solve_rational
 from .lattice import Lattice, norm_gcd, parse_lattice_expr, scale_gcd, sublattice
 from .ratfun import INFINITY, Poly, RatFun, mobius_images
-from .reconstruct import Reconstruction24, config_24, reconstruct_24, reconstruct_xprime, q_gram_of
+from .reconstruct import ENTRY_BOUND, Reconstruction24, config_24, reconstruct_24, reconstruct_xprime, q_gram_of
 
 AXIOM_NOTE = "even-set rejection rule (no even set of size four) used as a trusted geometric axiom"
 
@@ -125,7 +125,7 @@ def reconstruction_entry(rec: Reconstruction24) -> Entry:
     witnesses = {
         "tier": rec.tier_used,
         "census": sizes,
-        "multiplicity_cap": rec.multiplicity_cap,
+        "entry_bound": ENTRY_BOUND,
         "pullback_census": len(tower.final.options),
         "selected_solutions": selected,
     }

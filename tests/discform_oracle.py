@@ -241,7 +241,7 @@ def two_elem_invariants(lattice):
     if any(d != 2 for d in disc.invariant_factors):
         return None
     lifts = [lattice.dual_vector([Fraction(a, disc.lift_den) for a in row]) for row in disc.lift_num]
-    delta = int(any(lift.norm().denominator != 1 for lift in lifts))
+    delta = int(any(lift.pair(lift).denominator != 1 for lift in lifts))
     t_plus, t_minus, _ = lattice.signature
     return (t_plus, t_minus), len(disc.invariant_factors), delta
 

@@ -12,8 +12,10 @@ the printed supports, and ``m_solution`` solves for the coordinates of
 one half-sum of X' curves in the rank-16 basis, one side per solve.
 ``qgram_solutions`` tests every choice of block completions of one
 product against unpacked affine tests, where the package joins packed
-half-sums.  The differential tests compare each with the package.  The
-arrangements, block completions, Gram tests and assembly come from the
+half-sums.  ``block_completions`` tries every value up to the block
+total for each orbit, so the census does not rest on the package's
+derived entry bound.  The differential tests compare each with the
+package.  The arrangements, Gram tests and assembly come from the
 package.
 """
 
@@ -32,7 +34,6 @@ from evenlat.reconstruct import (
     ReconstructionError,
     _adjacency,
     _assemble,
-    _block_completions,
     _hexagon_arrangements,
     _qgram_linear_tests,
     relations_hold,
@@ -192,7 +193,38 @@ def incidence_kernel_dim() -> int:
     return len(sol.kernel)
 
 
-def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reconstruction24:
+def block_completions(g1: int, g2: int, adjacent: bool, orbit_vals: dict) -> list[tuple]:
+    """Orbit-value assignments for one group-pair block, of total 8 for
+    adjacent groups and 0 otherwise, trying each free orbit at every value
+    0..8."""
+    sizes: dict[int, int] = {}
+    for i in refdata.GROUPS_24[g1]:
+        for j in refdata.GROUPS_24[g2]:
+            orb = ORBIT_OF[frozenset((i, j))]
+            sizes[orb] = sizes.get(orb, 0) + 1
+    target = 8 if adjacent else 0
+    free = sorted(orb for orb in sizes if orb not in orbit_vals)
+    fixed = sum(size * orbit_vals[orb] for orb, size in sizes.items() if orb in orbit_vals)
+    out = []
+
+    def rec(pos: int, total: int, acc: list):
+        if pos == len(free):
+            if total == target:
+                out.append(tuple(acc))
+            return
+        for v in range(9):
+            # entries are nonnegative, so a total past the target stays past it
+            if total + sizes[free[pos]] * v > target:
+                break
+            acc.append((free[pos], v))
+            rec(pos + 1, total + sizes[free[pos]] * v, acc)
+            acc.pop()
+
+    rec(0, fixed, [])
+    return out
+
+
+def reconstruct_24(tier_policy: str = "auto") -> Reconstruction24:
     if tier_policy not in ("auto", "1", "2", "3"):
         raise ValueError(f"unknown tier policy: {tier_policy!r}")
     qtests = _qgram_linear_tests()
@@ -207,7 +239,7 @@ def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reco
             feasible = True
             for g1, g2 in itertools.combinations(range(6), 2):
                 adjacent = frozenset((g1, g2)) in adjacency
-                comps = _block_completions(g1, g2, adjacent, pinned, multiplicity_cap)
+                comps = block_completions(g1, g2, adjacent, pinned)
                 if not comps:
                     feasible = False
                     break
@@ -243,9 +275,7 @@ def reconstruct_24(tier_policy: str = "auto", multiplicity_cap: int = 2) -> Reco
             used = 3
     else:
         used = int(tier_policy)
-    return Reconstruction24(
-        len(tier1_keys), tier2, tier3, used, tier_policy, multiplicity_cap
-    )
+    return Reconstruction24(len(tier1_keys), tier2, tier3, used, tier_policy)
 
 
 def qgram_solutions(pinned: dict, blocks, tests) -> list[bytes]:

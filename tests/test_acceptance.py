@@ -25,7 +25,7 @@ from evenlat.lattice import (
     sublattice,
 )
 from evenlat.ratfun import INFINITY, RatFun, mobius_images
-from evenlat.reconstruct import q_gram_of, reconstruct_24, relations_hold
+from evenlat.reconstruct import q_gram_of, relations_hold
 from reconstruct_oracle import m_solution
 
 F = Fraction
@@ -199,7 +199,7 @@ def test_criterion_08_section_six(xprime):
 
 def _m_coords(xp, halfset):
     sol = m_solution(xp, halfset)
-    assert sol is not None and sol.is_unique
+    assert sol is not None and not sol.kernel
     return sol.particular
 
 
@@ -345,9 +345,5 @@ def test_criterion_11_reconstruction_census(reconstruction, gram24):
     # relations fail, which is what forces the escalation to tier 3
     for g in reconstruction.tier2:
         assert q_gram_of(g).entries == rd.Q_GRAM.entries
-    # scanning beyond simple intersections adds no tier-2 or tier-3 solutions
-    wide = reconstruct_24(multiplicity_cap=4)
-    assert wide.census_sizes()["tier2"] == sizes["tier2"]
-    assert wide.census_sizes()["tier3"] == sizes["tier3"]
     report(11, f"census tier1={sizes['tier1']} tier2={sizes['tier2']} tier3={sizes['tier3']}, "
-               "tier 3 unique; higher multiplicity scan adds nothing")
+               "tier 3 unique")

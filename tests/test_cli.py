@@ -297,7 +297,7 @@ class TestConfigCommands:
         assert code == 0
         data = json.loads(out)
         assert data["tier_used"] == 3
-        assert data["census"] == {"tier1": 111456, "tier2": 2, "tier3": 1}
+        assert data["census"] == {"tier1": 121536, "tier2": 2, "tier3": 1}
         assert len(data["config"]["curves"]) == 24
 
     def test_reconstruct_then_quotient_pipeline(self, capsys, tmp_path):
@@ -418,11 +418,12 @@ class TestSchemas:
         assert [list(r) for r in gram.entries] == Q_ROWS and name == "Q"
 
     def test_emitted_gram_reparses_equal(self):
-        from evenlat.serialize import gram_to_json
+        from evenlat.serialize import SCHEMA, intmat_to_json
         from evenlat.exactlinalg import IntMat
 
         gram = IntMat.from_rows(Q_ROWS)
-        back, name = gram_from_json(json.loads(json.dumps(gram_to_json(gram, "Q"))))
+        emitted = {"schema": SCHEMA, "gram": intmat_to_json(gram), "name": "Q"}
+        back, name = gram_from_json(json.loads(json.dumps(emitted)))
         assert back.entries == gram.entries and name == "Q"
 
     def test_config_round_trip(self):

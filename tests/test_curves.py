@@ -309,6 +309,12 @@ class TestCertificates:
         with pytest.raises(ValueError, match="length"):
             getattr(xprime.m_presentation, method)(vec)
 
+    @pytest.mark.parametrize("method", ["contains", "project"])
+    @pytest.mark.parametrize("bad", [0.5, "1", True])
+    def test_non_rational_entry_rejected(self, xprime, method, bad):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            getattr(xprime.m_presentation, method)([bad] + [0] * 19)
+
     def test_replay_is_exact(self, xprime):
         import evenlat.refdata as rd
 

@@ -71,7 +71,7 @@ class TestHNF:
         assert h.entries == ((2, 0), (0, 4))
 
     def test_zero_matrix(self):
-        a = IntMat.zeros(2, 2)
+        a = IntMat.from_rows([[0, 0], [0, 0]])
         h, u = hnf(a)
         assert h.entries == a.entries
         assert u.entries == IntMat.identity(2).entries
@@ -266,7 +266,7 @@ class TestSignature:
 class TestSolveRational:
     def test_identity(self):
         [sol] = solve_rational(IntMat.identity(3), [[F(1, 2), 3, F(-7, 5)]])
-        assert sol is not None and sol.is_unique
+        assert sol is not None and not sol.kernel
         assert sol.particular == (F(1, 2), F(3), F(-7, 5))
 
     def test_diagonal(self):
@@ -280,7 +280,7 @@ class TestSolveRational:
     def test_underdetermined(self):
         a = IntMat.from_rows([[1, 1]])
         [sol] = solve_rational(a, [[2]])
-        assert sol is not None and not sol.is_unique
+        assert sol is not None and sol.kernel
         assert len(sol.kernel) == 1
         x = sol.particular
         assert x[0] + x[1] == 2
@@ -303,7 +303,7 @@ class TestSolveRational:
             sum(q.entries[i][j] * F(v1[j]) for j in range(6)) for i in range(6)
         ]
         [sol] = solve_rational(q, [rhs])
-        assert sol is not None and sol.is_unique
+        assert sol is not None and not sol.kernel
         assert sol.particular == tuple(F(x) for x in v1)
 
 
@@ -665,11 +665,14 @@ class TestIntegerEntries:
         with pytest.raises(ValueError):
             RatMat(num, den)
 
-    @pytest.mark.parametrize("bad", [2.0, "1/2", True])
+    @pytest.mark.parametrize("bad", [2.0, "1/2", True, 0.5, "1"])
     def test_from_rows_takes_ints_and_fractions(self, bad):
         assert RatMat.from_rows([[1, F(2, 4)]]) == RatMat(((2, 1),), 2)
         with pytest.raises(TypeError):
             RatMat.from_rows([[1, bad]])
+        # every rational row is checked where its denominators are cleared
+        with pytest.raises(TypeError, match="int or Fraction"):
+            rational_product([[1, bad]], [[1, 2], [3, 4]])
 
 
 def test_from_lattice_makes_one_fraction_in_exactlinalg(monkeypatch):

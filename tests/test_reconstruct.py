@@ -45,7 +45,7 @@ class TestCensus:
         sizes = reconstruction.census_sizes()
         assert sizes["tier2"] == 2
         assert sizes["tier3"] == 1
-        assert sizes["tier1"] == 111456
+        assert sizes["tier1"] == 121536
         assert reconstruction.tier_used == 3
 
     def test_matches_deck_oracle(self, gram24):
@@ -67,23 +67,13 @@ class TestCensus:
         with pytest.raises(ReconstructionError):
             rec2.gram
 
-    def test_higher_multiplicity_scan_adds_nothing(self):
-        rec = reconstruct_24(multiplicity_cap=3)
-        sizes = rec.census_sizes()
-        assert sizes["tier2"] == 2 and sizes["tier3"] == 1
-
-    @pytest.mark.parametrize("cap", [0, -1, True, 2.5, "2"])
-    def test_cap_below_one_is_rejected(self, cap):
-        with pytest.raises(ValueError, match="multiplicity cap"):
-            reconstruct_24(multiplicity_cap=cap)
 
 
 class TestAgainstEnumeration:
     @pytest.mark.parametrize("policy", ["auto", "1", "2", "3"])
-    @pytest.mark.parametrize("cap", [1, 2, 3])
-    def test_census_matches_enumeration(self, cap, policy):
-        got = reconstruct_24(policy, cap)
-        want = reconstruct_oracle.reconstruct_24(policy, cap)
+    def test_census_matches_enumeration(self, policy):
+        got = reconstruct_24(policy)
+        want = reconstruct_oracle.reconstruct_24(policy)
         assert got.tier1_count == want.tier1_count
         assert got.tier_used == want.tier_used
         assert [g.entries for g in got.tier2] == [g.entries for g in want.tier2]
@@ -188,15 +178,15 @@ class TestAgainstEnumeration:
 @st.composite
 def affine_products(draw):
     """One product (pinned, blocks) over a few orbits, affine tests on them
-    with negative coefficients, and a multiplicity cap bounding every value.
+    with negative coefficients, and an entry bound on every value.
 
     Each right-hand side is drawn, taken from one choice of completions so
     that the tests have a solution, or, for the first test, set so that
-    the packing bound max |rhs_t| + cap * sum |c_t| is a power of two."""
-    cap = draw(st.integers(1, 3))
+    the packing reach max |rhs_t| + bound * sum |c_t| is a power of two."""
+    bound = draw(st.integers(1, 4))
     orbits = draw(st.lists(st.integers(0, _N_ORBITS - 1), min_size=1, max_size=8, unique=True))
     owners = draw(st.lists(st.integers(-1, 3), min_size=len(orbits), max_size=len(orbits)))
-    values = st.integers(0, cap)
+    values = st.integers(0, bound)
     pinned = {orb: draw(values) for orb, owner in zip(orbits, owners) if owner < 0}
     blocks = []
     for k in range(4):
@@ -219,22 +209,22 @@ def affine_products(draw):
     if mode == "drawn":
         rhs = [draw(st.integers(-40, 40)) for _ in terms]
     elif mode == "power of two":
-        reach = [cap * sum(abs(c) for _, c in t) for t in terms]
-        top = max([reach[0]] + [abs(r) + m for r, m in zip(rhs[1:], reach[1:])])
-        bound = 1 << max(top - 1, 0).bit_length()
-        rhs[0] = draw(st.sampled_from((1, -1))) * (bound - reach[0])
-    return pinned, blocks, tuple(zip(terms, rhs)), cap
+        spans = [bound * sum(abs(c) for _, c in t) for t in terms]
+        top = max([spans[0]] + [abs(r) + m for r, m in zip(rhs[1:], spans[1:])])
+        reach = 1 << max(top - 1, 0).bit_length()
+        rhs[0] = draw(st.sampled_from((1, -1))) * (reach - spans[0])
+    return pinned, blocks, tuple(zip(terms, rhs)), bound
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(affine_products())
-# bound 4 gives w = 5; with w = 2 the candidate (1, 0), residuals (4, -1),
+# reach 4 gives w = 5; with w = 2 the candidate (1, 0), residuals (4, -1),
 # would pack to 0 and falsely match the targets
 @example(({}, [[((0, 0),), ((0, 1),)], [((1, 0),), ((1, 1),)]],
           ((((0, 4),), 0), (((1, 1),), 1)), 1))
 def test_packed_join_matches_brute_force(system):
-    pinned, blocks, tests, cap = system
-    got = sorted(_qgram_solutions(pinned, blocks, _packed(tests, cap)))
+    pinned, blocks, tests, bound = system
+    got = sorted(_qgram_solutions(pinned, blocks, _packed(tests, bound)))
     assert got == sorted(reconstruct_oracle.qgram_solutions(pinned, blocks, tests))
 
 
@@ -248,12 +238,8 @@ def test_census_script():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert "  census: tier1=111456 tier2=2 tier3=1" in lines
-    for cap in (3, 4):
-        assert any(
-            line.startswith(f"  anomaly scan cap={cap}: tier1=121536 new tier2=0 new tier3=0 (")
-            for line in lines
-        )
+    # one search, so one census line
+    assert [line for line in lines if "tier1=" in line] == ["  census: tier1=121536 tier2=2 tier3=1"]
 
 
 class TestStructure:

@@ -58,7 +58,7 @@ class TestFullRun:
     def test_reconstruction_entry_records_tier(self, report):
         entry = report.entry("reconstruction_24")
         assert entry.witnesses["tier"] == 3
-        assert entry.witnesses["census"] == {"tier1": 111456, "tier2": 2, "tier3": 1}
+        assert entry.witnesses["census"] == {"tier1": 121536, "tier2": 2, "tier3": 1}
 
     def test_json_round_trip(self, report):
         data = report.to_dict()
