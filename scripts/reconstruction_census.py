@@ -2,9 +2,9 @@
 """Full reconstruction census for the 24-curve configuration.
 
 Runs the tiered search once, over every entry the block totals allow,
-prints census sizes per tier, validates every surviving solution, and
+prints census sizes per tier, validates every tier-2 solution, and
 cross-checks the result against the branched double-cover pullback of
-the hexagon.
+the hexagon.  Exits 0 exactly when tier 3 holds a single solution.
 """
 
 import argparse
@@ -22,22 +22,18 @@ def _ms(start: float) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--tier", default="auto", choices=("auto", "1", "2", "3"))
-    args = parser.parse_args()
-
+    argparse.ArgumentParser(description=__doc__).parse_args()
     t0 = time.perf_counter()
-    rec = reconstruct_24(args.tier)
+    rec = reconstruct_24()
     sizes = rec.census_sizes()
-    print(f"tier policy {args.tier!r}: used tier {rec.tier_used} "
-          f"({_ms(t0)})")
+    print(f"reconstruction ({_ms(t0)})")
     print(f"  census: tier1={sizes['tier1']} tier2={sizes['tier2']} tier3={sizes['tier3']}")
 
     for k, gram in enumerate(rec.tier2):
-        q_ok = q_gram_of(gram).entries == rd.Q_GRAM.entries
+        q_gram = q_gram_of(gram)
+        q_ok = q_gram.entries == rd.Q_GRAM.entries
         r_ok = relations_hold(gram)
-        lat = Lattice(q_gram_of(gram))
-        disc = discriminant_group(lat).invariant_factors
+        disc = discriminant_group(Lattice(q_gram)).invariant_factors
         print(f"  tier-2 solution {k}: rank-6 block printed={q_ok} "
               f"relations={r_ok} disc={disc}")
 
@@ -49,10 +45,10 @@ def main() -> int:
     good = shapes.count((16, -64))
     print(f"  hexagon pullback census: {len(tower.final.options)} sheet assignments, "
           f"{good} with the rank-16 determinant -64 shape")
-    if rec.tier_used >= 2 and len(rec.solutions) == 1:
-        print("  selected solution is unique; verification may proceed")
+    if len(rec.tier3) == 1:
+        print("  tier-3 solution is unique; verification may proceed")
         return 0
-    print("  census ambiguous at the selected tier; inspect before use")
+    print("  tier-3 census is ambiguous; inspect before use")
     return 1
 
 

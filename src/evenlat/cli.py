@@ -252,17 +252,16 @@ def cmd_config(args) -> int:
         )
         return 0
     if args.operation == "reconstruct":
-        rec = reconstruct_24(args.tier)
+        rec = reconstruct_24()
         out = {
             "schema": ser.SCHEMA,
-            "tier_used": rec.tier_used,
+            "tier_used": 3,
             "census": rec.census_sizes(),
         }
-        sols = rec.solutions if rec.tier_used > 1 else ()
-        if len(sols) == 1:
+        if len(rec.tier3) == 1:
             out["config"] = ser.config_to_json(rec.config())
         else:
-            out["solutions"] = [ser.intmat_to_json(g) for g in sols]
+            out["solutions"] = [ser.intmat_to_json(g) for g in rec.tier3]
         _emit(out)
         return 0
     raise PreconditionError(f"unknown config operation {args.operation!r}")
@@ -274,7 +273,7 @@ def cmd_verify_paper(args) -> int:
         raise PreconditionError(
             f"unknown result id {args.result!r}; known: {', '.join(RESULT_IDS)}"
         )
-    entries = run_all(args.tier).entries
+    entries = run_all().entries
     if args.result:
         entries = tuple(e for e in entries if e.result_id == args.result)
     filtered = VerificationReport(entries)
@@ -325,12 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operation", choices=("pullback", "quotient", "reconstruct"))
     p.add_argument("config", nargs="?", help="configuration JSON file")
     p.add_argument("data", nargs="?", help="cover step or involution JSON file")
-    p.add_argument("--tier", default="auto", choices=("auto", "1", "2", "3"))
     p.set_defaults(func=cmd_config)
 
     p = sub.add_parser("verify-paper", help="run the verification harness")
     p.add_argument("--result", help="restrict to one result id")
-    p.add_argument("--tier", default="auto", choices=("auto", "1", "2", "3"))
     p.add_argument("--format", default="json", choices=("json", "md"))
     p.set_defaults(func=cmd_verify_paper)
     return parser

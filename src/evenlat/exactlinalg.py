@@ -290,15 +290,21 @@ def _gcd_cols(m: list[list[int]], j: int, k: int, r: int) -> None:
         row[k] = -bg * pj + ag * pk
 
 
+def _check_rational(entries) -> None:
+    """Raise ``TypeError`` unless every entry is an int or a Fraction."""
+    bad = set(map(type, entries)) - {int, Fraction}
+    if bad:
+        raise TypeError(f"int or Fraction entry expected, got {bad.pop().__name__}")
+
+
 def _clear_denominators(rows) -> tuple[list[list[int]], int]:
     """(den * rows as integer lists, den), den the lcm of all denominators.
 
     Every rational row passes through here, so this is where an entry that
-    is not an int or a Fraction (a bool included) raises ``TypeError``.
+    is not an int or a Fraction (a bool included) raises ``TypeError``;
+    ``Lattice.dual_vector`` makes the same check on its coordinates.
     """
-    bad = set(map(type, chain.from_iterable(rows))) - {int, Fraction}
-    if bad:
-        raise TypeError(f"int or Fraction entry expected, got {bad.pop().__name__}")
+    _check_rational(chain.from_iterable(rows))
     den = lcm(*{e.denominator for row in rows for e in row})
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
 
@@ -568,11 +574,10 @@ def solve_rational(a: IntMat, sides) -> list[RationalSolution | None]:
     solution is its entries on them divided by den and the final pivot.
     Returns one solution per side, None for an inconsistent one.
     """
-    rhs = [[Fraction(e) for e in b] for b in sides]
-    if any(len(b) != a.rows for b in rhs):
+    cleared, den = _clear_denominators(sides)
+    if any(len(b) != a.rows for b in cleared):
         raise ValueError("dimension mismatch between matrix and right-hand side")
     n = a.cols
-    cleared, den = _clear_denominators(rhs)
     # [A | den*B] becomes d * its reduced row echelon form
     mat = [list(row) + [b[i] for b in cleared] for i, row in enumerate(a.entries)]
     pivots, d, _ = _bareiss(mat)
@@ -586,7 +591,7 @@ def solve_rational(a: IntMat, sides) -> list[RationalSolution | None]:
         kernel.append(tuple(v))
     kernel = tuple(kernel)
     out = []
-    for t in range(n, n + len(rhs)):
+    for t in range(n, n + len(cleared)):
         if any(row[t] for row in mat[len(pivots):]):
             out.append(None)
             continue

@@ -16,6 +16,7 @@ from math import gcd, prod
 
 from .exactlinalg import (
     IntMat,
+    _check_rational,
     _clear_denominators,
     _dots,
     bilinear_table,
@@ -68,7 +69,9 @@ class Lattice:
         return Fraction(num, den)
 
     def dual_vector(self, coords) -> DualVector:
-        return DualVector(self, tuple(Fraction(c) for c in coords))
+        coords = tuple(coords)
+        _check_rational(coords)
+        return DualVector(self, tuple(map(Fraction, coords)))
 
     def __repr__(self):
         label = self.name or f"rank-{self.rank} lattice"
@@ -92,13 +95,6 @@ class DualVector:
 
     def pair(self, other: DualVector) -> Fraction:
         return self.lattice.pairing(self.coords, other.coords)
-
-    def add(self, other: DualVector) -> DualVector:
-        return DualVector(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, m) -> DualVector:
-        f = Fraction(m)
-        return DualVector(self.lattice, tuple(f * c for c in self.coords))
 
 
 def contains(lattice: Lattice, v: DualVector) -> bool:

@@ -3,8 +3,8 @@
 The 24-curve intersection matrix is recovered by exhaustive search over
 hexagon arrangements of the six 4-curve groups and equivariant fillings of
 the adjacency blocks, under the published structural constraints.  The
-search runs in escalating tiers and reports the full solution census of
-each tier; nothing is ever silently picked from an ambiguous census.
+search computes the full solution census of three nested tiers; the answer
+is tier 3, and nothing is ever silently picked from an ambiguous census.
 
 Tier 1: involution equivariance, internal disjointness of the groups,
 degree-8 cover bookkeeping, and the affine-E8-plus-section shape on the
@@ -472,27 +472,16 @@ class Reconstruction24:
     tier1_count: int
     tier2: tuple[IntMat, ...]
     tier3: tuple[IntMat, ...]
-    tier_used: int
-    requested_policy: str
-
-    @property
-    def solutions(self) -> tuple[IntMat, ...]:
-        if self.tier_used == 1:
-            raise ReconstructionError(
-                f"tier 1 census holds {self.tier1_count} solutions; "
-                "they are reported by count only"
-            )
-        return self.tier2 if self.tier_used == 2 else self.tier3
 
     @property
     def gram(self) -> IntMat:
-        sols = self.solutions
-        if len(sols) != 1:
+        """The single tier-3 Gram: the configuration meeting every constraint."""
+        if len(self.tier3) != 1:
             raise ReconstructionError(
-                f"tier {self.tier_used} census holds {len(sols)} label-inequivalent "
+                f"tier 3 census holds {len(self.tier3)} label-inequivalent "
                 "solutions; inspect the census instead of picking one"
             )
-        return sols[0]
+        return self.tier3[0]
 
     def config(self) -> CurveConfig:
         return config_24(self.gram)
@@ -505,16 +494,13 @@ class Reconstruction24:
         }
 
 
-def reconstruct_24(tier_policy: str = "auto") -> Reconstruction24:
+def reconstruct_24() -> Reconstruction24:
     """Recover the 24-curve intersection matrix by an exhaustive tiered census.
 
-    ``tier_policy``: "auto" escalates tiers until the census is a single
-    Gram; "1", "2", "3" stop at the stated tier regardless of ambiguity.
-    Every entry up to ``ENTRY_BOUND``, the most the block totals allow, is
-    explored.  An unknown policy raises ``ValueError``.
+    Every tier is computed in full, over every entry up to ``ENTRY_BOUND``,
+    the most the block totals allow.  The answer is the tier-3 census,
+    which ``Reconstruction24.gram`` reads when it holds a single Gram.
     """
-    if tier_policy not in ("auto", "1", "2", "3"):
-        raise ValueError(f"unknown tier policy: {tier_policy!r}")
     _check_shape()
     products = []
     for arrangement in _hexagon_arrangements():
@@ -538,16 +524,7 @@ def reconstruct_24(tier_policy: str = "auto") -> Reconstruction24:
         tier2_keys.update(_qgram_solutions(pinned, blocks, packed))
     tier2 = tuple(_assemble(key) for key in sorted(tier2_keys))
     tier3 = tuple(g for g in tier2 if relations_hold(g))
-    if tier_policy == "auto":
-        if tier1_count == 1:
-            used = 1
-        elif len(tier2) == 1:
-            used = 2
-        else:
-            used = 3
-    else:
-        used = int(tier_policy)
-    return Reconstruction24(tier1_count, tier2, tier3, used, tier_policy)
+    return Reconstruction24(tier1_count, tier2, tier3)
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,9 @@ def _fail(result_id, witnesses, expected, notes=()):
 def reconstruction_entry(rec: Reconstruction24) -> Entry:
     sizes = rec.census_sizes()
     tower = triple_double_tower()
-    selected = sizes[f"tier{rec.tier_used}"]
+    selected = len(rec.tier3)
     witnesses = {
-        "tier": rec.tier_used,
+        "tier": 3,
         "census": sizes,
         "entry_bound": ENTRY_BOUND,
         "pullback_census": len(tower.final.options),
@@ -135,7 +135,7 @@ def reconstruction_entry(rec: Reconstruction24) -> Entry:
             "tier 3 adds the two printed curve relations"
         )
     else:
-        note = f"tier {rec.tier_used} leaves {selected} label-inequivalent solutions"
+        note = f"tier 3 leaves {selected} label-inequivalent solutions"
     return _judge("reconstruction_24", witnesses, (note,))
 
 
@@ -570,9 +570,11 @@ REPORT_ONLY = {
 }
 
 
-def run_all(tier_policy: str = "auto", gram24: IntMat | None = None) -> VerificationReport:
+def run_all(gram24: IntMat | None = None) -> VerificationReport:
     """Run every row of ``CHECKS`` in order and aggregate the entries.
 
+    The reconstruction entry checks the tier-3 census of ``reconstruct_24``
+    and passes its single Gram on to the checks that read the 24 curves.
     ``gram24`` overrides the reconstructed 24-curve Gram (used by the
     fault-injection tests) and yields a report-only reconstruction entry.
     A checker crash becomes a failed entry that lists the checker's
@@ -592,7 +594,7 @@ def run_all(tier_policy: str = "auto", gram24: IntMat | None = None) -> Verifica
                 {},
                 ("24-curve Gram supplied by the caller",),
             )
-        rec = reconstruct_24(tier_policy)
+        rec = reconstruct_24()
         entry = reconstruction_entry(rec)
         if entry.status == "pass":
             gram24 = rec.gram

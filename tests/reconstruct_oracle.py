@@ -224,9 +224,7 @@ def block_completions(g1: int, g2: int, adjacent: bool, orbit_vals: dict) -> lis
     return out
 
 
-def reconstruct_24(tier_policy: str = "auto") -> Reconstruction24:
-    if tier_policy not in ("auto", "1", "2", "3"):
-        raise ValueError(f"unknown tier policy: {tier_policy!r}")
+def reconstruct_24() -> Reconstruction24:
     qtests = _qgram_linear_tests()
     tier1_keys = set()
     tier2_keys = set()
@@ -266,16 +264,7 @@ def reconstruct_24(tier_policy: str = "auto") -> Reconstruction24:
         raise ReconstructionError("no solution at tier 1: constraint bug")
     tier2 = tuple(_assemble(key) for key in sorted(tier2_keys))
     tier3 = tuple(g for g in tier2 if relations_hold(g))
-    if tier_policy == "auto":
-        if len(tier1_keys) == 1:
-            used = 1
-        elif len(tier2) == 1:
-            used = 2
-        else:
-            used = 3
-    else:
-        used = int(tier_policy)
-    return Reconstruction24(len(tier1_keys), tier2, tier3, used, tier_policy)
+    return Reconstruction24(len(tier1_keys), tier2, tier3)
 
 
 def qgram_solutions(pinned: dict, blocks, tests) -> list[bytes]:

@@ -9,6 +9,8 @@ from evenlat.cli import main
 from evenlat.serialize import config_from_json, config_to_json, gram_from_json
 from evenlat.curves import hexagon_config
 from evenlat.exactlinalg import IntMat
+from evenlat.verify import run_all
+from deck_oracle import golden_gram_rows
 
 Q_ROWS = [
     [-2, 0, 1, 0, 2, -1],
@@ -401,14 +403,19 @@ class TestVerifyPaper:
         assert out == ""
         assert err.count("\n") == 1 and "unknown result id 'nope'" in err
 
-    def test_ambiguous_tier_exits_1(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify-paper", "--tier", "2", "--result", "reconstruction_24"
-        )
+    def test_failing_report_exits_1(self, capsys, monkeypatch):
+        # R16.R12 raised by one on both sides: the printed rank-6 block no longer holds
+        rows = [list(row) for row in golden_gram_rows()]
+        rows[15][11] += 1
+        rows[11][15] += 1
+        report = run_all(gram24=IntMat.from_rows(rows))
+        monkeypatch.setattr(cli, "run_all", lambda: report)
+        code, out, _ = run_cli(capsys, "verify-paper")
         assert code == 1
-        data = json.loads(out)
-        assert data["entries"][0]["status"] == "fail"
-        assert data["entries"][0]["witnesses"]["census"]["tier2"] == 2
+        assert json.loads(out)["all_passed"] is False
+        code, out, _ = run_cli(capsys, "verify-paper", "--format", "md")
+        assert code == 1
+        assert "Overall: FAIL" in out
 
 
 class TestSchemas:

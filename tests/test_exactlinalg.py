@@ -670,9 +670,17 @@ class TestIntegerEntries:
         assert RatMat.from_rows([[1, F(2, 4)]]) == RatMat(((2, 1),), 2)
         with pytest.raises(TypeError):
             RatMat.from_rows([[1, bad]])
-        # every rational row is checked where its denominators are cleared
+        # every rational row is checked where its denominators are cleared;
+        # none is converted with Fraction(), which would read 0.5 as 1/2
         with pytest.raises(TypeError, match="int or Fraction"):
             rational_product([[1, bad]], [[1, 2], [3, 4]])
+        one = IntMat.identity(1)
+        assert solve_rational(one, [[F(1, 3)]])[0].particular == (F(1, 3),)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            solve_rational(one, [[bad]])
+        assert Lattice(one).dual_vector([F(1, 2)]).coords == (F(1, 2),)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            Lattice(one).dual_vector([bad])
 
 
 def test_from_lattice_makes_one_fraction_in_exactlinalg(monkeypatch):

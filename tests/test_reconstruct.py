@@ -17,6 +17,7 @@ from evenlat.curves import InvolutionAction, present, triple_double_tower
 from evenlat.exactlinalg import snf_rational
 from evenlat.lattice import Lattice, discriminant_group
 from evenlat import reconstruct
+from evenlat.verify import reconstruction_entry
 from evenlat.reconstruct import (
     _BLOCK_ORBITS,
     _GROUP_OF,
@@ -24,6 +25,7 @@ from evenlat.reconstruct import (
     _NODE_WANTS,
     _ORBIT_MEMBERS,
     _ORBIT_OF,
+    Reconstruction24,
     ReconstructionError,
     _adjacency,
     _e8_embeddings,
@@ -46,7 +48,6 @@ class TestCensus:
         assert sizes["tier2"] == 2
         assert sizes["tier3"] == 1
         assert sizes["tier1"] == 121536
-        assert reconstruction.tier_used == 3
 
     def test_matches_deck_oracle(self, gram24):
         assert gram24.entries == golden_gram_rows()
@@ -57,27 +58,35 @@ class TestCensus:
         for g in reconstruction.tier2:
             assert q_gram_of(g).entries == rd.Q_GRAM.entries
 
-    def test_forced_tier_policies(self):
-        rec1 = reconstruct_24("1")
-        assert rec1.tier_used == 1
-        with pytest.raises(ReconstructionError):
-            rec1.gram
-        rec2 = reconstruct_24("2")
-        assert rec2.tier_used == 2
-        with pytest.raises(ReconstructionError):
-            rec2.gram
-
+    def test_ambiguous_tier3_fails(self, reconstruction):
+        # both tier-2 Grams kept at tier 3: the answer is no longer single
+        ambiguous = Reconstruction24(
+            reconstruction.tier1_count, reconstruction.tier2, reconstruction.tier2
+        )
+        entry = reconstruction_entry(ambiguous)
+        assert entry.status == "fail"
+        assert entry.witnesses["selected_solutions"] == 2
+        assert entry.notes == ("tier 3 leaves 2 label-inequivalent solutions",)
+        for rec in (ambiguous, Reconstruction24(reconstruction.tier1_count, reconstruction.tier2, ())):
+            with pytest.raises(ReconstructionError, match=f"holds {len(rec.tier3)} "):
+                rec.gram
 
 
 class TestAgainstEnumeration:
-    @pytest.mark.parametrize("policy", ["auto", "1", "2", "3"])
-    def test_census_matches_enumeration(self, policy):
-        got = reconstruct_24(policy)
-        want = reconstruct_oracle.reconstruct_24(policy)
-        assert got.tier1_count == want.tier1_count
-        assert got.tier_used == want.tier_used
-        assert [g.entries for g in got.tier2] == [g.entries for g in want.tier2]
-        assert [g.entries for g in got.tier3] == [g.entries for g in want.tier3]
+    @pytest.fixture(scope="class")
+    def enumerated(self):
+        return reconstruct_oracle.reconstruct_24()
+
+    @pytest.mark.parametrize("tier", ["1", "2", "3"])
+    def test_census_matches_enumeration(self, reconstruction, enumerated, tier):
+        def census(rec):
+            return {
+                "1": rec.tier1_count,
+                "2": [g.entries for g in rec.tier2],
+                "3": [g.entries for g in rec.tier3],
+            }[tier]
+
+        assert census(reconstruction) == census(enumerated)
 
     def test_orbit_table_matches_oracle(self):
         want_members = {

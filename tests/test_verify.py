@@ -15,7 +15,7 @@ from evenlat import discform as df
 from evenlat import lattice, verify
 from evenlat.exactlinalg import IntMat, RatMat, snf_rational
 from evenlat.lattice import Lattice
-from evenlat.reconstruct import q_gram_of
+from evenlat.reconstruct import Reconstruction24, q_gram_of
 from evenlat.verify import (
     CHECKS,
     REPORT_ONLY,
@@ -74,19 +74,24 @@ class TestFullRun:
     def test_deterministic(self, report):
         assert run_all().to_dict() == report.to_dict()
 
-    def test_ambiguous_tier_policies_fail_honestly(self):
-        for policy in ("1", "2"):
-            rep = run_all(policy)
-            entry = rep.entry("reconstruction_24")
-            assert entry.status == "fail"
-            assert any("label-inequivalent" in n for n in entry.notes)
-            assert not rep.all_passed
-            assert tuple(e.result_id for e in rep.entries) == RESULT_IDS
-            prereq = dict(CHECKS)
-            for e in rep.entries:
-                if any(n.startswith("prerequisite ") for n in e.notes):
-                    assert e.notes == (f"prerequisite {prereq[e.result_id]} did not pass",)
-                    assert rep.entry(prereq[e.result_id]).status == "fail"
+    def test_ambiguous_census_fails_honestly(self, reconstruction, monkeypatch):
+        monkeypatch.setattr(verify, "reconstruct_24", lambda: _ambiguous(reconstruction))
+        rep = run_all()
+        entry = rep.entry("reconstruction_24")
+        assert entry.status == "fail"
+        assert entry.notes == ("tier 3 leaves 2 label-inequivalent solutions",)
+        assert not rep.all_passed
+        assert tuple(e.result_id for e in rep.entries) == RESULT_IDS
+        prereq = dict(CHECKS)
+        for e in rep.entries:
+            if any(n.startswith("prerequisite ") for n in e.notes):
+                assert e.notes == (f"prerequisite {prereq[e.result_id]} did not pass",)
+                assert rep.entry(prereq[e.result_id]).status == "fail"
+
+
+def _ambiguous(reconstruction):
+    """The census with both tier-2 Grams kept at tier 3."""
+    return Reconstruction24(reconstruction.tier1_count, reconstruction.tier2, reconstruction.tier2)
 
 
 def _perturbed_q(gram24):
@@ -147,13 +152,15 @@ class TestJudge:
         assert set(rd.EXPECTED) == set(CHECKED_IDS) == set(checkers)
         assert all(rd.EXPECTED.values())
 
-    @pytest.mark.parametrize("run", ["default", "tier1", "perturbed_q", "crash"])
-    def test_status_follows_the_rule(self, report, gram24, monkeypatch, run):
+    @pytest.mark.parametrize("run", ["default", "ambiguous", "perturbed_q", "crash"])
+    def test_status_follows_the_rule(self, report, reconstruction, gram24, monkeypatch, run):
         if run == "crash":
             monkeypatch.setattr(verify, "verify_prop_6_2", lambda: 1 // 0)
+        if run == "ambiguous":
+            monkeypatch.setattr(verify, "reconstruct_24", lambda: _ambiguous(reconstruction))
         rep = {
             "default": lambda: report,
-            "tier1": lambda: run_all("1"),
+            "ambiguous": run_all,
             "perturbed_q": lambda: run_all(gram24=_perturbed_q(gram24)),
             "crash": run_all,
         }[run]()
