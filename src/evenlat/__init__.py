@@ -59,7 +59,6 @@ from .curves import (
     CoverStep,
     CurveConfig,
     EvenFourCertificate,
-    FixedPointData,
     InvolutionAction,
     double_cover_pullback,
     find_even_four_certificate,
@@ -83,7 +82,7 @@ __all__ = [
     "FiniteQuadraticModule", "IsotropicSubgroup", "from_lattice", "q_value",
     "b_value", "isotropic_elements", "isotropic_subgroups", "overlattice",
     "are_isomorphic", "negate",
-    "CurveConfig", "CoverStep", "InvolutionAction", "FixedPointData",
+    "CurveConfig", "CoverStep", "InvolutionAction",
     "EvenFourCertificate", "double_cover_pullback", "quotient_by_involution",
     "find_even_four_certificate", "present", "hexagon_config",
     "triple_double_tower",

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import discform as df
 from . import serialize as ser
-from .curves import double_cover_pullback, quotient_by_involution, FixedPointData
+from .curves import double_cover_pullback, quotient_by_involution
 from .exactlinalg import IntMat, snf, snf_rational
 from .lattice import Lattice, orthogonal_complement, parse_lattice_expr, sublattice, is_primitive
 from .reconstruct import reconstruct_24
@@ -242,7 +242,7 @@ def cmd_config(args) -> int:
     if args.operation == "quotient":
         config = ser.config_from_json(ser.load_json(args.config))
         act = ser.involution_from_json(ser.load_json(args.data))
-        quot = quotient_by_involution(config, act, FixedPointData(count=0))
+        quot = quotient_by_involution(config, act)
         _emit(
             {
                 "schema": ser.SCHEMA,
@@ -253,11 +253,7 @@ def cmd_config(args) -> int:
         return 0
     if args.operation == "reconstruct":
         rec = reconstruct_24()
-        out = {
-            "schema": ser.SCHEMA,
-            "tier_used": 3,
-            "census": rec.census_sizes(),
-        }
+        out = {"schema": ser.SCHEMA, "census": rec.census_sizes()}
         if len(rec.tier3) == 1:
             out["config"] = ser.config_to_json(rec.config())
         else:

@@ -1,11 +1,14 @@
 """Labeled configurations of smooth rational curves.
 
-A configuration stores self-intersections and pairwise multiplicities; the
-lattice it spans is presented exactly by quotienting out the radical of its
-intersection matrix.  The module also implements branched double-cover
-pullback, free involution quotients, and the GF(2) reduction search that
-turns a candidate half-sum of curves into half the sum of four pairwise
-disjoint ones.
+A configuration stores self-intersections and pairwise multiplicities.  A
+presentation of a lattice spanned by curves is one lattice and one
+coordinate map from curve combinations to its basis: ``present`` gives the
+plain span, with the radical of the intersection matrix quotiented out,
+and ``rebase`` moves it onto a basis of rational curve combinations (an
+overlattice of the span).  The module also implements branched
+double-cover pullback, free involution quotients, and the GF(2) reduction
+search that turns a candidate half-sum of curves into half the sum of four
+pairwise disjoint ones.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlinalg import IntMat, RatMat, kernel_saturated, rational_product, snf
-from .lattice import Lattice, rational_span_basis
+from .exactlinalg import IntMat, RatMat, bilinear_table, kernel_saturated, rational_product, snf
+from .lattice import Lattice
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,8 @@ class CurveConfig:
     @classmethod
     def from_gram(cls, labels, gram: IntMat) -> CurveConfig:
         n = len(labels)
+        if gram.rows != n or gram.cols != n:
+            raise ValueError(f"{gram.rows}x{gram.cols} Gram for {n} curve labels")
         self_int = tuple(gram.entries[i][i] for i in range(n))
         mult = IntMat.from_rows(
             [[0 if i == j else gram.entries[i][j] for j in range(n)] for i in range(n)]
@@ -94,50 +99,56 @@ class InvolutionAction:
 
 @dataclass(frozen=True)
 class CurvePresentation:
-    """A lattice spanned by the curves, presented exactly.
+    """A lattice spanned by rational combinations of the curves, exactly.
 
-    ``proj`` maps a row coordinate vector (over the curves) to coordinates
-    in Z^n modulo the Gram radical.  A rational combination of the curves
-    lies in the lattice exactly when its product with the integer
-    membership columns ``member`` is integral.  For the plain curve span
-    these are ``proj`` itself.  When half-sum generators have been adjoined
-    (an overlattice of the span, with Z-basis B), they are proj * B^-1,
-    which is integral because the overlattice contains Z^n.  A vector of
-    another length than the number of curves raises ``ValueError``.
+    ``member`` maps a row coordinate vector over the curves to its
+    coordinates in the basis of ``lattice``: ``coords(vec)`` is
+    ``vec * member``, and the vector lies in the lattice exactly when those
+    coordinates are integral.  For the plain curve span (``present``) the
+    basis is Z^n modulo the Gram radical; ``rebase`` moves to a basis of
+    rational curve combinations.  A vector of another length than the
+    number of curves raises ``ValueError``.
     """
 
     config: CurveConfig
     lattice: Lattice
-    proj: IntMat = field(repr=False)
-    radical_rank: int
     member: IntMat = field(repr=False)
 
-    def _times(self, vec, mat: IntMat) -> tuple[list[int], int]:
-        """(num, den) with vec * mat = num / den, for a vector over the curves."""
+    def _times(self, vec) -> tuple[list[int], int]:
+        """(num, den) with vec * member = num / den, for a vector over the curves."""
         if len(vec) != self.config.size:
             raise ValueError(
                 f"vector of length {len(vec)} over a configuration of {self.config.size} curves"
             )
-        (num,), den = rational_product([vec], mat.entries)
+        (num,), den = rational_product([vec], self.member.entries)
         return num, den
 
-    def project(self, vec) -> tuple[Fraction, ...]:
-        num, den = self._times(vec, self.proj)
+    def coords(self, vec) -> tuple[Fraction, ...]:
+        num, den = self._times(vec)
         return tuple(Fraction(e, den) for e in num)
 
     def contains(self, vec) -> bool:
-        num, den = self._times(vec, self.member)
+        num, den = self._times(vec)
         return all(e % den == 0 for e in num)
 
-    def adjoin(self, extra_vectors) -> CurvePresentation:
-        """Presentation of the overlattice generated with the given rational
-        curve combinations (for instance 2-divisible half sums)."""
-        rows = [self.project(vec) for vec in extra_vectors]
-        basis, den = rational_span_basis(rows, self.proj.cols)
-        basis_inv = RatMat(basis.entries, den).inverse().to_integer()
-        return CurvePresentation(
-            self.config, self.lattice, self.proj, self.radical_rank, self.proj * basis_inv
-        )
+    def rebase(self, basis_vectors) -> CurvePresentation:
+        """The presentation on the basis of the given rational curve combinations.
+
+        With R the rows of their ``coords``, the membership matrix becomes
+        member * R^-1 and the Gram R * G * R^T.  Raises ``ValueError`` when
+        R is singular, when member * R^-1 is not integral (the basis misses
+        a curve, so it does not span a lattice holding them all), or when
+        the Gram is not integral.
+        """
+        rows = [self.coords(vec) for vec in basis_vectors]
+        member = self.member.to_rational() * RatMat.from_rows(rows).inverse()
+        if not member.is_integral():
+            raise ValueError("basis does not span every curve")
+        table, den = bilinear_table(rows, self.lattice.gram.entries, rows)
+        if any(e % den for row in table for e in row):
+            raise ValueError("basis Gram is not integral")
+        gram = IntMat.from_rows([[e // den for e in row] for row in table])
+        return CurvePresentation(self.config, Lattice(gram), member.to_integer())
 
 
 def present(config: CurveConfig) -> CurvePresentation:
@@ -146,8 +157,7 @@ def present(config: CurveConfig) -> CurvePresentation:
     ker = kernel_saturated(g)
     n = g.rows
     if not ker:
-        ident = IntMat.identity(n)
-        return CurvePresentation(config, Lattice(g), ident, 0, ident)
+        return CurvePresentation(config, Lattice(g), IntMat.identity(n))
     k = len(ker)
     kmat = IntMat.from_rows(ker)
     _, _, t = snf(kmat)
@@ -162,7 +172,7 @@ def present(config: CurveConfig) -> CurvePresentation:
     for i in range(k):
         if any(full.entries[i][j] != 0 for j in range(n)):
             raise AssertionError("radical reduction failed")
-    return CurvePresentation(config, Lattice(induced), proj, k, proj)
+    return CurvePresentation(config, Lattice(induced), proj)
 
 
 # ---------------------------------------------------------------------------
@@ -354,27 +364,18 @@ def _assemble_pullback(config, step, split, ram, orient) -> PullbackOption:
 # involution quotient
 
 @dataclass(frozen=True)
-class FixedPointData:
-    """How the involution's fixed points sit relative to the curves."""
-
-    count: int
-    curves_through_fixed_points: frozenset = frozenset()
-
-
-@dataclass(frozen=True)
 class QuotientResult:
     config: CurveConfig
     orbit_map: dict
 
 
-def quotient_by_involution(
-    config: CurveConfig, act: InvolutionAction, fixed: FixedPointData
-) -> QuotientResult:
+def quotient_by_involution(config: CurveConfig, act: InvolutionAction) -> QuotientResult:
     """Quotient a configuration by a free involution on its curves.
 
     Every orbit {R, iR} with R != iR maps to a single curve; images pair by
-    the degree-2 projection formula.  Fixed curves would need ramification
-    data and are rejected, as are fixed points lying on the curves.
+    the degree-2 projection formula, which assumes the involution's fixed
+    points avoid the curves.  Fixed curves would need ramification data
+    and are rejected.
     """
     if len(act.perm) != config.size:
         raise ValueError("involution length does not match configuration")
@@ -382,8 +383,6 @@ def quotient_by_involution(
         raise ValueError("involution is not an isometry of the configuration")
     if act.fixed_points():
         raise ValueError("involution fixes a curve; quotient needs ramification data")
-    if fixed.curves_through_fixed_points:
-        raise ValueError("fixed points on curves are out of scope")
     g = config.gram().entries
     orbits = []
     seen = set()
@@ -427,23 +426,20 @@ class EvenFourCertificate:
 
 
 def find_even_four_certificate(
-    halfset,
-    relations,
-    config: CurveConfig,
-    presentation: CurvePresentation | None = None,
+    halfset, relations, pres: CurvePresentation
 ) -> EvenFourCertificate | None:
     """Search the GF(2) coset of a half-sum for four pairwise disjoint curves.
 
-    ``relations`` are label sets whose half-sums must already lie in the
-    curve lattice (verified first; a failing relation is an error).  Returns
-    the first certificate in deterministic order (shortest chains first),
-    or None when the coset holds no disjoint weight-4 representative.  An
-    unknown or repeated label in the halfset or a relation raises
-    ``ValueError``: a repeated label would not be a half-sum of distinct
-    curves.
+    The curves and their disjointness are those of the configuration of
+    ``pres``.  ``relations`` are label sets whose half-sums must already lie
+    in its lattice (verified first; a failing relation is an error).
+    Returns the first certificate in deterministic order (shortest chains
+    first), or None when the coset holds no disjoint weight-4
+    representative.  An unknown or repeated label in the halfset or a
+    relation raises ``ValueError``: a repeated label would not be a
+    half-sum of distinct curves.
     """
-    pres = presentation if presentation is not None else present(config)
-    labels = config.labels
+    labels = pres.config.labels
     index = {lab: i for i, lab in enumerate(labels)}
     start = _label_set(halfset, index, "halfset")
     rel_sets = []
@@ -452,7 +448,7 @@ def find_even_four_certificate(
         if not pres.contains(_half_sum(chi, index)):
             raise ValueError(f"relation half-sum not in the lattice: {sorted(chi)}")
         rel_sets.append(chi)
-    mult = config.mult.entries
+    mult = pres.config.mult.entries
     for size in range(len(rel_sets) + 1):
         for combo in itertools.combinations(range(len(rel_sets)), size):
             current = set(start)

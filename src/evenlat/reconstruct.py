@@ -59,7 +59,6 @@ from . import refdata
 from .curves import (
     CurveConfig,
     CurvePresentation,
-    FixedPointData,
     InvolutionAction,
     QuotientResult,
     present,
@@ -535,9 +534,7 @@ class XprimeReconstruction:
     config: CurveConfig                      # C1..C12, N1..N8
     quotient: QuotientResult
     presentation: CurvePresentation          # span of the 20 curves
-    m_presentation: CurvePresentation        # with N, Lambda1, Lambda2 adjoined
-    m_basis: tuple[tuple[Fraction, ...], ...]  # 16 generators over the 20 curves
-    m_gram: IntMat
+    m_presentation: CurvePresentation        # M, on its printed rank-16 basis
     relation_report: tuple[tuple[str, bool], ...]
     incidence_kernel_dim: int
 
@@ -553,7 +550,7 @@ def reconstruct_xprime(base24: CurveConfig) -> XprimeReconstruction:
     solved to document how far those relations alone would pin them.
     """
     act = InvolutionAction(refdata.IOTA_011)
-    quot = quotient_by_involution(base24, act, FixedPointData(count=8))
+    quot = quotient_by_involution(base24, act)
     expected_orbits = tuple(
         (base24.labels[i], base24.labels[j]) for i, j in refdata.QUOTIENT_ORBITS
     )
@@ -590,18 +587,12 @@ def reconstruct_xprime(base24: CurveConfig) -> XprimeReconstruction:
     if not all(ok for _, ok in report):
         raise ReconstructionError(f"published relations fail on the quotient: {report}")
 
-    index = refdata.M_BASIS_CURVES + (20, 21, 22)
-    if any(table[a][b] % den for a in index for b in index):
-        raise ReconstructionError("rank-16 basis Gram is not integral")
-    m_gram = IntMat.from_rows([[table[a][b] // den for b in index] for a in index])
-    basis = [gens[i] for i in index]
-    m_pres = pres.adjoin([gens[20], gens[21], gens[22]])
+    # raises unless the printed basis spans the curves, N, Lambda1 and
+    # Lambda2 with an integral Gram
+    m_pres = pres.rebase([gens[i] for i in refdata.M_BASIS_CURVES + (20, 21, 22)])
 
     kdim = _incidence_kernel_dim(gens)
-    return XprimeReconstruction(
-        config, quot, pres, m_pres, tuple(tuple(b) for b in basis), m_gram,
-        tuple(report), kdim,
-    )
+    return XprimeReconstruction(config, quot, pres, m_pres, tuple(report), kdim)
 
 
 def _unit(n, i):

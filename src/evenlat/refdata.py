@@ -138,7 +138,7 @@ def xprime_labels() -> tuple[str, ...]:
     return tuple(f"C{i + 1}" for i in range(12)) + tuple(f"N{i + 1}" for i in range(8))
 
 
-# half-sum generators adjoined to the 20 curves (0-based index sets)
+# the half-sum generators of M beyond the 20 curves (0-based index sets)
 N_SUPPORT = tuple(range(12, 20))                      # (N1+...+N8)/2
 LAMBDA1_SUPPORT = (4, 5, 8, 9, 12, 13, 14, 15)        # (C5+C6+C9+C10+N1+N2+N3+N4)/2
 LAMBDA2_SUPPORT = (0, 1, 4, 5, 12, 13, 16, 17)        # (C1+C2+C5+C6+N1+N2+N5+N6)/2
@@ -167,7 +167,7 @@ XPRIME_RELATIONS = (
 )
 
 # 2-divisible families on X' used by the even-four reductions: the three
-# printed curve relations plus the adjoined half-sum generators
+# printed curve relations plus the half-sum generators N, Lambda1, Lambda2
 XPRIME_RELATION_FAMILIES = (
     (0, 1, 2, 3, 6, 7, 8, 9),      # C1+C2+C3+C4 = C7+C8+C9+C10
     (0, 1, 10, 11, 4, 5, 6, 7),    # C1+C2+C11+C12 = C5+C6+C7+C8

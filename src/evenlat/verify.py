@@ -24,7 +24,7 @@ from itertools import combinations
 from . import discform as df
 from . import refdata as rd
 from .curves import find_even_four_certificate, present, triple_double_tower
-from .exactlinalg import IntMat, snf, snf_rational, solve_rational
+from .exactlinalg import IntMat, snf, snf_rational
 from .lattice import Lattice, norm_gcd, parse_lattice_expr, scale_gcd, sublattice
 from .ratfun import INFINITY, Poly, RatFun, mobius_images
 from .reconstruct import ENTRY_BOUND, Reconstruction24, config_24, reconstruct_24, reconstruct_xprime, q_gram_of
@@ -123,7 +123,6 @@ def reconstruction_entry(rec: Reconstruction24) -> Entry:
     tower = triple_double_tower()
     selected = len(rec.tier3)
     witnesses = {
-        "tier": 3,
         "census": sizes,
         "entry_bound": ENTRY_BOUND,
         "pullback_census": len(tower.final.options),
@@ -246,7 +245,7 @@ def verify_thm_4_3(gram24: IntMat) -> Entry:
     witnesses = {"curve_lattice_det": lat.det, "curve_lattice_signature": lat.signature}
     # the distinguished 16 vectors form a basis of the curve lattice
     rows = [[1 if k == i else 0 for k in range(24)] for i in rd.S_BASIS]
-    pmat = IntMat.from_rows(rows).stack(rd.Q_BASIS) * pres.proj
+    pmat = IntMat.from_rows(rows).stack(rd.Q_BASIS) * pres.member
     witnesses["s_plus_q_index"] = abs(pmat.det())
     module = df.from_lattice(lat)
     subgroups = df.isotropic_subgroups(module)
@@ -259,13 +258,11 @@ def verify_thm_4_3(gram24: IntMat) -> Entry:
     uncertified = []
     for exps, halfset in rd.HALFSET_AQ.items():
         vec = [Fraction(1, 2) if i in halfset else Fraction(0) for i in range(24)]
-        dual = lat.dual_vector(pres.project(vec))
+        dual = lat.dual_vector(pres.coords(vec))
         if not dual.in_dual():
             witnesses["halfset_not_in_dual"] = halfset
             return _judge("thm_4_3", witnesses)
-        cert = find_even_four_certificate(
-            tuple(labels[i] for i in halfset), families, config, pres
-        )
+        cert = find_even_four_certificate(tuple(labels[i] for i in halfset), families, pres)
         if cert is None:
             uncertified.append(exps)
         else:
@@ -292,7 +289,7 @@ def _splitting_check(gram24, pres, lat) -> dict:
     rows = [fib, [1 if k == rd.SECTION else 0 for k in range(24)]]
     for i in rd.U_E8_Q_E8_PART:
         rows.append([1 if k == i else 0 for k in range(24)])
-    pmat = IntMat.from_rows(rows).stack(rd.Q_BASIS) * pres.proj
+    pmat = IntMat.from_rows(rows).stack(rd.Q_BASIS) * pres.member
     gram = pmat * lat.gram * pmat.transpose()
     u_block = [[gram.entries[i][j] for j in range(2)] for i in range(2)]
     e8_block = IntMat.from_rows([[gram.entries[i][j] for j in range(2, 10)] for i in range(2, 10)])
@@ -430,7 +427,8 @@ def verify_section_6(gram24: IntMat) -> Entry:
     }
     if not all(ok for _, ok in xp.relation_report):
         return _judge("section_6", witnesses)
-    m_lat = Lattice(xp.m_gram, "M")
+    m_pres = xp.m_presentation
+    m_lat = m_pres.lattice
     module = df.from_lattice(m_lat)
     # the rational SNF of gram^-1 has the entries 1/e_i, e_i the invariant
     # factors of the gram
@@ -466,25 +464,22 @@ def verify_section_6(gram24: IntMat) -> Entry:
     printed_classes = set()
     uncertified = []
     families = [tuple(labels[i] for i in fam) for fam in rd.XPRIME_RELATION_FAMILIES]
-    all_coords = _m_coords(xp, rd.ISOTROPIC_AM_HALFSETS)
-    for halfset, coords in zip(rd.ISOTROPIC_AM_HALFSETS, all_coords):
-        if coords is None:
+    for halfset in rd.ISOTROPIC_AM_HALFSETS:
+        vec = [Fraction(1, 2) if i in halfset else Fraction(0) for i in range(20)]
+        dual = m_lat.dual_vector(m_pres.coords(vec))
+        if not dual.in_dual():
             witnesses["halfset_outside_dual"] = halfset
             return _judge("section_6", witnesses)
-        printed_classes.add(df.class_of(module, m_lat.dual_vector(coords)))
-        cert = find_even_four_certificate(
-            tuple(labels[i] for i in halfset), families, xp.config, xp.m_presentation
-        )
+        printed_classes.add(df.class_of(module, dual))
+        cert = find_even_four_certificate(tuple(labels[i] for i in halfset), families, m_pres)
         if cert is None:
             uncertified.append(halfset)
     witnesses["halfsets_without_certificate"] = tuple(uncertified)
     witnesses["printed_classes"] = len(printed_classes)
     witnesses["printed_equals_isotropic_set"] = printed_classes == iso
     n_half = [Fraction(1, 2) if i in rd.N_SUPPORT else Fraction(0) for i in range(20)]
-    witnesses["even_eight_half_sum_in_lattice"] = xp.m_presentation.contains(n_half)
-    n_cert = find_even_four_certificate(
-        tuple(labels[i] for i in rd.N_SUPPORT), families, xp.config, xp.m_presentation
-    )
+    witnesses["even_eight_half_sum_in_lattice"] = m_pres.contains(n_half)
+    n_cert = find_even_four_certificate(tuple(labels[i] for i in rd.N_SUPPORT), families, m_pres)
     witnesses["even_eight_certificate"] = None if n_cert is None else "found"
     # transcendental lattice candidate
     cand = parse_lattice_expr(rd.T_XPRIME_EXPR)
@@ -509,15 +504,6 @@ def verify_section_6(gram24: IntMat) -> Entry:
         "are pinned to zero by the fixed points avoiding the curves",
     )
     return _judge("section_6", witnesses, notes)
-
-
-def _m_coords(xp, halfsets) -> list[tuple[Fraction, ...] | None]:
-    """Coordinates of each curve half-sum in the rank-16 basis B, or None for
-    one outside the span of the basis rows: one solve of 2 B^T x = h over
-    the 0/1 indicator vectors h of the half-sets."""
-    a = IntMat.from_rows([[int(2 * e) for e in col] for col in zip(*xp.m_basis)])
-    sols = solve_rational(a, [[int(i in h) for i in range(a.rows)] for h in halfsets])
-    return [None if sol is None else sol.particular for sol in sols]
 
 
 def verify_prop_6_2() -> Entry:
@@ -590,7 +576,7 @@ def run_all(gram24: IntMat | None = None) -> VerificationReport:
             return Entry(
                 "reconstruction_24",
                 "report-only",
-                {"tier": "injected"},
+                {},
                 {},
                 ("24-curve Gram supplied by the caller",),
             )

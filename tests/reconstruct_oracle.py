@@ -284,12 +284,16 @@ def qgram_solutions(pinned: dict, blocks, tests) -> list[bytes]:
     return keys
 
 
-def m_solution(xp, halfset):
-    """The solve of B^T x = (1/2) sum of the curves in halfset, B the
-    rank-16 basis of X', or None when it is inconsistent."""
-    target = [Fraction(1, 2) if i in halfset else Fraction(0) for i in range(20)]
-    cols = IntMat.from_rows(
-        [[int(2 * xp.m_basis[k][i]) for k in range(16)] for i in range(20)]
-    )
-    [sol] = solve_rational(cols, [[2 * t for t in target]])
+def m_solution(halfset):
+    """The solve of B^T x = (1/2) sum of the curves in halfset, or None when
+    it is inconsistent.  B is the printed rank-16 basis of M on X' over the
+    20 curves: the curves ``M_BASIS_CURVES``, then N, Lambda1 and Lambda2,
+    each half the sum of its printed support."""
+    rows = [[2 * int(i == k) for i in range(20)] for k in refdata.M_BASIS_CURVES]
+    rows += [
+        [int(i in support) for i in range(20)]
+        for support in (refdata.N_SUPPORT, refdata.LAMBDA1_SUPPORT, refdata.LAMBDA2_SUPPORT)
+    ]
+    cols = IntMat.from_rows([list(col) for col in zip(*rows)])
+    [sol] = solve_rational(cols, [[int(i in halfset) for i in range(20)]])
     return sol

@@ -81,11 +81,9 @@ def test_criterion_04_even_four_certificates(gram24, config24):
     certified = set()
     for exps, halfset in rd.HALFSET_AQ.items():
         vec = [F(1, 2) if i in halfset else F(0) for i in range(24)]
-        dual = lat.dual_vector(pres.project(vec))
+        dual = lat.dual_vector(pres.coords(vec))
         assert dual.in_dual()
-        cert = find_even_four_certificate(
-            tuple(labels[i] for i in halfset), families, config24, pres
-        )
+        cert = find_even_four_certificate(tuple(labels[i] for i in halfset), families, pres)
         assert cert is not None
         # replay over Z: difference of half-sums is a lattice vector
         diff = [F(0)] * 24
@@ -144,10 +142,11 @@ def test_criterion_07_obstruction_witnesses():
 
 
 def test_criterion_08_section_six(xprime):
-    d, _, _ = snf_rational(xprime.m_gram.inverse())
+    m_pres = xprime.m_presentation
+    m_lat = m_pres.lattice
+    d, _, _ = snf_rational(m_lat.gram.inverse())
     diag = tuple(d.entries[i][i] for i in range(16))
     assert diag == (1,) * 10 + (F(1, 2),) * 4 + (F(1, 4),) * 2
-    m_lat = Lattice(xprime.m_gram, "M")
     module = df.from_lattice(m_lat)
     gens = {}
     for name, data in (("v1", rd.V1_M), ("v2", rd.V2_M), ("v3", rd.V3_M),
@@ -177,30 +176,21 @@ def test_criterion_08_section_six(xprime):
     families = [tuple(labels[i] for i in fam) for fam in rd.XPRIME_RELATION_FAMILIES]
     seen = set()
     for halfset in rd.ISOTROPIC_AM_HALFSETS:
-        cert = find_even_four_certificate(
-            tuple(labels[i] for i in halfset), families, xprime.config,
-            xprime.m_presentation,
-        )
+        cert = find_even_four_certificate(tuple(labels[i] for i in halfset), families, m_pres)
         assert cert is not None
-        coords = _m_coords(xprime, halfset)
-        seen.add(df.class_of(module, m_lat.dual_vector(coords)))
+        sol = m_solution(halfset)
+        assert sol is not None and not sol.kernel
+        seen.add(df.class_of(module, m_lat.dual_vector(sol.particular)))
     assert seen == iso
     n_half = [F(1, 2) if i in rd.N_SUPPORT else F(0) for i in range(20)]
-    assert xprime.m_presentation.contains(n_half)
+    assert m_pres.contains(n_half)
     assert find_even_four_certificate(
-        tuple(labels[i] for i in rd.N_SUPPORT), families, xprime.config,
-        xprime.m_presentation,
+        tuple(labels[i] for i in rd.N_SUPPORT), families, m_pres
     ) is None
     cand = parse_lattice_expr(rd.T_XPRIME_EXPR)
     assert cand.is_even and cand.signature == (2, 4, 0)
     assert df.are_isomorphic(df.from_lattice(cand), df.negate(module)) is not None
     report(8, "16x16 lattice: SNF, printed block form, 31 certified classes, even eight kept, U(2)^2+<-4>^2 matches")
-
-
-def _m_coords(xp, halfset):
-    sol = m_solution(xp, halfset)
-    assert sol is not None and not sol.kernel
-    return sol.particular
 
 
 def test_criterion_09_primitive_embedding():

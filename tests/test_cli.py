@@ -298,7 +298,6 @@ class TestConfigCommands:
         code, out, _ = run_cli(capsys, "config", "reconstruct")
         assert code == 0
         data = json.loads(out)
-        assert data["tier_used"] == 3
         assert data["census"] == {"tier1": 121536, "tier2": 2, "tier3": 1}
         assert len(data["config"]["curves"]) == 24
 

@@ -8,7 +8,6 @@ import linalg_oracle as oracle
 from evenlat.curves import (
     CoverStep,
     CurveConfig,
-    FixedPointData,
     InvolutionAction,
     double_cover_pullback,
     find_even_four_certificate,
@@ -51,6 +50,12 @@ class TestConfig:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
             CurveConfig(("a", "a"), (-1, -1), IntMat.from_rows([[0, 0], [0, 0]]))
+
+    @pytest.mark.parametrize("labels", [("a",), ("a", "b", "c")])
+    def test_from_gram_rejects_a_gram_of_another_size(self, labels):
+        # one label would drop the second curve, three would index past the Gram
+        with pytest.raises(ValueError, match="2x2 Gram"):
+            CurveConfig.from_gram(labels, IntMat.from_rows([[-2, 1], [1, -2]]))
 
 
 class TestInvolution:
@@ -208,20 +213,11 @@ class TestQuotient:
     def test_identity_rejected(self):
         cfg = two_curves(-2, -2, 0)
         with pytest.raises(ValueError):
-            quotient_by_involution(cfg, InvolutionAction((0, 1)), FixedPointData(8))
-
-    def test_fixed_points_on_curves_rejected(self):
-        cfg = two_curves(-2, -2, 0)
-        with pytest.raises(ValueError):
-            quotient_by_involution(
-                cfg,
-                InvolutionAction((1, 0)),
-                FixedPointData(8, frozenset({"a"})),
-            )
+            quotient_by_involution(cfg, InvolutionAction((0, 1)))
 
     def test_swap_two_spheres(self):
         cfg = two_curves(-2, -2, 0)
-        quot = quotient_by_involution(cfg, InvolutionAction((1, 0)), FixedPointData(8))
+        quot = quotient_by_involution(cfg, InvolutionAction((1, 0)))
         assert quot.config.size == 1
         assert quot.config.self_int == (-2,)
 
@@ -229,7 +225,7 @@ class TestQuotient:
         from evenlat.refdata import IOTA_011
 
         act = InvolutionAction(IOTA_011)
-        quot = quotient_by_involution(config24, act, FixedPointData(8))
+        quot = quotient_by_involution(config24, act)
         g24 = config24.gram().entries
         gq = quot.config.gram().entries
         orbits = [tuple(config24.index(lab) for lab in quot.orbit_map[c])
@@ -242,10 +238,7 @@ class TestQuotient:
 
 class TestCertificates:
     def test_immediate_weight_four(self, xprime):
-        cfg = xprime.config
-        cert = find_even_four_certificate(
-            ("C1", "C2", "C7", "C8"), [], cfg, xprime.m_presentation
-        )
+        cert = find_even_four_certificate(("C1", "C2", "C7", "C8"), [], xprime.m_presentation)
         assert cert is not None
         assert cert.steps == ()
         assert cert.final == ("C1", "C2", "C7", "C8")
@@ -257,7 +250,7 @@ class TestCertificates:
         labels = cfg.labels
         families = [tuple(labels[i] for i in fam) for fam in rd.XPRIME_RELATION_FAMILIES]
         start = ("C1", "C2", "C7", "C8", "N2", "N3", "N5", "N7")
-        cert = find_even_four_certificate(start, families, cfg, xprime.m_presentation)
+        cert = find_even_four_certificate(start, families, xprime.m_presentation)
         assert cert is not None
         # the published endpoint is reachable in this coset
         reachable = set(start)
@@ -279,13 +272,12 @@ class TestCertificates:
         labels = cfg.labels
         families = [tuple(labels[i] for i in fam) for fam in rd.XPRIME_RELATION_FAMILIES]
         nset = tuple(labels[i] for i in rd.N_SUPPORT)
-        assert find_even_four_certificate(nset, families, cfg, xprime.m_presentation) is None
+        assert find_even_four_certificate(nset, families, xprime.m_presentation) is None
 
     def test_bad_relation_rejected(self, xprime):
-        cfg = xprime.config
         with pytest.raises(ValueError):
             find_even_four_certificate(
-                ("C1", "C2", "C7", "C8"), [("C1", "C2")], cfg, xprime.m_presentation
+                ("C1", "C2", "C7", "C8"), [("C1", "C2")], xprime.m_presentation
             )
 
     def test_repeated_label_rejected(self, xprime):
@@ -296,20 +288,20 @@ class TestCertificates:
         cfg = xprime.config
         pres = xprime.m_presentation
         with pytest.raises(ValueError, match="repeated curve in halfset"):
-            find_even_four_certificate(("C1", "C1", "C2", "C7", "C8"), [], cfg, pres)
+            find_even_four_certificate(("C1", "C1", "C2", "C7", "C8"), [], pres)
         family = [cfg.labels[i] for i in rd.XPRIME_RELATION_FAMILIES[0]]
         with pytest.raises(ValueError, match="repeated curve in relation"):
             find_even_four_certificate(
-                ("C1", "C2", "C7", "C8"), [family + family[:1]], cfg, pres
+                ("C1", "C2", "C7", "C8"), [family + family[:1]], pres
             )
 
-    @pytest.mark.parametrize("method", ["contains", "project"])
+    @pytest.mark.parametrize("method", ["contains", "coords"])
     @pytest.mark.parametrize("vec", [[0] * 20 + [F(1, 2)], [1]])
     def test_wrong_length_rejected(self, xprime, method, vec):
         with pytest.raises(ValueError, match="length"):
             getattr(xprime.m_presentation, method)(vec)
 
-    @pytest.mark.parametrize("method", ["contains", "project"])
+    @pytest.mark.parametrize("method", ["contains", "coords"])
     @pytest.mark.parametrize("bad", [0.5, "1", True])
     def test_non_rational_entry_rejected(self, xprime, method, bad):
         with pytest.raises(TypeError, match="int or Fraction"):
@@ -324,7 +316,7 @@ class TestCertificates:
         pres = xprime.m_presentation
         for halfset in rd.ISOTROPIC_AM_HALFSETS[:6]:
             start = tuple(labels[i] for i in halfset)
-            cert = find_even_four_certificate(start, families, cfg, pres)
+            cert = find_even_four_certificate(start, families, pres)
             assert cert is not None
             diff = [F(0)] * cfg.size
             for lab in cert.start:
@@ -334,12 +326,12 @@ class TestCertificates:
             assert pres.contains(diff)
 
 
-def random_presentation(rng):
+def random_presentation(rng, scale=1):
     n = rng.randint(2, 7)
-    g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    g = [[-2 * scale if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            g[i][j] = g[j][i] = rng.choice((0, 0, 1, 2))
+            g[i][j] = g[j][i] = scale * rng.choice((0, 0, 1, 2))
     labels = tuple(f"c{i}" for i in range(n))
     return present(CurveConfig.from_gram(labels, IntMat.from_rows(g)))
 
@@ -349,33 +341,57 @@ def random_presentation(rng):
     st.integers(0, 10**6),
     st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=24), min_size=7, max_size=7),
 )
-def test_project_matches_fraction_rule(seed, entries):
-    # the entry-by-entry rule project replaced: sum_i vec_i * proj[i][j]
+def test_coords_match_fraction_rule(seed, entries):
+    # the entry-by-entry rule coords replaced: sum_i vec_i * member[i][j]
     pres = random_presentation(random.Random(seed))
-    vec = entries[: pres.proj.rows]
+    vec = entries[: pres.member.rows]
     want = tuple(
-        sum(vec[i] * pres.proj.entries[i][j] for i in range(len(vec)))
-        for j in range(pres.proj.cols)
+        sum(vec[i] * pres.member.entries[i][j] for i in range(len(vec)))
+        for j in range(pres.member.cols)
     )
-    got = pres.project(vec)
+    got = pres.coords(vec)
     assert got == want
     assert all(type(c) is Fraction for c in got)
 
 
+def _lift(pres, coords):
+    """A rational curve combination whose plain-span coordinates are coords."""
+    particular, _ = oracle.solve(tuple(zip(*pres.member.entries)), coords)
+    return particular
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(0, 10**6), st.lists(st.sampled_from((2, 3, 4, 6)), max_size=3))
-def test_contains_matches_inverted_basis(seed, dens):
-    # the rule contains replaced: proj * B^-1 integral, B the Z-basis of
-    # the overlattice spanned by Z^r and the projected adjoined vectors;
-    # with nothing adjoined B = I, and the membership columns are proj
+@given(
+    st.integers(0, 10**6),
+    st.lists(st.sampled_from((2, 3, 4, 6)), max_size=3),
+    st.booleans(),
+)
+def test_contains_matches_inverted_basis(seed, dens, scaled):
+    # the rule rebase replaced: on a basis B of curve combinations, the
+    # coordinates of v are proj(v) * proj(B)^-1, proj the plain span's
+    # coordinates.  proj(B) is the Z-basis of Z^r and some projected
+    # fractional vectors, moved by a few unimodular row steps; B is its
+    # lift to the curves.  A Gram scaled by 144 = 12^2 keeps every such
+    # overlattice integral
     rng = random.Random(seed)
-    pres = random_presentation(rng)
-    n = pres.proj.rows
+    pres = random_presentation(rng, 144 if scaled else 1)
+    n, r = pres.member.rows, pres.member.cols
     extra = [tuple(F(rng.randint(0, k - 1), k) for _ in range(n)) for k in dens]
-    over = pres.adjoin(extra) if extra else pres
-    assert pres.member == pres.proj
-    r = pres.proj.cols
-    basis_inv = oracle.inverse(oracle.span_basis([pres.project(v) for v in extra], r))
+    basis = [list(row) for row in oracle.span_basis([pres.coords(v) for v in extra], r)]
+    for _ in range(3):
+        i, j = rng.sample(range(r), 2) if r > 1 else (0, 0)
+        if i != j:
+            c = rng.randint(-2, 2)
+            basis[i] = [a + c * b for a, b in zip(basis[i], basis[j])]
+    gram = oracle.matmul(oracle.matmul(basis, pres.lattice.gram.entries), tuple(zip(*basis)))
+    lifted = [_lift(pres, b) for b in basis]
+    if any(e.denominator != 1 for row in gram for e in row):
+        with pytest.raises(ValueError, match="Gram is not integral"):
+            pres.rebase(lifted)
+        return
+    over = pres.rebase(lifted)
+    assert over.lattice.gram.entries == gram
+    basis_inv = oracle.inverse(basis)
     for _ in range(10):
         vec = [F(rng.randint(-3, 3)) for _ in range(n)]
         for v in extra:
@@ -383,7 +399,28 @@ def test_contains_matches_inverted_basis(seed, dens):
             vec = [a + c * b for a, b in zip(vec, v)]
         if rng.random() < 0.3:
             vec[rng.randrange(n)] += F(1, rng.randint(2, 6))
-        proj = pres.project(vec)
-        coords = [sum(proj[i] * basis_inv[i][j] for i in range(r)) for j in range(r)]
+        proj = pres.coords(vec)
+        (coords,) = oracle.matmul([proj], basis_inv)
+        assert over.coords(vec) == coords
         assert over.contains(vec) == all(c.denominator == 1 for c in coords)
         assert pres.contains(vec) == all(c.denominator == 1 for c in proj)
+
+
+class TestRebase:
+    def test_singular_basis_rejected(self):
+        pres = present(two_curves(-2, -2, 1))
+        with pytest.raises(ValueError, match="singular"):
+            pres.rebase([(1, 0), (2, 0)])
+
+    def test_basis_missing_a_curve_rejected(self):
+        # a and 2b span an index-2 sublattice of the curve span
+        pres = present(two_curves(-2, -2, 1))
+        with pytest.raises(ValueError, match="does not span every curve"):
+            pres.rebase([(1, 0), (0, 2)])
+
+    def test_non_integral_gram_rejected(self):
+        # (a + b) / 2 has square (-2 + 2 - 2) / 4 = -1/2
+        pres = present(two_curves(-2, -2, 1))
+        with pytest.raises(ValueError, match="Gram is not integral"):
+            pres.rebase([(1, 0), (F(1, 2), F(1, 2))])
+

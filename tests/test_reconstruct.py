@@ -15,7 +15,7 @@ import reconstruct_oracle
 from deck_oracle import golden_gram_rows
 from evenlat.curves import InvolutionAction, present, triple_double_tower
 from evenlat.exactlinalg import snf_rational
-from evenlat.lattice import Lattice, discriminant_group
+from evenlat.lattice import discriminant_group
 from evenlat import reconstruct
 from evenlat.verify import reconstruction_entry
 from evenlat.reconstruct import (
@@ -328,7 +328,7 @@ class TestXprime:
         assert all(ok for _, ok in xprime.relation_report)
 
     def test_m_gram_invariants(self, xprime):
-        lat = Lattice(xprime.m_gram, "M")
+        lat = xprime.m_presentation.lattice
         assert lat.rank == 16
         assert lat.det == -256
         assert lat.signature == (1, 15, 0)
@@ -336,11 +336,8 @@ class TestXprime:
         assert discriminant_group(lat).invariant_factors == (2, 2, 2, 2, 4, 4)
 
     def test_pairings_match_fraction_rule(self, xprime):
+        # the printed basis: 13 curves, then N, Lambda1 and Lambda2
         config = xprime.config
-        basis = xprime.m_basis
-        assert xprime.m_gram.entries == tuple(
-            tuple(oracle.pair(config, u, v) for v in basis) for u in basis
-        )
         n = config.size
         units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
         halves = [
@@ -348,6 +345,10 @@ class TestXprime:
             for support in (rd.N_SUPPORT, rd.LAMBDA1_SUPPORT, rd.LAMBDA2_SUPPORT)
         ]
         gens = units + halves
+        basis = [gens[i] for i in rd.M_BASIS_CURVES + (20, 21, 22)]
+        assert xprime.m_presentation.lattice.gram.entries == tuple(
+            tuple(oracle.pair(config, u, v) for v in basis) for u in basis
+        )
         want = []
         for target, combo in rd.XPRIME_RELATIONS:
             rhs = [sum(c * gens[gi][k] for gi, c in combo.items()) for k in range(n)]
@@ -361,7 +362,7 @@ class TestXprime:
         assert [ok for _, ok in xprime.relation_report] == want
 
     def test_m_snf_diagonal(self, xprime):
-        d, _, _ = snf_rational(xprime.m_gram.inverse())
+        d, _, _ = snf_rational(xprime.m_presentation.lattice.gram.inverse())
         diag = tuple(d.entries[i][i] for i in range(16))
         assert diag == (1,) * 10 + (Fraction(1, 2),) * 4 + (Fraction(1, 4),) * 2
 
