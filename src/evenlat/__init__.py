@@ -25,10 +25,8 @@ from .lattice import (
     DualVector,
     Lattice,
     SublatticeData,
-    contains,
     direct_sum,
     discriminant_group,
-    is_even,
     is_primitive,
     make_named,
     norm_gcd,
@@ -77,7 +75,7 @@ __all__ = [
     "Lattice", "DualVector", "SublatticeData", "make_named",
     "parse_lattice_expr", "direct_sum", "rescale", "discriminant_group",
     "sublattice", "saturation", "orthogonal_complement", "is_primitive",
-    "contains", "is_even", "scale_gcd", "norm_gcd", "nikulin_unique",
+    "scale_gcd", "norm_gcd", "nikulin_unique",
     "splits_E8", "splits_U", "two_elem_invariants",
     "FiniteQuadraticModule", "IsotropicSubgroup", "from_lattice", "q_value",
     "b_value", "isotropic_elements", "isotropic_subgroups", "overlattice",

@@ -230,7 +230,9 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
     two branch points pull back to one irreducible curve with doubled
     self-intersection.  Intersections are distributed by the projection
     formula; where the incidence data leaves the sheet matching of two split
-    curves undetermined, all consistent distributions are returned.
+    curves undetermined, all consistent distributions are returned.  Every
+    pair of tracked curves must list one shared point id per intersection,
+    or ``ValueError`` is raised.
     """
     tracked_branch = step.branch & set(config.labels)
     if tracked_branch:
@@ -242,6 +244,11 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
         raise ValueError(
             f"shared, marked or branch points on untracked curves: {sorted(untracked)}"
         )
+    mult = config.mult.entries
+    for (i, a), (j, b) in itertools.combinations(enumerate(config.labels), 2):
+        listed = len(step.shared_points.get(frozenset((a, b)), ()))
+        if listed != mult[i][j]:
+            raise ValueError(f"{a}.{b} = {mult[i][j]} but {listed} shared point ids are listed")
     kcount = {}
     for lab in config.labels:
         pts = step.branch_points.get(lab, ())
@@ -426,28 +433,36 @@ class EvenFourCertificate:
 
 
 def find_even_four_certificate(
-    halfset, relations, pres: CurvePresentation
-) -> EvenFourCertificate | None:
-    """Search the GF(2) coset of a half-sum for four pairwise disjoint curves.
+    halfsets, relations, pres: CurvePresentation
+) -> tuple[EvenFourCertificate | None, ...]:
+    """Search the GF(2) coset of each half-sum for four pairwise disjoint curves.
 
     The curves and their disjointness are those of the configuration of
     ``pres``.  ``relations`` are label sets whose half-sums must already lie
-    in its lattice (verified first; a failing relation is an error).
-    Returns the first certificate in deterministic order (shortest chains
-    first), or None when the coset holds no disjoint weight-4
-    representative.  An unknown or repeated label in the halfset or a
-    relation raises ``ValueError``: a repeated label would not be a
+    in its lattice; each is checked once, before any search, and a failing
+    relation is an error even when ``halfsets`` is empty.  Returns one entry
+    per half-set, in order: the first certificate in deterministic order
+    (shortest chains first), or None when the coset holds no disjoint
+    weight-4 representative.  An unknown or repeated label in a halfset or
+    a relation raises ``ValueError``: a repeated label would not be a
     half-sum of distinct curves.
     """
     labels = pres.config.labels
     index = {lab: i for i, lab in enumerate(labels)}
-    start = _label_set(halfset, index, "halfset")
+    starts = [_label_set(halfset, index, "halfset") for halfset in halfsets]
     rel_sets = []
     for rel in relations:
         chi = _label_set(rel, index, "relation")
-        if not pres.contains(_half_sum(chi, index)):
+        if not pres.contains(half_sum([index[lab] for lab in chi], len(labels))):
             raise ValueError(f"relation half-sum not in the lattice: {sorted(chi)}")
         rel_sets.append(chi)
+    return tuple(_coset_certificate(start, rel_sets, pres, index) for start in starts)
+
+
+def _coset_certificate(start, rel_sets, pres, index) -> EvenFourCertificate | None:
+    """The first disjoint weight-4 set in the coset of ``start``, combinations
+    of fewer relations first, replayed over Z; None when there is none."""
+    labels = pres.config.labels
     mult = pres.config.mult.entries
     for size in range(len(rel_sets) + 1):
         for combo in itertools.combinations(range(len(rel_sets)), size):
@@ -470,7 +485,12 @@ def find_even_four_certificate(
     return None
 
 
-_HALF = Fraction(1, 2)
+def half_sum(indices, n: int) -> list:
+    """Half the sum of the curves at ``indices``, as a coordinate vector over n curves."""
+    vec = [0] * n
+    for i in indices:
+        vec[i] = Fraction(1, 2)
+    return vec
 
 
 def _label_set(labs, index: dict, what: str) -> frozenset:
@@ -485,20 +505,11 @@ def _label_set(labs, index: dict, what: str) -> frozenset:
     return chi
 
 
-def _half_sum(labs, index: dict) -> list:
-    """Half the sum of the labelled curves, as a coordinate vector."""
-    vec = [0] * len(index)
-    for lab in labs:
-        vec[index[lab]] = _HALF
-    return vec
-
-
 def _replay_check(cert: EvenFourCertificate, pres: CurvePresentation) -> None:
     index = {lab: i for i, lab in enumerate(pres.config.labels)}
-    diff = _half_sum(cert.start, index)
-    for lab in cert.final:
-        diff[index[lab]] -= _HALF
-    if not pres.contains(diff):
+    start = half_sum([index[lab] for lab in cert.start], len(index))
+    final = half_sum([index[lab] for lab in cert.final], len(index))
+    if not pres.contains([s - f for s, f in zip(start, final)]):
         raise AssertionError("certificate replay failed: difference not in the lattice")
 
 

@@ -97,11 +97,6 @@ class DualVector:
         return self.lattice.pairing(self.coords, other.coords)
 
 
-def contains(lattice: Lattice, v: DualVector) -> bool:
-    """Membership of a rational vector in the lattice itself."""
-    return all(c.denominator == 1 for c in v.coords)
-
-
 @dataclass(frozen=True)
 class DiscGroupData:
     """Invariant factors, generator lifts and class table of the discriminant group.
@@ -284,11 +279,7 @@ def rescale(lattice: Lattice, m: int) -> Lattice:
 
 
 # ---------------------------------------------------------------------------
-# parity and gcd invariants
-
-def is_even(lattice: Lattice) -> bool:
-    return lattice.is_even
-
+# gcd invariants
 
 def scale_gcd(lattice: Lattice) -> int:
     """gcd of all Gram entries: the largest d dividing every pairing x.y."""

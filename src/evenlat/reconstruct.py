@@ -53,7 +53,6 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import refdata
 from .curves import (
@@ -61,6 +60,7 @@ from .curves import (
     CurvePresentation,
     InvolutionAction,
     QuotientResult,
+    half_sum,
     present,
     quotient_by_involution,
 )
@@ -569,10 +569,10 @@ def reconstruct_xprime(base24: CurveConfig) -> XprimeReconstruction:
     config = CurveConfig.from_gram(labels, IntMat.from_rows(gram20))
     pres = present(config)
 
-    gens = [_unit(n, i) for i in range(n)]
-    gens.append(_half(n, refdata.N_SUPPORT))
-    gens.append(_half(n, refdata.LAMBDA1_SUPPORT))
-    gens.append(_half(n, refdata.LAMBDA2_SUPPORT))
+    gens = [[int(k == i) for k in range(n)] for i in range(n)]
+    gens.append(half_sum(refdata.N_SUPPORT, n))
+    gens.append(half_sum(refdata.LAMBDA1_SUPPORT, n))
+    gens.append(half_sum(refdata.LAMBDA2_SUPPORT, n))
     # table[a][b] / den = gens[a] . gens[b]; the first n generators are the curves
     table, den = bilinear_table(gens, config.gram().entries, gens)
 
@@ -593,16 +593,6 @@ def reconstruct_xprime(base24: CurveConfig) -> XprimeReconstruction:
 
     kdim = _incidence_kernel_dim(gens)
     return XprimeReconstruction(config, quot, pres, m_pres, tuple(report), kdim)
-
-
-def _unit(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
-
-
-def _half(n, support):
-    return tuple(Fraction(1, 2) if i in support else Fraction(0) for i in range(n))
 
 
 def _incidence_kernel_dim(gens) -> int:

@@ -113,6 +113,7 @@ def config_from_json(data) -> CurveConfig:
     items = data.get("mult", [])
     if not isinstance(items, list):
         raise ParseError("'mult' must be an array of [label, label, count] entries")
+    seen = set()
     for k, item in enumerate(items):
         if not isinstance(item, list) or len(item) != 3:
             raise ParseError(f"mult entry {k + 1}: expected [label, label, count]")
@@ -126,6 +127,9 @@ def config_from_json(data) -> CurveConfig:
         i, j = index[la], index[lb]
         if i == j:
             raise ParseError(f"mult entry {k + 1}: self-intersections go in 'curves'")
+        if (i, j) in seen:
+            raise ParseError(f"mult entry {k + 1}: repeats the pair {la}, {lb}")
+        seen |= {(i, j), (j, i)}
         mult[i][j] = mult[j][i] = m
     return CurveConfig(tuple(labels), tuple(self_int), IntMat.from_rows(mult))
 
@@ -170,7 +174,10 @@ def cover_step_from_json(data) -> CoverStep:
             raise ParseError(f"shared point entry {k + 1}: expected two distinct labels")
         if not isinstance(ids, list) or not all(isinstance(p, str) for p in ids):
             raise ParseError(f"shared point entry {k + 1}: ids must be strings")
-        shared[frozenset((la, lb))] = tuple(ids)
+        pair = frozenset((la, lb))
+        if pair in shared:
+            raise ParseError(f"shared point entry {k + 1}: repeats the pair {la}, {lb}")
+        shared[pair] = tuple(ids)
     mp = data.get("marked_points", {})
     if not isinstance(mp, dict):
         raise ParseError("'marked_points' must map labels to arrays of point ids")

@@ -23,7 +23,7 @@ from itertools import combinations
 
 from . import discform as df
 from . import refdata as rd
-from .curves import find_even_four_certificate, present, triple_double_tower
+from .curves import find_even_four_certificate, half_sum, present, triple_double_tower
 from .exactlinalg import IntMat, snf, snf_rational
 from .lattice import Lattice, norm_gcd, parse_lattice_expr, scale_gcd, sublattice
 from .ratfun import INFINITY, Poly, RatFun, mobius_images
@@ -239,8 +239,7 @@ def verify_lemma_4_2(aq) -> Entry:
 
 
 def verify_thm_4_3(gram24: IntMat) -> Entry:
-    config = config_24(gram24)
-    pres = present(config)
+    pres = present(config_24(gram24))
     lat = pres.lattice
     witnesses = {"curve_lattice_det": lat.det, "curve_lattice_signature": lat.signature}
     # the distinguished 16 vectors form a basis of the curve lattice
@@ -252,22 +251,14 @@ def verify_thm_4_3(gram24: IntMat) -> Entry:
     nontrivial = [s for s in subgroups if s.order > 1]
     witnesses["isotropic_subgroups"] = len(subgroups)
     # certificate for each of the seven nonzero isotropic classes
-    labels = config.labels
-    families = [tuple(labels[i] for i in fam) for fam in rd.RELATION_FAMILIES_24]
-    certified = set()
-    uncertified = []
-    for exps, halfset in rd.HALFSET_AQ.items():
-        vec = [Fraction(1, 2) if i in halfset else Fraction(0) for i in range(24)]
-        dual = lat.dual_vector(pres.coords(vec))
-        if not dual.in_dual():
-            witnesses["halfset_not_in_dual"] = halfset
-            return _judge("thm_4_3", witnesses)
-        cert = find_even_four_certificate(tuple(labels[i] for i in halfset), families, pres)
-        if cert is None:
-            uncertified.append(exps)
-        else:
-            certified.add(df.class_of(module, dual))
-    witnesses["classes_without_certificate"] = tuple(uncertified)
+    outside, found = _halfset_classes(pres, module, rd.HALFSET_AQ.values(), rd.RELATION_FAMILIES_24)
+    if outside is not None:
+        witnesses["halfset_not_in_dual"] = outside
+        return _judge("thm_4_3", witnesses)
+    certified = {cls for cls, cert in found if cert is not None}
+    witnesses["classes_without_certificate"] = tuple(
+        exps for exps, (_, cert) in zip(rd.HALFSET_AQ, found) if cert is None
+    )
     witnesses["certified_classes"] = len(certified)
     unexcluded = tuple(
         tuple(sorted(sub.elements))
@@ -277,12 +268,32 @@ def verify_thm_4_3(gram24: IntMat) -> Entry:
     witnesses["subgroups_without_certified_class"] = unexcluded
     witnesses["nontrivial_subgroups_excluded"] = len(nontrivial) - len(unexcluded)
     # explicit splitting: fiber + section + eight fiber components + Q block
-    witnesses["splitting"] = _splitting_check(gram24, pres, lat)
+    witnesses["splitting"] = _splitting_check(pres)
     witnesses["ns_invariant_factors"] = module.orders
     return _judge("thm_4_3", witnesses, (AXIOM_NOTE,))
 
 
-def _splitting_check(gram24, pres, lat) -> dict:
+def _halfset_classes(pres, module, halfsets, families):
+    """The class and even-four certificate of each printed half-set, from one search.
+
+    Returns (None, [(class of the half-sum in ``module``, certificate or
+    None)] per half-set), or (h, None) before any search for the first
+    half-set h whose half-sum lies outside the dual of the lattice of
+    ``pres``.  Half-sets and relation ``families`` are tuples of curve
+    indices."""
+    labels = pres.config.labels
+    duals = []
+    for h in halfsets:
+        duals.append(pres.lattice.dual_vector(pres.coords(half_sum(h, len(labels)))))
+        if not duals[-1].in_dual():
+            return h, None
+    certs = find_even_four_certificate(
+        [[labels[i] for i in h] for h in halfsets], [[labels[i] for i in f] for f in families], pres
+    )
+    return None, [(df.class_of(module, d), c) for d, c in zip(duals, certs)]
+
+
+def _splitting_check(pres) -> dict:
     fib = [0] * 24
     for i, c in rd.FIBER_VECTOR.items():
         fib[i] = c
@@ -290,7 +301,7 @@ def _splitting_check(gram24, pres, lat) -> dict:
     for i in rd.U_E8_Q_E8_PART:
         rows.append([1 if k == i else 0 for k in range(24)])
     pmat = IntMat.from_rows(rows).stack(rd.Q_BASIS) * pres.member
-    gram = pmat * lat.gram * pmat.transpose()
+    gram = pmat * pres.lattice.gram * pmat.transpose()
     u_block = [[gram.entries[i][j] for j in range(2)] for i in range(2)]
     e8_block = IntMat.from_rows([[gram.entries[i][j] for j in range(2, 10)] for i in range(2, 10)])
     q_block = tuple(tuple(gram.entries[i][j] for j in range(10, 16)) for i in range(10, 16))
@@ -460,26 +471,22 @@ def verify_section_6(gram24: IntMat) -> Entry:
     # isotropic census and even-four certificates
     iso = set(df.isotropic_elements(module))
     witnesses["isotropic_count"] = len(iso)
-    labels = xp.config.labels
-    printed_classes = set()
-    uncertified = []
-    families = [tuple(labels[i] for i in fam) for fam in rd.XPRIME_RELATION_FAMILIES]
-    for halfset in rd.ISOTROPIC_AM_HALFSETS:
-        vec = [Fraction(1, 2) if i in halfset else Fraction(0) for i in range(20)]
-        dual = m_lat.dual_vector(m_pres.coords(vec))
-        if not dual.in_dual():
-            witnesses["halfset_outside_dual"] = halfset
-            return _judge("section_6", witnesses)
-        printed_classes.add(df.class_of(module, dual))
-        cert = find_even_four_certificate(tuple(labels[i] for i in halfset), families, m_pres)
-        if cert is None:
-            uncertified.append(halfset)
-    witnesses["halfsets_without_certificate"] = tuple(uncertified)
+    # N lies in M, so its half-sum is never the one outside the dual
+    halfsets = rd.ISOTROPIC_AM_HALFSETS
+    outside, found = _halfset_classes(
+        m_pres, module, halfsets + (rd.N_SUPPORT,), rd.XPRIME_RELATION_FAMILIES
+    )
+    if outside is not None:
+        witnesses["halfset_outside_dual"] = outside
+        return _judge("section_6", witnesses)
+    *found, (_, n_cert) = found
+    printed_classes = {cls for cls, _ in found}
+    witnesses["halfsets_without_certificate"] = tuple(
+        h for h, (_, cert) in zip(halfsets, found) if cert is None
+    )
     witnesses["printed_classes"] = len(printed_classes)
     witnesses["printed_equals_isotropic_set"] = printed_classes == iso
-    n_half = [Fraction(1, 2) if i in rd.N_SUPPORT else Fraction(0) for i in range(20)]
-    witnesses["even_eight_half_sum_in_lattice"] = m_pres.contains(n_half)
-    n_cert = find_even_four_certificate(tuple(labels[i] for i in rd.N_SUPPORT), families, m_pres)
+    witnesses["even_eight_half_sum_in_lattice"] = m_pres.contains(half_sum(rd.N_SUPPORT, 20))
     witnesses["even_eight_certificate"] = None if n_cert is None else "found"
     # transcendental lattice candidate
     cand = parse_lattice_expr(rd.T_XPRIME_EXPR)

@@ -79,11 +79,13 @@ def test_criterion_04_even_four_certificates(gram24, config24):
     labels = config24.labels
     families = [tuple(labels[i] for i in fam) for fam in rd.RELATION_FAMILIES_24]
     certified = set()
-    for exps, halfset in rd.HALFSET_AQ.items():
+    certs = find_even_four_certificate(
+        [tuple(labels[i] for i in halfset) for halfset in rd.HALFSET_AQ.values()], families, pres
+    )
+    for (exps, halfset), cert in zip(rd.HALFSET_AQ.items(), certs, strict=True):
         vec = [F(1, 2) if i in halfset else F(0) for i in range(24)]
         dual = lat.dual_vector(pres.coords(vec))
         assert dual.in_dual()
-        cert = find_even_four_certificate(tuple(labels[i] for i in halfset), families, pres)
         assert cert is not None
         # replay over Z: difference of half-sums is a lattice vector
         diff = [F(0)] * 24
@@ -175,8 +177,10 @@ def test_criterion_08_section_six(xprime):
     labels = xprime.config.labels
     families = [tuple(labels[i] for i in fam) for fam in rd.XPRIME_RELATION_FAMILIES]
     seen = set()
-    for halfset in rd.ISOTROPIC_AM_HALFSETS:
-        cert = find_even_four_certificate(tuple(labels[i] for i in halfset), families, m_pres)
+    certs = find_even_four_certificate(
+        [tuple(labels[i] for i in halfset) for halfset in rd.ISOTROPIC_AM_HALFSETS], families, m_pres
+    )
+    for halfset, cert in zip(rd.ISOTROPIC_AM_HALFSETS, certs, strict=True):
         assert cert is not None
         sol = m_solution(halfset)
         assert sol is not None and not sol.kernel
@@ -185,8 +189,8 @@ def test_criterion_08_section_six(xprime):
     n_half = [F(1, 2) if i in rd.N_SUPPORT else F(0) for i in range(20)]
     assert m_pres.contains(n_half)
     assert find_even_four_certificate(
-        tuple(labels[i] for i in rd.N_SUPPORT), families, m_pres
-    ) is None
+        [tuple(labels[i] for i in rd.N_SUPPORT)], families, m_pres
+    ) == (None,)
     cand = parse_lattice_expr(rd.T_XPRIME_EXPR)
     assert cand.is_even and cand.signature == (2, 4, 0)
     assert df.are_isomorphic(df.from_lattice(cand), df.negate(module)) is not None

@@ -240,6 +240,14 @@ class TestConfigCommands:
             ("reconstruct", "nothere.json", None, "takes no file arguments"),
             ("reconstruct", "nothere.json", "alsonot.json", "takes no file arguments"),
             ("reconstruct", CFG_AB, INV_AB, "takes no file arguments"),
+            (
+                "quotient", dict(CFG_AB, mult=[["a", "b", 1], ["b", "a", 3]]), INV_AB,
+                "mult entry 2: repeats the pair b, a",
+            ),
+            (
+                "pullback", CFG_AB, dict(STEP_AB, shared_points=[["a", "b", ["p"]], ["b", "a", []]]),
+                "shared point entry 2: repeats the pair b, a",
+            ),
         ],
     )
     def test_malformed_document_exits_2(self, capsys, tmp_path, operation, config, data, message):

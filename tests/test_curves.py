@@ -8,6 +8,7 @@ import linalg_oracle as oracle
 from evenlat.curves import (
     CoverStep,
     CurveConfig,
+    CurvePresentation,
     InvolutionAction,
     double_cover_pullback,
     find_even_four_certificate,
@@ -111,6 +112,14 @@ class TestPullback:
         assert c.self_int[i["a"]] == -2
         assert c.mult.entries[i["a"]][i["ba"]] == 1
         assert c.mult.entries[i["a"]][i["bb"]] == 1
+
+    @pytest.mark.parametrize("m, ids", [(3, ("p",)), (1, ()), (0, ("p",))])
+    def test_shared_points_must_match_multiplicity(self, m, ids):
+        cfg = two_curves(-1, -1, m)
+        shared = {frozenset(("a", "b")): ids} if ids else {}
+        step = CoverStep(frozenset({"l0"}), {}, shared)
+        with pytest.raises(ValueError, match=f"a.b = {m} but {len(ids)} shared point ids"):
+            double_cover_pullback(cfg, step)
 
     def test_odd_branch_count_rejected(self):
         cfg = single_curve(-1)
@@ -238,7 +247,7 @@ class TestQuotient:
 
 class TestCertificates:
     def test_immediate_weight_four(self, xprime):
-        cert = find_even_four_certificate(("C1", "C2", "C7", "C8"), [], xprime.m_presentation)
+        (cert,) = find_even_four_certificate([("C1", "C2", "C7", "C8")], [], xprime.m_presentation)
         assert cert is not None
         assert cert.steps == ()
         assert cert.final == ("C1", "C2", "C7", "C8")
@@ -250,7 +259,7 @@ class TestCertificates:
         labels = cfg.labels
         families = [tuple(labels[i] for i in fam) for fam in rd.XPRIME_RELATION_FAMILIES]
         start = ("C1", "C2", "C7", "C8", "N2", "N3", "N5", "N7")
-        cert = find_even_four_certificate(start, families, xprime.m_presentation)
+        (cert,) = find_even_four_certificate([start], families, xprime.m_presentation)
         assert cert is not None
         # the published endpoint is reachable in this coset
         reachable = set(start)
@@ -272,13 +281,36 @@ class TestCertificates:
         labels = cfg.labels
         families = [tuple(labels[i] for i in fam) for fam in rd.XPRIME_RELATION_FAMILIES]
         nset = tuple(labels[i] for i in rd.N_SUPPORT)
-        assert find_even_four_certificate(nset, families, xprime.m_presentation) is None
+        assert find_even_four_certificate([nset], families, xprime.m_presentation) == (None,)
 
     def test_bad_relation_rejected(self, xprime):
         with pytest.raises(ValueError):
             find_even_four_certificate(
-                ("C1", "C2", "C7", "C8"), [("C1", "C2")], xprime.m_presentation
+                [("C1", "C2", "C7", "C8")], [("C1", "C2")], xprime.m_presentation
             )
+
+    def test_bad_relation_rejected_without_halfsets(self, xprime):
+        with pytest.raises(ValueError, match="relation half-sum not in the lattice"):
+            find_even_four_certificate([], [("C1", "C2")], xprime.m_presentation)
+
+    def test_each_relation_checked_once_per_search(self, xprime, monkeypatch):
+        import evenlat.refdata as rd
+
+        labels = xprime.config.labels
+        families = [[labels[i] for i in fam] for fam in rd.XPRIME_RELATION_FAMILIES]
+        starts = [[labels[i] for i in halfset] for halfset in rd.ISOTROPIC_AM_HALFSETS]
+        contains = CurvePresentation.contains
+        calls = []
+
+        def counted(pres, vec):
+            calls.append(vec)
+            return contains(pres, vec)
+
+        monkeypatch.setattr(CurvePresentation, "contains", counted)
+        certs = find_even_four_certificate(starts, families, xprime.m_presentation)
+        assert None not in certs
+        # 8 relation checks, then one replay per certificate
+        assert len(calls) == 8 + 31
 
     def test_repeated_label_rejected(self, xprime):
         # ("C1", "C1", "C2", "C7", "C8") is C1 + (C2 + C7 + C8) / 2, not the
@@ -288,11 +320,11 @@ class TestCertificates:
         cfg = xprime.config
         pres = xprime.m_presentation
         with pytest.raises(ValueError, match="repeated curve in halfset"):
-            find_even_four_certificate(("C1", "C1", "C2", "C7", "C8"), [], pres)
+            find_even_four_certificate([("C1", "C1", "C2", "C7", "C8")], [], pres)
         family = [cfg.labels[i] for i in rd.XPRIME_RELATION_FAMILIES[0]]
         with pytest.raises(ValueError, match="repeated curve in relation"):
             find_even_four_certificate(
-                ("C1", "C2", "C7", "C8"), [family + family[:1]], pres
+                [("C1", "C2", "C7", "C8")], [family + family[:1]], pres
             )
 
     @pytest.mark.parametrize("method", ["contains", "coords"])
@@ -314,9 +346,8 @@ class TestCertificates:
         labels = cfg.labels
         families = [tuple(labels[i] for i in fam) for fam in rd.XPRIME_RELATION_FAMILIES]
         pres = xprime.m_presentation
-        for halfset in rd.ISOTROPIC_AM_HALFSETS[:6]:
-            start = tuple(labels[i] for i in halfset)
-            cert = find_even_four_certificate(start, families, pres)
+        starts = [tuple(labels[i] for i in halfset) for halfset in rd.ISOTROPIC_AM_HALFSETS[:6]]
+        for cert in find_even_four_certificate(starts, families, pres):
             assert cert is not None
             diff = [F(0)] * cfg.size
             for lab in cert.start:

@@ -11,7 +11,6 @@ from evenlat.exactlinalg import IntMat, lattice_rows_hnf
 from evenlat.lattice import (
     Lattice,
     _induced_gram_rational,
-    contains,
     direct_sum,
     discriminant_group,
     is_primitive,
@@ -312,13 +311,6 @@ class TestSublattices:
                 continue
             prod = gens * host.gram * comp.basis_coords.transpose()
             assert all(e == 0 for row in prod.entries for e in row)
-
-
-class TestContains:
-    def test_basis_vector(self):
-        lat = make_named("U")
-        assert contains(lat, lat.dual_vector([1, 0]))
-        assert not contains(lat, lat.dual_vector([F(1, 2), 0]))
 
 
 class TestPredicates:
