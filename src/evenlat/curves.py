@@ -232,7 +232,7 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
     formula; where the incidence data leaves the sheet matching of two split
     curves undetermined, all consistent distributions are returned.  Every
     pair of tracked curves must list one shared point id per intersection,
-    or ``ValueError`` is raised.
+    all distinct, or ``ValueError`` is raised.
     """
     tracked_branch = step.branch & set(config.labels)
     if tracked_branch:
@@ -246,9 +246,11 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
         )
     mult = config.mult.entries
     for (i, a), (j, b) in itertools.combinations(enumerate(config.labels), 2):
-        listed = len(step.shared_points.get(frozenset((a, b)), ()))
-        if listed != mult[i][j]:
-            raise ValueError(f"{a}.{b} = {mult[i][j]} but {listed} shared point ids are listed")
+        ids = step.shared_points.get(frozenset((a, b)), ())
+        if len(ids) != mult[i][j]:
+            raise ValueError(f"{a}.{b} = {mult[i][j]} but {len(ids)} shared point ids are listed")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"{a}.{b} lists a shared point id twice: {list(ids)}")
     kcount = {}
     for lab in config.labels:
         pts = step.branch_points.get(lab, ())

@@ -6,7 +6,10 @@ Both are stored once, as integers: with the level M (the lcm of all the
 denominators), M*q is taken mod 2M and M*b mod M; Fractions appear only at
 the API edge.  Scans over every element (isotropic elements, the
 isomorphism fingerprint) read the integer table of (element order,
-M*q mod 2M) and build no Fraction.
+M*q mod 2M) and build no Fraction.  The isotropic subgroup search packs
+each element into one int, a bit field per coordinate, so that adding two
+elements and reducing them mod the orders is a few integer operations;
+its results are tuples again.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .exactlinalg import IntMat, _dots, lattice_rows_hnf, rational_product
+from .exactlinalg import IntMat, _dots, hnf, rational_product
 from .lattice import DiscGroupData, DualVector, Lattice, _induced_gram_rational, discriminant_group
 
 GroupElement = tuple[int, ...]
@@ -295,16 +298,17 @@ def _canonical_gens(module: FiniteQuadraticModule, generators) -> tuple[GroupEle
     """Canonical generators: HNF of the preimage lattice in Z^k, reduced mod d.
 
     Any generating set of the subgroup gives the same preimage lattice, and
-    so the same generators.
+    so the same generators.  The HNF rows that vanish mod the orders (the
+    zero rows among them) are dropped.
     """
-    k = module.ngens
-    rows = [list(x) for x in sorted(generators)]
-    for i in range(k):
-        rows.append([module.orders[i] if j == i else 0 for j in range(k)])
-    h = lattice_rows_hnf(IntMat.from_rows(rows))
+    orders = module.orders
+    rows = sorted(generators) + [
+        [d if j == i else 0 for j in range(module.ngens)] for i, d in enumerate(orders)
+    ]
+    h, _ = hnf(IntMat.from_rows(rows))
     gens = []
     for row in h.entries:
-        red = module.reduce(row)
+        red = tuple(e % d for e, d in zip(row, orders))
         if any(red):
             gens.append(red)
     return tuple(gens)
@@ -322,45 +326,75 @@ def isotropic_subgroups(module: FiniteQuadraticModule) -> list[IsotropicSubgroup
     generators, and is grown only by those, coset by coset.  The elements
     h + kx with k prime to the order n of x mod H all give the same
     subgroup H + <x>, so only one of them is tried.
+
+    The cosets are grown on packed elements: coordinate i of an element
+    is one field of w = max(orders).bit_length() + 1 bits of an int,
+    coordinate 0 in the most significant field, so that int order is
+    tuple order.  A sum of two reduced fields fits in w bits, and it is
+    at least d_i exactly when it reaches bit w-1 after d_i is taken from
+    2^(w-1); so one addition, one shift and two masks add two elements
+    and reduce every field.  Elements become tuples only in the result
+    and in the adjoined generators.
     """
     iso = isotropic_elements(module)
-    index = {x: i for i, x in enumerate(iso)}
     level = module.level
     orth = [
         sum(1 << j for j, e in enumerate(row) if e % level == 0)
         for row in _dots(_dots(iso, module.b_int), iso)
     ]
+    w = max(module.orders, default=1).bit_length() + 1
+    top, field = w - 1, (1 << w) - 1
+    shifts = [w * i for i in reversed(range(module.ngens))]
+    off = sum(((1 << top) - d) << s for d, s in zip(module.orders, shifts))
+    ones = sum(1 << s for s in shifts)
+    ds = sum(d << s for d, s in zip(module.orders, shifts))
+    packed = [sum(e << s for e, s in zip(x, shifts)) for x in iso]
+    bit = {p: 1 << i for i, p in enumerate(packed)}
     # mask of the nonzero elements -> (elements, adjoined generators, perp mask)
-    found = {0: ([module.zero()], (), (1 << len(iso)) - 1)}
+    found = {0: ([0], (), (1 << len(iso)) - 1)}
     frontier = [0]
     while frontier:
         new_frontier = []
         for mask in frontier:
             elements, adjoined, perp = found[mask]
-            size = len(elements)
             todo = perp & ~mask
             while todo:
                 i = (todo & -todo).bit_length() - 1
-                grown = _adjoin(module, elements, iso[i])
-                n = len(grown) // size
-                grown_mask = mask
-                for k in range(1, n):
-                    coset = 0
-                    for y in grown[k * size:(k + 1) * size]:
-                        coset |= 1 << index[y]
-                    grown_mask |= coset
+                x = packed[i]
+                grown, grown_mask, coset_masks = list(elements), mask, []
+                step = x
+                # k*x lies in H exactly when it is 0 or one of H's bits
+                while step and not bit[step] & mask:
+                    coset = [s - ((((s + off) >> top) & ones) * field & ds)
+                             for s in map(step.__add__, elements)]
+                    grown += coset
+                    # distinct bits: their sum is their union
+                    coset_masks.append(sum(map(bit.__getitem__, coset)))
+                    step += x
+                    step -= (((step + off) >> top) & ones) * field & ds
+                n = len(coset_masks) + 1
+                for k, coset_mask in enumerate(coset_masks, 1):
+                    grown_mask |= coset_mask
                     if math.gcd(k, n) == 1:
-                        todo &= ~coset
+                        todo &= ~coset_mask
                 if grown_mask not in found:
                     found[grown_mask] = (grown, adjoined + (iso[i],), perp & orth[i])
                     new_frontier.append(grown_mask)
         frontier = new_frontier
-    out = []
-    for elements, adjoined, _ in found.values():
-        gens = _canonical_gens(module, adjoined) if adjoined else ()
-        out.append(IsotropicSubgroup(module, gens, frozenset(elements)))
-    out.sort(key=lambda s: (s.order, sorted(s.elements)))
-    return out
+    # the packed elements sort as their tuples do
+    out = sorted(
+        (len(elements), sorted(elements), adjoined) for elements, adjoined, _ in found.values()
+    )
+    unpack = dict(zip(packed, iso))
+    unpack[0] = module.zero()
+    return [
+        IsotropicSubgroup(
+            module,
+            _canonical_gens(module, adjoined) if adjoined else (),
+            frozenset(map(unpack.__getitem__, elements)),
+        )
+        for _, elements, adjoined in out
+    ]
 
 
 def overlattice(lattice: Lattice, subgroup: IsotropicSubgroup) -> Lattice:

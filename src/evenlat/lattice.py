@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
+from operator import mul
 
 from .exactlinalg import (
     IntMat,
@@ -192,14 +193,20 @@ def _induced_gram_rational(ambient_gram: IntMat, rows, den: int = 1) -> IntMat:
     """Gram of the lattice Z^n + span(rows / den) inside a form of rank n.
 
     With the basis N / e from ``rational_span_basis``, the Gram is
-    N * G * N^T / e^2.
+    N * G * N^T / e^2.  G is symmetric, so only the entries on and above
+    the diagonal are computed, and the others mirror them.
     """
     basis, e = rational_span_basis(rows, ambient_gram.rows, den)
-    num = _dots(_dots(basis.entries, ambient_gram.entries), basis.entries)
-    e2 = e * e
-    if any(x % e2 for row in num for x in row):
-        raise ValueError("generators do not span an integral lattice")
-    return IntMat.from_rows([[x // e2 for x in row] for row in num])
+    b = basis.entries
+    n, e2 = len(b), e * e
+    gram = [[0] * n for _ in range(n)]
+    for i, x in enumerate(_dots(b, ambient_gram.entries)):
+        for j in range(i, n):
+            v, r = divmod(sum(map(mul, x, b[j])), e2)
+            if r:
+                raise ValueError("generators do not span an integral lattice")
+            gram[i][j] = gram[j][i] = v
+    return IntMat(tuple(map(tuple, gram)))
 
 
 def rational_span_basis(rows, n: int, den: int = 1) -> tuple[IntMat, int]:

@@ -502,13 +502,19 @@ def reconstruct_24() -> Reconstruction24:
     """
     _check_shape()
     products = []
+    # a block's completions depend only on the block, its adjacency and the
+    # pinned values of its own orbits, which recur across the embeddings
+    completions = {}
     for arrangement in _hexagon_arrangements():
         adjacency = _adjacency(arrangement)
         for _assignment, pinned in _e8_embeddings(adjacency):
             blocks = []
             for g1, g2 in itertools.combinations(range(6), 2):
                 adjacent = frozenset((g1, g2)) in adjacency
-                comps = _block_completions(g1, g2, adjacent, pinned)
+                key = (g1, g2, adjacent, tuple(pinned.get(orb) for orb, _ in _BLOCK_ORBITS[g1][g2]))
+                comps = completions.get(key)
+                if comps is None:
+                    comps = completions[key] = _block_completions(g1, g2, adjacent, pinned)
                 if not comps:
                     break
                 blocks.append(comps)

@@ -9,18 +9,18 @@ genus predicates take the lattice, rebuild its discriminant group and
 re-pair each generator lift, as they did before they took the module.
 ``class_of`` takes the coordinates v * T / D of the rational SNF, as it
 did before the class table.  The differential tests compare the two.
-The span basis comes from ``linalg_oracle``; only the canonical HNF
-generators, the discriminant group and the rational SNF come from the
-package.
+The span basis and the Hermite form behind the canonical subgroup
+generators come from ``linalg_oracle``; only the discriminant group and
+the rational SNF come from the package.
 """
 
 import math
 from fractions import Fraction
 
-from evenlat.discform import FiniteQuadraticModule, IsotropicSubgroup, _canonical_gens
+from evenlat.discform import FiniteQuadraticModule, IsotropicSubgroup
 from evenlat.exactlinalg import snf_rational
 from evenlat.lattice import discriminant_group
-from linalg_oracle import span_basis
+from linalg_oracle import hnf, span_basis
 
 
 def _mod2(x):
@@ -126,6 +126,16 @@ def isotropic_elements(module):
     return [x for x in module.elements() if any(x) and q_value(module, x) == 0]
 
 
+def canonical_gens(module, elements):
+    """HNF rows of [elements; diag(orders)], reduced mod the orders, zero rows dropped."""
+    k = module.ngens
+    rows = [list(x) for x in sorted(elements)]
+    rows += [[d if j == i else 0 for j in range(k)] for i, d in enumerate(module.orders)]
+    h, _ = hnf(rows)
+    reduced = [module.reduce(row) for row in h]
+    return tuple(row for row in reduced if any(row))
+
+
 def isotropic_subgroups(module):
     """Closure of isotropic elements, every candidate respanned and q-checked."""
     iso = isotropic_elements(module)
@@ -147,7 +157,7 @@ def isotropic_subgroups(module):
         frontier = new_frontier
     out = []
     for elems in found:
-        gens = _canonical_gens(module, elems) if len(elems) > 1 else ()
+        gens = canonical_gens(module, elems) if len(elems) > 1 else ()
         out.append(IsotropicSubgroup(module, gens, elems))
     out.sort(key=lambda s: (s.order, sorted(s.elements)))
     return out

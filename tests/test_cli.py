@@ -280,6 +280,17 @@ class TestConfigCommands:
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and f"untracked curves: ['{label}']" in err
 
+    def test_pullback_repeated_point_id_exits_3(self, capsys, tmp_path):
+        cfg = dict(CFG_AB, mult=[["a", "b", 2]])
+        step = {"schema": 1, "branch": ["l0"], "shared_points": [["a", "b", ["p", "p"]]]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        (tmp_path / "step.json").write_text(json.dumps(step))
+        code, out, err = run_cli(
+            capsys, "config", "pullback", str(tmp_path / "cfg.json"), str(tmp_path / "step.json")
+        )
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "a.b lists a shared point id twice" in err
+
     def test_pullback(self, capsys, tmp_path):
         cfg = {
             "schema": 1,

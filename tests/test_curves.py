@@ -121,6 +121,16 @@ class TestPullback:
         with pytest.raises(ValueError, match=f"a.b = {m} but {len(ids)} shared point ids"):
             double_cover_pullback(cfg, step)
 
+    def test_repeated_shared_point_id_rejected(self):
+        # the sheet matching is keyed by point id, so a repeated id would
+        # drop the mixed distribution of two split curves meeting twice
+        cfg = two_curves(-2, -2, 2)
+        step = CoverStep(frozenset({"l0"}), {}, {frozenset(("a", "b")): ("p", "q")})
+        assert len(double_cover_pullback(cfg, step).options) == 2
+        step = CoverStep(frozenset({"l0"}), {}, {frozenset(("a", "b")): ("p", "p")})
+        with pytest.raises(ValueError, match=r"a.b lists a shared point id twice: \['p', 'p'\]"):
+            double_cover_pullback(cfg, step)
+
     def test_odd_branch_count_rejected(self):
         cfg = single_curve(-1)
         step = CoverStep(frozenset({"l0"}), {"c": ("x",)}, {})

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import discform_oracle
 import evenlat.discform as df
@@ -468,6 +468,27 @@ class TestAgainstFractionOracle:
             assert df.overlattice(lat, sub).gram.entries == discform_oracle.overlattice_gram(
                 lat, sub
             )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    @example(None)
+    def test_subgroups_of_handbuilt_modules(self, seed):
+        # no lattice behind the form, orders 2, 3, 4, 6 and 8: the packed
+        # fields of 3 and 6 are not filled by powers of two; None is the
+        # form on no generators
+        rng = random.Random(seed or 0)
+        if seed is None:
+            module = df.FiniteQuadraticModule((), 1, (), ())
+        else:
+            module = random_handbuilt_module(rng)
+        subs = df.isotropic_subgroups(module)
+        want = discform_oracle.isotropic_subgroups(module)
+        assert [(s.gens, s.elements) for s in subs] == [(s.gens, s.elements) for s in want]
+        for sub in subs[1:]:
+            # the same subgroup from a shuffled, redundant generating set
+            gens = list(sub.gens) + rng.sample(sorted(sub.elements), min(3, sub.order))
+            rng.shuffle(gens)
+            assert df._canonical_gens(module, gens) == sub.gens
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))
