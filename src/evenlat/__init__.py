@@ -1,9 +1,10 @@
 """Exact arithmetic for even integral lattices and their discriminant forms.
 
 The package computes with Gram matrices over Z using arbitrary-precision
-integers and rationals only: Hermite and Smith normal forms with
-transforms, discriminant quadratic forms, isotropic subgroups and the
-overlattice correspondence, configurations of rational curves with
+integers and rationals only: the Hermite normal form (no transform), the
+Smith normal form with transforms, saturated kernels, discriminant
+quadratic forms, isotropic subgroups and the overlattice
+correspondence, configurations of rational curves with
 branched-cover pullbacks and involution quotients, and a verification
 harness that reproduces the published lattice computations for the
 triple-double K3 family and its symplectic quotient.

@@ -305,9 +305,8 @@ def _canonical_gens(module: FiniteQuadraticModule, generators) -> tuple[GroupEle
     rows = sorted(generators) + [
         [d if j == i else 0 for j in range(module.ngens)] for i, d in enumerate(orders)
     ]
-    h, _ = hnf(IntMat.from_rows(rows))
     gens = []
-    for row in h.entries:
+    for row in hnf(IntMat.from_rows(rows)).entries:
         red = tuple(e % d for e, d in zip(row, orders))
         if any(red):
             gens.append(red)

@@ -2,10 +2,10 @@
 
 Everything here is arbitrary precision: matrices carry Python ints, a
 rational matrix being integer rows over one least denominator, and no
-operation ever rounds.  The normal forms (Hermite, Smith) return their
-unimodular transforms so callers can replay every identity exactly; the
-one exception is ``hnf_mod``, the HNF of a lattice containing d*Z^n,
-which works mod d and builds no transform.
+operation ever rounds.  The Smith forms return their unimodular
+transforms so callers can replay every identity exactly.  The Hermite
+forms build none: ``hnf`` reduces A alone, and ``hnf_mod``, the HNF of
+a lattice containing d*Z^n, works mod d.
 """
 
 from __future__ import annotations
@@ -392,15 +392,15 @@ def _bareiss(m: list[list[int]], above: bool = True) -> tuple[list[int], int, in
     return pivots, d, sign
 
 
-def hnf(a: IntMat) -> tuple[IntMat, IntMat]:
-    """Row Hermite normal form with transform: U*A = H, det U = +-1.
+def hnf(a: IntMat) -> IntMat:
+    """Row Hermite normal form H = U*A of A, for some unimodular U.
 
     Convention: row echelon, positive pivots, entries above each pivot
     reduced into [0, pivot); zero rows at the bottom.  The row steps
-    reduce [A | I], which ends as [H | U].
+    reduce A alone, so U is not built.
     """
     m, n = a.rows, a.cols
-    h = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a.entries)]
+    h = [list(row) for row in a.entries]
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, m) if h[i][c] != 0), None)
@@ -418,7 +418,7 @@ def hnf(a: IntMat) -> tuple[IntMat, IntMat]:
         r += 1
         if r == m:
             break
-    return IntMat.from_rows(row[:n] for row in h), IntMat.from_rows(row[n:] for row in h)
+    return IntMat.from_rows(h)
 
 
 def snf(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
@@ -610,16 +610,12 @@ def row_rank(a: IntMat) -> int:
 def kernel_saturated(a: IntMat) -> tuple[tuple[int, ...], ...]:
     """Z-basis of the saturated right kernel {x in Z^n : A*x^T = 0}.
 
-    The rows returned are primitive (unit invariant factors) and in row
-    Hermite normal form, so the output is canonical.  May be empty.
+    Read off the HNF of [A^T | I], which is unique: its rows with a zero A^T
+    part, cut to their I part, are the kernel's canonical HNF basis.  May be empty.
     """
-    h, u = hnf(a.transpose())
-    zero_rows = [i for i in range(h.rows) if all(e == 0 for e in h.entries[i])]
-    if not zero_rows:
-        return ()
-    basis = IntMat.from_rows([u.entries[i] for i in zero_rows])
-    canon = hnf(basis)[0]
-    return tuple(row for row in canon.entries if any(e != 0 for e in row))
+    eye = IntMat.identity(a.cols).entries
+    h = hnf(IntMat.from_rows(r + e for r, e in zip(a.transpose().entries, eye)))
+    return tuple(row[a.rows:] for row in h.entries if not any(row[:a.rows]))
 
 
 def hnf_mod(rows, d: int, n: int) -> IntMat:
@@ -678,8 +674,7 @@ def hnf_mod(rows, d: int, n: int) -> IntMat:
 
 def lattice_rows_hnf(rows: IntMat) -> IntMat:
     """Canonical basis (HNF, zero rows dropped) of the row span over Z."""
-    h, _ = hnf(rows)
-    keep = [row for row in h.entries if any(e != 0 for e in row)]
+    keep = [row for row in hnf(rows).entries if any(e != 0 for e in row)]
     if not keep:
         raise ValueError("zero lattice has no basis rows")
     return IntMat.from_rows(keep)

@@ -419,21 +419,24 @@ def _packed(tests, bound: int) -> tuple[list[int], int]:
     return columns, target
 
 
+def _with_effects(comps, columns) -> list[tuple[int, tuple]]:
+    """(packed effect, completion) for each completion of one block."""
+    return [(sum(columns[orb] * v for orb, v in part), part) for part in comps]
+
+
 def _qgram_solutions(pinned: dict, blocks, packed):
     """Keys of the solutions of one product that pass every rank-6 Gram test.
 
     The tests are affine in the orbit values and the blocks own disjoint
-    orbits, so each completion adds a fixed vector to the test sums;
-    ``packed`` (from ``_packed``) holds each such vector as one integer, so
-    a sum of completions is one integer sum.  The blocks are split into two
-    halves of about equal product size; the sums of the left half go into
-    a table, and each right-half sum looks up the left sums that complete
-    it to the targets (the Horowitz-Sahni split).
+    orbits, so each completion adds a fixed vector to the test sums.  Each
+    block pairs its completions with these vectors, each packed into one
+    integer by the columns of ``packed`` (``_with_effects``), so a sum of
+    completions is one integer sum.  The blocks are split into two halves
+    of about equal product size; the sums of the left half go into a table,
+    and each right-half sum looks up the left sums that complete it to the
+    targets (the Horowitz-Sahni split).
     """
     columns, target = packed
-
-    def effect(part) -> int:
-        return sum(columns[orb] * v for orb, v in part)
 
     def sums(half) -> list[tuple[int, tuple]]:
         # (packed sum, parts) over itertools.product(*half), in its order
@@ -442,12 +445,12 @@ def _qgram_solutions(pinned: dict, blocks, packed):
             out = [(s + e, parts + (part,)) for s, parts in out for e, part in comps]
         return out
 
-    need = target - effect(pinned.items())
+    need = target - sum(columns[orb] * v for orb, v in pinned.items())
     halves: tuple[list, list] = ([], [])
     sizes = [1, 1]
     for comps in sorted(blocks, key=len, reverse=True):
         side = 0 if sizes[0] <= sizes[1] else 1
-        halves[side].append([(effect(part), part) for part in comps])
+        halves[side].append(comps)
         sizes[side] *= len(comps)
     left_parts = defaultdict(list)
     for s, parts in sums(halves[0]):
@@ -501,9 +504,10 @@ def reconstruct_24() -> Reconstruction24:
     which ``Reconstruction24.gram`` reads when it holds a single Gram.
     """
     _check_shape()
+    columns, _ = packed = _packed(_qgram_linear_tests(), ENTRY_BOUND)
     products = []
-    # a block's completions depend only on the block, its adjacency and the
-    # pinned values of its own orbits, which recur across the embeddings
+    # a block's completions and their packed effects depend only on the block,
+    # its adjacency and the pinned values of its own orbits, which recur across embeddings
     completions = {}
     for arrangement in _hexagon_arrangements():
         adjacency = _adjacency(arrangement)
@@ -512,21 +516,21 @@ def reconstruct_24() -> Reconstruction24:
             for g1, g2 in itertools.combinations(range(6), 2):
                 adjacent = frozenset((g1, g2)) in adjacency
                 key = (g1, g2, adjacent, tuple(pinned.get(orb) for orb, _ in _BLOCK_ORBITS[g1][g2]))
-                comps = completions.get(key)
-                if comps is None:
-                    comps = completions[key] = _block_completions(g1, g2, adjacent, pinned)
-                if not comps:
+                block = completions.get(key)
+                if block is None:
+                    comps = _block_completions(g1, g2, adjacent, pinned)
+                    block = completions[key] = (comps, _with_effects(comps, columns))
+                if not block[0]:
                     break
-                blocks.append(comps)
+                blocks.append(block)
             else:
                 products.append((pinned, blocks))
-    tier1_count = _union_size(products)
+    tier1_count = _union_size([(pinned, [comps for comps, _ in blocks]) for pinned, blocks in products])
     if not tier1_count:
         raise ReconstructionError("no solution at tier 1: constraint bug")
-    packed = _packed(_qgram_linear_tests(), ENTRY_BOUND)
     tier2_keys = set()
     for pinned, blocks in products:
-        tier2_keys.update(_qgram_solutions(pinned, blocks, packed))
+        tier2_keys.update(_qgram_solutions(pinned, [effects for _, effects in blocks], packed))
     tier2 = tuple(_assemble(key) for key in sorted(tier2_keys))
     tier3 = tuple(g for g in tier2 if relations_hold(g))
     return Reconstruction24(tier1_count, tier2, tier3)

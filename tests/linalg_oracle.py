@@ -3,12 +3,15 @@
 These are the textbook eliminations over Q, one loop per operation, that
 ``evenlat.exactlinalg`` derives from its single fraction-free kernel, and
 the entry-by-entry Fraction products that it replaced by one
-denominator-cleared integer product, and the Hermite and Smith forms that
-step a matrix and its transforms separately where the package steps one
-augmented table, the rational Smith form that clears a Fraction matrix
+denominator-cleared integer product, the Hermite and Smith forms that
+step a matrix and its transforms separately (the package steps one
+augmented table for the Smith form and builds no Hermite transform), the
+rational Smith form that clears a Fraction matrix
 where the package reads its stored integer rows, and the span basis of
 Z^n and rational rows from the full Hermite form, where the package works
-mod the denominator.  The
+mod the denominator, and the saturated kernel from a Hermite transform
+and a second Hermite form, where the package reads it off one Hermite
+form of [A^T | I].  The
 differential tests compare the two; nothing here shares code with the
 package.
 """
@@ -154,8 +157,9 @@ def in_dual(gram, coords) -> bool:
 
 # The two-matrix normal forms: every unimodular step is applied to the
 # matrix and then, separately, to its transform.  ``evenlat.exactlinalg``
-# runs the same steps once on an augmented table; its H, U, D, S and T
-# must equal these entry for entry.
+# runs the Smith steps once on an augmented table, and its D, S and T must
+# equal these entry for entry.  Its Hermite form builds no transform: its
+# H must equal this H, and this U must carry A to it.
 
 def _entries(m):
     return tuple(map(tuple, m))
@@ -233,6 +237,20 @@ def hnf(rows):
         if r == m:
             break
     return _entries(h), _entries(u)
+
+
+def kernel_saturated(rows):
+    """Canonical Z-basis of {x : A*x^T = 0}, by two Hermite forms.
+
+    With U*A^T = H, the rows of U at the zero rows of H are a basis of the
+    left kernel of A^T, saturated because U is unimodular; their Hermite
+    form, by ``hnf`` above, is the canonical basis.
+    """
+    h, u = hnf([list(col) for col in zip(*rows)])
+    basis = [u[i] for i, row in enumerate(h) if not any(row)]
+    if not basis:
+        return ()
+    return tuple(row for row in hnf(basis)[0] if any(row))
 
 
 def snf(rows):

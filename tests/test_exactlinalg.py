@@ -56,32 +56,38 @@ def random_unimodular(rng, n, steps=12):
     return IntMat.from_rows(u)
 
 
+def hnf_against_oracle(a: IntMat) -> IntMat:
+    """hnf(A), checked against the oracle's Hermite form and its transform.
+
+    H equals the oracle's entry by entry, and the oracle's U is unimodular
+    and carries A to it: U*A = hnf(A), det U = +-1.
+    """
+    h = hnf(a)
+    want, u = oracle.hnf(a.entries)
+    assert h.entries == want
+    u = IntMat(u)
+    assert (u * a).entries == h.entries
+    assert u.det() in (1, -1)
+    return h
+
+
 class TestHNF:
     def test_identity(self):
         a = IntMat.identity(3)
-        h, u = hnf(a)
-        assert h.entries == a.entries
-        assert u.entries == a.entries
+        assert hnf_against_oracle(a).entries == a.entries
 
     def test_worked_example(self):
         a = IntMat.from_rows([[2, 4], [6, 8]])
-        h, u = hnf(a)
-        assert (u * a).entries == h.entries
-        assert u.det() in (1, -1)
-        assert h.entries == ((2, 0), (0, 4))
+        assert hnf_against_oracle(a).entries == ((2, 0), (0, 4))
 
     def test_zero_matrix(self):
         a = IntMat.from_rows([[0, 0], [0, 0]])
-        h, u = hnf(a)
-        assert h.entries == a.entries
-        assert u.entries == IntMat.identity(2).entries
+        assert hnf_against_oracle(a).entries == a.entries
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(small_intmat())
     def test_transform_identity(self, a):
-        h, u = hnf(a)
-        assert (u * a).entries == h.entries
-        assert u.det() in (1, -1)
+        hnf_against_oracle(a)
 
     def test_invariant_under_unimodular_row_action(self):
         rng = random.Random(20240811)
@@ -92,7 +98,7 @@ class TestHNF:
                 [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
             )
             p = random_unimodular(rng, n)
-            assert hnf(p * a)[0].entries == hnf(a)[0].entries
+            assert hnf(p * a).entries == hnf(a).entries
 
 
 def mod_hnf_case():
@@ -512,10 +518,22 @@ class TestNormalFormsAgainstTwoMatrixForms:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(low_rank_intmat(max_dim=6) | small_intmat(max_dim=7) | with_zero_rows(small_intmat()))
     def test_identical_outputs(self, a):
-        h, u = hnf(a)
-        assert (h.entries, u.entries) == oracle.hnf(a.entries)
+        hnf_against_oracle(a)
         d, s, t = snf(a)
         assert (d.entries, s.entries, t.entries) == oracle.snf(a.entries)
+
+
+class TestKernelAgainstTwoHermiteForms:
+    """The kernel read off one HNF of [A^T | I] against the transform route."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(low_rank_intmat(max_dim=6) | small_intmat(max_dim=6) | with_zero_rows(small_intmat()))
+    @example(IntMat.from_rows([[0, 0, 0], [0, 0, 0]]))            # kernel Z^3
+    @example(IntMat.from_rows([[2, 1, 0], [0, 3, 5], [1, 0, 7]]))  # full rank: no kernel
+    def test_matches_oracle(self, a):
+        rows = kernel_saturated(a)
+        assert rows == oracle.kernel_saturated(a.entries)
+        assert len(rows) == a.cols - row_rank(a)
 
 
 class TestRationalProduct:
@@ -736,8 +754,7 @@ def test_normal_forms_with_large_entries():
         d, s, t = snf(a)
         assert (s * a * t).entries == d.entries
         assert s.det() in (1, -1) and t.det() in (1, -1)
-        h, u = hnf(a)
-        assert (u * a).entries == h.entries
+        hnf_against_oracle(a)
 
 
 def _char_poly(g: IntMat):

@@ -33,6 +33,7 @@ from evenlat.reconstruct import (
     _packed,
     _qgram_solutions,
     _union_size,
+    _with_effects,
     q_gram_of,
     reconstruct_24,
     relations_hold,
@@ -233,7 +234,8 @@ def affine_products(draw):
           ((((0, 4),), 0), (((1, 1),), 1)), 1))
 def test_packed_join_matches_brute_force(system):
     pinned, blocks, tests, bound = system
-    got = sorted(_qgram_solutions(pinned, blocks, _packed(tests, bound)))
+    packed = _packed(tests, bound)
+    got = sorted(_qgram_solutions(pinned, [_with_effects(c, packed[0]) for c in blocks], packed))
     assert got == sorted(reconstruct_oracle.qgram_solutions(pinned, blocks, tests))
 
 
