@@ -2,7 +2,8 @@
 """Full reconstruction census for the 24-curve configuration.
 
 Runs the tiered search once, over every entry the block totals allow,
-prints census sizes per tier, validates every tier-2 solution, and
+prints census sizes per tier and how many hexagon arrangements the
+parity count leaves to search, validates every tier-2 solution, and
 cross-checks the result against the branched double-cover pullback of
 the hexagon.  Exits 0 exactly when tier 3 holds a single solution.
 """
@@ -13,7 +14,13 @@ import time
 
 from evenlat.curves import present, triple_double_tower
 from evenlat.lattice import Lattice, discriminant_group
-from evenlat.reconstruct import q_gram_of, reconstruct_24, relations_hold
+from evenlat.reconstruct import (
+    _hexagon_arrangements,
+    _shape_arrangements,
+    q_gram_of,
+    reconstruct_24,
+    relations_hold,
+)
 import evenlat.refdata as rd
 
 
@@ -28,6 +35,8 @@ def main() -> int:
     sizes = rec.census_sizes()
     print(f"reconstruction ({_ms(t0)})")
     print(f"  census: tier1={sizes['tier1']} tier2={sizes['tier2']} tier3={sizes['tier3']}")
+    print(f"  hexagon arrangements searched: {len(_shape_arrangements())} "
+          f"of {len(list(_hexagon_arrangements()))}")
 
     for k, gram in enumerate(rec.tier2):
         q_gram = q_gram_of(gram)

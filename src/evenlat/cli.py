@@ -56,7 +56,7 @@ def _load_rows_arg(arg: str) -> IntMat:
     if text.startswith("["):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
             raise ser.ParseError(f"inline rows: malformed JSON: {exc}")
         return ser.rows_from_json(data)
     return ser.rows_from_json(ser.load_json(arg))

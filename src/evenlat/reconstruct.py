@@ -12,6 +12,14 @@ distinguished ten curves.
 Tier 2: tier 1 plus the printed rank-6 block Gram, entrywise.
 Tier 3: tier 2 plus the two printed curve relations as identities.
 
+Of the 60 hexagon arrangements, only the 18 whose position parities can
+carry the shape tree are searched.  Every edge of the tree is pinned to 1,
+which only hexagon-adjacent groups allow, so each edge flips the parity
+of the hexagon position: the distinguished curves at an even offset from
+the section's group must be as many as the tree positions at an even
+distance from the section.  The 42 arrangements that fail this count
+hold no embedding.
+
 The node assignments of each arrangement come from a depth-first search
 driven by tables built once: a 24x24 table of pair orbits, the entries
 each node pins against the earlier nodes and the section, and the 6x6
@@ -170,6 +178,30 @@ def _parents() -> list[int]:
             )
         parents.append(wants.index(1))
     return parents
+
+
+def _shape_arrangements() -> list[tuple[int, ...]]:
+    """The hexagon arrangements whose position parities can carry the shape.
+
+    Each node's edge to its parent is pinned to 1, which the embedding
+    search allows only between curves of hexagon-adjacent groups, and
+    adjacent positions of the 6-cycle differ in parity.  So a curve at tree
+    distance t from the section lies at a position whose offset from the
+    section's group has the parity of t, and an arrangement can carry the
+    shape only when as many of the ten distinguished curves lie at an even
+    offset as the tree has positions at an even distance.
+    """
+    depth = []  # tree distance of each node from the section
+    for node, parent in enumerate(_parents()):
+        depth.append(1 if parent == node else depth[parent] + 1)
+    even_nodes = 1 + sum(d % 2 == 0 for d in depth)  # the section is at distance 0
+    groups = [_GROUP_OF[c] for c in (*refdata.FIBER_CURVES, refdata.SECTION)]
+    kept = []
+    for arrangement in _hexagon_arrangements():
+        home = arrangement.index(_GROUP_OF[refdata.SECTION])
+        if sum((arrangement.index(g) - home) % 2 == 0 for g in groups) == even_nodes:
+            kept.append(arrangement)
+    return kept
 
 
 def _e8_embeddings(adjacency):
@@ -509,7 +541,7 @@ def reconstruct_24() -> Reconstruction24:
     # a block's completions and their packed effects depend only on the block,
     # its adjacency and the pinned values of its own orbits, which recur across embeddings
     completions = {}
-    for arrangement in _hexagon_arrangements():
+    for arrangement in _shape_arrangements():
         adjacency = _adjacency(arrangement)
         for _assignment, pinned in _e8_embeddings(adjacency):
             blocks = []

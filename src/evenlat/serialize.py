@@ -50,7 +50,10 @@ def gram_from_json(data) -> tuple[IntMat, str | None]:
                 raise ParseError(
                     f"matrix is not symmetric at ({i + 1},{j + 1}) vs ({j + 1},{i + 1})"
                 )
-    return IntMat.from_rows(rows), data.get("name")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ParseError("'name' must be a string")
+    return IntMat.from_rows(rows), name
 
 
 def rows_from_json(data) -> IntMat:
@@ -195,7 +198,7 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
 
 

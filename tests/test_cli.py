@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import evenlat.cli as cli
 import evenlat.discform as df
@@ -9,8 +12,10 @@ from evenlat.cli import main
 from evenlat.serialize import config_from_json, config_to_json, gram_from_json
 from evenlat.curves import hexagon_config
 from evenlat.exactlinalg import IntMat
+from evenlat.lattice import parse_lattice_expr
 from evenlat.verify import run_all
 from deck_oracle import golden_gram_rows
+import linalg_oracle
 
 Q_ROWS = [
     [-2, 0, 1, 0, 2, -1],
@@ -458,3 +463,166 @@ class TestSchemas:
         assert back.labels == cfg.labels
         assert back.self_int == cfg.self_int
         assert back.mult.entries == cfg.mult.entries
+
+
+# ---------------------------------------------------------------------------
+# the fail-closed input boundary, over generated documents and expressions
+
+# an integer literal past Python's 4300-digit limit on int-string conversion
+_HUGE = "9" * 5000
+_SUMMANDS = {"U": 2, "U(2)": 2, "U(-3)": 2, "A1": 1, "E8": 8, "diag(-4,-4)": 2, "<-2>": 1}
+_BAD_SUMMANDS = (
+    "", " ", "U(0)", "diag(2,0)", "<0>", "diag()", "E9", "U(", "diag(1,,2)", "<2.5>",
+    "A1(2)", f"diag({_HUGE})",
+)
+_EDIT_CHARS = "(),+-<>0123456789 dU"
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("docs") / "doc.json")
+
+
+@st.composite
+def lattice_exprs(draw):
+    """(expression, rank), rank None when the expression is malformed.
+
+    Summands are drawn from known good and bad names; a final edit of one
+    character is classified by the library parser, since it can turn a bad
+    expression good or a good one bad."""
+    parts = draw(st.lists(st.sampled_from(tuple(_SUMMANDS) + _BAD_SUMMANDS), min_size=1, max_size=3))
+    expr = "+".join(parts)
+    rank = sum(_SUMMANDS[p] for p in parts) if all(p in _SUMMANDS for p in parts) else None
+    if draw(st.booleans()):
+        return expr, rank
+    at = draw(st.integers(0, len(expr)))
+    if draw(st.booleans()) and at < len(expr):
+        expr = expr[:at] + expr[at + 1:]
+    else:
+        expr = expr[:at] + draw(st.sampled_from(_EDIT_CHARS)) + expr[at:]
+    try:
+        return expr, parse_lattice_expr(expr).rank
+    except ValueError:
+        return expr, None
+
+
+def _mutated_rows(draw, rows, mutation):
+    """Rows with one malformed entry or row, by mutation name."""
+    rows = [list(row) for row in rows]
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[i]) - 1))
+    if mutation == "float":
+        rows[i][j] = draw(st.sampled_from((0.5, 2.0, -1e300)))
+    elif mutation == "bool":
+        rows[i][j] = draw(st.booleans())
+    elif mutation == "huge":
+        rows[i][j] = "HUGE"  # spliced into the JSON text as a bare literal
+    elif mutation == "ragged":
+        rows.append(rows[-1] + [0])
+    return rows
+
+
+def _json_text(doc, truncate: bool) -> str:
+    text = json.dumps(doc).replace('"HUGE"', _HUGE)
+    return text[:-1] if truncate else text
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit(argv, want):
+    # an exception escaping main fails the test with its traceback
+    code, out, err = _run_main(argv)
+    assert code == want, (argv[:1], err)
+    if code:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gram_documents_fail_closed(doc_path, data):
+    """disc and snf --inverse exit 2 on a malformed Gram document and 3 on a
+    well-formed one that is singular (or odd, for disc)."""
+    n = data.draw(st.integers(1, 3))
+    upper = {(i, j): data.draw(st.integers(-3, 3)) for i in range(n) for j in range(i, n)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    if data.draw(st.booleans()):  # an entry far past any fixed-width integer
+        i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        gram[i][j] = gram[j][i] = data.draw(st.sampled_from((2, -1))) * 10**30
+    doc = {"schema": 1, "gram": gram, "name": "G"}
+    mutation = data.draw(st.sampled_from((
+        None, "delete", "gram type", "document type", "name type", "ragged", "float", "bool",
+        "huge", "truncate",
+    ) + (("asymmetric",) if n > 1 else ())))
+    malformed = mutation is not None
+    if mutation == "delete":
+        key = data.draw(st.sampled_from(sorted(doc)))
+        del doc[key]
+        malformed = key == "gram"
+    elif mutation == "gram type":
+        doc["gram"] = data.draw(st.sampled_from(("x", 3, None, {}, [], [1], [[]], [[1, 2]])))
+    elif mutation == "document type":
+        doc = data.draw(st.sampled_from((gram, "gram", 3, None)))
+    elif mutation == "name type":
+        doc["name"] = data.draw(st.sampled_from((3, True, ["G"], {"G": 1})))
+    elif mutation == "asymmetric":
+        gram[0][1] = gram[1][0] + 1
+    elif mutation not in (None, "truncate"):
+        doc["gram"] = _mutated_rows(data.draw, gram, mutation)
+    with open(doc_path, "w") as fh:
+        fh.write(_json_text(doc, mutation == "truncate"))
+    det = linalg_oracle.det(gram) if not malformed else None
+    odd = any(gram[i][i] % 2 for i in range(n))
+    _assert_exit(["disc", doc_path], 2 if malformed else 3 if det == 0 or odd else 0)
+    _assert_exit(["snf", doc_path, "--inverse"], 2 if malformed else 3 if det == 0 else 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), expr=lattice_exprs())
+def test_rows_and_expressions_fail_closed(doc_path, data, expr):
+    """complement and embed-check exit 2 on a malformed expression or rows
+    document, and 3 on a rank mismatch, dependent generators (embed-check)
+    or a full-rank span with no complement."""
+    expr, rank = expr
+    fit = rank or 2
+    width = data.draw(st.sampled_from((fit, fit, fit, fit + 1, max(fit - 1, 1))))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=width, max_size=width), min_size=1, max_size=3,
+    ))
+    inline = data.draw(st.booleans())
+    mutation = data.draw(st.sampled_from((
+        None, None, "ragged", "float", "bool", "huge", "truncate", "rows type",
+    ) + (() if inline else ("delete", "document type"))))
+    malformed = rank is None or mutation is not None
+    doc = rows if inline else {"schema": 1, "rows": rows}
+    if mutation == "delete":
+        del doc["rows"]
+    elif mutation == "rows type":
+        bad = data.draw(st.sampled_from(([], [1, 2], [[]], [["1"]], [None])))
+        doc = bad if inline else {"schema": 1, "rows": bad}
+    elif mutation == "document type":
+        doc = data.draw(st.sampled_from(("rows", 3, None, {})))
+    elif mutation not in (None, "truncate"):
+        mutated = _mutated_rows(data.draw, rows, mutation)
+        doc = mutated if inline else {"schema": 1, "rows": mutated}
+    text = _json_text(doc, mutation == "truncate")
+    if inline:
+        gens = text
+    else:
+        with open(doc_path, "w") as fh:
+            fh.write(text)
+        gens = doc_path
+    if malformed:
+        want_complement = want_embed = 2
+    elif width != rank:
+        want_complement = want_embed = 3
+    else:
+        span = linalg_oracle.rank(rows)
+        want_complement = 3 if span == rank else 0
+        want_embed = 3 if span < len(rows) else 0
+    _assert_exit(["complement", expr, gens], want_complement)
+    _assert_exit(["embed-check", expr, gens], want_embed)

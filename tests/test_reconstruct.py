@@ -32,6 +32,7 @@ from evenlat.reconstruct import (
     _hexagon_arrangements,
     _packed,
     _qgram_solutions,
+    _shape_arrangements,
     _union_size,
     _with_effects,
     q_gram_of,
@@ -131,6 +132,22 @@ class TestAgainstEnumeration:
         ]
         assert len(embeddings) == 56
         assert all(reconstruct_oracle.s_block_valid(pinned) for pinned in embeddings)
+
+    def test_parity_count_keeps_every_arrangement_with_an_embedding(self):
+        # reconstruct_24 searches only the kept arrangements; the oracle
+        # searches all 60, so the census comparison checks the pruning too
+        arrangements = list(_hexagon_arrangements())
+        kept = _shape_arrangements()
+        assert len(arrangements) == 60
+        assert len(kept) == 18
+        for arrangement in arrangements:
+            if arrangement not in kept:
+                assert reconstruct_oracle.e8_embeddings(_adjacency(arrangement)) == []
+        found = {a: _e8_embeddings(_adjacency(a)) for a in arrangements}
+        carrying = [a for a, embeddings in found.items() if embeddings]
+        assert len(carrying) == 12
+        assert sum(map(len, found.values())) == 56
+        assert set(carrying) <= set(kept)
 
     def test_bad_shape_fails_closed(self, monkeypatch):
         # the section leaves node 0: affine E8 plus a disjoint curve is degenerate
@@ -251,6 +268,7 @@ def test_census_script():
     lines = proc.stdout.splitlines()
     # one search, so one census line
     assert [line for line in lines if "tier1=" in line] == ["  census: tier1=121536 tier2=2 tier3=1"]
+    assert "  hexagon arrangements searched: 18 of 60" in lines
 
 
 class TestStructure:
