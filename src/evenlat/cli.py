@@ -35,6 +35,14 @@ class PreconditionError(ValueError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a parse error: exit 2 with one
+    stderr line, like every other malformed input."""
+
+    def error(self, message):
+        raise ser.ParseError(f"{self.prog}: {message}")
+
+
 def _load_gram(path: str) -> tuple[IntMat, str | None]:
     return ser.gram_from_json(ser.load_json(path))
 
@@ -281,7 +289,7 @@ def cmd_verify_paper(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="evenlat",
         description="Exact lattice computations for the triple-double K3 family",
     )
@@ -330,9 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ser.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,14 +34,22 @@ checked once, on the shape Gram, per census.  The orbits of each of the
 15 group-pair blocks, with their sizes, are one table built at import.
 
 The tier-1 solutions of one arrangement and node assignment form a product
-of independent per-block completions.  Tier 1 is counted by the sizes of
-these products, after a checked condition that they are pairwise disjoint
-(any overlap is enumerated and counted once).  Tier 2 is found per product
-by a split join: the rank-6 Gram conditions are linear in the orbit
-values, so the sums of two halves of the blocks are matched in a table
-instead of testing every tier-1 solution.  The 21 test sums of a
-completion are packed into one integer, test t in the digits of weight
-2^(w*t), so a half-sum is one integer sum and a table key one integer.
+of independent per-block completions, and the products are pairwise
+disjoint, so tier 1 is the sum of their sizes.  The 60 arrangements are
+the 60 Hamiltonian cycles of K6, so two of them differ in a block that is
+adjacent in one, where it totals 8, and not in the other, where it totals
+0.  Within one arrangement, each node assignment pins the ten-curve block
+to the shape Gram; the tree has arms of lengths 1, 2 and 6 from its branch
+node, so it has no automorphism, and two assignments pin some shared orbit
+to different values.  The search checks this last condition and raises
+if it fails.
+
+Tier 2 is found per product by a split join: the rank-6 Gram conditions
+are linear in the orbit values, so the sums of two halves of the blocks
+are matched in a table instead of testing every tier-1 solution.  The
+21 test sums of a completion are packed into one integer, test t in the
+digits of weight 2^(w*t), so a half-sum is one integer sum and a table
+key one integer.
 The width w = reach.bit_length() + 2, with reach the largest
 |rhs_t| + ENTRY_BOUND * sum |c_t| over the tests, keeps every compared sum
 inside its signed digits, so equal packed sums are equal test vectors.
@@ -260,6 +268,7 @@ def _e8_embeddings(adjacency):
                 del orbit_vals[orb]
 
     place(0)
+    del place  # place calls itself through its closure: unbind it to leave no reference cycle
     return results
 
 
@@ -274,24 +283,15 @@ def _block_completions(g1: int, g2: int, adjacent: bool, orbit_vals: dict):
             fixed_total += size * orbit_vals[orb]
         else:
             free.append((orb, size))
-    remainder = target - fixed_total
-    if remainder < 0:
-        return []
-    out = []
-
-    def rec(pos: int, left: int, acc: list):
-        if pos == len(free):
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        orb, size = free[pos]
-        for v in range(left // size + 1):
-            acc.append((orb, v))
-            rec(pos + 1, left - size * v, acc)
-            acc.pop()
-
-    rec(0, remainder, [])
-    return out
+    # (assignment so far, total left), in lexicographic order of the values
+    partial = [((), target - fixed_total)]
+    for orb, size in free:
+        partial = [
+            (acc + ((orb, v),), left - size * v)
+            for acc, left in partial
+            for v in range(left // size + 1)
+        ]
+    return [acc for acc, left in partial if left == 0]
 
 
 _N_ORBITS = len(_ORBIT_MEMBERS)
@@ -387,45 +387,6 @@ def _solution_key(base: list[int], parts) -> bytes:
     return bytes(vals)
 
 
-def _orbit_values(pinned: dict, blocks) -> list[set[int]]:
-    """The values each orbit takes over the solutions of one product."""
-    values = [{v} for v in _base_values(pinned)]
-    for comps in blocks:
-        free: dict[int, set[int]] = {}
-        for part in comps:
-            for orb, v in part:
-                free.setdefault(orb, set()).add(v)
-        for orb, vs in free.items():
-            values[orb] = vs
-    return values
-
-
-def _union_size(products) -> int:
-    """Number of distinct solutions over all products.
-
-    Two products are disjoint when some orbit takes no common value in
-    them.  A product proven disjoint from every other one counts the
-    product of its block sizes; the solutions of the others are enumerated
-    into one set, so an overlap is counted once.
-    """
-    values = [_orbit_values(pinned, blocks) for pinned, blocks in products]
-    shared = set()
-    for a, b in itertools.combinations(range(len(products)), 2):
-        if not any(x.isdisjoint(y) for x, y in zip(values[a], values[b])):
-            shared.update((a, b))
-    count = sum(
-        math.prod(map(len, blocks))
-        for k, (_, blocks) in enumerate(products)
-        if k not in shared
-    )
-    keys = set()
-    for k in shared:
-        pinned, blocks = products[k]
-        base = _base_values(pinned)
-        keys.update(_solution_key(base, parts) for parts in itertools.product(*blocks))
-    return count + len(keys)
-
-
 def _packed(tests, bound: int) -> tuple[list[int], int]:
     """The affine tests packed into integers: per-orbit columns and the target.
 
@@ -497,8 +458,8 @@ def _qgram_solutions(pinned: dict, blocks, packed):
 class Reconstruction24:
     """Census of the 24-curve reconstruction, by tier.
 
-    Tier-1 solutions are only counted, by product sizes under a checked
-    disjointness condition (the census is large); the tier-2 solutions are
+    Tier-1 solutions are only counted, as the sum of the sizes of pairwise
+    disjoint products (the census is large); the tier-2 solutions are
     found by a split join on the rank-6 Gram conditions and, with the
     tier-3 ones, materialized as Gram matrices sorted by orbit values.
     """
@@ -537,32 +498,37 @@ def reconstruct_24() -> Reconstruction24:
     """
     _check_shape()
     columns, _ = packed = _packed(_qgram_linear_tests(), ENTRY_BOUND)
-    products = []
-    # a block's completions and their packed effects depend only on the block,
+    tier1_count = 0
+    tier2_keys = set()
+    # a block's completions, with their packed effects, depend only on the block,
     # its adjacency and the pinned values of its own orbits, which recur across embeddings
-    completions = {}
+    effects = {}
     for arrangement in _shape_arrangements():
         adjacency = _adjacency(arrangement)
+        kept = []
         for _assignment, pinned in _e8_embeddings(adjacency):
             blocks = []
             for g1, g2 in itertools.combinations(range(6), 2):
                 adjacent = frozenset((g1, g2)) in adjacency
                 key = (g1, g2, adjacent, tuple(pinned.get(orb) for orb, _ in _BLOCK_ORBITS[g1][g2]))
-                block = completions.get(key)
+                block = effects.get(key)
                 if block is None:
                     comps = _block_completions(g1, g2, adjacent, pinned)
-                    block = completions[key] = (comps, _with_effects(comps, columns))
-                if not block[0]:
+                    block = effects[key] = _with_effects(comps, columns)
+                if not block:
                     break
                 blocks.append(block)
             else:
-                products.append((pinned, blocks))
-    tier1_count = _union_size([(pinned, [comps for comps, _ in blocks]) for pinned, blocks in products])
+                # products of one arrangement are disjoint when they pin some shared orbit apart
+                if any(all(other.get(orb, v) == v for orb, v in pinned.items()) for other in kept):
+                    raise ReconstructionError(
+                        "two products of one arrangement agree on every shared pinned orbit"
+                    )
+                kept.append(pinned)
+                tier1_count += math.prod(map(len, blocks))
+                tier2_keys.update(_qgram_solutions(pinned, blocks, packed))
     if not tier1_count:
         raise ReconstructionError("no solution at tier 1: constraint bug")
-    tier2_keys = set()
-    for pinned, blocks in products:
-        tier2_keys.update(_qgram_solutions(pinned, [effects for _, effects in blocks], packed))
     tier2 = tuple(_assemble(key) for key in sorted(tier2_keys))
     tier3 = tuple(g for g in tier2 if relations_hold(g))
     return Reconstruction24(tier1_count, tier2, tier3)

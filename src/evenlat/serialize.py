@@ -19,6 +19,13 @@ class ParseError(ValueError):
     """Malformed or schema-violating input."""
 
 
+def _check_schema(data: dict) -> None:
+    """Accept a document whose 'schema' is absent or the integer SCHEMA."""
+    schema = data.get("schema", SCHEMA)
+    if type(schema) is not int or schema != SCHEMA:
+        raise ParseError(f"'schema' must be {SCHEMA} when present")
+
+
 def rational_to_json(x: Fraction | int):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -34,6 +41,7 @@ def ratmat_to_json(m: RatMat | IntMat) -> list:
 def gram_from_json(data) -> tuple[IntMat, str | None]:
     if not isinstance(data, dict) or "gram" not in data:
         raise ParseError("expected an object with a 'gram' field")
+    _check_schema(data)
     rows = data["gram"]
     if not isinstance(rows, list) or not rows:
         raise ParseError("'gram' must be a nonempty array of rows")
@@ -58,6 +66,7 @@ def gram_from_json(data) -> tuple[IntMat, str | None]:
 
 def rows_from_json(data) -> IntMat:
     if isinstance(data, dict):
+        _check_schema(data)
         data = data.get("rows")
     if not isinstance(data, list) or not data:
         raise ParseError("expected a nonempty array of integer rows")
@@ -94,6 +103,7 @@ def config_to_json(config: CurveConfig) -> dict:
 def config_from_json(data) -> CurveConfig:
     if not isinstance(data, dict) or "curves" not in data:
         raise ParseError("expected an object with a 'curves' field")
+    _check_schema(data)
     curves = data["curves"]
     if not isinstance(curves, list) or not curves:
         raise ParseError("'curves' must be a nonempty array")
@@ -140,6 +150,7 @@ def config_from_json(data) -> CurveConfig:
 def involution_from_json(data) -> InvolutionAction:
     if not isinstance(data, dict) or "perm" not in data:
         raise ParseError("expected an object with a 'perm' field (0-based images)")
+    _check_schema(data)
     perm = data["perm"]
     if not isinstance(perm, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in perm
@@ -154,6 +165,7 @@ def involution_from_json(data) -> InvolutionAction:
 def cover_step_from_json(data) -> CoverStep:
     if not isinstance(data, dict) or "branch" not in data:
         raise ParseError("expected an object with 'branch' and point data")
+    _check_schema(data)
     branch = data["branch"]
     if not isinstance(branch, list) or not all(isinstance(x, str) for x in branch):
         raise ParseError("'branch' must be an array of labels")

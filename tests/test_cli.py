@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 
@@ -9,7 +10,15 @@ from hypothesis import given, settings, strategies as st
 import evenlat.cli as cli
 import evenlat.discform as df
 from evenlat.cli import main
-from evenlat.serialize import config_from_json, config_to_json, gram_from_json
+from evenlat.serialize import (
+    ParseError,
+    config_from_json,
+    config_to_json,
+    cover_step_from_json,
+    gram_from_json,
+    involution_from_json,
+    rows_from_json,
+)
 from evenlat.curves import hexagon_config
 from evenlat.exactlinalg import IntMat
 from evenlat.lattice import parse_lattice_expr
@@ -178,6 +187,15 @@ class TestComplementAndEmbed:
     def test_bad_expression_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "embed-check", "NotALattice", "[[1]]")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["complement", "-U", "[[0]]"], ["complement", "U"], ["config", "nope"], [],
+    ])
+    def test_malformed_command_line_exits_2(self, capsys, argv):
+        # an expression with a leading "-" reads as an option to the argument parser
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: evenlat")
 
     @pytest.mark.parametrize("expr, rows", [
         ("U+", "[[1,0]]"), ("+U", "[[1,0]]"), ("U++U", "[[1,0,0,0]]"), ("U+ +U", "[[1,0,0,0]]"),
@@ -464,6 +482,27 @@ class TestSchemas:
         assert back.self_int == cfg.self_int
         assert back.mult.entries == cfg.mult.entries
 
+    @pytest.mark.parametrize("schema, accepted", [
+        ("absent", True), (1, True), (0, False), (2, False), ("1", False), (1.0, False),
+        (True, False), (None, False), ([1], False),
+    ])
+    @pytest.mark.parametrize("reader, doc", [
+        (gram_from_json, {"gram": [[2]]}),
+        (rows_from_json, {"rows": [[1]]}),
+        (config_from_json, CFG_AB),
+        (involution_from_json, INV_AB),
+        (cover_step_from_json, STEP_AB),
+    ])
+    def test_schema_is_absent_or_1(self, reader, doc, schema, accepted):
+        doc = {k: v for k, v in doc.items() if k != "schema"}
+        if schema != "absent":
+            doc["schema"] = schema
+        if accepted:
+            reader(doc)
+        else:
+            with pytest.raises(ParseError, match="'schema' must be 1"):
+                reader(doc)
+
 
 # ---------------------------------------------------------------------------
 # the fail-closed input boundary, over generated documents and expressions
@@ -476,6 +515,8 @@ _BAD_SUMMANDS = (
     "A1(2)", f"diag({_HUGE})",
 )
 _EDIT_CHARS = "(),+-<>0123456789 dU"
+# a present "schema" must be the integer 1
+_BAD_SCHEMAS = (0, 2, "1", 1.0, True, None, [1])
 
 
 @pytest.fixture(scope="module")
@@ -487,13 +528,17 @@ def doc_path(tmp_path_factory):
 def lattice_exprs(draw):
     """(expression, rank), rank None when the expression is malformed.
 
-    Summands are drawn from known good and bad names; a final edit of one
-    character is classified by the library parser, since it can turn a bad
-    expression good or a good one bad."""
-    parts = draw(st.lists(st.sampled_from(tuple(_SUMMANDS) + _BAD_SUMMANDS), min_size=1, max_size=3))
+    Summands are drawn from known good names, and one of them may be swapped
+    for a known bad one, so that a good expression, under which the rows
+    document is read, is drawn often; a final edit of one character is
+    classified by the library parser, since it can turn a bad expression
+    good or a good one bad."""
+    parts = draw(st.lists(st.sampled_from(tuple(_SUMMANDS)), min_size=1, max_size=3))
+    if draw(st.integers(0, 2)) == 2:
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(st.sampled_from(_BAD_SUMMANDS))
     expr = "+".join(parts)
     rank = sum(_SUMMANDS[p] for p in parts) if all(p in _SUMMANDS for p in parts) else None
-    if draw(st.booleans()):
+    if draw(st.integers(0, 2)) < 2:
         return expr, rank
     at = draw(st.integers(0, len(expr)))
     if draw(st.booleans()) and at < len(expr):
@@ -545,8 +590,9 @@ def _assert_exit(argv, want):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_gram_documents_fail_closed(doc_path, data):
-    """disc and snf --inverse exit 2 on a malformed Gram document and 3 on a
-    well-formed one that is singular (or odd, for disc)."""
+    """disc and snf --inverse exit 2 on a malformed Gram document (a wrong
+    schema included; a deleted one is accepted) and 3 on a well-formed one
+    that is singular (or odd, for disc)."""
     n = data.draw(st.integers(1, 3))
     upper = {(i, j): data.draw(st.integers(-3, 3)) for i in range(n) for j in range(i, n)}
     gram = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
@@ -556,7 +602,7 @@ def test_gram_documents_fail_closed(doc_path, data):
     doc = {"schema": 1, "gram": gram, "name": "G"}
     mutation = data.draw(st.sampled_from((
         None, "delete", "gram type", "document type", "name type", "ragged", "float", "bool",
-        "huge", "truncate",
+        "huge", "truncate", "schema",
     ) + (("asymmetric",) if n > 1 else ())))
     malformed = mutation is not None
     if mutation == "delete":
@@ -569,6 +615,8 @@ def test_gram_documents_fail_closed(doc_path, data):
         doc = data.draw(st.sampled_from((gram, "gram", 3, None)))
     elif mutation == "name type":
         doc["name"] = data.draw(st.sampled_from((3, True, ["G"], {"G": 1})))
+    elif mutation == "schema":
+        doc["schema"] = data.draw(st.sampled_from(_BAD_SCHEMAS))
     elif mutation == "asymmetric":
         gram[0][1] = gram[1][0] + 1
     elif mutation not in (None, "truncate"):
@@ -596,7 +644,7 @@ def test_rows_and_expressions_fail_closed(doc_path, data, expr):
     inline = data.draw(st.booleans())
     mutation = data.draw(st.sampled_from((
         None, None, "ragged", "float", "bool", "huge", "truncate", "rows type",
-    ) + (() if inline else ("delete", "document type"))))
+    ) + (() if inline else ("delete", "document type", "schema"))))
     malformed = rank is None or mutation is not None
     doc = rows if inline else {"schema": 1, "rows": rows}
     if mutation == "delete":
@@ -606,6 +654,8 @@ def test_rows_and_expressions_fail_closed(doc_path, data, expr):
         doc = bad if inline else {"schema": 1, "rows": bad}
     elif mutation == "document type":
         doc = data.draw(st.sampled_from(("rows", 3, None, {})))
+    elif mutation == "schema":
+        doc["schema"] = data.draw(st.sampled_from(_BAD_SCHEMAS))
     elif mutation not in (None, "truncate"):
         mutated = _mutated_rows(data.draw, rows, mutation)
         doc = mutated if inline else {"schema": 1, "rows": mutated}
@@ -626,3 +676,210 @@ def test_rows_and_expressions_fail_closed(doc_path, data, expr):
         want_embed = 3 if span < len(rows) else 0
     _assert_exit(["complement", expr, gens], want_complement)
     _assert_exit(["embed-check", expr, gens], want_embed)
+
+
+@pytest.fixture(scope="module")
+def config_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("configs")
+    return str(folder / "config.json"), str(folder / "data.json")
+
+
+# "a" splits into "aa" and "ab", which collides with a ramified "ab"
+_CONFIG_LABELS = ("a", "b", "c", "ab")
+
+
+def _involution(draw, n: int) -> list[int]:
+    """A permutation of range(n) of order at most 2, mostly without fixed points."""
+    order = draw(st.permutations(range(n)))
+    perm = list(range(n))
+    for i, j in zip(order[::2], order[1::2]):
+        if draw(st.sampled_from((True,) * 5 + (False,))):
+            perm[i], perm[j] = j, i
+    return perm
+
+
+def _quotient_want(self_int, mult, perm) -> int:
+    """3 when a precondition of the quotient breaks: the perm has the wrong
+    length, changes an intersection number or fixes a curve."""
+    n = len(self_int)
+    if len(perm) != n:
+        return 3
+    g = [[self_int[i] if i == j else mult[frozenset((i, j))] for j in range(n)] for i in range(n)]
+    if any(g[perm[i]][perm[j]] != g[i][j] for i in range(n) for j in range(n)):
+        return 3
+    return 3 if any(perm[i] == i for i in range(n)) else 0
+
+
+def _pullback_want(labels, mult, branch, branch_points, shared, marked) -> int:
+    """3 when a precondition of the pullback breaks: a tracked curve in the
+    branch, points on an untracked curve, a shared-point count other than
+    the multiplicity or a repeated id, a branch-point count other than 0 or
+    2, or two preimages with one label."""
+    named = set(branch_points) | set(marked) | {lab for pair in shared for lab in pair}
+    if set(branch) & set(labels) or named - set(labels):
+        return 3
+    for i, j in itertools.combinations(range(len(labels)), 2):
+        ids = shared.get(frozenset((labels[i], labels[j])), [])
+        if len(ids) != mult[frozenset((i, j))] or len(set(ids)) != len(ids):
+            return 3
+    if any(len(branch_points.get(lab, ())) not in (0, 2) for lab in labels):
+        return 3
+    preimages = [
+        copy
+        for lab in labels
+        for copy in ((lab,) if lab in branch_points else (lab + "a", lab + "b"))
+    ]
+    return 3 if len(set(preimages)) != len(preimages) else 0
+
+
+def _maybe(draw, doc: dict, key: str, value) -> None:
+    """Set an optional field, or sometimes leave it out when it is empty."""
+    if value or draw(st.booleans()):
+        doc[key] = value
+
+
+def _document_mutations(target: str, operation: str, labels) -> dict:
+    """The mutations that make one document malformed, by name.
+
+    Each is (field, how, bad values): "set" replaces the field (the whole
+    document for None), "delete" deletes it, "append" adds an entry to its
+    array, and "key" maps the first label to the value in its object."""
+    first, second = labels[:2]
+    required = "curves" if target == "config" else "perm" if operation == "quotient" else "branch"
+    mutations = {
+        "document type": (None, "set", ([], "doc", 3, None)),
+        "schema": ("schema", "set", _BAD_SCHEMAS),
+        "delete": (required, "delete", (None,)),
+        "truncate": (None, "truncate", (None,)),
+    }
+    if target == "config":
+        mutations.update({
+            "curves": ("curves", "set", ("x", 3, None, {}, [])),
+            "curve": ("curves", "append", (
+                "a", 3, None, [], {"label": "q"}, {"self": -2}, {"label": 3, "self": -2},
+                {"label": "q", "self": "-2"}, {"label": "q", "self": True},
+                {"label": "q", "self": -2.0}, {"label": "q", "self": "HUGE"},
+                {"label": first, "self": -2},
+            )),
+            "mult": ("mult", "set", ("x", 3, None, {})),
+            "mult entry": ("mult", "append", (
+                [], [first, second], [first, second, 1, 2], "ab", [1, first, 1], [first, "zz", 1],
+                [first, second, -1], [first, second, True], [first, second, 1.5],
+                [first, first, 1], [first, second, "HUGE"],
+            )),
+        })
+    elif operation == "quotient":
+        n = len(labels)
+        mutations["perm"] = ("perm", "set", (
+            "x", 3, None, {}, [0.0, 1], [True, False], ["0", "1"], [0, "HUGE"],
+            [0] * n, [-1, *range(1, n)], [*range(1, n), 0] if n > 2 else [2, 0],
+        ))
+    else:
+        mutations.update({
+            "branch": ("branch", "set", ("l0", 3, None, {}, [3], [None], ["HUGE"])),
+            "branch_points": ("branch_points", "set", ([], "x", 3, None)),
+            "branch point entry": ("branch_points", "key", ("x", 3, None, [3], [None], {})),
+            "shared_points": ("shared_points", "set", ("x", 3, None, {})),
+            "shared entry": ("shared_points", "append", (
+                [], [first, second], [first, second, ["p"], 1], "ab", [3, second, []],
+                [first, first, []], [first, second, "p"], [first, second, [3]],
+            )),
+            "marked_points": ("marked_points", "set", ([], "x", 3, None)),
+            "marked entry": ("marked_points", "key", ("x", 3, None, [3], {})),
+        })
+    return mutations
+
+
+@pytest.mark.parametrize("operation", ["quotient", "pullback"])
+@pytest.mark.parametrize("target", ["config", "data"])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_configuration_documents_fail_closed(config_paths, operation, target, data):
+    """config quotient and config pullback exit 2 on a malformed
+    configuration, involution or cover-step document (a wrong schema
+    included; a missing one is accepted) and 3 on well-formed documents
+    that break a precondition of the operation.  Target names the document
+    that a mutation edits: the configuration, or the involution or cover
+    step."""
+    draw = data.draw
+    names = sorted(_document_mutations(target, operation, _CONFIG_LABELS))
+    mutation = draw(st.sampled_from([None] * 3 + names))
+    n = draw(st.sampled_from((2, 3, 4, 4)))
+    labels = tuple(draw(st.permutations(_CONFIG_LABELS))[:n])
+    first = labels[0]
+
+    pairs = [frozenset(p) for p in itertools.combinations(range(n), 2)]
+    self_int = [draw(st.sampled_from((-2, -1))) for _ in range(n)]
+    mult = {p: draw(st.integers(0, 2)) for p in pairs}
+    if operation == "quotient":
+        perm = _involution(draw, n)
+        if draw(st.integers(0, 4)):  # intersection numbers that the perm preserves
+            self_int = [self_int[min(i, perm[i])] for i in range(n)]
+            mult = {p: mult[min(p, frozenset(perm[i] for i in p), key=sorted)] for p in pairs}
+        if draw(st.integers(0, 5)) == 0:
+            mult[draw(st.sampled_from(pairs))] += 1
+        if draw(st.integers(0, 5)) == 0:
+            perm = _involution(draw, draw(st.sampled_from((n - 1, n + 1))))
+        want = _quotient_want(self_int, mult, perm)
+        data_doc = {"perm": perm}
+    else:
+        branch = ["l0", "l1"][:draw(st.integers(0, 2))]
+        branch_points = {lab: [f"{lab}x0", f"{lab}x1"] for lab in labels if draw(st.booleans())}
+        ids = (f"p{k}" for k in itertools.count())
+        shared = {
+            frozenset(labels[i] for i in p): [next(ids) for _ in range(m)]
+            for p, m in mult.items()
+            if m or draw(st.booleans())
+        }
+        marked = {lab: ["m"] for lab in draw(st.lists(st.sampled_from(labels), unique=True))}
+        some = draw(st.sampled_from(sorted(shared, key=sorted))) if shared else None
+        change = draw(st.sampled_from((None,) * 6 + (
+            "branch", "count", "repeat", "odd", "four", "shared on z", "marked on z", "points on z",
+        )))
+        if change == "branch":
+            branch = branch + [first]
+        elif change == "count" and some:
+            shared[some] = shared[some][1:] or ["q"]
+        elif change == "repeat" and some and shared[some]:
+            shared[some] = shared[some] + shared[some][:1]
+        elif change in ("odd", "four"):
+            branch_points[first] = [f"y{k}" for k in range(1 if change == "odd" else 4)]
+        elif change == "shared on z":
+            shared[frozenset((first, "z"))] = []
+        elif change == "marked on z":
+            marked["z"] = ["m"]
+        elif change == "points on z":
+            branch_points["z"] = ["zx0", "zx1"]
+        want = _pullback_want(labels, mult, branch, branch_points, shared, marked)
+        data_doc = {"branch": branch}
+        _maybe(draw, data_doc, "branch_points", branch_points)
+        _maybe(draw, data_doc, "shared_points", [[*sorted(p), v] for p, v in shared.items()])
+        _maybe(draw, data_doc, "marked_points", marked)
+    config = {"curves": [{"label": lab, "self": s} for lab, s in zip(labels, self_int)]}
+    _maybe(draw, config, "mult", [
+        [*(labels[i] for i in sorted(p)), m] for p, m in mult.items() if m
+    ])
+    docs = {"config": config, "data": data_doc}
+    for doc in docs.values():
+        if draw(st.booleans()):
+            doc["schema"] = 1
+
+    if mutation is not None:
+        want = 2
+        field, how, values = _document_mutations(target, operation, labels)[mutation]
+        bad = draw(st.sampled_from(values))
+        doc = docs[target]
+        if how == "set" and field is None:
+            docs[target] = bad
+        elif how == "set":
+            doc[field] = bad
+        elif how == "delete":
+            del doc[field]
+        elif how == "append":
+            doc[field] = doc.get(field, []) + [bad]
+        elif how == "key":
+            doc[field] = dict(doc.get(field, {}), **{first: bad})
+    for (name, doc), path in zip(docs.items(), config_paths):
+        with open(path, "w") as fh:
+            fh.write(_json_text(doc, mutation == "truncate" and name == target))
+    _assert_exit(["config", operation, *config_paths], want)

@@ -33,7 +33,6 @@ from evenlat.reconstruct import (
     _packed,
     _qgram_solutions,
     _shape_arrangements,
-    _union_size,
     _with_effects,
     q_gram_of,
     reconstruct_24,
@@ -185,21 +184,22 @@ class TestAgainstEnumeration:
             assert sum(size for _, size in _BLOCK_ORBITS[g1][g2]) == 16
             assert _BLOCK_ORBITS[g2][g1] == _BLOCK_ORBITS[g1][g2]
 
-    def test_overlapping_products_count_their_union(self):
-        products = [
-            ({0: 1}, [[((1, 0),), ((1, 1),)], [((2, 1),), ((2, 2),)]]),
-            ({0: 1}, [[((1, 1),), ((1, 2),)], [((2, 2),)]]),  # shares (1, 1, 2)
-            ({0: 2}, [[((1, 0),), ((1, 1),)]]),  # disjoint from both by orbit 0
-        ]
-        keys = set()
-        for pinned, blocks in products:
-            for parts in itertools.product(*blocks):
-                vals = [0] * _N_ORBITS
-                for orb, v in itertools.chain(pinned.items(), *parts):
-                    vals[orb] = v
-                keys.add(bytes(vals))
-        assert len(keys) == 7
-        assert _union_size(products) == 7
+    def test_arrangements_have_distinct_adjacencies(self):
+        # products of two arrangements are disjoint: some block is adjacent
+        # in one, where it totals 8, and not in the other, where it totals 0
+        assert len({_adjacency(a) for a in _hexagon_arrangements()}) == 60
+
+    def test_overlapping_products_fail_closed(self, monkeypatch):
+        # each embedding twice: two products agree on every pinned orbit, so
+        # the sum of product sizes would count their solutions twice
+        search = reconstruct._e8_embeddings
+
+        def twice(adjacency):
+            return [emb for emb in search(adjacency) for _ in range(2)]
+
+        monkeypatch.setattr(reconstruct, "_e8_embeddings", twice)
+        with pytest.raises(ReconstructionError, match="agree on every shared pinned orbit"):
+            reconstruct_24()
 
 
 @st.composite
