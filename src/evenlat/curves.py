@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .exactlinalg import IntMat, RatMat, bilinear_table, kernel_saturated, rational_product, snf
 from .lattice import Lattice
@@ -130,6 +131,18 @@ class CurvePresentation:
     def contains(self, vec) -> bool:
         num, den = self._times(vec)
         return all(e % den == 0 for e in num)
+
+    def row_sum(self, indices) -> list[int]:
+        """The sum of the ``member`` rows of the curves at ``indices``.
+
+        It is twice the coordinates of their half-sum, which therefore lies
+        in the lattice exactly when every entry is even.
+        """
+        rows = self.member.entries
+        total = [0] * self.member.cols
+        for i in indices:
+            total = list(map(add, total, rows[i]))
+        return total
 
     def rebase(self, basis_vectors) -> CurvePresentation:
         """The presentation on the basis of the given rational curve combinations.
@@ -455,7 +468,7 @@ def find_even_four_certificate(
     rel_sets = []
     for rel in relations:
         chi = _label_set(rel, index, "relation")
-        if not pres.contains(half_sum([index[lab] for lab in chi], len(labels))):
+        if any(e % 2 for e in pres.row_sum([index[lab] for lab in chi])):
             raise ValueError(f"relation half-sum not in the lattice: {sorted(chi)}")
         rel_sets.append(chi)
     return tuple(_coset_certificate(start, rel_sets, pres, index) for start in starts)
@@ -508,10 +521,12 @@ def _label_set(labs, index: dict, what: str) -> frozenset:
 
 
 def _replay_check(cert: EvenFourCertificate, pres: CurvePresentation) -> None:
+    """Half the sum of ``start`` minus half the sum of ``final`` lies in the
+    lattice exactly when the difference of their member row sums is even."""
     index = {lab: i for i, lab in enumerate(pres.config.labels)}
-    start = half_sum([index[lab] for lab in cert.start], len(index))
-    final = half_sum([index[lab] for lab in cert.final], len(index))
-    if not pres.contains([s - f for s, f in zip(start, final)]):
+    start = pres.row_sum([index[lab] for lab in cert.start])
+    final = pres.row_sum([index[lab] for lab in cert.final])
+    if any((s - f) % 2 for s, f in zip(start, final)):
         raise AssertionError("certificate replay failed: difference not in the lattice")
 
 

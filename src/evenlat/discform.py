@@ -6,10 +6,10 @@ Both are stored once, as integers: with the level M (the lcm of all the
 denominators), M*q is taken mod 2M and M*b mod M; Fractions appear only at
 the API edge.  Scans over every element (isotropic elements, the
 isomorphism fingerprint) read the integer table of (element order,
-M*q mod 2M) and build no Fraction.  The isotropic subgroup search packs
-each element into one int, a bit field per coordinate, so that adding two
-elements and reducing them mod the orders is a few integer operations;
-its results are tuples again.
+M*q mod 2M) and build no Fraction.  The isotropic subgroup search and the
+isomorphism search pack each element into one int, a bit field per
+coordinate, so that adding two elements and reducing them mod the orders
+is a few integer operations; their results are tuples again.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mod, mul
 
 from .exactlinalg import IntMat, _dots, hnf, rational_product
 from .lattice import DiscGroupData, DualVector, Lattice, _induced_gram_rational, discriminant_group
@@ -198,8 +198,7 @@ def class_of(module: FiniteQuadraticModule, vector: DualVector) -> GroupElement:
     """Class of a dual vector in A_L, for lattice-backed modules.
 
     w = v*gram is integral exactly when v lies in the dual lattice, and the
-    class is then (w . col_j mod n_j)_j over the class table built by
-    ``discriminant_group``.
+    class is then ``class_of_pairings(module, w)``.
     """
     disc = module.disc
     if disc is None:
@@ -209,7 +208,16 @@ def class_of(module: FiniteQuadraticModule, vector: DualVector) -> GroupElement:
     (num,), den = rational_product([vector.coords], disc.lattice.gram.entries)
     if any(e % den for e in num):
         raise ValueError("vector is not in the dual lattice")
-    (dots,) = _dots([[e // den for e in num]], disc.class_columns)
+    return class_of_pairings(module, [e // den for e in num])
+
+
+def class_of_pairings(module: FiniteQuadraticModule, row) -> GroupElement:
+    """Class of the dual vector v with the integral row w = v*gram.
+
+    The class is (w . col_j mod n_j)_j over the class table built by
+    ``discriminant_group``; the module must be lattice-backed.
+    """
+    (dots,) = _dots([row], module.disc.class_columns)
     return tuple(e % n for e, n in zip(dots, module.orders))
 
 
@@ -307,10 +315,38 @@ def _canonical_gens(module: FiniteQuadraticModule, generators) -> tuple[GroupEle
     ]
     gens = []
     for row in hnf(IntMat.from_rows(rows)).entries:
-        red = tuple(e % d for e, d in zip(row, orders))
+        red = tuple(map(mod, row, orders))
         if any(red):
             gens.append(red)
     return tuple(gens)
+
+
+def _packing(orders):
+    """(pack, translate) for elements packed into ints.
+
+    Coordinate i of an element is one field of w = max(orders).bit_length() + 1
+    bits of an int, coordinate 0 in the most significant field, so that
+    int order is tuple order: ``pack`` turns a reduced tuple into its int.
+    A sum of two reduced fields fits in w bits, and it is at least d_i
+    exactly when it reaches bit w-1 after d_i is taken from 2^(w-1); so
+    one addition, one shift and two masks add two elements and reduce
+    every field.  ``translate(x, ys)`` is the list of x + y over the packed
+    ys, for a packed x.
+    """
+    w = max(orders, default=1).bit_length() + 1
+    top, field = w - 1, (1 << w) - 1
+    shifts = [w * i for i in reversed(range(len(orders)))]
+    off = sum(((1 << top) - d) << s for d, s in zip(orders, shifts))
+    ones = sum(1 << s for s in shifts)
+    ds = sum(d << s for d, s in zip(orders, shifts))
+
+    def pack(x) -> int:
+        return sum(e << s for e, s in zip(x, shifts))
+
+    def translate(x: int, ys) -> list[int]:
+        return [s - ((((s + off) >> top) & ones) * field & ds) for s in map(x.__add__, ys)]
+
+    return pack, translate
 
 
 def isotropic_subgroups(module: FiniteQuadraticModule) -> list[IsotropicSubgroup]:
@@ -326,14 +362,8 @@ def isotropic_subgroups(module: FiniteQuadraticModule) -> list[IsotropicSubgroup
     h + kx with k prime to the order n of x mod H all give the same
     subgroup H + <x>, so only one of them is tried.
 
-    The cosets are grown on packed elements: coordinate i of an element
-    is one field of w = max(orders).bit_length() + 1 bits of an int,
-    coordinate 0 in the most significant field, so that int order is
-    tuple order.  A sum of two reduced fields fits in w bits, and it is
-    at least d_i exactly when it reaches bit w-1 after d_i is taken from
-    2^(w-1); so one addition, one shift and two masks add two elements
-    and reduce every field.  Elements become tuples only in the result
-    and in the adjoined generators.
+    The cosets are grown on packed elements (``_packing``), which become
+    tuples only in the result and in the adjoined generators.
     """
     iso = isotropic_elements(module)
     level = module.level
@@ -341,13 +371,8 @@ def isotropic_subgroups(module: FiniteQuadraticModule) -> list[IsotropicSubgroup
         sum(1 << j for j, e in enumerate(row) if e % level == 0)
         for row in _dots(_dots(iso, module.b_int), iso)
     ]
-    w = max(module.orders, default=1).bit_length() + 1
-    top, field = w - 1, (1 << w) - 1
-    shifts = [w * i for i in reversed(range(module.ngens))]
-    off = sum(((1 << top) - d) << s for d, s in zip(module.orders, shifts))
-    ones = sum(1 << s for s in shifts)
-    ds = sum(d << s for d, s in zip(module.orders, shifts))
-    packed = [sum(e << s for e, s in zip(x, shifts)) for x in iso]
+    pack, translate = _packing(module.orders)
+    packed = [pack(x) for x in iso]
     bit = {p: 1 << i for i, p in enumerate(packed)}
     # mask of the nonzero elements -> (elements, adjoined generators, perp mask)
     found = {0: ([0], (), (1 << len(iso)) - 1)}
@@ -361,16 +386,15 @@ def isotropic_subgroups(module: FiniteQuadraticModule) -> list[IsotropicSubgroup
                 i = (todo & -todo).bit_length() - 1
                 x = packed[i]
                 grown, grown_mask, coset_masks = list(elements), mask, []
-                step = x
+                # step + (H, then x) is the coset step + H, then the next step
+                step, ahead = x, elements + [x]
                 # k*x lies in H exactly when it is 0 or one of H's bits
                 while step and not bit[step] & mask:
-                    coset = [s - ((((s + off) >> top) & ones) * field & ds)
-                             for s in map(step.__add__, elements)]
+                    coset = translate(step, ahead)
+                    step = coset.pop()
                     grown += coset
                     # distinct bits: their sum is their union
                     coset_masks.append(sum(map(bit.__getitem__, coset)))
-                    step += x
-                    step -= (((step + off) >> top) & ones) * field & ds
                 n = len(coset_masks) + 1
                 for k, coset_mask in enumerate(coset_masks, 1):
                     grown_mask |= coset_mask
@@ -473,18 +497,25 @@ def are_isomorphic(
     """Search for a group isomorphism preserving q (b follows from q).
 
     On success returns the images in m2 of m1's generators, in order;
-    None when no isomorphism exists.  The search backtracks over
-    candidate images filtered by element order, q value, and b pairings
-    with the images already chosen, then checks surjectivity.  The span
-    of the images chosen so far is kept, grown by cosets: an image of
-    order d some multiple k*cand (0 < k < d) of which already lies in it
-    would make the span too small at the leaf, so it is skipped at once.
+    None when no isomorphism exists.  Before the search, both modules are
+    compared by their level and by the multiset of (element order,
+    M*q mod 2M) over all elements.  The level is an isometry invariant:
+    it is the lcm of the denominators of all values of q and b.
 
-    Before the search, both modules are compared by their level and by the
-    multiset of (element order, M*q mod 2M) over all elements, in integers.
-    The level is an isometry invariant: it is the lcm of the denominators
-    of all values of q and b.  Only the distinct keys of m2 become
-    (order, q) pairs with a Fraction q, to match q_value on m1's generators.
+    The search backtracks, in integers, over the images of the generators
+    in turn.  The candidates for g_i are the elements of m2 with g_i's key
+    (order d_i, M*q(g_i)) in that table, in ``elements()`` order.  A
+    candidate must pair with each image y chosen before it as g_i does,
+    tested as M*b through y's integer pairing row over ``b_int``.  It
+    must also meet the span of the images chosen so far only in 0; that
+    span is kept as packed elements (``_packing``), grown coset by coset.
+    A candidate c of order d meets it in more than 0 exactly when (d/r)*c
+    lies in it for some prime r | d, since every nontrivial subgroup of
+    <c> holds the one of order r.  The span of all k images then has
+    d_1 * ... * d_k = |m2| elements, so the images generate m2.  The
+    witness returned is the first in candidate order.  Before it is
+    returned, q_value and b_value check it on every generator and every
+    pair of generators.
     """
     limit = guard_order()
     if m1.order > limit or m2.order > limit:
@@ -496,41 +527,81 @@ def are_isomorphic(
     table2 = _value_table(m2)
     if sorted(_value_table(m1)) != sorted(table2):
         return None
-    buckets: dict[tuple[int, int], list[GroupElement]] = {}
-    for y, key in zip(m2.elements(), table2):
-        buckets.setdefault(key, []).append(y)
-    by_order_q = {(d, Fraction(v, m2.level)): ys for (d, v), ys in buckets.items()}
-    k = m1.ngens
-    b1 = m1.b_mat
-    gens1 = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    k, level = m1.ngens, m1.level
+    pack, translate = _packing(m2.orders)
+    # key -> (element y, its packed multiples (d/r)*y over the primes r | d)
+    buckets = {key: [] for key in zip(m1.orders, m1.q_int)}
+    steps = {d: [d // r for r in _prime_divisors(d)] for d in m1.orders}
+    scaled = {t: _packed_multiples(m2.orders, pack, t) for t in set().union(*steps.values())}
+    for i, (y, key) in enumerate(zip(m2.elements(), table2)):
+        if key in buckets:
+            buckets[key].append((y, [scaled[t][i] for t in steps[key[0]]]))
+    candidates = [buckets[key] for key in zip(m1.orders, m1.q_int)]
     images: list[GroupElement] = []
-
-    def extend(depth: int, span: list[GroupElement]) -> bool:
-        if depth == k:
-            return len(span) == m2.order
-        g = gens1[depth]
-        d = m1.orders[depth]
-        key = (d, q_value(m1, g))
-        members = frozenset(span)
-        for cand in by_order_q.get(key, ()):
-            if any(m2.smul(j, cand) in members for j in range(1, d)):
+    rows: list[list[int]] = []  # M*b(image, g) over m2's generators g
+    spans = [{0}]               # packed span of the images, per depth
+    stack = [iter(candidates[0])] if k else []
+    while stack:
+        depth = len(stack) - 1
+        span = spans[-1]
+        want = [m1.b_int[i][depth] for i in range(depth)]
+        for y, multiples in stack[-1]:
+            if any(p in span for p in multiples):
                 continue
-            ok = True
-            for prev_i in range(depth):
-                if b_value(m2, images[prev_i], cand) != b1[prev_i][depth]:
-                    ok = False
-                    break
-            if not ok:
+            if any(sum(map(mul, row, y)) % level != v for row, v in zip(rows, want)):
                 continue
-            images.append(cand)
-            if extend(depth + 1, _adjoin(m2, span, cand)):
-                return True
-            images.pop()
-        return False
+            images.append(y)
+            if depth + 1 == k:
+                return _checked_witness(m1, m2, images)
+            rows.append(_dots([y], m2.b_int)[0])
+            grown, coset, c = set(span), span, pack(y)
+            for _ in range(m1.orders[depth] - 1):
+                coset = translate(c, coset)
+                grown.update(coset)
+            spans.append(grown)
+            stack.append(iter(candidates[depth + 1]))
+            break
+        else:
+            stack.pop()
+            if images:
+                images.pop()
+                rows.pop()
+                spans.pop()
+    return () if k == 0 else None
 
-    if extend(0, [m2.zero()]):
-        return tuple(images)
-    return None
+
+def _packed_multiples(orders, pack, t: int) -> list[int]:
+    """t*y packed, for every y in ``elements()`` order: built one
+    coordinate at a time, a reduced value times the packed unit vector
+    filling its field."""
+    out = [0]
+    for i, n in enumerate(orders):
+        unit = pack([int(i == j) for j in range(len(orders))])
+        column = [t * e % n * unit for e in range(n)]
+        out = [p + c for p in out for c in column]
+    return out
+
+
+def _prime_divisors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _checked_witness(m1, m2, images) -> tuple[GroupElement, ...]:
+    """The images as a witness, once q_value and b_value agree on them."""
+    gens = [tuple(int(i == j) for j in range(m1.ngens)) for i in range(m1.ngens)]
+    for i, (g, y) in enumerate(zip(gens, images)):
+        if q_value(m1, g) != q_value(m2, y) or any(
+            b_value(m1, g, h) != b_value(m2, y, z) for h, z in zip(gens[:i], images)
+        ):
+            raise AssertionError("isomorphism search found images that do not preserve q")
+    return tuple(images)
 
 
 class GuardExceeded(Exception):

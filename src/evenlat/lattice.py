@@ -107,7 +107,7 @@ class DiscGroupData:
     of all the lifts.  ``class_columns`` holds, for each generator j of
     order n_j, the integer column j of S^-1 reduced mod n_j, where
     S * gram^-1 * T = D is the rational SNF.  A dual vector v has the class
-    ((v * gram) . col_j mod n_j)_j.
+    ((v * gram) . col_j mod n_j)_j.  ``snf_diagonal`` is the diagonal of D.
     """
 
     lattice: Lattice
@@ -115,6 +115,7 @@ class DiscGroupData:
     lift_num: tuple[tuple[int, ...], ...] = field(repr=False)
     lift_den: int
     class_columns: tuple[tuple[int, ...], ...] = field(repr=False)
+    snf_diagonal: tuple[Fraction, ...] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -138,7 +139,8 @@ def discriminant_group(lattice: Lattice) -> DiscGroupData:
     inv = lattice.gram.inverse()
     d, s, t = snf_rational(inv)
     # d_i = d.num[i][i] / d.den, whose reduced denominator is n_i
-    orders = [d.den // gcd(d.num[i][i], d.den) for i in range(lattice.rank)]
+    diagonal = [d.num[i][i] for i in range(lattice.rank)]
+    orders = [d.den // gcd(e, d.den) for e in diagonal]
     gens = [i for i, n in enumerate(orders) if n != 1]
     factors = tuple(orders[i] for i in gens)
     # one product den * gram^-1 * [S^T | T] on the generator columns, each
@@ -151,7 +153,8 @@ def discriminant_group(lattice: Lattice) -> DiscGroupData:
     g = gcd(den, *(e for col in cols[:k] for e in col))
     lifts = tuple(tuple(e // g for e in col) for col in cols[:k])
     columns = tuple(tuple(e * n // den % n for e in col) for col, n in zip(cols[k:], factors))
-    return DiscGroupData(lattice, factors, lifts, den // g, columns)
+    snf_diagonal = tuple(Fraction(e, d.den) for e in diagonal)
+    return DiscGroupData(lattice, factors, lifts, den // g, columns, snf_diagonal)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from itertools import combinations
 from . import discform as df
 from . import refdata as rd
 from .curves import find_even_four_certificate, half_sum, present, triple_double_tower
-from .exactlinalg import IntMat, snf, snf_rational
+from .exactlinalg import IntMat, _dots, snf, snf_rational
 from .lattice import Lattice, norm_gcd, parse_lattice_expr, scale_gcd, sublattice
 from .ratfun import INFINITY, Poly, RatFun, mobius_images
 from .reconstruct import ENTRY_BOUND, Reconstruction24, config_24, reconstruct_24, reconstruct_xprime, q_gram_of
@@ -280,17 +280,20 @@ def _halfset_classes(pres, module, halfsets, families):
     None)] per half-set), or (h, None) before any search for the first
     half-set h whose half-sum lies outside the dual of the lattice of
     ``pres``.  Half-sets and relation ``families`` are tuples of curve
-    indices."""
+    indices.  A half-sum v has 2v = ``pres.row_sum(h)`` in the lattice
+    basis, so v lies in the dual exactly when w = 2v * gram is even, and
+    its class is that of the row w / 2."""
     labels = pres.config.labels
-    duals = []
-    for h in halfsets:
-        duals.append(pres.lattice.dual_vector(pres.coords(half_sum(h, len(labels)))))
-        if not duals[-1].in_dual():
+    twice = _dots([pres.row_sum(h) for h in halfsets], pres.lattice.gram.entries)
+    for h, w in zip(halfsets, twice):
+        if any(e % 2 for e in w):
             return h, None
     certs = find_even_four_certificate(
         [[labels[i] for i in h] for h in halfsets], [[labels[i] for i in f] for f in families], pres
     )
-    return None, [(df.class_of(module, d), c) for d, c in zip(duals, certs)]
+    return None, [
+        (df.class_of_pairings(module, [e // 2 for e in w]), c) for w, c in zip(twice, certs)
+    ]
 
 
 def _splitting_check(pres) -> dict:
@@ -441,11 +444,9 @@ def verify_section_6(gram24: IntMat) -> Entry:
     m_pres = xp.m_presentation
     m_lat = m_pres.lattice
     module = df.from_lattice(m_lat)
-    # the rational SNF of gram^-1 has the entries 1/e_i, e_i the invariant
-    # factors of the gram
-    d, _, _ = snf_rational(m_lat.gram.inverse())
-    entries = d.entries
-    witnesses["snf_diagonal"] = tuple(entries[i][i] for i in range(m_lat.rank))
+    # the rational SNF of gram^-1 that the discriminant group is read off
+    # has the entries 1/e_i, e_i the invariant factors of the gram
+    witnesses["snf_diagonal"] = module.disc.snf_diagonal
     witnesses["disc_invariant_factors"] = module.orders
     # published dual generators and the block form of q
     gens = []

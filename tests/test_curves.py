@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -305,22 +306,56 @@ class TestCertificates:
 
     def test_each_relation_checked_once_per_search(self, xprime, monkeypatch):
         import evenlat.refdata as rd
+        from evenlat import curves
 
         labels = xprime.config.labels
         families = [[labels[i] for i in fam] for fam in rd.XPRIME_RELATION_FAMILIES]
         starts = [[labels[i] for i in halfset] for halfset in rd.ISOTROPIC_AM_HALFSETS]
-        contains = CurvePresentation.contains
-        calls = []
+        row_sum, replay = CurvePresentation.row_sum, curves._replay_check
+        sums, replays = [], []
 
-        def counted(pres, vec):
-            calls.append(vec)
-            return contains(pres, vec)
+        def counted_sum(pres, indices):
+            sums.append(sorted(indices))
+            return row_sum(pres, indices)
 
-        monkeypatch.setattr(CurvePresentation, "contains", counted)
+        def counted_replay(cert, pres):
+            replays.append(cert)
+            return replay(cert, pres)
+
+        monkeypatch.setattr(CurvePresentation, "row_sum", counted_sum)
+        monkeypatch.setattr(curves, "_replay_check", counted_replay)
         certs = find_even_four_certificate(starts, families, xprime.m_presentation)
         assert None not in certs
-        # 8 relation checks, then one replay per certificate
-        assert len(calls) == 8 + 31
+        # the 8 relation checks come first; then each certificate is
+        # replayed once, from the row sums of its start and final sets
+        assert sums[:8] == [sorted(fam) for fam in rd.XPRIME_RELATION_FAMILIES]
+        assert replays == list(certs)
+        assert len(sums) == 8 + 2 * 31
+
+    def test_replay_rejects_a_forged_certificate(self, xprime):
+        # a final set whose half-sum differs from the start's by half of
+        # two curves, outside the lattice by the Fraction rule of contains
+        from evenlat.curves import _replay_check
+
+        pres = xprime.m_presentation
+        cfg = xprime.config
+        (cert,) = find_even_four_certificate([("C1", "C2", "C7", "C8")], [], pres)
+        assert cert.final == ("C1", "C2", "C7", "C8")
+
+        def half_difference(lab):
+            diff = [F(0)] * cfg.size
+            diff[cfg.index("C8")] = F(1, 2)
+            diff[cfg.index(lab)] = F(-1, 2)
+            return diff
+
+        lab = next(
+            lab for lab in cfg.labels
+            if lab not in cert.final and not pres.contains(half_difference(lab))
+        )
+        forged = dataclasses.replace(cert, final=cert.final[:3] + (lab,))
+        with pytest.raises(AssertionError, match="replay failed"):
+            _replay_check(forged, pres)
+        _replay_check(cert, pres)
 
     def test_repeated_label_rejected(self, xprime):
         # ("C1", "C1", "C2", "C7", "C8") is C1 + (C2 + C7 + C8) / 2, not the

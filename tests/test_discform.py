@@ -122,17 +122,37 @@ def random_handbuilt_module(rng):
     return discform_oracle.module_from_fractions(orders, q, b)
 
 
-def second_generating_set(rng, module):
-    """x_i = u_i g_i + sum_{j<i} c_ij g_j, u_i a unit mod d_i.
+def mixed_orders_module():
+    """Z/3 + Z/12 + Z/2 + Z/4, odd and even orders, every pairing allowed
+    by the orders nonzero."""
+    b = [
+        [F(1, 3), F(2, 3), F(0), F(0)],
+        [F(2, 3), F(5, 12), F(1, 2), F(3, 4)],
+        [F(0), F(1, 2), F(1, 2), F(1, 2)],
+        [F(0), F(3, 4), F(1, 2), F(1, 4)],
+    ]
+    q = [F(4, 3), F(5, 12), F(1, 2), F(5, 4)]
+    return discform_oracle.module_from_fractions((3, 12, 2, 4), q, b)
 
-    The orders ascend by divisibility, so x_i has order d_i, and the
-    triangular change with unit diagonal keeps the set generating.
+
+def second_generating_set(rng, module):
+    """x_i = u_i g_i + sum_{j<i} c_ij (d_j / gcd(d_i, d_j)) g_j, u_i a unit mod d_i.
+
+    Each term of the sum has an order dividing d_i, so x_i has order d_i,
+    and the triangular change with unit diagonal keeps the set generating.
+    When the orders ascend by divisibility, the factors d_j / gcd(d_i, d_j)
+    are all 1.
     """
+    orders = module.orders
     gens = []
-    for i, d in enumerate(module.orders):
+    for i, d in enumerate(orders):
         u = rng.choice([a for a in range(1, d) if math.gcd(a, d) == 1])
-        gens.append(tuple(u if j == i else rng.randrange(module.orders[j]) if j < i else 0
-                          for j in range(module.ngens)))
+        gens.append(tuple(
+            u if j == i
+            else rng.randrange(orders[j]) * (orders[j] // math.gcd(d, orders[j])) % orders[j]
+            if j < i else 0
+            for j in range(module.ngens)
+        ))
     return gens
 
 
@@ -554,7 +574,8 @@ class TestAgainstFractionOracle:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))
     def test_isomorphism_witness(self, seed):
-        # the pruned search returns the first witness of the unpruned one
+        # the pruned integer search returns the first witness of the
+        # unpruned Fraction one
         rng = random.Random(seed)
         lat, module = random_small_module(rng, max_order=64)
         u = random_unimodular(rng, lat.rank, steps=3 * lat.rank)
@@ -568,10 +589,33 @@ class TestAgainstFractionOracle:
         quarter = df.FiniteQuadraticModule((4,), 4, (1,), ((1,),))
         assert (half.order, half.level, quarter.level) == (quarter.order, 2, 4)
         assert df.are_isomorphic(half, quarter) is None
+        # forms with no lattice behind them, orders 2, 3, 4, 6 and 8 in any
+        # sequence: the multiples (d/r)*y of the pruning run over r = 2 and
+        # r = 3, and most pairs of independent draws are not isomorphic
+        hand = random_handbuilt_module(rng)
+        hand_represented = df.submodule_on(hand, second_generating_set(rng, hand), hand.orders)
+        assert df.are_isomorphic(hand, hand_represented) is not None
         pairs = ((other, module), (module, df.negate(module)), (module, represented),
-                 (half, quarter))
+                 (half, quarter), (hand, hand_represented), (hand_represented, hand),
+                 (hand, df.negate(hand)), (hand, random_handbuilt_module(rng)))
         for m1, m2 in pairs:
             assert df.are_isomorphic(m1, m2) == discform_oracle.are_isomorphic(m1, m2)
+
+    def test_isomorphism_witness_of_mixed_orders(self):
+        # Z/3 + Z/12 + Z/2 + Z/4 on another generating set, its negative,
+        # and the same group with one q value moved (not isomorphic)
+        rng = random.Random(12)
+        mixed = mixed_orders_module()
+        represented = df.submodule_on(mixed, second_generating_set(rng, mixed), mixed.orders)
+        q = list(mixed.q_int)
+        q[2] = (q[2] + mixed.level) % (2 * mixed.level)
+        moved = df.FiniteQuadraticModule(mixed.orders, mixed.level, tuple(q), mixed.b_int)
+        pairs = ((mixed, represented), (represented, mixed), (mixed, df.negate(mixed)),
+                 (mixed, moved))
+        witnesses = [df.are_isomorphic(m1, m2) for m1, m2 in pairs]
+        assert witnesses[0] is not None and witnesses[3] is None
+        for (m1, m2), witness in zip(pairs, witnesses):
+            assert witness == discform_oracle.are_isomorphic(m1, m2)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))
@@ -592,16 +636,7 @@ class TestAgainstFractionOracle:
         assert df._value_table(trivial) == [(1, 0)]
         assert df.isotropic_elements(trivial) == []
         assert_value_table(trivial)
-        # Z/3 + Z/12 + Z/2 + Z/4, odd and even orders, every pairing allowed
-        # by the orders nonzero
-        b = [
-            [F(1, 3), F(2, 3), F(0), F(0)],
-            [F(2, 3), F(5, 12), F(1, 2), F(3, 4)],
-            [F(0), F(1, 2), F(1, 2), F(1, 2)],
-            [F(0), F(3, 4), F(1, 2), F(1, 4)],
-        ]
-        q = [F(4, 3), F(5, 12), F(1, 2), F(5, 4)]
-        mixed = discform_oracle.module_from_fractions((3, 12, 2, 4), q, b)
+        mixed = mixed_orders_module()
         assert (mixed.order, mixed.level) == (288, 12)
         assert_value_table(mixed)
         assert df.isotropic_elements(mixed)
@@ -662,20 +697,26 @@ class TestIsomorphism:
 
     def test_scrambled_presentation_is_pruned(self, monkeypatch):
         # dependent image tuples are cut where they arise, not at the leaf:
-        # the search without that pruning made 213,820 b_value calls here
+        # each node of the search grows its span by one coset on (Z/2)^8,
+        # and this search takes 7 nodes to its witness
         plain = df.from_lattice(make_named("M_Z2_3"))
         scrambled = df.from_lattice(Lattice(IntMat.from_rows(SCRAMBLED_M_Z2_3)))
-        calls = 0
-        b_value = df.b_value
+        cosets = 0
+        packing = df._packing
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return b_value(*args)
+        def counted_packing(orders):
+            pack, translate = packing(orders)
 
-        monkeypatch.setattr(df, "b_value", counted)
+            def counted(x, ys):
+                nonlocal cosets
+                cosets += 1
+                return translate(x, ys)
+
+            return pack, counted
+
+        monkeypatch.setattr(df, "_packing", counted_packing)
         witness = df.are_isomorphic(scrambled, plain)
-        assert calls < 2000
+        assert cosets < 100
         monkeypatch.undo()
         assert witness is not None
         image = df.submodule_on(plain, witness, scrambled.orders)

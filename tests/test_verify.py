@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import evenlat
 import evenlat.refdata as rd
 from evenlat import discform as df
 from evenlat import lattice, verify
+from evenlat.curves import half_sum, present
 from evenlat.exactlinalg import IntMat, RatMat, snf_rational
 from evenlat.lattice import Lattice
 from evenlat.reconstruct import Reconstruction24, q_gram_of
@@ -21,6 +23,7 @@ from evenlat.verify import (
     REPORT_ONLY,
     RESULT_IDS,
     _aq_with_printed_generators,
+    _halfset_classes,
     jsonable,
     reconstruction_entry,
     run_all,
@@ -250,6 +253,31 @@ class TestGuards:
         self._check(verify_section_6(gram24), "section_6", "halfset_outside_dual")
 
 
+class TestHalfSetClasses:
+    """Each printed half-set's class from its member row sum, against the
+    class of the dual vector that ``coords`` gives its half-sum."""
+
+    @staticmethod
+    def _check(pres, halfsets, families):
+        lat = pres.lattice
+        module = df.from_lattice(lat)
+        outside, found = _halfset_classes(pres, module, halfsets, families)
+        assert outside is None and len(found) == len(halfsets)
+        n = pres.config.size
+        for h, (cls, _) in zip(halfsets, found):
+            assert cls == df.class_of(module, lat.dual_vector(pres.coords(half_sum(h, n))))
+
+    def test_printed_half_sets_on_x(self, config24):
+        halfsets = tuple(rd.HALFSET_AQ.values())
+        assert len(halfsets) == 7
+        self._check(present(config24), halfsets, rd.RELATION_FAMILIES_24)
+
+    def test_printed_half_sets_and_n_on_xprime(self, xprime):
+        halfsets = rd.ISOTROPIC_AM_HALFSETS + (rd.N_SUPPORT,)
+        assert len(halfsets) == 31 + 1
+        self._check(xprime.m_presentation, halfsets, rd.XPRIME_RELATION_FAMILIES)
+
+
 class TestIndividualCheckers:
     @pytest.fixture(scope="class")
     def aq(self, gram24):
@@ -389,15 +417,15 @@ class TestSection6FailPaths:
         assert entry.expected["isotropic_count"] == 31
 
     def test_snf_diagonal_is_read_off_the_rational_snf(self, gram24, monkeypatch):
-        # one wrong invariant factor in the SNF of M^-1 fails the entry,
-        # although the discriminant group still has the right orders
+        # one wrong invariant factor in the SNF of M^-1 that the discriminant
+        # group reads fails the entry through its snf_diagonal witness
         def one_wrong(a):
             d, s, t = snf_rational(a)
             rows = [list(row) for row in d.entries]
             rows[-1][-1] /= 2
             return RatMat.from_rows(rows), s, t
 
-        monkeypatch.setattr(verify, "snf_rational", one_wrong)
+        monkeypatch.setattr(lattice, "snf_rational", one_wrong)
         entry = verify_section_6(gram24)
         assert entry.status == "fail"
         quarter, eighth = Fraction(1, 4), Fraction(1, 8)
@@ -430,6 +458,17 @@ def test_each_discriminant_form_is_built_once(monkeypatch):
     assert run_all().all_passed
     assert len(grams) == 7
     assert len(set(grams)) == 7
+
+
+def test_run_all_leaves_no_reference_cycle():
+    # everything one run allocates is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_all().all_passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_traced_paper_run_is_correct():
