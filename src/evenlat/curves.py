@@ -243,9 +243,14 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
     two branch points pull back to one irreducible curve with doubled
     self-intersection.  Intersections are distributed by the projection
     formula; where the incidence data leaves the sheet matching of two split
-    curves undetermined, all consistent distributions are returned.  Every
-    pair of tracked curves must list one shared point id per intersection,
-    all distinct, or ``ValueError`` is raised.
+    curves undetermined, all consistent distributions are returned, one per
+    vector of crossing counts.  A spanning forest of the split pairs, taken
+    in sorted label order, keeps the first point of each forest pair on
+    parallel sheets.  Each split pair then crosses the last k of its listed
+    ids, k from 0 to its point count (one less on a forest pair), so there
+    are prod (choices of k) options, in ascending lexicographic order of
+    the counts.  Every pair of tracked curves must list one shared point id
+    per intersection, all distinct, or ``ValueError`` is raised.
     """
     tracked_branch = step.branch & set(config.labels)
     if tracked_branch:
@@ -275,16 +280,8 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
     split = [lab for lab in config.labels if kcount[lab] == 0]
     ram = [lab for lab in config.labels if kcount[lab] == 2]
 
-    # sheet matching for split-split intersection points: fix a spanning
-    # forest gauge, one free sign for every remaining point
-    pair_points = []  # (label_a, label_b, point_id)
-    for pair, ids in sorted(step.shared_points.items(), key=lambda kv: sorted(kv[0])):
-        a, b = sorted(pair)
-        if a in split and b in split:
-            for pid in ids:
-                pair_points.append((a, b, pid))
-    fixed = {}
-    tree_adj = set()
+    # sheet matching of split pairs: each pair owns four entries of the
+    # labelled matrix, fixed by how many of its points cross sheets
     comp = {lab: lab for lab in split}
 
     def find(x):
@@ -293,31 +290,25 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
             x = comp[x]
         return x
 
-    free_points = []
-    for a, b, pid in pair_points:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            comp[ra] = rb
-            fixed[(a, b, pid)] = 0  # parallel: a-sheet meets b-sheet
-            tree_adj.add((a, b))
-        else:
-            free_points.append((a, b, pid))
-
-    options = []
-    for signs in itertools.product((0, 1), repeat=len(free_points)):
-        orient = dict(fixed)
-        orient.update({pt: s for pt, s in zip(free_points, signs)})
-        options.append(_assemble_pullback(config, step, split, ram, orient))
-    # distinct labeled configurations only
-    seen = {}
-    for opt in options:
-        key = (opt.config.labels, opt.config.self_int, opt.config.mult.entries)
-        if key not in seen:
-            seen[key] = opt
-    return PullbackResult(tuple(seen.values()))
+    pairs, tops = [], []
+    for pair, ids in sorted(step.shared_points.items(), key=lambda kv: sorted(kv[0])):
+        a, b = sorted(pair)
+        if ids and a in split and b in split:
+            ra, rb = find(a), find(b)
+            tree = ra != rb
+            if tree:
+                comp[ra] = rb
+            pairs.append((a, b))
+            tops.append(len(ids) - tree)
+    return PullbackResult(
+        tuple(
+            _assemble_pullback(config, step, ram, dict(zip(pairs, counts)))
+            for counts in itertools.product(*(range(top + 1) for top in tops))
+        )
+    )
 
 
-def _assemble_pullback(config, step, split, ram, orient) -> PullbackOption:
+def _assemble_pullback(config, step, ram, crossed) -> PullbackOption:
     new_labels = []
     label_map = {}
     for lab in config.labels:
@@ -348,7 +339,9 @@ def _assemble_pullback(config, step, split, ram, orient) -> PullbackOption:
 
     for pair, ids in step.shared_points.items():
         a, b = sorted(pair)
-        for pid in ids:
+        # the last crossed[(a, b)] points of a split pair cross sheets
+        parallel = len(ids) - crossed.get((a, b), 0)
+        for pos, pid in enumerate(ids):
             if a in ram and b in ram:
                 bump(a, b, pid + ".0")
                 bump(a, b, pid + ".1")
@@ -358,13 +351,12 @@ def _assemble_pullback(config, step, split, ram, orient) -> PullbackOption:
             elif b in ram:
                 bump(b, a + "a", pid + ".0")
                 bump(b, a + "b", pid + ".1")
+            elif pos < parallel:
+                bump(a + "a", b + "a", pid + ".0")
+                bump(a + "b", b + "b", pid + ".1")
             else:
-                if orient[(a, b, pid)] == 0:
-                    bump(a + "a", b + "a", pid + ".0")
-                    bump(a + "b", b + "b", pid + ".1")
-                else:
-                    bump(a + "a", b + "b", pid + ".0")
-                    bump(a + "b", b + "a", pid + ".1")
+                bump(a + "a", b + "b", pid + ".0")
+                bump(a + "b", b + "a", pid + ".1")
     new_marked: dict[str, list] = {}
     for lab, pts in step.marked_points.items():
         if lab in ram:

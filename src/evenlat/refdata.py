@@ -108,7 +108,6 @@ T_X_EXPR = "U+U(2)+diag(-4,-4)"
 # change of generators exhibiting the block form of q on A_{NS(X)}:
 # v2, v1+v2+2w1, v1+2w1-w2, v1+w1-w2 as (v1, v2, w1, w2) exponents
 PROP44_BASIS = ((0, 1, 0, 0), (1, 1, 2, 0), (1, 0, 2, 3), (1, 0, 1, 3))
-PROP44_BASIS_ORDERS = (2, 2, 4, 4)
 PROP44_Q_DIAG = (F(0), F(0), F(1, 4), F(1, 4))
 PROP44_B_OFFDIAG = {(0, 1): F(1, 2)}  # all other off-diagonal pairs are 0
 
@@ -130,8 +129,6 @@ QUOTIENT_ORBITS = (
     (0, 3), (1, 2), (4, 6), (5, 7), (8, 10), (9, 11),
     (12, 15), (13, 14), (16, 18), (17, 19), (20, 22), (21, 23),
 )
-
-N_CURVES = 8
 
 # curve labels on X': C1..C12 then N1..N8 (0-based indices 0..19)
 def xprime_labels() -> tuple[str, ...]:

@@ -336,6 +336,25 @@ class TestConfigCommands:
         assert data["ambiguous"] is False
         assert data["options"][0]["config"]["curves"] == [{"label": "c", "self": -2}]
 
+    def test_pullback_counts_crossed_points(self, capsys, tmp_path):
+        # two split curves meeting 40 times: option k crosses k points
+        m = 40
+        cfg = dict(CFG_AB, mult=[["a", "b", m]])
+        ids = [f"p{t}" for t in range(m)]
+        step = {"schema": 1, "branch": ["l0"], "shared_points": [["a", "b", ids]]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        (tmp_path / "step.json").write_text(json.dumps(step))
+        code, out, _ = run_cli(
+            capsys, "config", "pullback", str(tmp_path / "cfg.json"), str(tmp_path / "step.json")
+        )
+        assert code == 0
+        options = json.loads(out)["options"]
+        assert len(options) == m
+        for k, opt in enumerate(options):
+            mult = {(x, y): n for x, y, n in opt["config"]["mult"]}
+            assert [mult.get(pair, 0) for pair in [("aa", "bb"), ("ab", "ba")]] == [k, k]
+            assert [mult.get(pair, 0) for pair in [("aa", "ba"), ("ab", "bb")]] == [m - k, m - k]
+
     def test_reconstruct(self, capsys):
         code, out, _ = run_cli(capsys, "config", "reconstruct")
         assert code == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linalg_oracle as oracle
+import pullback_oracle
 from evenlat.curves import (
     CoverStep,
     CurveConfig,
@@ -123,8 +125,8 @@ class TestPullback:
             double_cover_pullback(cfg, step)
 
     def test_repeated_shared_point_id_rejected(self):
-        # the sheet matching is keyed by point id, so a repeated id would
-        # drop the mixed distribution of two split curves meeting twice
+        # the ids are outside input, and an option's shared_points would
+        # name the repeated point twice
         cfg = two_curves(-2, -2, 2)
         step = CoverStep(frozenset({"l0"}), {}, {frozenset(("a", "b")): ("p", "q")})
         assert len(double_cover_pullback(cfg, step).options) == 2
@@ -170,6 +172,21 @@ class TestPullback:
         with pytest.raises(ValueError):
             result.unique()
 
+    @pytest.mark.parametrize("m, count", [(2, 12), (3, 36), (4, 80)])
+    def test_split_triangle_counts_crossings_per_pair(self, m, count):
+        # a.b and a.c span the forest and cross 0..m-1 of their points;
+        # b.c closes the cycle and crosses 0..m
+        labels = ("a", "b", "c")
+        cfg = CurveConfig(labels, (-2,) * 3, IntMat.from_rows([[0, m, m], [m, 0, m], [m, m, 0]]))
+        shared = {
+            frozenset(pair): tuple("".join(pair) + str(t) for t in range(m))
+            for pair in itertools.combinations(labels, 2)
+        }
+        step = CoverStep(frozenset({"l0"}), {}, shared)
+        options = double_cover_pullback(cfg, step).options
+        assert len(options) == count == m * m * (m + 1)
+        assert options == pullback_oracle.double_cover_pullback(cfg, step).options
+
     def test_projection_formula_total_degree(self):
         tower = triple_double_tower()
         base = hexagon_config()
@@ -196,6 +213,48 @@ class TestPullback:
                 assert square == 2 * cfg_before.gram().entries[
                     cfg_before.index(la)
                 ][cfg_before.index(la)]
+
+
+@st.composite
+def cover_data(draw):
+    """A configuration of 1-5 curves, some ramified, with valid cover data.
+
+    Multiplicities are 0-3, at most 10 shared points in all, so the
+    oracle's sweep stays under 2^10 sign vectors; ids are listed in a
+    shuffled order, and a pair that does not meet may list no ids.
+    """
+    labels = draw(st.permutations("abcde"))[: draw(st.integers(1, 5))]
+    n = len(labels)
+    mult = [[0] * n for _ in range(n)]
+    shared = {}
+    budget = 10
+    for i, j in itertools.combinations(range(n), 2):
+        m = min(draw(st.sampled_from((0, 0, 1, 2, 3))), budget)
+        budget -= m
+        mult[i][j] = mult[j][i] = m
+        if m or draw(st.booleans()):
+            ids = [f"{labels[i]}{labels[j]}{t}" for t in range(m)]
+            shared[frozenset((labels[i], labels[j]))] = tuple(draw(st.permutations(ids)))
+    ram = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    branch_points = {lab: (lab + "x", lab + "y") for lab, r in zip(labels, ram) if r}
+    marked = {}
+    for lab in labels:
+        pts = draw(st.lists(st.sampled_from(("m", "n")), unique=True, max_size=2))
+        if pts:
+            marked[lab] = tuple(lab + p for p in pts)
+    self_int = tuple(draw(st.sampled_from((-1, -2))) for _ in labels)
+    cfg = CurveConfig(tuple(labels), self_int, IntMat.from_rows(mult))
+    return cfg, CoverStep(frozenset({"l0", "l1"}), branch_points, shared, marked)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cover_data())
+def test_pullback_matches_the_sign_sweep(data):
+    # same options, in the same order, field for field
+    cfg, step = data
+    assert double_cover_pullback(cfg, step).options == (
+        pullback_oracle.double_cover_pullback(cfg, step).options
+    )
 
 
 class TestTower:
