@@ -259,16 +259,15 @@ def cmd_config(args) -> int:
             }
         )
         return 0
-    if args.operation == "reconstruct":
-        rec = reconstruct_24()
-        out = {"schema": ser.SCHEMA, "census": rec.census_sizes()}
-        if len(rec.tier3) == 1:
-            out["config"] = ser.config_to_json(rec.config())
-        else:
-            out["solutions"] = [ser.intmat_to_json(g) for g in rec.tier3]
-        _emit(out)
-        return 0
-    raise PreconditionError(f"unknown config operation {args.operation!r}")
+    # argparse admits no other operation than reconstruct here
+    rec = reconstruct_24()
+    out = {"schema": ser.SCHEMA, "census": rec.census_sizes()}
+    if len(rec.tier3) == 1:
+        out["config"] = ser.config_to_json(rec.config())
+    else:
+        out["solutions"] = [ser.intmat_to_json(g) for g in rec.tier3]
+    _emit(out)
+    return 0
 
 
 def cmd_verify_paper(args) -> int:

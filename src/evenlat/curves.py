@@ -309,54 +309,33 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
 
 
 def _assemble_pullback(config, step, ram, crossed) -> PullbackOption:
-    new_labels = []
-    label_map = {}
-    for lab in config.labels:
-        if lab in ram:
-            new_labels.append(lab)
-            label_map[lab] = (lab,)
-        else:
-            la, lb = lab + "a", lab + "b"
-            new_labels.extend([la, lb])
-            label_map[lab] = (la, lb)
+    label_map = {lab: (lab,) if lab in ram else (lab + "a", lab + "b") for lab in config.labels}
+    new_labels = [nl for copies in label_map.values() for nl in copies]
+    self_int = [
+        2 * s if lab in ram else s
+        for lab, s in zip(config.labels, config.self_int)
+        for _ in label_map[lab]
+    ]
     idx = {lab: i for i, lab in enumerate(new_labels)}
     n = len(new_labels)
-    self_int = [0] * n
-    for lab in config.labels:
-        s = config.self_int[config.index(lab)]
-        if lab in ram:
-            self_int[idx[lab]] = 2 * s
-        else:
-            for nl in label_map[lab]:
-                self_int[idx[nl]] = s
     mult = [[0] * n for _ in range(n)]
     new_shared: dict[frozenset, list] = {}
 
-    def bump(x, y, pid):
-        mult[idx[x]][idx[y]] += 1
-        mult[idx[y]][idx[x]] += 1
-        new_shared.setdefault(frozenset((x, y)), []).append(pid)
+    def sheet(lab, s):
+        # a ramified curve is its own single sheet
+        return lab if lab in ram else label_map[lab][s]
 
     for pair, ids in step.shared_points.items():
         a, b = sorted(pair)
-        # the last crossed[(a, b)] points of a split pair cross sheets
+        # preimage s of a point joins sheet s of a to sheet s of b, or to
+        # sheet 1 - s on the last crossed[(a, b)] points of a split pair
         parallel = len(ids) - crossed.get((a, b), 0)
         for pos, pid in enumerate(ids):
-            if a in ram and b in ram:
-                bump(a, b, pid + ".0")
-                bump(a, b, pid + ".1")
-            elif a in ram:
-                bump(a, b + "a", pid + ".0")
-                bump(a, b + "b", pid + ".1")
-            elif b in ram:
-                bump(b, a + "a", pid + ".0")
-                bump(b, a + "b", pid + ".1")
-            elif pos < parallel:
-                bump(a + "a", b + "a", pid + ".0")
-                bump(a + "b", b + "b", pid + ".1")
-            else:
-                bump(a + "a", b + "b", pid + ".0")
-                bump(a + "b", b + "a", pid + ".1")
+            for s in (0, 1):
+                x, y = sheet(a, s), sheet(b, s ^ (pos >= parallel))
+                mult[idx[x]][idx[y]] += 1
+                mult[idx[y]][idx[x]] += 1
+                new_shared.setdefault(frozenset((x, y)), []).append(f"{pid}.{s}")
     new_marked: dict[str, list] = {}
     for lab, pts in step.marked_points.items():
         if lab in ram:

@@ -284,24 +284,6 @@ class IsotropicSubgroup:
         return len(self.elements)
 
 
-def _adjoin(module: FiniteQuadraticModule, elements, x) -> list[GroupElement]:
-    """The elements of H + <x>, H given by its elements: H and its cosets H + kx."""
-    members = frozenset(elements)
-    out = list(elements)
-    step = x
-    while step not in members:
-        out.extend(module.add(h, step) for h in elements)
-        step = module.add(step, x)
-    return out
-
-
-def _span(module: FiniteQuadraticModule, gens) -> frozenset[GroupElement]:
-    elements = [module.zero()]
-    for g in gens:
-        elements = _adjoin(module, elements, g)
-    return frozenset(elements)
-
-
 def _canonical_gens(module: FiniteQuadraticModule, generators) -> tuple[GroupElement, ...]:
     """Canonical generators: HNF of the preimage lattice in Z^k, reduced mod d.
 
@@ -467,7 +449,10 @@ def submodule_on(module: FiniteQuadraticModule, gens, orders) -> FiniteQuadratic
     group with the stated orders (checked), so the level stays the same.
     """
     gens = [module.reduce(g) for g in gens]
-    if len(_span(module, gens)) != module.order:
+    # they generate exactly when their preimage lattice is Z^k, whose
+    # canonical generators are the unit vectors (any list generates when k = 0)
+    k = module.ngens
+    if k and _canonical_gens(module, gens) != IntMat.identity(k).entries:
         raise ValueError("elements do not generate the module")
     for g, d in zip(gens, orders):
         if module.element_order(g) != d:

@@ -629,7 +629,7 @@ def hnf_mod(rows, d: int, n: int) -> IntMat:
     of that unimodular step, -(d/g)*p + (p[c]/g)*d*e_c, is zero in column
     c and goes back to the work rows.  The entries above the pivots are
     reduced last, over the integers.  The HNF is unique, so the result is
-    ``lattice_rows_hnf`` of [d*I; rows], always n x n.
+    the nonzero rows of ``hnf`` of [d*I; rows], always n x n.
     """
     basis = []
     work = [[e % d for e in row] for row in rows]
@@ -670,11 +670,3 @@ def hnf_mod(rows, d: int, n: int) -> IntMat:
             if q:
                 basis[i] = [a - q * b for a, b in zip(basis[i], row)]
     return IntMat.from_rows(basis)
-
-
-def lattice_rows_hnf(rows: IntMat) -> IntMat:
-    """Canonical basis (HNF, zero rows dropped) of the row span over Z."""
-    keep = [row for row in hnf(rows).entries if any(e != 0 for e in row)]
-    if not keep:
-        raise ValueError("zero lattice has no basis rows")
-    return IntMat.from_rows(keep)

@@ -24,7 +24,6 @@ from .exactlinalg import (
     block_diag,
     hnf_mod,
     kernel_saturated,
-    lattice_rows_hnf,
     rational_product,
     row_rank,
     signature,
@@ -345,7 +344,7 @@ def saturation(host: Lattice, gens: IntMat) -> IntMat:
         raise ValueError("generator length does not match host rank")
     ker = kernel_saturated(gens)
     if not ker:
-        return lattice_rows_hnf(IntMat.identity(host.rank))
+        return IntMat.identity(host.rank)
     sat = kernel_saturated(IntMat.from_rows(ker))
     if not sat:
         raise ValueError("span is zero")

@@ -80,7 +80,14 @@ from .curves import (
     present,
     quotient_by_involution,
 )
-from .exactlinalg import IntMat, _clear_denominators, bilinear_table, signature, solve_rational
+from .exactlinalg import (
+    IntMat,
+    _clear_denominators,
+    bilinear_table,
+    block_diag,
+    signature,
+    solve_rational,
+)
 
 # affine E8: chain of eight nodes with multiplicities 1-2-3-4-5-6-4-2 and a
 # multiplicity-3 node attached to the multiplicity-6 one
@@ -565,16 +572,10 @@ def reconstruct_xprime(base24: CurveConfig) -> XprimeReconstruction:
     got_orbits = tuple(quot.orbit_map[lab] for lab in quot.config.labels)
     if got_orbits != expected_orbits:
         raise ReconstructionError(f"unexpected quotient orbits: {got_orbits}")
-    cg = quot.config.gram()
-    n = 20
-    gram20 = [[0] * n for _ in range(n)]
-    for i in range(12):
-        for j in range(12):
-            gram20[i][j] = cg.entries[i][j]
-    for i in range(12, 20):
-        gram20[i][i] = -2
-    labels = refdata.xprime_labels()
-    config = CurveConfig.from_gram(labels, IntMat.from_rows(gram20))
+    # N1..N8 are eight disjoint (-2)-curves
+    gram20 = block_diag(quot.config.gram(), IntMat.diagonal([-2] * 8))
+    n = gram20.rows
+    config = CurveConfig.from_gram(refdata.xprime_labels(), gram20)
     pres = present(config)
 
     gens = [[int(k == i) for k in range(n)] for i in range(n)]

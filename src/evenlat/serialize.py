@@ -162,6 +162,19 @@ def involution_from_json(data) -> InvolutionAction:
         raise ParseError(str(exc)) from exc
 
 
+def _points_by_label(data, kind: str) -> dict:
+    """data[kind + "_points"], a map from labels to arrays of point ids."""
+    raw = data.get(f"{kind}_points", {})
+    if not isinstance(raw, dict):
+        raise ParseError(f"'{kind}_points' must map labels to arrays of point ids")
+    points = {}
+    for lab, pts in raw.items():
+        if not isinstance(pts, list) or not all(isinstance(p, str) for p in pts):
+            raise ParseError(f"{kind} points of {lab!r} must be an array of ids")
+        points[lab] = tuple(pts)
+    return points
+
+
 def cover_step_from_json(data) -> CoverStep:
     if not isinstance(data, dict) or "branch" not in data:
         raise ParseError("expected an object with 'branch' and point data")
@@ -169,14 +182,7 @@ def cover_step_from_json(data) -> CoverStep:
     branch = data["branch"]
     if not isinstance(branch, list) or not all(isinstance(x, str) for x in branch):
         raise ParseError("'branch' must be an array of labels")
-    bp = data.get("branch_points", {})
-    if not isinstance(bp, dict):
-        raise ParseError("'branch_points' must map labels to arrays of point ids")
-    branch_points = {}
-    for lab, pts in bp.items():
-        if not isinstance(pts, list) or not all(isinstance(p, str) for p in pts):
-            raise ParseError(f"branch points of {lab!r} must be an array of ids")
-        branch_points[lab] = tuple(pts)
+    branch_points = _points_by_label(data, "branch")
     items = data.get("shared_points", [])
     if not isinstance(items, list):
         raise ParseError("'shared_points' must be an array of [label, label, [ids]] entries")
@@ -193,14 +199,7 @@ def cover_step_from_json(data) -> CoverStep:
         if pair in shared:
             raise ParseError(f"shared point entry {k + 1}: repeats the pair {la}, {lb}")
         shared[pair] = tuple(ids)
-    mp = data.get("marked_points", {})
-    if not isinstance(mp, dict):
-        raise ParseError("'marked_points' must map labels to arrays of point ids")
-    marked = {}
-    for lab, pts in mp.items():
-        if not isinstance(pts, list) or not all(isinstance(p, str) for p in pts):
-            raise ParseError(f"marked points of {lab!r} must be an array of ids")
-        marked[lab] = tuple(pts)
+    marked = _points_by_label(data, "marked")
     return CoverStep(frozenset(branch), branch_points, shared, marked)
 
 

@@ -271,6 +271,13 @@ class TestConfigCommands:
                 "pullback", CFG_AB, dict(STEP_AB, shared_points=[["a", "b", ["p"]], ["b", "a", []]]),
                 "shared point entry 2: repeats the pair b, a",
             ),
+            ("pullback", CFG_AB, dict(STEP_AB, marked_points={"a": [3]}), "marked points of 'a'"),
+            ("pullback", CFG_AB, dict(STEP_AB, branch_points={"a": "xy"}), "branch points of 'a'"),
+            # branch_points is read before shared_points
+            (
+                "pullback", CFG_AB, dict(STEP_AB, branch_points=[], shared_points=5),
+                "'branch_points' must map",
+            ),
         ],
     )
     def test_malformed_document_exits_2(self, capsys, tmp_path, operation, config, data, message):
@@ -361,6 +368,13 @@ class TestConfigCommands:
         data = json.loads(out)
         assert data["census"] == {"tier1": 121536, "tier2": 2, "tier3": 1}
         assert len(data["config"]["curves"]) == 24
+
+    def test_reconstruct_matches_golden_file(self, capsys):
+        # the committed output; regenerate it only for an intended change
+        code, out, _ = run_cli(capsys, "config", "reconstruct")
+        assert code == 0
+        with open(os.path.join(GOLDEN, "config_reconstruct.json"), encoding="utf-8", newline="") as fh:
+            assert out == fh.read()
 
     def test_reconstruct_then_quotient_pipeline(self, capsys, tmp_path):
         from evenlat.refdata import IOTA_011

@@ -562,14 +562,35 @@ class TestAgainstFractionOracle:
         for name in ("nikulin_unique", "splits_E8", "splits_U", "two_elem_invariants"):
             assert getattr(df, name)(module) == getattr(discform_oracle, name)(lat), name
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))
-    def test_span(self, seed):
+    def test_generation(self, seed):
+        # submodule_on accepts exactly the sets whose span is the whole
+        # group; a zero element would state the order 1, which no module
+        # takes, so the draws are nonzero
         rng = random.Random(seed)
         _, module = random_small_module(rng)
-        elems = list(module.elements())
-        gens = [rng.choice(elems) for _ in range(rng.randint(0, 3))]
-        assert df._span(module, gens) == discform_oracle.span(module, gens)
+        nonzero = list(module.elements())[1:]
+        gens = [rng.choice(nonzero) for _ in range(rng.randint(0, 3) if nonzero else 0)]
+        orders = [discform_oracle.element_order(module, g) for g in gens]
+        if len(discform_oracle.span(module, gens)) == module.order:
+            assert df.submodule_on(module, gens, orders).orders == tuple(orders)
+        else:
+            with pytest.raises(ValueError, match="do not generate"):
+                df.submodule_on(module, gens, orders)
+
+    def test_generation_edge_cases(self):
+        # every list of elements generates the trivial group
+        trivial = df.FiniteQuadraticModule((), 1, (), ())
+        assert df.submodule_on(trivial, [], []).order == 1
+        # the form of <4>^10, on (Z/4)^10 of order 2^20: the unit vectors
+        # generate, and raising the last one to (0, ..., 0, 2) leaves a
+        # subgroup of index 2
+        units = tuple(tuple(int(i == j) for j in range(10)) for i in range(10))
+        four = df.FiniteQuadraticModule((4,) * 10, 4, (1,) * 10, units)
+        assert df.submodule_on(four, units, [4] * 10) == four
+        with pytest.raises(ValueError, match="do not generate"):
+            df.submodule_on(four, units[:-1] + ((0,) * 9 + (2,),), [4] * 9 + [2])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))
