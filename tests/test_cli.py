@@ -376,6 +376,31 @@ class TestConfigCommands:
         with open(os.path.join(GOLDEN, "config_reconstruct.json"), encoding="utf-8", newline="") as fh:
             assert out == fh.read()
 
+    def test_pullback_matches_golden_file(self, capsys):
+        # the tower's last cover over its 16-curve second stage: 4 options
+        code, out, _ = run_cli(
+            capsys, "config", "pullback",
+            os.path.join(GOLDEN, "config_pullback.config.json"),
+            os.path.join(GOLDEN, "config_pullback.step.json"),
+        )
+        assert code == 0
+        with open(os.path.join(GOLDEN, "config_pullback.json"), encoding="utf-8", newline="") as fh:
+            assert out == fh.read()
+
+    def test_quotient_matches_golden_file(self, capsys, tmp_path):
+        # the reconstructed 24 curves by iota_011
+        with open(os.path.join(GOLDEN, "config_reconstruct.json"), encoding="utf-8") as fh:
+            config = json.load(fh)["config"]
+        cfg_path = tmp_path / "r24.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, _ = run_cli(
+            capsys, "config", "quotient", str(cfg_path),
+            os.path.join(GOLDEN, "config_quotient.involution.json"),
+        )
+        assert code == 0
+        with open(os.path.join(GOLDEN, "config_quotient.json"), encoding="utf-8", newline="") as fh:
+            assert out == fh.read()
+
     def test_reconstruct_then_quotient_pipeline(self, capsys, tmp_path):
         from evenlat.refdata import IOTA_011
 
