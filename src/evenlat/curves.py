@@ -1,6 +1,6 @@
 """Labeled configurations of smooth rational curves.
 
-A configuration stores self-intersections and pairwise multiplicities.  A
+A configuration is its labels and one intersection matrix.  A
 presentation of a lattice spanned by curves is one lattice and one
 coordinate map from curve combinations to its basis: ``present`` gives the
 plain span, with the radical of the intersection matrix quotiented out,
@@ -24,35 +24,23 @@ from .lattice import Lattice
 
 @dataclass(frozen=True)
 class CurveConfig:
+    """Labeled curves and their intersection matrix: self-intersections on
+    the diagonal, nonnegative multiplicities off it."""
+
     labels: tuple[str, ...]
-    self_int: tuple[int, ...]
-    mult: IntMat
+    gram: IntMat
 
     def __post_init__(self):
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValueError("curve labels must be unique")
-        if len(self.self_int) != n or self.mult.rows != n or self.mult.cols != n:
-            raise ValueError("inconsistent configuration sizes")
-        if not self.mult.is_symmetric():
-            raise ValueError("multiplicity matrix must be symmetric")
-        for i in range(n):
-            if self.mult.entries[i][i] != 0:
-                raise ValueError("multiplicity matrix must have zero diagonal")
-            for j in range(n):
-                if self.mult.entries[i][j] < 0:
-                    raise ValueError("multiplicities must be nonnegative")
-
-    @classmethod
-    def from_gram(cls, labels, gram: IntMat) -> CurveConfig:
-        n = len(labels)
-        if gram.rows != n or gram.cols != n:
-            raise ValueError(f"{gram.rows}x{gram.cols} Gram for {n} curve labels")
-        self_int = tuple(gram.entries[i][i] for i in range(n))
-        mult = IntMat.from_rows(
-            [[0 if i == j else gram.entries[i][j] for j in range(n)] for i in range(n)]
-        )
-        return cls(tuple(labels), self_int, mult)
+        g = self.gram
+        if g.rows != n or g.cols != n:
+            raise ValueError(f"{g.rows}x{g.cols} Gram for {n} curve labels")
+        if not g.is_symmetric():
+            raise ValueError("Gram matrix must be symmetric")
+        if any(e < 0 for i, row in enumerate(g.entries) for j, e in enumerate(row) if i != j):
+            raise ValueError("multiplicities must be nonnegative")
 
     @property
     def size(self) -> int:
@@ -60,15 +48,6 @@ class CurveConfig:
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
-
-    def gram(self) -> IntMat:
-        n = self.size
-        return IntMat.from_rows(
-            [
-                [self.self_int[i] if i == j else self.mult.entries[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -86,7 +65,7 @@ class InvolutionAction:
                 raise ValueError("permutation must have order at most 2")
 
     def is_isometry(self, config: CurveConfig) -> bool:
-        g = config.gram().entries
+        g = config.gram.entries
         p = self.perm
         n = len(p)
         return all(g[p[i]][p[j]] == g[i][j] for i in range(n) for j in range(i, n))
@@ -166,7 +145,7 @@ class CurvePresentation:
 
 def present(config: CurveConfig) -> CurvePresentation:
     """Quotient the curve span by the radical of its intersection matrix."""
-    g = config.gram()
+    g = config.gram
     ker = kernel_saturated(g)
     n = g.rows
     if not ker:
@@ -262,7 +241,7 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
         raise ValueError(
             f"shared, marked or branch points on untracked curves: {sorted(untracked)}"
         )
-    mult = config.mult.entries
+    mult = config.gram.entries
     for (i, a), (j, b) in itertools.combinations(enumerate(config.labels), 2):
         ids = step.shared_points.get(frozenset((a, b)), ())
         if len(ids) != mult[i][j]:
@@ -311,14 +290,14 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
 def _assemble_pullback(config, step, ram, crossed) -> PullbackOption:
     label_map = {lab: (lab,) if lab in ram else (lab + "a", lab + "b") for lab in config.labels}
     new_labels = [nl for copies in label_map.values() for nl in copies]
-    self_int = [
-        2 * s if lab in ram else s
-        for lab, s in zip(config.labels, config.self_int)
-        for _ in label_map[lab]
-    ]
     idx = {lab: i for i, lab in enumerate(new_labels)}
     n = len(new_labels)
-    mult = [[0] * n for _ in range(n)]
+    gram = [[0] * n for _ in range(n)]
+    g = config.gram.entries
+    for i, lab in enumerate(config.labels):
+        # a ramified curve's square doubles; each sheet of a split one keeps it
+        for nl in label_map[lab]:
+            gram[idx[nl]][idx[nl]] = 2 * g[i][i] if lab in ram else g[i][i]
     new_shared: dict[frozenset, list] = {}
 
     def sheet(lab, s):
@@ -333,8 +312,8 @@ def _assemble_pullback(config, step, ram, crossed) -> PullbackOption:
         for pos, pid in enumerate(ids):
             for s in (0, 1):
                 x, y = sheet(a, s), sheet(b, s ^ (pos >= parallel))
-                mult[idx[x]][idx[y]] += 1
-                mult[idx[y]][idx[x]] += 1
+                gram[idx[x]][idx[y]] += 1
+                gram[idx[y]][idx[x]] += 1
                 new_shared.setdefault(frozenset((x, y)), []).append(f"{pid}.{s}")
     new_marked: dict[str, list] = {}
     for lab, pts in step.marked_points.items():
@@ -344,7 +323,7 @@ def _assemble_pullback(config, step, ram, crossed) -> PullbackOption:
         else:
             for copy, suffix in zip(label_map[lab], (".a", ".b")):
                 new_marked.setdefault(copy, []).extend(p + suffix for p in pts)
-    cfg = CurveConfig(tuple(new_labels), tuple(self_int), IntMat.from_rows(mult))
+    cfg = CurveConfig(tuple(new_labels), IntMat.from_rows(gram))
     return PullbackOption(
         cfg,
         label_map,
@@ -376,7 +355,7 @@ def quotient_by_involution(config: CurveConfig, act: InvolutionAction) -> Quotie
         raise ValueError("involution is not an isometry of the configuration")
     if act.fixed_points():
         raise ValueError("involution fixes a curve; quotient needs ramification data")
-    g = config.gram().entries
+    g = config.gram.entries
     orbits = []
     seen = set()
     for i in range(config.size):
@@ -394,7 +373,7 @@ def quotient_by_involution(config: CurveConfig, act: InvolutionAction) -> Quotie
             if tot % 2 != 0:
                 raise AssertionError("projection formula gave a non-integer")
             gram_q[a][b] = tot // 2
-    cfg = CurveConfig.from_gram(labels, IntMat.from_rows(gram_q))
+    cfg = CurveConfig(labels, IntMat.from_rows(gram_q))
     orbit_map = {
         labels[k]: (config.labels[i], config.labels[j]) for k, (i, j) in enumerate(orbits)
     }
@@ -449,7 +428,7 @@ def _coset_certificate(start, rel_sets, pres, index) -> EvenFourCertificate | No
     """The first disjoint weight-4 set in the coset of ``start``, combinations
     of fewer relations first, replayed over Z; None when there is none."""
     labels = pres.config.labels
-    mult = pres.config.mult.entries
+    mult = pres.config.gram.entries
     for size in range(len(rel_sets) + 1):
         for combo in itertools.combinations(range(len(rel_sets)), size):
             current = set(start)
@@ -507,11 +486,11 @@ def _replay_check(cert: EvenFourCertificate, pres: CurvePresentation) -> None:
 def hexagon_config() -> CurveConfig:
     """Six (-1)-curves meeting in a cycle: h1-h2-...-h6-h1."""
     labels = tuple(f"h{i + 1}" for i in range(6))
-    mult = [[0] * 6 for _ in range(6)]
+    gram = [[-1 if i == j else 0 for j in range(6)] for i in range(6)]
     for i in range(6):
         j = (i + 1) % 6
-        mult[i][j] = mult[j][i] = 1
-    return CurveConfig(labels, (-1,) * 6, IntMat.from_rows(mult))
+        gram[i][j] = gram[j][i] = 1
+    return CurveConfig(labels, IntMat.from_rows(gram))
 
 
 # each double cover is branched along a pair of disjoint lines crossing two

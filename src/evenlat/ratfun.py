@@ -36,10 +36,6 @@ class Poly:
     def var(cls) -> Poly:
         return cls.of(0, 1)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

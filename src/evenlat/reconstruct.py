@@ -359,7 +359,7 @@ def q_gram_of(gram24: IntMat) -> IntMat:
 
 def config_24(gram24: IntMat) -> CurveConfig:
     """The 24-curve configuration R1..R24 of a 24-curve Gram."""
-    return CurveConfig.from_gram(tuple(f"R{i + 1}" for i in range(24)), gram24)
+    return CurveConfig(tuple(f"R{i + 1}" for i in range(24)), gram24)
 
 
 def relations_hold(gram24: IntMat) -> bool:
@@ -573,9 +573,10 @@ def reconstruct_xprime(base24: CurveConfig) -> XprimeReconstruction:
     if got_orbits != expected_orbits:
         raise ReconstructionError(f"unexpected quotient orbits: {got_orbits}")
     # N1..N8 are eight disjoint (-2)-curves
-    gram20 = block_diag(quot.config.gram(), IntMat.diagonal([-2] * 8))
-    n = gram20.rows
-    config = CurveConfig.from_gram(refdata.xprime_labels(), gram20)
+    config = CurveConfig(
+        refdata.xprime_labels(), block_diag(quot.config.gram, IntMat.diagonal([-2] * 8))
+    )
+    n = config.size
     pres = present(config)
 
     gens = [[int(k == i) for k in range(n)] for i in range(n)]
@@ -583,7 +584,7 @@ def reconstruct_xprime(base24: CurveConfig) -> XprimeReconstruction:
     gens.append(half_sum(refdata.LAMBDA1_SUPPORT, n))
     gens.append(half_sum(refdata.LAMBDA2_SUPPORT, n))
     # table[a][b] / den = gens[a] . gens[b]; the first n generators are the curves
-    table, den = bilinear_table(gens, config.gram().entries, gens)
+    table, den = bilinear_table(gens, config.gram.entries, gens)
 
     report = []
     for target, combo in refdata.XPRIME_RELATIONS:

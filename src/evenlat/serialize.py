@@ -85,18 +85,13 @@ def rows_from_json(data) -> IntMat:
 
 
 def config_to_json(config: CurveConfig) -> dict:
-    mult = []
-    for i in range(config.size):
-        for j in range(i + 1, config.size):
-            m = config.mult.entries[i][j]
-            if m:
-                mult.append([config.labels[i], config.labels[j], m])
+    g, labels, n = config.gram.entries, config.labels, config.size
     return {
         "schema": SCHEMA,
-        "curves": [
-            {"label": lab, "self": s} for lab, s in zip(config.labels, config.self_int)
+        "curves": [{"label": lab, "self": g[i][i]} for i, lab in enumerate(labels)],
+        "mult": [
+            [labels[i], labels[j], g[i][j]] for i in range(n) for j in range(i + 1, n) if g[i][j]
         ],
-        "mult": mult,
     }
 
 
@@ -108,7 +103,7 @@ def config_from_json(data) -> CurveConfig:
     if not isinstance(curves, list) or not curves:
         raise ParseError("'curves' must be a nonempty array")
     labels = []
-    self_int = []
+    diag = []
     for k, c in enumerate(curves):
         if not isinstance(c, dict) or "label" not in c or "self" not in c:
             raise ParseError(f"curve {k + 1}: expected fields 'label' and 'self'")
@@ -117,12 +112,12 @@ def config_from_json(data) -> CurveConfig:
         if not isinstance(c["self"], int) or isinstance(c["self"], bool):
             raise ParseError(f"curve {k + 1}: self-intersection must be an integer")
         labels.append(c["label"])
-        self_int.append(c["self"])
+        diag.append(c["self"])
     if len(set(labels)) != len(labels):
         raise ParseError("curve labels must be unique")
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
-    mult = [[0] * n for _ in range(n)]
+    gram = [[s if i == j else 0 for j in range(n)] for i, s in enumerate(diag)]
     items = data.get("mult", [])
     if not isinstance(items, list):
         raise ParseError("'mult' must be an array of [label, label, count] entries")
@@ -143,8 +138,8 @@ def config_from_json(data) -> CurveConfig:
         if (i, j) in seen:
             raise ParseError(f"mult entry {k + 1}: repeats the pair {la}, {lb}")
         seen |= {(i, j), (j, i)}
-        mult[i][j] = mult[j][i] = m
-    return CurveConfig(tuple(labels), tuple(self_int), IntMat.from_rows(mult))
+        gram[i][j] = gram[j][i] = m
+    return CurveConfig(tuple(labels), IntMat.from_rows(gram))
 
 
 def involution_from_json(data) -> InvolutionAction:

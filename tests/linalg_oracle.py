@@ -135,7 +135,7 @@ def pairing(gram, x, y) -> Fraction:
 
 def pair(config, u, v) -> Fraction:
     """u . v over the curves of a configuration, skipping zero coordinates."""
-    g = config.gram().entries
+    g = config.gram.entries
     n = config.size
     total = Fraction(0)
     for i in range(n):

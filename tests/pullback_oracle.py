@@ -53,7 +53,7 @@ def double_cover_pullback(config: CurveConfig, step) -> PullbackResult:
     # distinct labeled configurations only
     seen = {}
     for opt in options:
-        key = (opt.config.labels, opt.config.self_int, opt.config.mult.entries)
+        key = (opt.config.labels, opt.config.gram.entries)
         if key not in seen:
             seen[key] = opt
     return PullbackResult(tuple(seen.values()))
@@ -72,20 +72,20 @@ def _assemble_pullback(config, step, split, ram, orient) -> PullbackOption:
             label_map[lab] = (la, lb)
     idx = {lab: i for i, lab in enumerate(new_labels)}
     n = len(new_labels)
-    self_int = [0] * n
+    gram = [[0] * n for _ in range(n)]
     for lab in config.labels:
-        s = config.self_int[config.index(lab)]
+        k = config.index(lab)
+        s = config.gram.entries[k][k]
         if lab in ram:
-            self_int[idx[lab]] = 2 * s
+            gram[idx[lab]][idx[lab]] = 2 * s
         else:
             for nl in label_map[lab]:
-                self_int[idx[nl]] = s
-    mult = [[0] * n for _ in range(n)]
+                gram[idx[nl]][idx[nl]] = s
     new_shared: dict[frozenset, list] = {}
 
     def bump(x, y, pid):
-        mult[idx[x]][idx[y]] += 1
-        mult[idx[y]][idx[x]] += 1
+        gram[idx[x]][idx[y]] += 1
+        gram[idx[y]][idx[x]] += 1
         new_shared.setdefault(frozenset((x, y)), []).append(pid)
 
     for pair, ids in step.shared_points.items():
@@ -115,7 +115,7 @@ def _assemble_pullback(config, step, split, ram, orient) -> PullbackOption:
         else:
             for copy, suffix in zip(label_map[lab], (".a", ".b")):
                 new_marked.setdefault(copy, []).extend(p + suffix for p in pts)
-    cfg = CurveConfig(tuple(new_labels), tuple(self_int), IntMat.from_rows(mult))
+    cfg = CurveConfig(tuple(new_labels), IntMat.from_rows(gram))
     return PullbackOption(
         cfg,
         label_map,

@@ -537,8 +537,7 @@ class TestSchemas:
         data = config_to_json(cfg)
         back = config_from_json(data)
         assert back.labels == cfg.labels
-        assert back.self_int == cfg.self_int
-        assert back.mult.entries == cfg.mult.entries
+        assert back.gram.entries == cfg.gram.entries
 
     @pytest.mark.parametrize("schema, accepted", [
         ("absent", True), (1, True), (0, False), (2, False), ("1", False), (1.0, False),

@@ -27,16 +27,16 @@ F = Fraction
 
 
 def single_curve(self_int=-1, label="c"):
-    return CurveConfig((label,), (self_int,), IntMat.from_rows([[0]]))
+    return CurveConfig((label,), IntMat.from_rows([[self_int]]))
 
 
 def two_curves(s1, s2, m):
-    return CurveConfig(("a", "b"), (s1, s2), IntMat.from_rows([[0, m], [m, 0]]))
+    return CurveConfig(("a", "b"), IntMat.from_rows([[s1, m], [m, s2]]))
 
 
 class TestConfig:
     def test_hexagon_gram(self):
-        g = hexagon_config().gram()
+        g = hexagon_config().gram
         assert all(g.entries[i][i] == -1 for i in range(6))
         for i in range(6):
             for j in range(6):
@@ -45,21 +45,36 @@ class TestConfig:
                     assert g.entries[i][j] == expected
 
     def test_single_curve_gram(self):
-        assert single_curve(-2).gram().entries == ((-2,),)
+        assert single_curve(-2).gram.entries == ((-2,),)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            CurveConfig(("a", "b"), (-1, -1), IntMat.from_rows([[0, 1], [0, 0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            CurveConfig(("a", "b"), IntMat.from_rows([[-1, 1], [0, -1]]))
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
-            CurveConfig(("a", "a"), (-1, -1), IntMat.from_rows([[0, 0], [0, 0]]))
+            CurveConfig(("a", "a"), IntMat.from_rows([[-1, 0], [0, -1]]))
 
     @pytest.mark.parametrize("labels", [("a",), ("a", "b", "c")])
-    def test_from_gram_rejects_a_gram_of_another_size(self, labels):
+    def test_rejects_a_gram_of_another_size(self, labels):
         # one label would drop the second curve, three would index past the Gram
         with pytest.raises(ValueError, match="2x2 Gram"):
-            CurveConfig.from_gram(labels, IntMat.from_rows([[-2, 1], [1, -2]]))
+            CurveConfig(labels, IntMat.from_rows([[-2, 1], [1, -2]]))
+
+    def test_rejects_a_negative_multiplicity(self):
+        with pytest.raises(ValueError, match="multiplicities must be nonnegative"):
+            CurveConfig(("a", "b"), IntMat.from_rows([[-2, -1], [-1, -2]]))
+
+    @pytest.mark.parametrize("s", [-4, -2, -1, 0, 3])
+    def test_accepts_any_self_intersection(self, s):
+        cfg = CurveConfig(("a", "b"), IntMat.from_rows([[s, 1], [1, -2]]))
+        assert cfg.gram.entries[0][0] == s
+
+    @pytest.mark.parametrize("s", [F(1, 2), F(-2), True])
+    def test_rejects_a_non_integer_self_intersection(self, s):
+        # IntMat refuses the entry, so no configuration can hold it
+        with pytest.raises(TypeError):
+            CurveConfig(("a",), IntMat.from_rows([[s]]))
 
 
 class TestInvolution:
@@ -80,15 +95,14 @@ class TestPullback:
         step = CoverStep(frozenset({"l0", "l1"}), {"c": ("x", "y")}, {})
         out = double_cover_pullback(cfg, step).unique()
         assert out.config.labels == ("c",)
-        assert out.config.self_int == (-2,)
+        assert out.config.gram.entries == ((-2,),)
 
     def test_unbranched_curve_splits(self):
         cfg = single_curve(-2)
         step = CoverStep(frozenset({"l0"}), {}, {})
         out = double_cover_pullback(cfg, step).unique()
         assert out.config.labels == ("ca", "cb")
-        assert out.config.self_int == (-2, -2)
-        assert out.config.mult.entries == ((0, 0), (0, 0))
+        assert out.config.gram.entries == ((-2, 0), (0, -2))
 
     def test_split_split_intersection_distributes(self):
         cfg = two_curves(-1, -1, 1)
@@ -96,13 +110,13 @@ class TestPullback:
         out = double_cover_pullback(cfg, step).unique()
         c = out.config
         total = sum(
-            c.mult.entries[i][j] for i in range(4) for j in range(i + 1, 4)
+            c.gram.entries[i][j] for i in range(4) for j in range(i + 1, 4)
         )
         assert total == 2  # projection formula: 2 * (a.b)
         # sheets match: aa meets ba, ab meets bb
         i = {lab: k for k, lab in enumerate(c.labels)}
-        assert c.mult.entries[i["aa"]][i["ba"]] == 1
-        assert c.mult.entries[i["ab"]][i["bb"]] == 1
+        assert c.gram.entries[i["aa"]][i["ba"]] == 1
+        assert c.gram.entries[i["ab"]][i["bb"]] == 1
 
     def test_ramified_meets_both_copies(self):
         cfg = two_curves(-1, -1, 1)
@@ -112,9 +126,9 @@ class TestPullback:
         out = double_cover_pullback(cfg, step).unique()
         c = out.config
         i = {lab: k for k, lab in enumerate(c.labels)}
-        assert c.self_int[i["a"]] == -2
-        assert c.mult.entries[i["a"]][i["ba"]] == 1
-        assert c.mult.entries[i["a"]][i["bb"]] == 1
+        assert c.gram.entries[i["a"]][i["a"]] == -2
+        assert c.gram.entries[i["a"]][i["ba"]] == 1
+        assert c.gram.entries[i["a"]][i["bb"]] == 1
 
     @pytest.mark.parametrize("m, ids", [(3, ("p",)), (1, ()), (0, ("p",))])
     def test_shared_points_must_match_multiplicity(self, m, ids):
@@ -156,10 +170,10 @@ class TestPullback:
         # a square of four unbranched curves: the sheet matching around the
         # cycle is invisible to the incidence data
         labels = ("a", "b", "c", "d")
-        mult = [[0] * 4 for _ in range(4)]
+        gram = [[-2 if i == j else 0 for j in range(4)] for i in range(4)]
         for i, j in ((0, 1), (1, 2), (2, 3), (3, 0)):
-            mult[i][j] = mult[j][i] = 1
-        cfg = CurveConfig(labels, (-2,) * 4, IntMat.from_rows(mult))
+            gram[i][j] = gram[j][i] = 1
+        cfg = CurveConfig(labels, IntMat.from_rows(gram))
         shared = {
             frozenset(("a", "b")): ("p1",),
             frozenset(("b", "c")): ("p2",),
@@ -177,7 +191,7 @@ class TestPullback:
         # a.b and a.c span the forest and cross 0..m-1 of their points;
         # b.c closes the cycle and crosses 0..m
         labels = ("a", "b", "c")
-        cfg = CurveConfig(labels, (-2,) * 3, IntMat.from_rows([[0, m, m], [m, 0, m], [m, m, 0]]))
+        cfg = CurveConfig(labels, IntMat.from_rows([[-2, m, m], [m, -2, m], [m, m, -2]]))
         shared = {
             frozenset(pair): tuple("".join(pair) + str(t) for t in range(m))
             for pair in itertools.combinations(labels, 2)
@@ -196,9 +210,9 @@ class TestPullback:
                 for lb in cfg_before.labels:
                     if la >= lb:
                         continue
-                    before = cfg_before.mult.entries[cfg_before.index(la)][cfg_before.index(lb)]
+                    before = cfg_before.gram.entries[cfg_before.index(la)][cfg_before.index(lb)]
                     after = sum(
-                        c.mult.entries[c.index(x)][c.index(y)]
+                        c.gram.entries[c.index(x)][c.index(y)]
                         for x in stage.label_map[la]
                         for y in stage.label_map[lb]
                     )
@@ -206,11 +220,11 @@ class TestPullback:
                 # self-intersection bookkeeping: (pullback)^2 = 2 C^2
                 pieces = stage.label_map[la]
                 square = sum(
-                    c.gram().entries[c.index(x)][c.index(y)]
+                    c.gram.entries[c.index(x)][c.index(y)]
                     for x in pieces
                     for y in pieces
                 )
-                assert square == 2 * cfg_before.gram().entries[
+                assert square == 2 * cfg_before.gram.entries[
                     cfg_before.index(la)
                 ][cfg_before.index(la)]
 
@@ -225,13 +239,13 @@ def cover_data(draw):
     """
     labels = draw(st.permutations("abcde"))[: draw(st.integers(1, 5))]
     n = len(labels)
-    mult = [[0] * n for _ in range(n)]
+    gram = [[0] * n for _ in range(n)]
     shared = {}
     budget = 10
     for i, j in itertools.combinations(range(n), 2):
         m = min(draw(st.sampled_from((0, 0, 1, 2, 3))), budget)
         budget -= m
-        mult[i][j] = mult[j][i] = m
+        gram[i][j] = gram[j][i] = m
         if m or draw(st.booleans()):
             ids = [f"{labels[i]}{labels[j]}{t}" for t in range(m)]
             shared[frozenset((labels[i], labels[j]))] = tuple(draw(st.permutations(ids)))
@@ -242,8 +256,9 @@ def cover_data(draw):
         pts = draw(st.lists(st.sampled_from(("m", "n")), unique=True, max_size=2))
         if pts:
             marked[lab] = tuple(lab + p for p in pts)
-    self_int = tuple(draw(st.sampled_from((-1, -2))) for _ in labels)
-    cfg = CurveConfig(tuple(labels), self_int, IntMat.from_rows(mult))
+    for i in range(n):
+        gram[i][i] = draw(st.sampled_from((-1, -2)))
+    cfg = CurveConfig(tuple(labels), IntMat.from_rows(gram))
     return cfg, CoverStep(frozenset({"l0", "l1"}), branch_points, shared, marked)
 
 
@@ -269,7 +284,8 @@ class TestTower:
         assert len(tower.final.options) == 4
         ranks = []
         for opt in tower.final.options:
-            assert set(opt.config.self_int) == {-2}
+            g = opt.config.gram.entries
+            assert {g[i][i] for i in range(opt.config.size)} == {-2}
             lat = present(opt.config).lattice
             ranks.append((lat.rank, lat.det))
         # exactly one option has the rank-16 determinant -64 shape
@@ -298,15 +314,15 @@ class TestQuotient:
         cfg = two_curves(-2, -2, 0)
         quot = quotient_by_involution(cfg, InvolutionAction((1, 0)))
         assert quot.config.size == 1
-        assert quot.config.self_int == (-2,)
+        assert quot.config.gram.entries == ((-2,),)
 
     def test_projection_formula(self, config24):
         from evenlat.refdata import IOTA_011
 
         act = InvolutionAction(IOTA_011)
         quot = quotient_by_involution(config24, act)
-        g24 = config24.gram().entries
-        gq = quot.config.gram().entries
+        g24 = config24.gram.entries
+        gq = quot.config.gram.entries
         orbits = [tuple(config24.index(lab) for lab in quot.orbit_map[c])
                   for c in quot.config.labels]
         for a, (i, ip) in enumerate(orbits):
@@ -340,7 +356,7 @@ class TestCertificates:
         ):
             reachable ^= {labels[i] for i in fam}
         assert reachable == {"N1", "N4", "N5", "N7"}
-        mult = cfg.mult.entries
+        mult = cfg.gram.entries
         ids = sorted(cfg.index(lab) for lab in reachable)
         assert all(mult[i][j] == 0 for k, i in enumerate(ids) for j in ids[k + 1:])
 
@@ -468,7 +484,7 @@ def random_presentation(rng, scale=1):
         for j in range(i + 1, n):
             g[i][j] = g[j][i] = scale * rng.choice((0, 0, 1, 2))
     labels = tuple(f"c{i}" for i in range(n))
-    return present(CurveConfig.from_gram(labels, IntMat.from_rows(g)))
+    return present(CurveConfig(labels, IntMat.from_rows(g)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

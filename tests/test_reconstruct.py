@@ -320,7 +320,7 @@ class TestStructure:
         matches = 0
         for opt in tower.final.options:
             gm = nx.algorithms.isomorphism.GraphMatcher(
-                to_graph(opt.config.gram()), target,
+                to_graph(opt.config.gram), target,
                 edge_match=lambda a, b: a["w"] == b["w"],
             )
             matches += gm.is_isomorphic()
@@ -336,7 +336,7 @@ class TestXprime:
         assert got == expected
 
     def test_disjoint_sets(self, xprime):
-        g = xprime.config.gram().entries
+        g = xprime.config.gram.entries
         for i in range(12):
             for j in range(12, 20):
                 assert g[i][j] == 0
