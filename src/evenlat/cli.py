@@ -64,7 +64,8 @@ def _load_rows_arg(arg: str) -> IntMat:
     if text.startswith("["):
         try:
             data = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        # a JSONDecodeError, an integer past the digit limit, or nesting past the stack
+        except (ValueError, RecursionError) as exc:
             raise ser.ParseError(f"inline rows: malformed JSON: {exc}")
         return ser.rows_from_json(data)
     return ser.rows_from_json(ser.load_json(arg))

@@ -6,7 +6,8 @@ Both are stored once, as integers: with the level M (the lcm of all the
 denominators), M*q is taken mod 2M and M*b mod M; Fractions appear only at
 the API edge.  Scans over every element (isotropic elements, the
 isomorphism fingerprint) read the integer table of (element order,
-M*q mod 2M) and build no Fraction.  The isotropic subgroup search and the
+M*q mod 2M) and build no Fraction; each module builds that table once, on
+first use, and keeps it.  The isotropic subgroup search and the
 isomorphism search pack each element into one int, a bit field per
 coordinate, so that adding two elements and reducing them mod the orders
 is a few integer operations; their results are tuples again.
@@ -19,6 +20,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mod, mul
 
 from .exactlinalg import IntMat, _dots, hnf, rational_product
@@ -35,6 +37,8 @@ class FiniteQuadraticModule:
 
     q_int[i] = M*q(g_i) mod 2M and b_int[i][j] = M*b(g_i, g_j) mod M over
     the level M; a lattice-backed module keeps its discriminant group.
+    The value table and its sorted copy are built on first use and kept;
+    they are not fields, so equality, hash and repr never see them.
     """
 
     orders: tuple[int, ...]
@@ -111,6 +115,39 @@ class FiniteQuadraticModule:
     def elements(self):
         return itertools.product(*(range(d) for d in self.orders))
 
+    @cached_property
+    def value_table(self) -> tuple[tuple[int, int], ...]:
+        """(order, M*q mod 2M) of every element, in ``elements()`` order.
+
+        Built one generator at a time.  Each partial entry x has its order
+        and M*q(x), and alongside, its pairings M*b(x, g_j) with the
+        generators still to come.  Adding t*g_i adds
+        t*(t*M*q(g_i) + 2*M*b(x, g_i)) to M*q, and the order becomes the lcm
+        with n_i / gcd(t, n_i).  The pairings enter only as 2*M*b mod 2M, so
+        they need no reduction mod M.
+        """
+        two_m = 2 * self.level
+        table, pairings = [(1, 0)], [(0,) * self.ngens]
+        for i, n in enumerate(self.orders):
+            q_i, b_later = self.q_int[i], self.b_int[i][i + 1:]
+            steps = [(t, n // math.gcd(t, n), t * q_i) for t in range(n)]
+            table = [
+                (math.lcm(order, n_t), (q + t * (tq + 2 * lin[0])) % two_m)
+                for (order, q), lin in zip(table, pairings)
+                for t, n_t, tq in steps
+            ]
+            if b_later:
+                shifts = [tuple(t * b for b in b_later) for t in range(n)]
+                pairings = [
+                    tuple(map(add, lin[1:], shift)) for lin in pairings for shift in shifts
+                ]
+        return tuple(table)
+
+    @cached_property
+    def fingerprint(self) -> tuple[tuple[int, int], ...]:
+        """The value table sorted, an isometry invariant."""
+        return tuple(sorted(self.value_table))
+
     def lift(self, x: GroupElement) -> tuple[Fraction, ...]:
         """A dual-lattice representative, available for lattice-backed modules."""
         if self.disc is None:
@@ -142,31 +179,6 @@ def _q_scaled(module: FiniteQuadraticModule, x: GroupElement) -> int:
                 if x[j]:
                     total += 2 * e * x[j] * row[j]
     return total % (2 * module.level)
-
-
-def _value_table(module: FiniteQuadraticModule) -> list[tuple[int, int]]:
-    """(order, M*q mod 2M) of every element, in ``elements()`` order.
-
-    Built one generator at a time.  Each partial entry x has its order and
-    M*q(x), and alongside, its pairings M*b(x, g_j) with the generators
-    still to come.  Adding t*g_i adds t*(t*M*q(g_i) + 2*M*b(x, g_i)) to
-    M*q, and the order becomes the lcm with n_i / gcd(t, n_i).  The
-    pairings enter only as 2*M*b mod 2M, so they need no reduction mod M.
-    """
-    two_m = 2 * module.level
-    table, pairings = [(1, 0)], [(0,) * module.ngens]
-    for i, n in enumerate(module.orders):
-        q_i, b_later = module.q_int[i], module.b_int[i][i + 1:]
-        steps = [(t, n // math.gcd(t, n), t * q_i) for t in range(n)]
-        table = [
-            (math.lcm(order, n_t), (q + t * (tq + 2 * lin[0])) % two_m)
-            for (order, q), lin in zip(table, pairings)
-            for t, n_t, tq in steps
-        ]
-        if b_later:
-            shifts = [tuple(t * b for b in b_later) for t in range(n)]
-            pairings = [tuple(map(add, lin[1:], shift)) for lin in pairings for shift in shifts]
-    return table
 
 
 def q_value(module: FiniteQuadraticModule, x) -> Fraction:
@@ -268,9 +280,8 @@ def two_elem_invariants(module: FiniteQuadraticModule) -> tuple[tuple[int, int],
 
 def isotropic_elements(module: FiniteQuadraticModule) -> list[GroupElement]:
     """All nonzero x with q(x) = 0, in lexicographic exponent order."""
-    table = _value_table(module)
     # the zero element comes first
-    return [x for x, (_, q) in zip(module.elements(), table) if q == 0][1:]
+    return [x for x, (_, q) in zip(module.elements(), module.value_table) if q == 0][1:]
 
 
 @dataclass(frozen=True)
@@ -482,15 +493,17 @@ def are_isomorphic(
     """Search for a group isomorphism preserving q (b follows from q).
 
     On success returns the images in m2 of m1's generators, in order;
-    None when no isomorphism exists.  Before the search, both modules are
-    compared by their level and by the multiset of (element order,
-    M*q mod 2M) over all elements.  The level is an isometry invariant:
-    it is the lcm of the denominators of all values of q and b.
+    None when no isomorphism exists.  Before the search, the two modules
+    must agree in order and level, and then in their stored
+    ``fingerprint``s, the sorted (element order, M*q mod 2M) over all
+    elements; each module builds its table once, so a module compared
+    again costs no scan.  The level is an isometry invariant: it is the
+    lcm of the denominators of all values of q and b.
 
     The search backtracks, in integers, over the images of the generators
     in turn.  The candidates for g_i are the elements of m2 with g_i's key
-    (order d_i, M*q(g_i)) in that table, in ``elements()`` order.  A
-    candidate must pair with each image y chosen before it as g_i does,
+    (order d_i, M*q(g_i)) in m2's ``value_table``, in ``elements()``
+    order.  A candidate must pair with each image y chosen before it as g_i does,
     tested as M*b through y's integer pairing row over ``b_int``.  It
     must also meet the span of the images chosen so far only in 0; that
     span is kept as packed elements (``_packing``), grown coset by coset.
@@ -509,8 +522,7 @@ def are_isomorphic(
         )
     if m1.order != m2.order or m1.level != m2.level:
         return None
-    table2 = _value_table(m2)
-    if sorted(_value_table(m1)) != sorted(table2):
+    if m1.fingerprint != m2.fingerprint:
         return None
     k, level = m1.ngens, m1.level
     pack, translate = _packing(m2.orders)
@@ -518,7 +530,7 @@ def are_isomorphic(
     buckets = {key: [] for key in zip(m1.orders, m1.q_int)}
     steps = {d: [d // r for r in _prime_divisors(d)] for d in m1.orders}
     scaled = {t: _packed_multiples(m2.orders, pack, t) for t in set().union(*steps.values())}
-    for i, (y, key) in enumerate(zip(m2.elements(), table2)):
+    for i, (y, key) in enumerate(zip(m2.elements(), m2.value_table)):
         if key in buckets:
             buckets[key].append((y, [scaled[t][i] for t in steps[key[0]]]))
     candidates = [buckets[key] for key in zip(m1.orders, m1.q_int)]

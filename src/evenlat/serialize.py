@@ -204,7 +204,8 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+    # a JSONDecodeError, an integer past the digit limit, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
 
 

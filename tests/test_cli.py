@@ -104,6 +104,15 @@ class TestSNF:
 
 
 class TestDiscAndIsotropic:
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        # deep enough to overflow the decoder's recursion
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "disc", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "malformed JSON" in err
+        assert "Traceback" not in err
+
     def test_disc(self, capsys, q_file):
         code, out, _ = run_cli(capsys, "disc", q_file)
         assert code == 0
@@ -196,6 +205,13 @@ class TestComplementAndEmbed:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.startswith("error: evenlat")
+
+    def test_deeply_nested_inline_rows_exit_2(self, capsys):
+        rows = "[" * 20_000 + "]" * 20_000
+        code, out, err = run_cli(capsys, "complement", "U", rows)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: inline rows: malformed JSON")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("expr, rows", [
         ("U+", "[[1,0]]"), ("+U", "[[1,0]]"), ("U++U", "[[1,0,0,0]]"), ("U+ +U", "[[1,0,0,0]]"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -156,15 +157,34 @@ def second_generating_set(rng, module):
     return gens
 
 
+def fresh_copy(module):
+    """An equal module with nothing built on it yet."""
+    return dataclasses.replace(module)
+
+
 def assert_value_table(module):
-    """The integer table and isotropic scan against the Fraction rules."""
-    want = [
-        (discform_oracle.element_order(module, x),
-         discform_oracle.q_value(module, x) * module.level)
-        for x in module.elements()
-    ]
-    assert df._value_table(module) == want
-    assert df.isotropic_elements(module) == discform_oracle.isotropic_elements(module)
+    """The stored table, its sorted copy and the isotropic scan against the
+    Fraction rules, the scan asked twice of the same module."""
+    fresh = fresh_copy(module)
+    want = tuple(
+        (discform_oracle.element_order(fresh, x),
+         discform_oracle.q_value(fresh, x) * fresh.level)
+        for x in fresh.elements()
+    )
+    want_iso = discform_oracle.isotropic_elements(fresh)
+    assert df.isotropic_elements(module) == want_iso
+    assert df.isotropic_elements(module) == want_iso
+    assert module.value_table == want
+    assert module.fingerprint == tuple(sorted(want))
+
+
+def assert_isomorphism_witnesses(pairs):
+    """Each pair asked twice on the same module objects, against the oracle
+    on freshly built equal modules."""
+    for m1, m2 in pairs:
+        want = discform_oracle.are_isomorphic(fresh_copy(m1), fresh_copy(m2))
+        assert df.are_isomorphic(m1, m2) == want
+        assert df.are_isomorphic(m1, m2) == want
 
 
 class TestFromLattice:
@@ -619,8 +639,7 @@ class TestAgainstFractionOracle:
         pairs = ((other, module), (module, df.negate(module)), (module, represented),
                  (half, quarter), (hand, hand_represented), (hand_represented, hand),
                  (hand, df.negate(hand)), (hand, random_handbuilt_module(rng)))
-        for m1, m2 in pairs:
-            assert df.are_isomorphic(m1, m2) == discform_oracle.are_isomorphic(m1, m2)
+        assert_isomorphism_witnesses(pairs)
 
     def test_isomorphism_witness_of_mixed_orders(self):
         # Z/3 + Z/12 + Z/2 + Z/4 on another generating set, its negative,
@@ -635,8 +654,7 @@ class TestAgainstFractionOracle:
                  (mixed, moved))
         witnesses = [df.are_isomorphic(m1, m2) for m1, m2 in pairs]
         assert witnesses[0] is not None and witnesses[3] is None
-        for (m1, m2), witness in zip(pairs, witnesses):
-            assert witness == discform_oracle.are_isomorphic(m1, m2)
+        assert_isomorphism_witnesses(pairs)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6))
@@ -654,7 +672,7 @@ class TestAgainstFractionOracle:
 
     def test_value_table_trivial_and_mixed_orders(self):
         trivial = df.FiniteQuadraticModule((), 1, (), ())
-        assert df._value_table(trivial) == [(1, 0)]
+        assert trivial.value_table == ((1, 0),)
         assert df.isotropic_elements(trivial) == []
         assert_value_table(trivial)
         mixed = mixed_orders_module()
@@ -775,6 +793,29 @@ class TestNegateAndSum:
         assert (m1.level, m2.level, s.level) == (4, 2, 4)
         assert s.q_diag == m1.q_diag + m2.q_diag
         assert s.b_mat[1][2] == m2.b_mat[0][1] == F(1, 2)
+
+
+class TestStoredTable:
+    def test_built_lazily(self):
+        # order 2^40: building the table at construction would not finish
+        n = 1 << 20
+        big = df.from_lattice(Lattice(IntMat.from_rows([[0, n], [n, 0]])))
+        assert big.orders == (n, n)
+        modules = (big, df.negate(big), df.direct_sum(big, df.negate(big)))
+        with pytest.raises(df.GuardExceeded):
+            df.are_isomorphic(big, modules[1])
+        for module in modules:
+            assert "value_table" not in vars(module)
+            assert "fingerprint" not in vars(module)
+
+    def test_invisible_to_equality_hash_and_repr(self, a_q):
+        built, unbuilt = fresh_copy(a_q), fresh_copy(a_q)
+        assert df.are_isomorphic(built, a_q) is not None
+        assert {"value_table", "fingerprint"} <= vars(built).keys()
+        assert "value_table" not in vars(unbuilt)
+        assert built == unbuilt
+        assert hash(built) == hash(unbuilt)
+        assert repr(built) == repr(unbuilt)
 
 
 class TestLatticeBackReference:
