@@ -66,7 +66,7 @@ from .curves import (
     quotient_by_involution,
     triple_double_tower,
 )
-from .ratfun import INFINITY, Poly, RatFun, mobius_images
+from .ratfun import mobius_images
 from .reconstruct import Reconstruction24, reconstruct_24, reconstruct_xprime
 from .verify import VerificationReport, run_all
 
@@ -85,7 +85,7 @@ __all__ = [
     "EvenFourCertificate", "double_cover_pullback", "quotient_by_involution",
     "find_even_four_certificate", "present", "hexagon_config",
     "triple_double_tower",
-    "Poly", "RatFun", "INFINITY", "mobius_images",
+    "mobius_images",
     "Reconstruction24", "reconstruct_24", "reconstruct_xprime",
     "VerificationReport", "run_all",
 ]

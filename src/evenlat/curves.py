@@ -229,7 +229,10 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
     ids, k from 0 to its point count (one less on a forest pair), so there
     are prod (choices of k) options, in ascending lexicographic order of
     the counts.  Every pair of tracked curves must list one shared point id
-    per intersection, all distinct, or ``ValueError`` is raised.
+    per intersection, all distinct, or ``ValueError`` is raised.  So is a
+    branch or marked point id listed twice on one curve: a point listed
+    twice in the branch points is a tangency to the branch divisor, not two
+    ramification points.
     """
     tracked_branch = step.branch & set(config.labels)
     if tracked_branch:
@@ -248,6 +251,10 @@ def double_cover_pullback(config: CurveConfig, step: CoverStep) -> PullbackResul
             raise ValueError(f"{a}.{b} = {mult[i][j]} but {len(ids)} shared point ids are listed")
         if len(set(ids)) != len(ids):
             raise ValueError(f"{a}.{b} lists a shared point id twice: {list(ids)}")
+    for kind, points in (("branch", step.branch_points), ("marked", step.marked_points)):
+        for lab, ids in points.items():
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"{lab} lists a {kind} point id twice: {list(ids)}")
     kcount = {}
     for lab in config.labels:
         pts = step.branch_points.get(lab, ())

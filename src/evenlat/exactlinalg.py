@@ -71,19 +71,6 @@ class IntMat:
             raise ValueError("dimension mismatch in product")
         return IntMat(tuple(map(tuple, _dots(self.entries, tuple(zip(*other.entries))))))
 
-    def __add__(self, other: IntMat) -> IntMat:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in sum")
-        return IntMat(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
-
-    def __neg__(self) -> IntMat:
-        return self.scale(-1)
-
     def scale(self, m: int) -> IntMat:
         return IntMat(tuple(tuple(m * e for e in row) for row in self.entries))
 
@@ -93,9 +80,6 @@ class IntMat:
             for i in range(self.rows)
             for j in range(i + 1, self.cols)
         )
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for row in self.entries for e in row)
 
     def to_rational(self) -> RatMat:
         return RatMat(self.entries)

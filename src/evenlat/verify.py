@@ -26,7 +26,7 @@ from . import refdata as rd
 from .curves import find_even_four_certificate, half_sum, present, triple_double_tower
 from .exactlinalg import IntMat, _dots, snf, snf_rational
 from .lattice import Lattice, norm_gcd, parse_lattice_expr, scale_gcd, sublattice
-from .ratfun import INFINITY, Poly, RatFun, mobius_images
+from .ratfun import mobius_images, render
 from .reconstruct import ENTRY_BOUND, Reconstruction24, config_24, reconstruct_24, reconstruct_xprime, q_gram_of
 
 AXIOM_NOTE = "even-set rejection rule (no even set of size four) used as a trusted geometric axiom"
@@ -347,38 +347,14 @@ def verify_prop_4_4(aq) -> Entry:
 
 
 def verify_thm_4_5_mobius() -> Entry:
-    sigma = RatFun.var()
-    one = RatFun.const(1)
-    prefactor = (sigma + sigma * sigma * sigma) / RatFun.const(2)
-    abcd = (one, -sigma, sigma, -one)
-    points = [sigma, -sigma, -(one / sigma), one / sigma]
-    images = mobius_images(prefactor, abcd, points)
-    return _judge("thm_4_5_mobius", {"images": tuple(_ratfun_str(v) for v in images)})
-
-
-def _ratfun_str(v) -> str:
-    if v is INFINITY:
-        return "INFINITY"
-
-    def poly_str(p: Poly) -> str:
-        if p.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(p.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*s" if c != 1 else "s")
-            else:
-                parts.append(f"{c}*s^{i}" if c != 1 else f"s^{i}")
-        return " + ".join(parts)
-
-    num = poly_str(v.num)
-    if v.den == Poly.of(1):
-        return num
-    return f"({num})/({poly_str(v.den)})"
+    # z -> (s + s^3)/2 * (z - s)/(s*z - 1) at the branch points s, -s, -1/s, 1/s
+    s, one = (0, 1), (1,)
+    images = mobius_images(
+        ((0, 1, 0, 1), (2,)),
+        (one, (0, -1), s, (-1,)),
+        [(s, one), ((0, -1), one), ((-1,), s), (one, s)],
+    )
+    return _judge("thm_4_5_mobius", {"images": tuple(map(render, images))})
 
 
 def _embedding_entry(result_id: str, ambient_expr: str, gen_rows) -> Entry:

@@ -24,7 +24,7 @@ from evenlat.lattice import (
     scale_gcd,
     sublattice,
 )
-from evenlat.ratfun import INFINITY, RatFun, mobius_images
+from evenlat.ratfun import mobius_images
 from evenlat.reconstruct import q_gram_of, relations_hold
 from reconstruct_oracle import m_solution
 from test_exactlinalg import hnf_against_oracle
@@ -121,15 +121,17 @@ def test_criterion_05_transcendental_lattice_of_x(gram24):
 
 
 def test_criterion_06_mobius_images():
-    s = RatFun.var()
-    one = RatFun.const(1)
-    prefactor = (s + s * s * s) / RatFun.const(2)
-    images = mobius_images(prefactor, (one, -s, s, -one), [s, -s, -(one / s), one / s])
-    s2 = s * s
-    assert images[0] == RatFun.const(0)
-    assert images[1] == s2
-    assert images[2] == ((one + s2) * (one + s2)) / RatFun.const(4)
-    assert images[3] is INFINITY
+    # z -> (s + s^3)/2 * (z - s)/(s*z - 1) at s, -s, -1/s, 1/s; a point is (u, v) = u/v
+    s, one = (0, 1), (1,)
+    images = mobius_images(
+        ((0, 1, 0, 1), (2,)), (one, (0, -1), s, (-1,)),
+        [(s, one), ((0, -1), one), ((-1,), s), (one, s)],
+    )
+    assert images[0] == ((), one)
+    assert images[1] == ((0, 0, 1), one)
+    # (1 + s^2)^2/4
+    assert images[2] == (tuple(Fraction(c, 4) for c in (1, 0, 2, 0, 1)), one)
+    assert images[3] == (one, ())
     report(6, "branch points map exactly to 0, s^2, (1+s^2)^2/4, infinity")
 
 

@@ -337,6 +337,22 @@ class TestConfigCommands:
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and "a.b lists a shared point id twice" in err
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ({"branch_points": {"a": ["x", "x"]}}, "a lists a branch point id twice"),
+            ({"marked_points": {"b": ["m", "m"]}}, "b lists a marked point id twice"),
+        ],
+    )
+    def test_pullback_repeated_branch_or_marked_id_exits_3(self, capsys, tmp_path, points, message):
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(CFG_AB, mult=[])))
+        (tmp_path / "step.json").write_text(json.dumps({"branch": ["l0"], **points}))
+        code, out, err = run_cli(
+            capsys, "config", "pullback", str(tmp_path / "cfg.json"), str(tmp_path / "step.json")
+        )
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and message in err
+
     def test_pullback(self, capsys, tmp_path):
         cfg = {
             "schema": 1,
@@ -786,8 +802,9 @@ def _quotient_want(self_int, mult, perm) -> int:
 def _pullback_want(labels, mult, branch, branch_points, shared, marked) -> int:
     """3 when a precondition of the pullback breaks: a tracked curve in the
     branch, points on an untracked curve, a shared-point count other than
-    the multiplicity or a repeated id, a branch-point count other than 0 or
-    2, or two preimages with one label."""
+    the multiplicity or a repeated id, a branch or marked point id repeated
+    on one curve, a branch-point count other than 0 or 2, or two preimages
+    with one label."""
     named = set(branch_points) | set(marked) | {lab for pair in shared for lab in pair}
     if set(branch) & set(labels) or named - set(labels):
         return 3
@@ -795,6 +812,8 @@ def _pullback_want(labels, mult, branch, branch_points, shared, marked) -> int:
         ids = shared.get(frozenset((labels[i], labels[j])), [])
         if len(ids) != mult[frozenset((i, j))] or len(set(ids)) != len(ids):
             return 3
+    if any(len(set(ids)) != len(ids) for ids in [*branch_points.values(), *marked.values()]):
+        return 3
     if any(len(branch_points.get(lab, ())) not in (0, 2) for lab in labels):
         return 3
     preimages = [
@@ -907,7 +926,8 @@ def test_configuration_documents_fail_closed(config_paths, operation, target, da
         marked = {lab: ["m"] for lab in draw(st.lists(st.sampled_from(labels), unique=True))}
         some = draw(st.sampled_from(sorted(shared, key=sorted))) if shared else None
         change = draw(st.sampled_from((None,) * 6 + (
-            "branch", "count", "repeat", "odd", "four", "shared on z", "marked on z", "points on z",
+            "branch", "count", "repeat", "repeat on a curve", "odd", "four", "shared on z",
+            "marked on z", "points on z",
         )))
         if change == "branch":
             branch = branch + [first]
@@ -915,6 +935,8 @@ def test_configuration_documents_fail_closed(config_paths, operation, target, da
             shared[some] = shared[some][1:] or ["q"]
         elif change == "repeat" and some and shared[some]:
             shared[some] = shared[some] + shared[some][:1]
+        elif change == "repeat on a curve":
+            draw(st.sampled_from((branch_points, marked)))[first] = ["y", "y"]
         elif change in ("odd", "four"):
             branch_points[first] = [f"y{k}" for k in range(1 if change == "odd" else 4)]
         elif change == "shared on z":

@@ -148,6 +148,21 @@ class TestPullback:
         with pytest.raises(ValueError, match=r"a.b lists a shared point id twice: \['p', 'p'\]"):
             double_cover_pullback(cfg, step)
 
+    @pytest.mark.parametrize("kind", ["branch", "marked"])
+    def test_repeated_branch_or_marked_point_id_rejected(self, kind):
+        # one point listed twice on the branch is a tangency, not two
+        # ramification points; a marked point twice would label two
+        # preimages alike
+        points = {"c": ("x", "x")}
+        step = CoverStep(
+            frozenset({"l0"}),
+            points if kind == "branch" else {},
+            {},
+            points if kind == "marked" else {},
+        )
+        with pytest.raises(ValueError, match=rf"c lists a {kind} point id twice: \['x', 'x'\]"):
+            double_cover_pullback(single_curve(-1), step)
+
     def test_odd_branch_count_rejected(self):
         cfg = single_curve(-1)
         step = CoverStep(frozenset({"l0"}), {"c": ("x",)}, {})
