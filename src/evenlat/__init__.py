@@ -50,8 +50,6 @@ from .discform import (
     nikulin_unique,
     overlattice,
     q_value,
-    splits_E8,
-    splits_U,
     two_elem_invariants,
 )
 from .curves import (
@@ -76,8 +74,7 @@ __all__ = [
     "Lattice", "DualVector", "SublatticeData", "make_named",
     "parse_lattice_expr", "direct_sum", "rescale", "discriminant_group",
     "sublattice", "saturation", "orthogonal_complement", "is_primitive",
-    "scale_gcd", "norm_gcd", "nikulin_unique",
-    "splits_E8", "splits_U", "two_elem_invariants",
+    "scale_gcd", "norm_gcd", "nikulin_unique", "two_elem_invariants",
     "FiniteQuadraticModule", "IsotropicSubgroup", "from_lattice", "q_value",
     "b_value", "isotropic_elements", "isotropic_subgroups", "overlattice",
     "are_isomorphic", "negate",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .exactlinalg import IntMat, RatMat, bilinear_table, kernel_saturated, rational_product, snf
+from .exactlinalg import IntMat, RatMat, bilinear_table, hnf, rational_product
 from .lattice import Lattice
 
 
@@ -144,27 +144,25 @@ class CurvePresentation:
 
 
 def present(config: CurveConfig) -> CurvePresentation:
-    """Quotient the curve span by the radical of its intersection matrix."""
+    """Quotient the curve span by the radical of its intersection matrix.
+
+    One Hermite form U*[G | I] = [U*G | U] holds everything (Cohen, 2.4):
+    its rows with a zero U*G part span the radical, and the r rows above
+    them complete those to a basis of Z^n, so their images are a basis of
+    the quotient, with Gram (U*G)[:r] * U[:r]^T.  A curve combination
+    v = x*U has coordinates x[:r] there: ``member`` is the first r columns
+    of U^-1.  Without a radical, the presentation is G on the curves.
+    """
     g = config.gram
-    ker = kernel_saturated(g)
     n = g.rows
-    if not ker:
+    h = hnf(IntMat.from_rows(row + e for row, e in zip(g.entries, IntMat.identity(n).entries)))
+    r = sum(1 for row in h.entries if any(row[:n]))
+    if r == n:
         return CurvePresentation(config, Lattice(g), IntMat.identity(n))
-    k = len(ker)
-    kmat = IntMat.from_rows(ker)
-    _, _, t = snf(kmat)
-    # rows of T^-1: the first k span the radical; v |-> (v*T)[k:] projects
-    tinv = t.inverse().to_integer()
-    proj_cols = [[t.entries[i][j] for j in range(k, n)] for i in range(n)]
-    proj = IntMat.from_rows(proj_cols)
-    full = tinv * g * tinv.transpose()
-    induced = IntMat.from_rows(
-        [[full.entries[i][j] for j in range(k, n)] for i in range(k, n)]
-    )
-    for i in range(k):
-        if any(full.entries[i][j] != 0 for j in range(n)):
-            raise AssertionError("radical reduction failed")
-    return CurvePresentation(config, Lattice(induced), proj)
+    u = h.submatrix(range(n), range(n, 2 * n))
+    gram = h.submatrix(range(r), range(n)) * u.submatrix(range(r), range(n)).transpose()
+    member = u.inverse().to_integer().submatrix(range(n), range(r))
+    return CurvePresentation(config, Lattice(gram), member)
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,7 @@ def class_of_pairings(module: FiniteQuadraticModule, row) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# uniqueness and splitting predicates for even lattices (Nikulin 1979)
+# genus predicates for even lattices (Nikulin 1979)
 #
 # Each reads the signature of the source lattice and l(A_L), the minimum
 # number of generators of A_L, which is ngens: the orders are the invariant
@@ -252,16 +252,6 @@ def nikulin_unique(module: FiniteQuadraticModule) -> bool:
     """Even indefinite L with rank >= 2 + l(A_L) is unique in its genus."""
     t_plus, t_minus = _source_signature(module)
     return t_plus >= 1 and t_minus >= 1 and t_plus + t_minus >= 2 + module.ngens
-
-
-def splits_E8(module: FiniteQuadraticModule) -> bool:
-    t_plus, t_minus = _source_signature(module)
-    return t_plus >= 1 and t_minus >= 8 and t_plus + t_minus >= 9 + module.ngens
-
-
-def splits_U(module: FiniteQuadraticModule) -> bool:
-    t_plus, t_minus = _source_signature(module)
-    return t_plus >= 1 and t_minus >= 1 and t_plus + t_minus >= 3 + module.ngens
 
 
 def two_elem_invariants(module: FiniteQuadraticModule) -> tuple[tuple[int, int], int, int] | None:

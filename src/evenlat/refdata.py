@@ -1,10 +1,20 @@
-"""Published target values for the verification harness.
+"""Published values from the paper, for the search and the harness.
 
-Everything in this module is data being *checked*, never data the
-algorithms depend on: Gram matrices, dual-vector coordinates, isotropic
-class lists, curve relations, and involution actions for the rank-16
+The data covers Gram matrices, dual-vector coordinates, isotropic class
+lists, curve relations, and involution actions for the rank-16
 Neron-Severi lattices of the triple-double K3 surface X and its symplectic
 quotient X'.  Curve indices are 0-based throughout (R1 -> 0, C1 -> 0).
+
+Some of it drives the reconstruction, as the structure the paper states:
+the 24-curve search in ``reconstruct_24`` is built from ``GROUPS_24``, the
+three ``IOTA_*`` involutions, ``FIBER_CURVES`` and ``SECTION`` (tier 1),
+``Q_BASIS`` and ``Q_GRAM`` (tier 2) and ``RELATION_FAMILIES_24`` (tier 3),
+and ``reconstruct_xprime`` builds X' from ``IOTA_011``, ``xprime_labels``,
+the half-sum supports ``N_SUPPORT`` and ``LAMBDA*_SUPPORT`` and the
+printed basis ``M_BASIS_CURVES``.  The rest is only compared against what
+the program computes: ``reconstruct_xprime`` checks ``QUOTIENT_ORBITS``
+and ``XPRIME_RELATIONS`` (whose relation-only incidence system it also
+reports on), and the verification harness reads everything else.
 """
 
 from __future__ import annotations

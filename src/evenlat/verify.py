@@ -144,10 +144,7 @@ def reconstruction_entry(rec: Reconstruction24) -> Entry:
 def verify_lemma_3_1(gram24: IntMat) -> Entry:
     s = gram24.submatrix(rd.S_BASIS, rd.S_BASIS)
     s_lat = Lattice(s, "S")
-    srows = IntMat.from_rows(
-        [[1 if k == i else 0 for k in range(24)] for i in rd.S_BASIS]
-    )
-    cross = srows * gram24 * rd.Q_BASIS.transpose()
+    cross = gram24.submatrix(rd.S_BASIS, range(24)) * rd.Q_BASIS.transpose()
     qg = q_gram_of(gram24)
     witnesses = {
         "S_det": s_lat.det,
@@ -243,8 +240,8 @@ def verify_thm_4_3(gram24: IntMat) -> Entry:
     lat = pres.lattice
     witnesses = {"curve_lattice_det": lat.det, "curve_lattice_signature": lat.signature}
     # the distinguished 16 vectors form a basis of the curve lattice
-    rows = [[1 if k == i else 0 for k in range(24)] for i in rd.S_BASIS]
-    pmat = IntMat.from_rows(rows).stack(rd.Q_BASIS) * pres.member
+    member = pres.member
+    pmat = member.submatrix(rd.S_BASIS, range(member.cols)).stack(rd.Q_BASIS * member)
     witnesses["s_plus_q_index"] = abs(pmat.det())
     module = df.from_lattice(lat)
     subgroups = df.isotropic_subgroups(module)

@@ -227,22 +227,6 @@ def nikulin_unique(lattice):
     return t_plus + t_minus >= 2 + min_generators(lattice)
 
 
-def splits_E8(lattice):
-    _require_even(lattice)
-    t_plus, t_minus, t_zero = lattice.signature
-    if t_zero:
-        return False
-    return t_plus >= 1 and t_minus >= 8 and t_plus + t_minus >= 9 + min_generators(lattice)
-
-
-def splits_U(lattice):
-    _require_even(lattice)
-    t_plus, t_minus, t_zero = lattice.signature
-    if t_zero:
-        return False
-    return t_plus >= 1 and t_minus >= 1 and t_plus + t_minus >= 3 + min_generators(lattice)
-
-
 def two_elem_invariants(lattice):
     """(signature, l, delta) for a 2-elementary even lattice, else None;
     delta = 1 iff some generator lift has a non-integral norm."""

@@ -799,35 +799,97 @@ def _quotient_want(self_int, mult, perm) -> int:
     return 3 if any(perm[i] == i for i in range(n)) else 0
 
 
-def _pullback_want(labels, mult, branch, branch_points, shared, marked) -> int:
-    """3 when a precondition of the pullback breaks: a tracked curve in the
-    branch, points on an untracked curve, a shared-point count other than
-    the multiplicity or a repeated id, a branch or marked point id repeated
-    on one curve, a branch-point count other than 0 or 2, or two preimages
-    with one label."""
-    named = set(branch_points) | set(marked) | {lab for pair in shared for lab in pair}
-    if set(branch) & set(labels) or named - set(labels):
-        return 3
+def _pullback_broken(labels, mult, step) -> set[str]:
+    """The preconditions of the pullback that a cover step breaks, by name:
+    "branch", a tracked curve in the branch; "untracked", points on an
+    untracked curve; "count", a shared-point count other than the
+    multiplicity; "repeat", a shared id repeated within a pair; "repeat on
+    a curve", a branch or marked point id repeated on one curve; "branch
+    count", a branch-point count other than 0 or 2; "collision", two
+    preimages with one label.  The step holds the lists and maps "branch",
+    "branch_points", "shared" and "marked"."""
+    branch_points, shared, marked = step["branch_points"], step["shared"], step["marked"]
+    broken = set()
+    if set(step["branch"]) & set(labels):
+        broken.add("branch")
+    if (set(branch_points) | set(marked) | {lab for pair in shared for lab in pair}) - set(labels):
+        broken.add("untracked")
     for i, j in itertools.combinations(range(len(labels)), 2):
         ids = shared.get(frozenset((labels[i], labels[j])), [])
-        if len(ids) != mult[frozenset((i, j))] or len(set(ids)) != len(ids):
-            return 3
+        if len(ids) != mult[frozenset((i, j))]:
+            broken.add("count")
+        if len(set(ids)) != len(ids):
+            broken.add("repeat")
     if any(len(set(ids)) != len(ids) for ids in [*branch_points.values(), *marked.values()]):
-        return 3
+        broken.add("repeat on a curve")
     if any(len(branch_points.get(lab, ())) not in (0, 2) for lab in labels):
-        return 3
+        broken.add("branch count")
     preimages = [
         copy
         for lab in labels
         for copy in ((lab,) if lab in branch_points else (lab + "a", lab + "b"))
     ]
-    return 3 if len(set(preimages)) != len(preimages) else 0
+    if len(set(preimages)) != len(preimages):
+        broken.add("collision")
+    return broken
+
+
+# each change to a cover step, and the precondition it breaks on a step
+# that breaks none: the change edits the first curve and the pair "some"
+_PULLBACK_CHANGES = {
+    "branch": "branch",
+    "count": "count",
+    "repeat": "repeat",
+    "repeat a branch id": "repeat on a curve",
+    "repeat a marked id": "repeat on a curve",
+    "odd": "branch count",
+    "four": "branch count",
+    "shared on z": "untracked",
+    "marked on z": "untracked",
+    "points on z": "untracked",
+}
+
+
+def _change_step(change, step, first, some) -> None:
+    """Apply one of ``_PULLBACK_CHANGES`` to a cover step, in place.  A
+    change that needs a shared pair does nothing without one; "repeat"
+    makes the last id of the pair a copy of the first, or appends a copy
+    when the pair has only one."""
+    shared = step["shared"]
+    if change == "branch":
+        step["branch"] = step["branch"] + [first]
+    elif change == "count" and some:
+        shared[some] = shared[some][1:] or ["q"]
+    elif change == "repeat" and some and shared[some]:
+        ids = shared[some]
+        shared[some] = ids[:-1] + ids[:1] if len(ids) > 1 else ids + ids
+    elif change == "repeat a branch id":
+        step["branch_points"][first] = ["y", "y"]
+    elif change == "repeat a marked id":
+        step["marked"][first] = ["y", "y"]
+    elif change in ("odd", "four"):
+        step["branch_points"][first] = [f"y{k}" for k in range(1 if change == "odd" else 4)]
+    elif change == "shared on z":
+        shared[frozenset((first, "z"))] = []
+    elif change == "marked on z":
+        step["marked"]["z"] = ["m"]
+    elif change == "points on z":
+        step["branch_points"]["z"] = ["zx0", "zx1"]
 
 
 def _maybe(draw, doc: dict, key: str, value) -> None:
     """Set an optional field, or sometimes leave it out when it is empty."""
     if value or draw(st.booleans()):
         doc[key] = value
+
+
+def _step_doc(draw, step) -> dict:
+    """The cover-step document of a step, with empty optional fields sometimes left out."""
+    doc = {"branch": step["branch"]}
+    _maybe(draw, doc, "branch_points", step["branch_points"])
+    _maybe(draw, doc, "shared_points", [[*sorted(p), v] for p, v in step["shared"].items()])
+    _maybe(draw, doc, "marked_points", step["marked"])
+    return doc
 
 
 def _document_mutations(target: str, operation: str, labels) -> dict:
@@ -882,6 +944,31 @@ def _document_mutations(target: str, operation: str, labels) -> dict:
     return mutations
 
 
+def _mutate(docs, target, field, how, bad, first) -> None:
+    """Apply a mutation of ``_document_mutations`` with one of its bad values
+    to the document named target, in place."""
+    doc = docs[target]
+    if how == "set" and field is None:
+        docs[target] = bad
+    elif how == "set":
+        doc[field] = bad
+    elif how == "delete":
+        del doc[field]
+    elif how == "append":
+        doc[field] = doc.get(field, []) + [bad]
+    elif how == "key":
+        doc[field] = dict(doc.get(field, {}), **{first: bad})
+
+
+def _assert_config_exit(config_paths, operation, docs, want, truncated=None) -> None:
+    """Write the configuration and data documents, the one named truncated cut
+    short, and check the exit code of config quotient or pullback on them."""
+    for (name, doc), path in zip(docs.items(), config_paths):
+        with open(path, "w") as fh:
+            fh.write(_json_text(doc, name == truncated))
+    _assert_exit(["config", operation, *config_paths], want)
+
+
 @pytest.mark.parametrize("operation", ["quotient", "pullback"])
 @pytest.mark.parametrize("target", ["config", "data"])
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -915,41 +1002,25 @@ def test_configuration_documents_fail_closed(config_paths, operation, target, da
         want = _quotient_want(self_int, mult, perm)
         data_doc = {"perm": perm}
     else:
-        branch = ["l0", "l1"][:draw(st.integers(0, 2))]
-        branch_points = {lab: [f"{lab}x0", f"{lab}x1"] for lab in labels if draw(st.booleans())}
         ids = (f"p{k}" for k in itertools.count())
-        shared = {
-            frozenset(labels[i] for i in p): [next(ids) for _ in range(m)]
-            for p, m in mult.items()
-            if m or draw(st.booleans())
+        step = {
+            "branch": ["l0", "l1"][:draw(st.integers(0, 2))],
+            "branch_points": {
+                lab: [f"{lab}x0", f"{lab}x1"] for lab in labels if draw(st.booleans())
+            },
+            "shared": {
+                frozenset(labels[i] for i in p): [next(ids) for _ in range(m)]
+                for p, m in mult.items()
+                if m or draw(st.booleans())
+            },
+            "marked": {lab: ["m"] for lab in draw(st.lists(st.sampled_from(labels), unique=True))},
         }
-        marked = {lab: ["m"] for lab in draw(st.lists(st.sampled_from(labels), unique=True))}
+        shared = step["shared"]
         some = draw(st.sampled_from(sorted(shared, key=sorted))) if shared else None
-        change = draw(st.sampled_from((None,) * 6 + (
-            "branch", "count", "repeat", "repeat on a curve", "odd", "four", "shared on z",
-            "marked on z", "points on z",
-        )))
-        if change == "branch":
-            branch = branch + [first]
-        elif change == "count" and some:
-            shared[some] = shared[some][1:] or ["q"]
-        elif change == "repeat" and some and shared[some]:
-            shared[some] = shared[some] + shared[some][:1]
-        elif change == "repeat on a curve":
-            draw(st.sampled_from((branch_points, marked)))[first] = ["y", "y"]
-        elif change in ("odd", "four"):
-            branch_points[first] = [f"y{k}" for k in range(1 if change == "odd" else 4)]
-        elif change == "shared on z":
-            shared[frozenset((first, "z"))] = []
-        elif change == "marked on z":
-            marked["z"] = ["m"]
-        elif change == "points on z":
-            branch_points["z"] = ["zx0", "zx1"]
-        want = _pullback_want(labels, mult, branch, branch_points, shared, marked)
-        data_doc = {"branch": branch}
-        _maybe(draw, data_doc, "branch_points", branch_points)
-        _maybe(draw, data_doc, "shared_points", [[*sorted(p), v] for p, v in shared.items()])
-        _maybe(draw, data_doc, "marked_points", marked)
+        change = draw(st.sampled_from((None,) * 6 + tuple(_PULLBACK_CHANGES)))
+        _change_step(change, step, first, some)
+        want = 3 if _pullback_broken(labels, mult, step) else 0
+        data_doc = _step_doc(draw, step)
     config = {"curves": [{"label": lab, "self": s} for lab, s in zip(labels, self_int)]}
     _maybe(draw, config, "mult", [
         [*(labels[i] for i in sorted(p)), m] for p, m in mult.items() if m
@@ -962,19 +1033,78 @@ def test_configuration_documents_fail_closed(config_paths, operation, target, da
     if mutation is not None:
         want = 2
         field, how, values = _document_mutations(target, operation, labels)[mutation]
-        bad = draw(st.sampled_from(values))
-        doc = docs[target]
-        if how == "set" and field is None:
-            docs[target] = bad
-        elif how == "set":
-            doc[field] = bad
-        elif how == "delete":
-            del doc[field]
-        elif how == "append":
-            doc[field] = doc.get(field, []) + [bad]
-        elif how == "key":
-            doc[field] = dict(doc.get(field, {}), **{first: bad})
-    for (name, doc), path in zip(docs.items(), config_paths):
-        with open(path, "w") as fh:
-            fh.write(_json_text(doc, mutation == "truncate" and name == target))
-    _assert_exit(["config", operation, *config_paths], want)
+        _mutate(docs, target, field, how, draw(st.sampled_from(values)), first)
+    truncated = target if mutation == "truncate" else None
+    _assert_config_exit(config_paths, operation, docs, want, truncated)
+
+
+# A valid configuration on which both operations succeed: iota swaps a
+# with b and c with d, and the cover ramifies a and splits the rest, so
+# no preimage label collides
+_BASE_LABELS = ("a", "b", "c", "d")
+_BASE_MULT = {
+    frozenset(p): 2 if p in ((0, 2), (1, 3)) else 0 for p in itertools.combinations(range(4), 2)
+}
+
+
+def _base_step() -> dict:
+    return {
+        "branch": ["l0"],
+        "branch_points": {"a": ["ax0", "ax1"]},
+        "shared": {frozenset(("a", "c")): ["p0", "p1"], frozenset(("b", "d")): ["p2", "p3"]},
+        "marked": {"b": ["m"]},
+    }
+
+
+def _keep(_strategy) -> bool:
+    """A draw for ``_maybe`` that keeps every optional field."""
+    return True
+
+
+def _base_documents(operation: str, step=None) -> dict:
+    """The valid documents, with the given cover step in place of the valid one."""
+    config = {
+        "schema": 1,
+        "curves": [{"label": lab, "self": -2} for lab in _BASE_LABELS],
+        "mult": [["a", "c", 2], ["b", "d", 2]],
+    }
+    if operation == "quotient":
+        data = {"schema": 1, "perm": [1, 0, 3, 2]}
+    else:
+        data = {"schema": 1, **_step_doc(_keep, step or _base_step())}
+    return {"config": config, "data": data}
+
+
+@pytest.mark.parametrize("operation", ["quotient", "pullback"])
+def test_base_documents_are_valid(config_paths, operation):
+    assert not _pullback_broken(_BASE_LABELS, _BASE_MULT, _base_step())
+    _assert_config_exit(config_paths, operation, _base_documents(operation), 0)
+
+
+@pytest.mark.parametrize(
+    ("operation", "target", "mutation"),
+    [
+        (operation, target, mutation)
+        for operation in ("quotient", "pullback")
+        for target in ("config", "data")
+        for mutation in _document_mutations(target, operation, _BASE_LABELS)
+    ],
+)
+def test_each_bad_value_exits_2(config_paths, operation, target, mutation):
+    """Every bad value of every document mutation, each on its own in an
+    otherwise valid pair of documents, exits 2."""
+    field, how, values = _document_mutations(target, operation, _BASE_LABELS)[mutation]
+    for bad in values:
+        docs = _base_documents(operation)
+        _mutate(docs, target, field, how, bad, _BASE_LABELS[0])
+        truncated = target if mutation == "truncate" else None
+        _assert_config_exit(config_paths, operation, docs, 2, truncated)
+
+
+@pytest.mark.parametrize("change", sorted(_PULLBACK_CHANGES))
+def test_each_pullback_change_breaks_one_rule(config_paths, change):
+    """Each change to the valid cover step breaks exactly its precondition and exits 3."""
+    step = _base_step()
+    _change_step(change, step, _BASE_LABELS[0], frozenset(("a", "c")))
+    assert _pullback_broken(_BASE_LABELS, _BASE_MULT, step) == {_PULLBACK_CHANGES[change]}
+    _assert_config_exit(config_paths, "pullback", _base_documents("pullback", step), 3)

@@ -20,7 +20,7 @@ from evenlat.curves import (
     quotient_by_involution,
     triple_double_tower,
 )
-from evenlat.exactlinalg import IntMat
+from evenlat.exactlinalg import IntMat, kernel_saturated, snf
 from evenlat.lattice import discriminant_group
 
 F = Fraction
@@ -590,3 +590,52 @@ class TestRebase:
         with pytest.raises(ValueError, match="Gram is not integral"):
             pres.rebase([(1, 0), (F(1, 2), F(1, 2))])
 
+
+
+def random_degenerate_config(rng):
+    """Curves with dependent ones: k base curves with a random Gram, then up
+    to four curves that repeat a nonnegative combination of base curves,
+    in shuffled order.  A combination that would give two curves a negative
+    multiplicity is left out.  The first base curve has a nonzero square:
+    a zero Gram presents no lattice."""
+    k = rng.randint(1, 6)
+    base = [[rng.choice((-2, -1, 0, 1, 2)) if i == j else 0 for j in range(k)] for i in range(k)]
+    base[0][0] = rng.choice((-2, -1, 1, 2))
+    for i, j in itertools.combinations(range(k), 2):
+        base[i][j] = base[j][i] = rng.choice((0, 0, 1, 2))
+    combos = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(rng.randint(1, 4)):
+        for _ in range(20):
+            a = [rng.randint(0, 2) for _ in range(k)]
+            trial = combos + [a]
+            g = oracle.matmul(oracle.matmul(trial, base), tuple(zip(*trial)))
+            if any(a) and all(g[-1][j] >= 0 for j in range(len(combos))):
+                combos = trial
+                break
+    rng.shuffle(combos)
+    g = oracle.matmul(oracle.matmul(combos, base), tuple(zip(*combos)))
+    labels = tuple(f"c{i}" for i in range(len(combos)))
+    return CurveConfig(labels, IntMat.from_rows([[int(e) for e in row] for row in g]))
+
+
+def assert_presents(config):
+    # the plain presentation is onto Z^r, and the curves' Gram pulls back
+    # through it: member is the quotient by the saturated radical
+    pres = present(config)
+    g, member = pres.lattice.gram, pres.member
+    assert member * g * member.transpose() == config.gram
+    assert g.det() != 0
+    assert g.rows == config.size - len(kernel_saturated(config.gram))
+    d, _, _ = snf(member)
+    assert all(d.entries[i][i] == 1 for i in range(member.cols))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_present_is_the_quotient_by_the_radical(seed):
+    assert_presents(random_degenerate_config(random.Random(seed)))
+
+
+def test_present_on_the_24_curves_and_on_xprime(config24, xprime):
+    assert_presents(config24)
+    assert_presents(xprime.config)

@@ -579,7 +579,7 @@ class TestAgainstFractionOracle:
         u = random_unimodular(rng, lat.rank, steps=2 * lat.rank)
         lat = Lattice(u * lat.gram * u.transpose())
         module = df.from_lattice(lat)
-        for name in ("nikulin_unique", "splits_E8", "splits_U", "two_elem_invariants"):
+        for name in ("nikulin_unique", "two_elem_invariants"):
             assert getattr(df, name)(module) == getattr(discform_oracle, name)(lat), name
 
     @settings(max_examples=400, deadline=None, derandomize=True)

@@ -318,12 +318,6 @@ class TestPredicates:
         t = df.from_lattice(parse_lattice_expr("U+U(2)+diag(-4,-4)"))
         assert df.nikulin_unique(t)  # rank 6 >= 2 + 4
 
-    def test_ns_splits(self):
-        ns = direct_sum(make_named("U"), make_named("E8"), Lattice(Q_GRAM, "Q"))
-        assert df.splits_E8(df.from_lattice(ns))
-        remainder = direct_sum(make_named("U"), Lattice(Q_GRAM, "Q"))
-        assert df.splits_U(df.from_lattice(remainder))
-
     def test_two_elementary_u2(self):
         assert df.two_elem_invariants(df.from_lattice(make_named("U(2)"))) == ((1, 1), 2, 0)
 
@@ -338,7 +332,7 @@ class TestPredicates:
     def test_module_without_lattice_rejected(self):
         # the predicates read the signature off the source lattice
         module = df.negate(df.from_lattice(make_named("U(2)")))
-        for predicate in (df.nikulin_unique, df.splits_E8, df.splits_U, df.two_elem_invariants):
+        for predicate in (df.nikulin_unique, df.two_elem_invariants):
             with pytest.raises(ValueError):
                 predicate(module)
 

@@ -269,6 +269,11 @@ def test_census_script():
     # one search, so one census line
     assert [line for line in lines if "tier1=" in line] == ["  census: tier1=121536 tier2=2 tier3=1"]
     assert "  hexagon arrangements searched: 18 of 60" in lines
+    # the script's one use of present
+    assert (
+        "  hexagon pullback census: 4 sheet assignments, 1 with the rank-16 determinant -64 shape"
+        in lines
+    )
 
 
 class TestStructure:
