@@ -31,10 +31,6 @@ EXIT_PRECONDITION = 3
 EXIT_GUARD = 4
 
 
-class PreconditionError(ValueError):
-    pass
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a malformed command line as a parse error: exit 2 with one
     stderr line, like every other malformed input."""
@@ -83,7 +79,7 @@ def cmd_snf(args) -> int:
             try:
                 mat = gram.inverse()
             except ValueError:
-                raise PreconditionError("matrix is singular; no inverse to decompose")
+                raise ValueError("matrix is singular; no inverse to decompose")
         d, s, t = snf_rational(mat)
     else:
         d, s, t = snf(gram)
@@ -105,12 +101,7 @@ def cmd_snf(args) -> int:
 
 def cmd_disc(args) -> int:
     gram, name = _load_gram(args.input)
-    lat = Lattice(gram, name)
-    if not lat.is_nondegenerate:
-        raise PreconditionError("lattice is degenerate")
-    if not lat.is_even:
-        raise PreconditionError("discriminant form is defined for even lattices")
-    module = df.from_lattice(lat)
+    module = df.from_lattice(Lattice(gram, name))
     _emit(
         {
             "schema": ser.SCHEMA,
@@ -147,10 +138,7 @@ def _check_enumeration_guard(module: df.FiniteQuadraticModule) -> None:
 
 def cmd_isotropic(args) -> int:
     gram, name = _load_gram(args.input)
-    lat = Lattice(gram, name)
-    if not lat.is_nondegenerate or not lat.is_even:
-        raise PreconditionError("isotropic enumeration needs an even nondegenerate lattice")
-    module = df.from_lattice(lat)
+    module = df.from_lattice(Lattice(gram, name))
     _check_enumeration_guard(module)
     out = {
         "schema": ser.SCHEMA,
@@ -169,8 +157,6 @@ def cmd_isotropic(args) -> int:
 def cmd_overlattices(args) -> int:
     gram, name = _load_gram(args.input)
     lat = Lattice(gram, name)
-    if not lat.is_nondegenerate or not lat.is_even:
-        raise PreconditionError("overlattice enumeration needs an even nondegenerate lattice")
     module = df.from_lattice(lat)
     _check_enumeration_guard(module)
     out = []
@@ -192,8 +178,6 @@ def cmd_overlattices(args) -> int:
 def cmd_complement(args) -> int:
     ambient = _load_lattice_arg(args.ambient)
     gens = _load_rows_arg(args.gens)
-    if gens.cols != ambient.rank:
-        raise PreconditionError("generator length does not match the ambient rank")
     comp = orthogonal_complement(ambient, gens)
     _emit(
         {
@@ -209,8 +193,6 @@ def cmd_complement(args) -> int:
 def cmd_embed_check(args) -> int:
     ambient = _load_lattice_arg(args.ambient)
     gens = _load_rows_arg(args.gens)
-    if gens.cols != ambient.rank:
-        raise PreconditionError("generator length does not match the ambient rank")
     sub = sublattice(ambient, gens)
     _emit(
         {
@@ -274,7 +256,7 @@ def cmd_config(args) -> int:
 def cmd_verify_paper(args) -> int:
     _guard_limit()
     if args.result and args.result not in RESULT_IDS:
-        raise PreconditionError(
+        raise ValueError(
             f"unknown result id {args.result!r}; known: {', '.join(RESULT_IDS)}"
         )
     entries = run_all().entries
@@ -347,7 +329,7 @@ def main(argv=None) -> int:
     except df.GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (PreconditionError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

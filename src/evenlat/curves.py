@@ -151,12 +151,15 @@ def present(config: CurveConfig) -> CurvePresentation:
     them complete those to a basis of Z^n, so their images are a basis of
     the quotient, with Gram (U*G)[:r] * U[:r]^T.  A curve combination
     v = x*U has coordinates x[:r] there: ``member`` is the first r columns
-    of U^-1.  Without a radical, the presentation is G on the curves.
+    of U^-1.  Without a radical, the presentation is G on the curves.  A
+    zero G raises ``ValueError``: the span is the zero lattice.
     """
     g = config.gram
     n = g.rows
     h = hnf(IntMat.from_rows(row + e for row, e in zip(g.entries, IntMat.identity(n).entries)))
     r = sum(1 for row in h.entries if any(row[:n]))
+    if r == 0:
+        raise ValueError("the intersection matrix is zero: the curves span the zero lattice")
     if r == n:
         return CurvePresentation(config, Lattice(g), IntMat.identity(n))
     u = h.submatrix(range(n), range(n, 2 * n))
@@ -372,12 +375,10 @@ def quotient_by_involution(config: CurveConfig, act: InvolutionAction) -> Quotie
     labels = tuple(f"C{k + 1}" for k in range(len(orbits)))
     m = len(orbits)
     gram_q = [[0] * m for _ in range(m)]
-    for a, (i, ip) in enumerate(orbits):
+    # the involution is an isometry, so (R_i + R_i').(R_j + R_j') / 2 = R_i.R_j + R_i.R_j'
+    for a, (i, _) in enumerate(orbits):
         for b, (j, jp) in enumerate(orbits):
-            tot = g[i][j] + g[i][jp] + g[ip][j] + g[ip][jp]
-            if tot % 2 != 0:
-                raise AssertionError("projection formula gave a non-integer")
-            gram_q[a][b] = tot // 2
+            gram_q[a][b] = g[i][j] + g[i][jp]
     cfg = CurveConfig(labels, IntMat.from_rows(gram_q))
     orbit_map = {
         labels[k]: (config.labels[i], config.labels[j]) for k, (i, j) in enumerate(orbits)

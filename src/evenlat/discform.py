@@ -407,7 +407,9 @@ def overlattice(lattice: Lattice, subgroup: IsotropicSubgroup) -> Lattice:
     """Even overlattice generated by L and the lifts of an isotropic subgroup.
 
     The result is presented on a basis extending the correspondence: its
-    determinant is det(L) / |H|^2 and it contains L with index |H|.
+    determinant is det(L) / |H|^2 and it contains L with index |H|.  The
+    generators must have q = 0 and pair to 0 (checked), so q vanishes on H
+    and the overlattice is even.
     """
     module = subgroup.module
     disc = module.disc
@@ -418,10 +420,7 @@ def overlattice(lattice: Lattice, subgroup: IsotropicSubgroup) -> Lattice:
         if q_value(module, g) != 0 or any(_b_scaled(module, g, h) for h in gens[:i]):
             raise ValueError("subgroup is not isotropic")
     rows = _dots(gens, tuple(zip(*disc.lift_num)))
-    gram = _induced_gram_rational(lattice.gram, rows, disc.lift_den)
-    if any(gram.entries[i][i] % 2 for i in range(lattice.rank)):
-        raise ValueError("overlattice is odd; subgroup was not isotropic for q")
-    return Lattice(gram, None)
+    return Lattice(_induced_gram_rational(lattice.gram, rows, disc.lift_den), None)
 
 
 def negate(module: FiniteQuadraticModule) -> FiniteQuadraticModule:

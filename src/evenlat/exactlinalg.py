@@ -154,15 +154,6 @@ class RatMat:
             raise ValueError("dimension mismatch in product")
         return _reduced(_dots(self.num, tuple(zip(*other.num))), self.den * other.den)
 
-    def __add__(self, other: RatMat) -> RatMat:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in sum")
-        den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        return _reduced(
-            [[fa * a + fb * b for a, b in zip(r1, r2)] for r1, r2 in zip(self.num, other.num)], den
-        )
-
     def is_integral(self) -> bool:
         return self.den == 1
 
@@ -479,8 +470,6 @@ def snf_rational(a: RatMat) -> tuple[RatMat, IntMat, IntMat]:
     the inverse Gram matrix of a lattice this puts the unit factors first
     and the discriminant denominators last.
     """
-    if a.rows != a.cols:
-        raise ValueError("rational SNF requires a square matrix")
     if a.det() == 0:
         raise ValueError("rational SNF requires a nonsingular matrix")
     d_int, s, t = snf(IntMat(a.num))

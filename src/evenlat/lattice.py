@@ -261,8 +261,6 @@ def make_named(name: str) -> Lattice:
 
 def parse_lattice_expr(expr: str) -> Lattice:
     """Direct sums of named lattices, e.g. 'U+U(2)+diag(-4,-4)'."""
-    if not expr.strip():
-        raise ValueError("empty lattice expression")
     parts = expr.split("+")
     if not all(p.strip() for p in parts):
         raise ValueError(f"empty summand in lattice expression {expr!r}")

@@ -297,10 +297,12 @@ def _splitting_check(pres) -> dict:
     fib = [0] * 24
     for i, c in rd.FIBER_VECTOR.items():
         fib[i] = c
-    rows = [fib, [1 if k == rd.SECTION else 0 for k in range(24)]]
-    for i in rd.U_E8_Q_E8_PART:
-        rows.append([1 if k == i else 0 for k in range(24)])
-    pmat = IntMat.from_rows(rows).stack(rd.Q_BASIS) * pres.member
+    member = pres.member
+    pmat = (
+        (IntMat.from_rows([fib]) * member)
+        .stack(member.submatrix((rd.SECTION, *rd.U_E8_Q_E8_PART), range(member.cols)))
+        .stack(rd.Q_BASIS * member)
+    )
     gram = pmat * pres.lattice.gram * pmat.transpose()
     u_block = [[gram.entries[i][j] for j in range(2)] for i in range(2)]
     e8_block = IntMat.from_rows([[gram.entries[i][j] for j in range(2, 10)] for i in range(2, 10)])

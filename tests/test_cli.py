@@ -1108,3 +1108,57 @@ def test_each_pullback_change_breaks_one_rule(config_paths, change):
     _change_step(change, step, _BASE_LABELS[0], frozenset(("a", "c")))
     assert _pullback_broken(_BASE_LABELS, _BASE_MULT, step) == {_PULLBACK_CHANGES[change]}
     _assert_config_exit(config_paths, "pullback", _base_documents("pullback", step), 3)
+
+
+# ---------------------------------------------------------------------------
+# each input rule broken alone, through main: its exit code, one stderr line
+# that names the rule, and nothing on stdout
+
+def _assert_rule(argv, want, message):
+    code, out, err = _run_main(argv)
+    assert (code, out) == (want, ""), err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["disc", "isotropic", "overlattices"])
+@pytest.mark.parametrize("gram, message", [
+    ([[1, 0], [0, 2]], "needs an even lattice"),
+    ([[2, 2], [2, 2]], "needs a nondegenerate lattice"),
+    ([[1, 1], [1, 1]], "needs an even lattice"),
+], ids=["odd", "degenerate", "odd-degenerate"])
+def test_discriminant_commands_need_an_even_nondegenerate_lattice(tmp_path, command, gram, message):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"gram": gram}))
+    _assert_rule([command, str(path)], 3, message)
+
+
+@pytest.mark.parametrize("command", ["complement", "embed-check"])
+def test_generator_length_must_match_the_ambient_rank(command):
+    _assert_rule([command, "U", "[[1,0,0]]"], 3, "generator length does not match host rank")
+
+
+@pytest.mark.parametrize("perm", [[5], [0, 0], [1, 2]])
+def test_involution_that_is_not_a_permutation_exits_2(tmp_path, perm):
+    cfg, inv = tmp_path / "cfg.json", tmp_path / "inv.json"
+    cfg.write_text(json.dumps(CFG_AB))
+    inv.write_text(json.dumps({"perm": perm}))
+    _assert_rule(["config", "quotient", str(cfg), str(inv)], 2, "not a permutation")
+
+
+def test_quotient_by_a_non_isometry_exits_3(tmp_path):
+    cfg, inv = tmp_path / "cfg.json", tmp_path / "inv.json"
+    labels = ["a", "b", "c", "d"]
+    cfg.write_text(json.dumps({
+        "curves": [{"label": lab, "self": -2} for lab in labels], "mult": [["a", "c", 1]],
+    }))
+    inv.write_text(json.dumps({"perm": [1, 0, 3, 2]}))
+    _assert_rule(["config", "quotient", str(cfg), str(inv)], 3, "not an isometry")
+
+
+def test_degenerate_hyperbolic_plane_exits_2():
+    _assert_rule(["complement", "U(0)", "[[1,0]]"], 2, "U(0) is degenerate")
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_unreadable_file_exits_2(tmp_path, name):
+    _assert_rule(["disc", str(tmp_path / name)], 2, "cannot read")

@@ -639,3 +639,30 @@ def test_present_is_the_quotient_by_the_radical(seed):
 def test_present_on_the_24_curves_and_on_xprime(config24, xprime):
     assert_presents(config24)
     assert_presents(xprime.config)
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("perm", [(5,), (0, 0), (1, 2, 2)])
+    def test_involution_must_permute_its_labels(self, perm):
+        with pytest.raises(ValueError, match="not a permutation"):
+            InvolutionAction(perm)
+
+    @pytest.mark.parametrize("halfsets, relations", [
+        ([["h1", "zz", "h3", "h5"]], []), ([["zz"]], []), ([], [["h1", "zz"]]),
+    ])
+    def test_unknown_curve(self, halfsets, relations):
+        with pytest.raises(ValueError, match="unknown curve"):
+            find_even_four_certificate(halfsets, relations, present(hexagon_config()))
+
+    def test_quotient_needs_an_isometry(self):
+        # a.c = 1 but b.d = 0; the projection formula alone would still give
+        # a symmetric quotient Gram
+        gram = [[-2, 0, 1, 0], [0, -2, 0, 0], [1, 0, -2, 0], [0, 0, 0, -2]]
+        config = CurveConfig(("a", "b", "c", "d"), IntMat.from_rows(gram))
+        with pytest.raises(ValueError, match="not an isometry"):
+            quotient_by_involution(config, InvolutionAction((1, 0, 3, 2)))
+
+    def test_present_rejects_a_zero_intersection_matrix(self):
+        config = CurveConfig(("a", "b"), IntMat.from_rows([[0, 0], [0, 0]]))
+        with pytest.raises(ValueError, match="span the zero lattice"):
+            present(config)

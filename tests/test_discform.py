@@ -879,3 +879,32 @@ class TestLatticeBackReference:
             a_q, [cls["v1"], cls["v2"], cls["w1"], cls["w2"]], (2, 2, 4, 4)
         )
         assert df.are_isomorphic(a_q, other) is not None
+
+
+class TestInputRules:
+    def test_class_of_needs_a_lattice_back_reference(self):
+        lat = Lattice(Q_GRAM)
+        with pytest.raises(ValueError, match="no lattice back-reference"):
+            df.class_of(df.negate(df.from_lattice(lat)), lat.dual_vector([0] * 6))
+
+    @pytest.mark.parametrize("other", ["U(2)", "U(2)+U+U+U(3)"])
+    def test_overlattice_of_a_foreign_subgroup(self, other):
+        sub = df.isotropic_subgroups(df.from_lattice(Lattice(Q_GRAM)))[1]
+        with pytest.raises(ValueError, match="does not belong"):
+            df.overlattice(parse_lattice_expr(other), sub)
+
+    def test_submodule_on_a_wrong_stated_order(self):
+        module = df.from_lattice(Lattice(Q_GRAM))
+        units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        assert df.submodule_on(module, units, (2, 2, 4, 4)) == dataclasses.replace(module, disc=None)
+        with pytest.raises(ValueError, match="stated generator order is wrong"):
+            df.submodule_on(module, units, (2, 2, 4, 2))
+
+
+def test_witness_check_rejects_images_that_change_q():
+    # fault injection: the first two generators, q = 0 and q = 1, swapped
+    module = df.from_lattice(Lattice(Q_GRAM))
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    assert df._checked_witness(module, module, units) == tuple(units)
+    with pytest.raises(AssertionError, match="do not preserve q"):
+        df._checked_witness(module, module, [units[1], units[0], *units[2:]])

@@ -378,3 +378,31 @@ class TestComplementDiscriminantDuality:
             )
             assert witness is not None
             checked += 1
+
+
+# each rule broken alone: the input is otherwise valid, and the message
+# names the rule, so a later check raising some other ValueError fails it
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Lattice(IntMat.from_rows([[0, 1], [2, 0]])), "must be symmetric",
+                 id="asymmetric"),
+    pytest.param(lambda: make_named("U").dual_vector([F(1, 2)]), "coordinate length",
+                 id="dual-vector-length"),
+    pytest.param(lambda: discriminant_group(Lattice(IntMat.from_rows([[2, 2], [2, 2]]))),
+                 "needs a nondegenerate lattice", id="degenerate"),
+    pytest.param(lambda: make_named("U(0)"), r"U\(0\) is degenerate", id="U(0)"),
+    pytest.param(lambda: direct_sum(), "direct sum of no lattices", id="empty-sum"),
+    pytest.param(lambda: rescale(make_named("U"), 0), "rescaling by zero", id="rescale-zero"),
+    pytest.param(lambda: sublattice(make_named("U"), IntMat.from_rows([[1, 0, 0]])),
+                 "generator length", id="sublattice-length"),
+    pytest.param(lambda: saturation(make_named("U"), IntMat.from_rows([[1, 0, 0]])),
+                 "generator length", id="saturation-length"),
+    pytest.param(lambda: saturation(make_named("U"), IntMat.from_rows([[0, 0], [0, 0]])),
+                 "span is zero", id="zero-span"),
+    pytest.param(lambda: orthogonal_complement(make_named("U"), IntMat.from_rows([[1, 0, 0]])),
+                 "generator length", id="complement-length"),
+    pytest.param(lambda: orthogonal_complement(make_named("U"), IntMat.identity(2)),
+                 "orthogonal complement is zero", id="zero-complement"),
+])
+def test_each_input_rule_alone(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -404,3 +404,39 @@ class TestXprime:
         assert not xprime.presentation.contains(n_half)
         four = [Fraction(1, 2) if i in (0, 1, 2, 3) else Fraction(0) for i in range(n)]
         assert not xprime.m_presentation.contains(four)
+
+
+class TestSelfChecksFire:
+    """Fault injection: each internal check fails closed on the wrong input."""
+
+    def test_shape_that_is_not_unimodular(self, monkeypatch):
+        # node 8 also meets the section: det -16
+        wants = _NODE_WANTS[:8] + (_NODE_WANTS[8][:-1] + (1,),)
+        monkeypatch.setattr(reconstruct, "_NODE_WANTS", wants)
+        with pytest.raises(ReconstructionError, match="not unimodular"):
+            reconstruct_24()
+
+    def test_no_arrangement_left(self, monkeypatch):
+        monkeypatch.setattr(reconstruct, "_shape_arrangements", lambda: [])
+        with pytest.raises(ReconstructionError, match="no solution at tier 1"):
+            reconstruct_24()
+
+    def test_quotient_orbits_other_than_printed(self, monkeypatch, config24):
+        monkeypatch.setattr(rd, "QUOTIENT_ORBITS", rd.QUOTIENT_ORBITS[::-1])
+        with pytest.raises(ReconstructionError, match="unexpected quotient orbits"):
+            reconstruct.reconstruct_xprime(config24)
+
+    def test_published_relation_that_fails(self, monkeypatch, config24):
+        # C6 = C3 - C4 + 2 C5 instead of C3 - C4 + C5
+        target, combo = rd.XPRIME_RELATIONS[0]
+        wrong = ((target, {**combo, 4: 2}),) + rd.XPRIME_RELATIONS[1:]
+        monkeypatch.setattr(rd, "XPRIME_RELATIONS", wrong)
+        with pytest.raises(ReconstructionError, match="published relations fail"):
+            reconstruct.reconstruct_xprime(config24)
+
+    def test_inconsistent_incidence_system(self, monkeypatch):
+        # the relation N1 = 0 pairs with N1 to -2 on one side and 0 on the other
+        monkeypatch.setattr(rd, "XPRIME_RELATIONS", ((12, {}),))
+        units = [[int(i == k) for k in range(20)] for i in range(20)]
+        with pytest.raises(ReconstructionError, match="incidence system inconsistent"):
+            reconstruct._incidence_kernel_dim(units)

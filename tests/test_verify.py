@@ -522,3 +522,9 @@ class TestFaultInjection:
             g[i][i] = 0  # degenerate input must yield fail entries, not raise
         report = run_all(gram24=IntMat.from_rows(g))
         assert not report.all_passed
+
+
+def test_entry_of_an_unknown_id_raises(report):
+    assert report.entry("lemma_4_2").result_id == "lemma_4_2"
+    with pytest.raises(KeyError):
+        report.entry("no_such_result")
