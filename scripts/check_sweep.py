@@ -18,6 +18,10 @@ or the one ``FIRST_TESTS`` names) runs first when the selection holds
 it, which kills most mutations sooner and changes no verdict.  With full
 tier-1, the 143 mutations took 22 minutes on two workers and 2 CPUs, so
 the sweep is not part of tier-1.
+
+SIGTERM and SIGINT stop the sweep: each pytest run has its own session,
+which is killed, and the repository copies are deleted before the exit
+(code 128 + the signal's number).
 """
 
 from __future__ import annotations
@@ -27,9 +31,11 @@ import ast
 import os
 import queue
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,6 +48,7 @@ DEFAULT_SELECTION = ("tests", "bench/tests")
 FIRST_TESTS = {"serialize.py": "tests/test_cli.py"}
 # a mutation that makes some test loop forever is reported, not waited on
 TIMEOUT_S = 900
+STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 # (module, enclosing function, text of the raise) -> why no test makes it fire
 ALLOW: dict[tuple[str, str, str], str] = {}
@@ -113,21 +120,69 @@ def _selection(mutation: Mutation, selection) -> list[str]:
     return [own, *selection] if holds_own and (REPO / own).exists() else list(selection)
 
 
-def _pytest(copy: Path, selection) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection],
-        cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
-    )
+class Sessions:
+    """The pytest runs in flight, each the leader of its own session.
+
+    ``stop`` kills every session in flight, the processes its tests
+    started included, and refuses new runs.  The check and the start of a
+    run happen under one lock, so no run starts after ``stop`` unseen.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._running: set[subprocess.Popen] = set()
+        self._stopped = False
+
+    def pytest(self, copy: Path, selection) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        args = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+        with self._lock:
+            if self._stopped:
+                raise RuntimeError("the sweep is stopping")
+            proc = subprocess.Popen(
+                args, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, start_new_session=True,
+            )
+            self._running.add(proc)
+        try:
+            out, err = proc.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            _kill_session(proc)
+            proc.communicate()
+            raise
+        finally:
+            with self._lock:
+                self._running.discard(proc)
+        return subprocess.CompletedProcess(args, proc.returncode, out, err)
+
+    def stop(self) -> None:
+        with self._lock:
+            self._stopped = True
+            for proc in self._running:
+                _kill_session(proc)
 
 
-def run_one(copy: Path, mutation: Mutation, selection) -> str:
+def _kill_session(proc: subprocess.Popen) -> None:
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def _exit_on_signal(signum, _frame):
+    # one exit: a second signal would cut short the cleanup this one starts
+    for sig in STOP_SIGNALS:
+        signal.signal(sig, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
+def run_one(sessions: Sessions, copy: Path, mutation: Mutation, selection) -> str:
     """'killed', 'survived', 'timeout' or 'error: ...' for one mutation in a copy."""
     path = copy / PACKAGE / mutation.module
     original = path.read_text(encoding="utf-8")
     path.write_text(original[: mutation.start] + "pass" + original[mutation.end:], encoding="utf-8")
     try:
-        proc = _pytest(copy, _selection(mutation, selection))
+        proc = sessions.pytest(copy, _selection(mutation, selection))
     except subprocess.TimeoutExpired:
         return "timeout"
     finally:
@@ -152,34 +207,45 @@ def main() -> int:
 
     mutations = [m for path in sorted((REPO / PACKAGE).glob("*.py")) for m in find_raises(path)]
     stale = [key for key in ALLOW if not any(m.allowed_by(key) for m in mutations)]
-    with tempfile.TemporaryDirectory(prefix="check_sweep_") as tmp:
-        copies: queue.Queue = queue.Queue()
-        for k in range(args.workers):
-            copy = Path(tmp) / f"copy{k}"
-            _copy_repo(copy)
-            copies.put(copy)
-        # without a passing baseline every mutation would look killed
-        baseline = _pytest(copy, selection)
-        if baseline.returncode != 0:
-            print(baseline.stdout[-2000:] + baseline.stderr[-2000:], file=sys.stderr)
-            print("the selection fails without any mutation", file=sys.stderr)
-            return 2
-        done = []
-
-        def judge(mutation):
-            copy = copies.get()
-            try:
-                outcome = run_one(copy, mutation, selection)
-            finally:
+    for sig in STOP_SIGNALS:
+        signal.signal(sig, _exit_on_signal)
+    sessions = Sessions()
+    # only worker threads start pytest: the main thread, where a signal's
+    # SystemExit is raised, only waits, so no run escapes Sessions.stop
+    with tempfile.TemporaryDirectory(prefix="check_sweep_") as tmp, \
+            ThreadPoolExecutor(args.workers) as pool:
+        try:
+            copies: queue.Queue = queue.Queue()
+            for k in range(args.workers):
+                copy = Path(tmp) / f"copy{k}"
+                _copy_repo(copy)
                 copies.put(copy)
-            done.append(mutation)
-            print(f"[{len(done)}/{len(mutations)}] {mutation.module}:{mutation.line} {outcome}",
-                  file=sys.stderr, flush=True)
-            return outcome
+            # without a passing baseline every mutation would look killed
+            baseline = pool.submit(sessions.pytest, copy, selection).result()
+            if baseline.returncode != 0:
+                print(baseline.stdout[-2000:] + baseline.stderr[-2000:], file=sys.stderr)
+                print("the selection fails without any mutation", file=sys.stderr)
+                return 2
+            done = []
 
-        t0 = time.perf_counter()
-        with ThreadPoolExecutor(args.workers) as pool:
+            def judge(mutation):
+                copy = copies.get()
+                try:
+                    outcome = run_one(sessions, copy, mutation, selection)
+                finally:
+                    copies.put(copy)
+                done.append(mutation)
+                print(f"[{len(done)}/{len(mutations)}] {mutation.module}:{mutation.line} {outcome}",
+                      file=sys.stderr, flush=True)
+                return outcome
+
+            t0 = time.perf_counter()
             outcomes = list(pool.map(judge, mutations))
+        finally:
+            # on a signal: drop the queued mutations and kill the runs in
+            # flight, so that the pool's exit and the copies' removal are quick
+            pool.shutdown(wait=False, cancel_futures=True)
+            sessions.stop()
     elapsed = time.perf_counter() - t0
 
     per_module: dict[str, list[int]] = {}

@@ -396,7 +396,7 @@ def hnf(a: IntMat) -> IntMat:
     return IntMat.from_rows(h)
 
 
-def snf(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
+def snf(a: IntMat, *, stop_mod: int | None = None) -> tuple[IntMat, IntMat, IntMat]:
     """Smith normal form with transforms: S*A*T = D.
 
     D is diagonal with nonnegative invariant factors d1 | d2 | ... ;
@@ -404,6 +404,14 @@ def snf(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     to limit coefficient growth.  The steps run on one table: [A | I_m]
     over I_n.  Row steps touch its first m rows and column steps its
     first n columns, so it ends as [D | S] over T.
+
+    With ``stop_mod``, a positive int, the elimination stops before step
+    k once the block of rows and columns >= k is divisible by stop_mod:
+    every invariant factor left is then a multiple of stop_mod.  S*A*T = D
+    still holds, D is diagonal in its first k rows and columns, and the
+    trailing block is left unreduced.  Step k touches only rows and
+    columns >= k, so the first k diagonal entries, rows of S and columns
+    of T are those of the full form.
     """
     m, n = a.rows, a.cols
     d = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a.entries)]
@@ -411,6 +419,10 @@ def snf(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     rank_bound = min(m, n)
     k = 0
     while k < rank_bound:
+        if stop_mod is not None and all(
+            e % stop_mod == 0 for row in d[k:m] for e in row[k:n]
+        ):
+            break
         piv = None
         best = None
         for i in range(k, m):
@@ -451,7 +463,7 @@ def snf(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
                     break
                 _addmul_row(d, k, stuck, 1)
         k += 1
-    for i in range(rank_bound):
+    for i in range(k):
         if d[i][i] < 0:
             d[i] = [-e for e in d[i]]
     return (
@@ -461,7 +473,7 @@ def snf(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     )
 
 
-def snf_rational(a: RatMat) -> tuple[RatMat, IntMat, IntMat]:
+def snf_rational(a: RatMat, *, stop_mod: int | None = None) -> tuple[RatMat, IntMat, IntMat]:
     """Smith normal form of a nonsingular rational matrix.
 
     Runs the integer SNF on num and divides by den, so S and T stay
@@ -469,18 +481,18 @@ def snf_rational(a: RatMat) -> tuple[RatMat, IntMat, IntMat]:
     largest entry first (each entry divides the previous one in Q); for
     the inverse Gram matrix of a lattice this puts the unit factors first
     and the discriminant denominators last.
+
+    ``stop_mod`` goes to ``snf`` on num.  With stop_mod = den, the block
+    left unreduced is integral and comes first: for the inverse Gram
+    matrix it holds exactly the unit factors, since num = den * gram^-1
+    has the invariant factors den / d_i for those d_i of the Gram matrix.
     """
     if a.det() == 0:
         raise ValueError("rational SNF requires a nonsingular matrix")
-    d_int, s, t = snf(IntMat(a.num))
-    n = a.rows
+    d_int, s, t = snf(IntMat(a.num), stop_mod=stop_mod)
     # reverse the divisibility chain: largest invariant factor first
-    perm = list(range(n - 1, -1, -1))
-    diag = [d_int.entries[i][i] for i in perm]
-    d = _reduced([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], a.den)
-    s_rev = IntMat.from_rows([s.entries[i] for i in perm])
-    t_rev = IntMat.from_rows([[t.entries[i][perm[j]] for j in range(n)] for i in range(n)])
-    return d, s_rev, t_rev
+    d = _reduced([row[::-1] for row in d_int.entries[::-1]], a.den)
+    return d, IntMat(s.entries[::-1]), IntMat(tuple(row[::-1] for row in t.entries))
 
 
 def signature(g: IntMat) -> tuple[int, int, int]:

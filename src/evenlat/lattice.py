@@ -106,7 +106,9 @@ class DiscGroupData:
     of all the lifts.  ``class_columns`` holds, for each generator j of
     order n_j, the integer column j of S^-1 reduced mod n_j, where
     S * gram^-1 * T = D is the rational SNF.  A dual vector v has the class
-    ((v * gram) . col_j mod n_j)_j.  ``snf_diagonal`` is the diagonal of D.
+    ((v * gram) . col_j mod n_j)_j.  ``snf_diagonal`` is the diagonal of
+    the full SNF D: 1/n_j at each generator and 1 at each unit factor,
+    whose block ``discriminant_group`` leaves unreduced.
     """
 
     lattice: Lattice
@@ -132,12 +134,18 @@ def discriminant_group(lattice: Lattice) -> DiscGroupData:
     that basis, v*gram being integral, and S^-1 = gram^-1 * T * D^-1 has
     the integer column n_j * gram^-1 * T[:, j] for generator j; those
     columns, reduced mod n_j, are the class table.
+
+    Only the generator rows of S and columns of T are read, so the SNF
+    stops once the block left is integral: that block holds the unit
+    factors d_i = 1, and the rows and columns before it are those of the
+    full form.
     """
     if not lattice.is_nondegenerate:
         raise ValueError("discriminant group needs a nondegenerate lattice")
     inv = lattice.gram.inverse()
-    d, s, t = snf_rational(inv)
-    # d_i = d.num[i][i] / d.den, whose reduced denominator is n_i
+    d, s, t = snf_rational(inv, stop_mod=inv.den)
+    # d_i = d.num[i][i] / d.den, whose reduced denominator is n_i; the
+    # diagonal of the unreduced unit block is integral, so its n_i are 1
     diagonal = [d.num[i][i] for i in range(lattice.rank)]
     orders = [d.den // gcd(e, d.den) for e in diagonal]
     gens = [i for i, n in enumerate(orders) if n != 1]
@@ -152,7 +160,7 @@ def discriminant_group(lattice: Lattice) -> DiscGroupData:
     g = gcd(den, *(e for col in cols[:k] for e in col))
     lifts = tuple(tuple(e // g for e in col) for col in cols[:k])
     columns = tuple(tuple(e * n // den % n for e in col) for col, n in zip(cols[k:], factors))
-    snf_diagonal = tuple(Fraction(e, d.den) for e in diagonal)
+    snf_diagonal = tuple(Fraction(1, n) for n in orders)
     return DiscGroupData(lattice, factors, lifts, den // g, columns, snf_diagonal)
 
 

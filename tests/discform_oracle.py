@@ -8,7 +8,9 @@ element, and the overlattice Gram as a Fraction product B * G * B^T.  The
 genus predicates take the lattice, rebuild its discriminant group and
 re-pair each generator lift, as they did before they took the module.
 ``class_of`` takes the coordinates v * T / D of the rational SNF, as it
-did before the class table.  The differential tests compare the two.
+did before the class table.  ``full_snf_discriminant_group`` reads the
+discriminant group off the full rational SNF, which the package stops
+once only unit factors are left.  The differential tests compare the two.
 The span basis and the Hermite form behind the canonical subgroup
 generators come from ``linalg_oracle``; only the discriminant group and
 the rational SNF come from the package.
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from evenlat.discform import FiniteQuadraticModule, IsotropicSubgroup
 from evenlat.exactlinalg import snf_rational
-from evenlat.lattice import discriminant_group
+from evenlat.lattice import DiscGroupData, discriminant_group
 from linalg_oracle import hnf, span_basis
 
 
@@ -244,6 +246,40 @@ def dual_transform(lattice):
     """T and the diagonal of D for the rational SNF S * gram^-1 * T = D."""
     d, _, t = snf_rational(lattice.gram.inverse())
     return t, tuple(d.entries[i][i] for i in range(lattice.rank))
+
+
+def full_snf_discriminant_group(lattice):
+    """DiscGroupData read off the full rational SNF S * gram^-1 * T = D.
+
+    The diagonal of D is ``snf_diagonal``.  The generators are the j with a
+    non-integral d_j = 1/n_j; the lift of generator j is row j of
+    S * gram^-1 and its class column n_j * gram^-1 * T[:, j] mod n_j, both
+    summed over Fractions.
+    """
+    n = lattice.rank
+    inv_mat = lattice.gram.inverse()
+    inv = inv_mat.entries
+    d, s, t = snf_rational(inv_mat)
+    diag = tuple(d.entries[i][i] for i in range(n))
+    gens = [j for j, e in enumerate(diag) if e.denominator != 1]
+    lifts = [
+        [sum(s.entries[j][k] * inv[k][i] for k in range(n)) for i in range(n)] for j in gens
+    ]
+    lift_den = math.lcm(*(e.denominator for row in lifts for e in row))
+    columns = []
+    for j in gens:
+        order = diag[j].denominator
+        col = [order * sum(inv[i][k] * t.entries[k][j] for k in range(n)) for i in range(n)]
+        assert all(e.denominator == 1 for e in col)
+        columns.append(tuple(int(e) % order for e in col))
+    return DiscGroupData(
+        lattice,
+        tuple(diag[j].denominator for j in gens),
+        tuple(tuple(int(e * lift_den) for e in row) for row in lifts),
+        lift_den,
+        tuple(columns),
+        diag,
+    )
 
 
 def class_of(transform, coords):

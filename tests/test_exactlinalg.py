@@ -523,6 +523,54 @@ class TestNormalFormsAgainstTwoMatrixForms:
         assert (d.entries, s.entries, t.entries) == oracle.snf(a.entries)
 
 
+@st.composite
+def scrambled_chain(draw, max_dim=6):
+    """(U * D * V, a stop modulus): D an n x w diagonal divisibility chain
+    of the drawn rank, U and V unimodular.  The modulus is drawn from 2 to
+    12 or from the chain after its first entry, so the early stop falls at
+    any step."""
+    n, w = draw(st.integers(2, max_dim)), draw(st.integers(2, max_dim))
+    rank = draw(st.integers(1, min(n, w)))
+    chain, e = [], 1
+    for i in range(min(n, w)):
+        e *= draw(st.sampled_from((1, 2, 2, 3, 6)))
+        chain.append(e if i < rank else 0)
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    diag = IntMat.from_rows([[chain[i] if i == j else 0 for j in range(w)] for i in range(n)])
+    a = random_unimodular(rng, n, steps=2 * n) * diag * random_unimodular(rng, w, steps=2 * w)
+    mod = draw(st.integers(2, 12) | st.sampled_from(chain[1:rank] or [2]))
+    return a, mod
+
+
+class TestSNFStop:
+    """snf(a, stop_mod=m) against the full snf(a)."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        scrambled_chain()
+        | st.tuples(small_intmat(max_dim=6) | low_rank_intmat(max_dim=6), st.integers(1, 12))
+    )
+    @example((IntMat.from_rows([[4, 6], [6, 4]]), 1))    # stops before the first step
+    @example((IntMat.from_rows([[2, 0], [0, 2]]), 2))
+    def test_prefix_of_the_full_form(self, case):
+        a, m = case
+        d, s, t = snf(a, stop_mod=m)
+        full_d, full_s, full_t = snf(a)
+        assert (s * a * t).entries == d.entries
+        assert s.det() in (1, -1) and t.det() in (1, -1)
+        # the full form's first invariant factor divisible by m (0 included)
+        # is the first one the stop leaves unreduced
+        diag = [full_d.entries[i][i] for i in range(min(a.rows, a.cols))]
+        k = next((i for i, e in enumerate(diag) if e % m == 0), len(diag))
+        assert d.entries[:k] == full_d.entries[:k]
+        assert [row[:k] for row in d.entries] == [row[:k] for row in full_d.entries]
+        assert s.entries[:k] == full_s.entries[:k]
+        assert [row[:k] for row in t.entries] == [row[:k] for row in full_t.entries]
+        assert all(e % m == 0 for row in d.entries[k:] for e in row[k:])
+        if k == len(diag):
+            assert (d, s, t) == (full_d, full_s, full_t)
+
+
 class TestKernelAgainstTwoHermiteForms:
     """The kernel read off one HNF of [A^T | I] against the transform route."""
 
@@ -583,15 +631,13 @@ class TestRationalRepresentation:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
-            lambda d: st.tuples(
-                fraction_matrix(d[0], d[1]), fraction_matrix(d[0], d[1]), fraction_matrix(d[1], d[2])
-            )
+            lambda d: st.tuples(fraction_matrix(d[0], d[1]), fraction_matrix(d[1], d[2]))
         )
     )
     def test_against_oracle(self, draws):
         # det and inverse: TestAgainstFractionOracle draws these matrices too
-        ra, rb, rc = draws
-        a, b, c = map(RatMat.from_rows, draws)
+        ra, rc = draws
+        a, c = map(RatMat.from_rows, draws)
         want = fractions(ra)
         assert a.entries == want
         assert a.den == math.lcm(*(e.denominator for row in want for e in row))

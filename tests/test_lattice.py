@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import discform_oracle
 import evenlat.discform as df
 import linalg_oracle as oracle
 from evenlat.exactlinalg import IntMat, hnf
@@ -23,6 +24,7 @@ from evenlat.lattice import (
     scale_gcd,
     sublattice,
 )
+from test_exactlinalg import random_unimodular
 
 F = Fraction
 
@@ -192,6 +194,18 @@ class TestDiscriminantGroup:
         for _ in range(100):
             lat = random_even_nondegenerate(rng)
             assert discriminant_group(lat).order == abs(lat.det)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from(("U", "U(2)", "U(3)", "<-4>", "E8", "A1")), min_size=1, max_size=4),
+        st.integers(0, 10**6),
+    )
+    def test_against_full_snf(self, blocks, seed):
+        # the stopped SNF against the full one, on scrambled even sums
+        lat = parse_lattice_expr("+".join(blocks))
+        u = random_unimodular(random.Random(seed), lat.rank, steps=2 * lat.rank)
+        lat = Lattice(u * lat.gram * u.transpose())
+        assert discriminant_group(lat) == discform_oracle.full_snf_discriminant_group(lat)
 
 
 class TestParityInvariants:

@@ -419,8 +419,8 @@ class TestSection6FailPaths:
     def test_snf_diagonal_is_read_off_the_rational_snf(self, gram24, monkeypatch):
         # one wrong invariant factor in the SNF of M^-1 that the discriminant
         # group reads fails the entry through its snf_diagonal witness
-        def one_wrong(a):
-            d, s, t = snf_rational(a)
+        def one_wrong(a, **kwargs):
+            d, s, t = snf_rational(a, **kwargs)
             rows = [list(row) for row in d.entries]
             rows[-1][-1] /= 2
             return RatMat.from_rows(rows), s, t
