@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .exactlinalg import IntMat, RatMat, bilinear_table, hnf, rational_product
+from .exactlinalg import IntMat, _dots, _reduced, hnf, rational_product
 from .lattice import Lattice
 
 
@@ -94,12 +94,15 @@ class CurvePresentation:
     lattice: Lattice
     member: IntMat = field(repr=False)
 
-    def _times(self, vec) -> tuple[list[int], int]:
-        """(num, den) with vec * member = num / den, for a vector over the curves."""
+    def _check_length(self, vec) -> None:
         if len(vec) != self.config.size:
             raise ValueError(
                 f"vector of length {len(vec)} over a configuration of {self.config.size} curves"
             )
+
+    def _times(self, vec) -> tuple[list[int], int]:
+        """(num, den) with vec * member = num / den, for a vector over the curves."""
+        self._check_length(vec)
         (num,), den = rational_product([vec], self.member.entries)
         return num, den
 
@@ -127,19 +130,27 @@ class CurvePresentation:
         """The presentation on the basis of the given rational curve combinations.
 
         With R the rows of their ``coords``, the membership matrix becomes
-        member * R^-1 and the Gram R * G * R^T.  Raises ``ValueError`` when
-        R is singular, when member * R^-1 is not integral (the basis misses
-        a curve, so it does not span a lattice holding them all), or when
-        the Gram is not integral.
+        member * R^-1 and the Gram R * G * R^T.  R is one product
+        num / den of the vectors and ``member``, in lowest terms, so the
+        Gram is num * G * num^T / den^2 in integers.  Raises ``ValueError``
+        when a vector's length is not the number of curves, when R is
+        singular, when member * R^-1 is not integral (the basis misses a
+        curve, so it does not span a lattice holding them all), or when the
+        Gram is not integral.
         """
-        rows = [self.coords(vec) for vec in basis_vectors]
-        member = self.member.to_rational() * RatMat.from_rows(rows).inverse()
+        for vec in basis_vectors:
+            self._check_length(vec)
+        r = _reduced(*rational_product(basis_vectors, self.member.entries))
+        member = self.member.to_rational() * r.inverse()
         if not member.is_integral():
             raise ValueError("basis does not span every curve")
-        table, den = bilinear_table(rows, self.lattice.gram.entries, rows)
-        if any(e % den for row in table for e in row):
+        num, den = r.num, r.den
+        # num * G * num^T, by rows: G is symmetric
+        table = _dots(_dots(num, self.lattice.gram.entries), num)
+        square = den * den
+        if any(e % square for row in table for e in row):
             raise ValueError("basis Gram is not integral")
-        gram = IntMat.from_rows([[e // den for e in row] for row in table])
+        gram = IntMat.from_rows([[e // square for e in row] for row in table])
         return CurvePresentation(self.config, Lattice(gram), member.to_integer())
 
 

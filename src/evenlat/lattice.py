@@ -106,9 +106,7 @@ class DiscGroupData:
     of all the lifts.  ``class_columns`` holds, for each generator j of
     order n_j, the integer column j of S^-1 reduced mod n_j, where
     S * gram^-1 * T = D is the rational SNF.  A dual vector v has the class
-    ((v * gram) . col_j mod n_j)_j.  ``snf_diagonal`` is the diagonal of
-    the full SNF D: 1/n_j at each generator and 1 at each unit factor,
-    whose block ``discriminant_group`` leaves unreduced.
+    ((v * gram) . col_j mod n_j)_j.
     """
 
     lattice: Lattice
@@ -116,11 +114,18 @@ class DiscGroupData:
     lift_num: tuple[tuple[int, ...], ...] = field(repr=False)
     lift_den: int
     class_columns: tuple[tuple[int, ...], ...] = field(repr=False)
-    snf_diagonal: tuple[Fraction, ...] = field(repr=False)
 
     @property
     def order(self) -> int:
         return prod(self.invariant_factors)
+
+    @property
+    def snf_diagonal(self) -> tuple[Fraction, ...]:
+        """The diagonal of the full SNF D, largest entry first: 1 at each
+        unit factor, whose block ``discriminant_group`` leaves unreduced,
+        then 1/n_j at each generator."""
+        units = self.lattice.rank - len(self.invariant_factors)
+        return (Fraction(1),) * units + tuple(Fraction(1, n) for n in self.invariant_factors)
 
 
 def discriminant_group(lattice: Lattice) -> DiscGroupData:
@@ -160,8 +165,7 @@ def discriminant_group(lattice: Lattice) -> DiscGroupData:
     g = gcd(den, *(e for col in cols[:k] for e in col))
     lifts = tuple(tuple(e // g for e in col) for col in cols[:k])
     columns = tuple(tuple(e * n // den % n for e in col) for col, n in zip(cols[k:], factors))
-    snf_diagonal = tuple(Fraction(1, n) for n in orders)
-    return DiscGroupData(lattice, factors, lifts, den // g, columns, snf_diagonal)
+    return DiscGroupData(lattice, factors, lifts, den // g, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,23 @@ distance from the section.  The 42 arrangements that fail this count
 hold no embedding.
 
 The node assignments of each arrangement come from a depth-first search
-driven by tables built once: a 24x24 table of pair orbits, the entries
-each node pins against the earlier nodes and the section, and the 6x6
-group adjacency of the arrangement.  The shape gives every node one edge
-back to an earlier node or the section, its parent, so a node's
-candidates are the fiber curves that can meet its parent's curve (listed
-once per arrangement), and a candidate whose edge orbit is already
-pinned to 0 is passed over before it pins anything.  The search pins
-every entry among the ten distinguished curves to the affine-E8-plus-
-section shape, so the unimodularity and signature of their block are
-checked once, on the shape Gram, per census.  The orbits of each of the
-15 group-pair blocks, with their sizes, are one table built at import.
+driven by tables: a 24x24 table of pair orbits and the entries each node
+pins against the earlier nodes and the section, built once, and per
+arrangement one row for each of the ten distinguished curves, the orbit
+of its entry with every curve, or -1 where that entry must be 0 (one
+group, or groups not adjacent in the hexagon).  The search state is
+flat: the pinned value of each orbit in a list indexed by orbit, one
+stack of the orbits in pin order, which each candidate cuts back to its
+length before the candidate, and a used flag per curve.  The shape gives
+every node one edge back to an earlier node or the section, its parent,
+so a node's candidates are the fiber curves that can meet its parent's
+curve (listed once per arrangement), and a candidate whose edge orbit is
+already pinned to 0 is passed over before it pins anything.  The search
+pins every entry among the ten distinguished curves to the affine-E8-
+plus-section shape, so the unimodularity and signature of their block
+are checked once, on the shape Gram, per census.  The orbits of each of
+the 15 group-pair blocks, with their sizes, are one table built at
+import.
 
 The tier-1 solutions of one arrangement and node assignment form a product
 of independent per-block completions, and the products are pairwise
@@ -49,7 +55,8 @@ are linear in the orbit values, so the sums of two halves of the blocks
 are matched in a table instead of testing every tier-1 solution.  The
 21 test sums of a completion are packed into one integer, test t in the
 digits of weight 2^(w*t), so a half-sum is one integer sum and a table
-key one integer.
+key one integer.  The coefficients of the tests are summed over the few
+nonzero entries of the printed basis vectors.
 The width w = reach.bit_length() + 2, with reach the largest
 |rhs_t| + ENTRY_BOUND * sum |c_t| over the tests, keeps every compared sum
 inside its signed digits, so equal packed sums are equal test vectors.
@@ -138,6 +145,7 @@ def _pair_orbits() -> tuple[list[list[int]], dict[int, list[tuple[int, int]]]]:
 
 
 _ORBIT_OF, _ORBIT_MEMBERS = _pair_orbits()
+_N_ORBITS = len(_ORBIT_MEMBERS)
 
 
 def _block_orbits() -> list[list[tuple[tuple[int, int], ...]]]:
@@ -233,46 +241,53 @@ def _e8_embeddings(adjacency):
     fiber = refdata.FIBER_CURVES
     parents = _parents()
     adjacent = [[frozenset((g1, g2)) in adjacency for g2 in range(6)] for g1 in range(6)]
+    # live[c][d]: the orbit of the entry c.d when it is free to be pinned,
+    # -1 when it must be 0 (one group, or groups not adjacent)
+    live = {}
+    for c in (*fiber, refdata.SECTION):
+        near, row = adjacent[_GROUP_OF[c]], _ORBIT_OF[c]
+        live[c] = [orb if near[g] else -1 for orb, g in zip(row, _GROUP_OF)]
     # the fiber curves, in fiber order, that can meet each possible parent
-    meets = {
-        p: tuple(c for c in fiber if _ORBIT_OF[p][c] >= 0 and adjacent[_GROUP_OF[p]][_GROUP_OF[c]])
-        for p in (*fiber, refdata.SECTION)
-    }
+    meets = {p: tuple(c for c in fiber if row[c] >= 0) for p, row in live.items()}
     results = []
     placed = [refdata.SECTION]  # the curves at nodes 0, 1, ..., then the section
-    orbit_vals: dict[int, int] = {}
+    used = [False] * 24
+    vals = [-1] * _N_ORBITS  # the pinned value of each orbit, -1 while free
+    order: list[int] = []  # the pinned orbits, in pin order
 
     def place(node: int) -> None:
         if node == 9:
-            results.append((tuple(placed[:-1]), dict(orbit_vals)))
+            results.append((tuple(placed[:-1]), {orb: vals[orb] for orb in order}))
             return
         wants = _NODE_WANTS[node]
         parent = placed[parents[node]]
-        parent_row = _ORBIT_OF[parent]
+        parent_row = live[parent]
+        mark = len(order)
         for curve in meets[parent]:
             # pinned values are 0 or 1: an edge orbit pinned to 0 is closed
-            if curve in placed or orbit_vals.get(parent_row[curve]) == 0:
+            if used[curve] or vals[parent_row[curve]] == 0:
                 continue
-            orbit_row, near = _ORBIT_OF[curve], adjacent[_GROUP_OF[curve]]
-            undo: list[int] = []
+            row = live[curve]
             for prev, want in zip(placed, wants):
-                orb = orbit_row[prev]
-                if orb < 0 or not near[_GROUP_OF[prev]]:
+                orb = row[prev]
+                if orb < 0:
                     if want:
                         break
                     continue
-                have = orbit_vals.get(orb)
-                if have is None:
-                    orbit_vals[orb] = want
-                    undo.append(orb)
+                have = vals[orb]
+                if have < 0:
+                    vals[orb] = want
+                    order.append(orb)
                 elif have != want:
                     break
             else:
                 placed.insert(node, curve)
+                used[curve] = True
                 place(node + 1)
+                used[curve] = False
                 del placed[node]
-            for orb in undo:
-                del orbit_vals[orb]
+            while len(order) > mark:
+                vals[order.pop()] = -1
 
     place(0)
     del place  # place calls itself through its closure: unbind it to leave no reference cycle
@@ -299,9 +314,6 @@ def _block_completions(g1: int, g2: int, adjacent: bool, orbit_vals: dict):
             for v in range(left // size + 1)
         ]
     return [acc for acc, left in partial if left == 0]
-
-
-_N_ORBITS = len(_ORBIT_MEMBERS)
 
 
 def _assemble(orbit_vals) -> IntMat:
@@ -335,17 +347,21 @@ def _check_shape() -> None:
 def _qgram_linear_tests():
     """The printed rank-6 Gram as affine conditions on the orbit values."""
     qvecs = refdata.Q_BASIS.entries
+    # the nonzero entries of each basis vector: a few of the 24
+    supports = [[(i, x) for i, x in enumerate(q) if x] for q in qvecs]
     tests = []
     for a in range(6):
         for b in range(a, 6):
             const = sum(-2 * qvecs[a][i] * qvecs[b][i] for i in range(24))
+            # the entry i.j of a cross-group pair lies in its orbit, so each
+            # ordered pair of the supports adds q_a[i] * q_b[j] to that orbit
             coeff = [0] * _N_ORBITS
-            for orb, pairs in _ORBIT_MEMBERS.items():
-                c = 0
-                for i, j in pairs:
-                    c += qvecs[a][i] * qvecs[b][j] + qvecs[a][j] * qvecs[b][i]
-                if c:
-                    coeff[orb] = c
+            for i, x in supports[a]:
+                orbit_row = _ORBIT_OF[i]
+                for j, y in supports[b]:
+                    orb = orbit_row[j]
+                    if orb >= 0:
+                        coeff[orb] += x * y
             terms = tuple((orb, c) for orb, c in enumerate(coeff) if c)
             tests.append((terms, refdata.Q_GRAM.entries[a][b] - const))
     return tests
@@ -435,15 +451,27 @@ def _qgram_solutions(pinned: dict, blocks, packed):
     of about equal product size; the sums of the left half go into a table,
     and each right-half sum looks up the left sums that complete it to the
     targets (the Horowitz-Sahni split).
+
+    A half is held as its list of sums alone, in ``itertools.product``
+    order, so the sum at index k takes from each block the completion
+    given by the digits of k in mixed radix over the block sizes, the last
+    block fastest.  Only the rare matches decode their completions.
     """
     columns, target = packed
 
-    def sums(half) -> list[tuple[int, tuple]]:
-        # (packed sum, parts) over itertools.product(*half), in its order
-        out = [(0, ())]
+    def sums(half) -> list[int]:
+        out = [0]
         for comps in half:
-            out = [(s + e, parts + (part,)) for s, parts in out for e, part in comps]
+            out = [s + e for s in out for e, _ in comps]
         return out
+
+    def parts(half, k: int) -> tuple:
+        # the completions at index k of sums(half)
+        out = []
+        for comps in reversed(half):
+            k, digit = divmod(k, len(comps))
+            out.append(comps[digit][1])
+        return tuple(reversed(out))
 
     need = target - sum(columns[orb] * v for orb, v in pinned.items())
     halves: tuple[list, list] = ([], [])
@@ -452,13 +480,16 @@ def _qgram_solutions(pinned: dict, blocks, packed):
         side = 0 if sizes[0] <= sizes[1] else 1
         halves[side].append(comps)
         sizes[side] *= len(comps)
-    left_parts = defaultdict(list)
-    for s, parts in sums(halves[0]):
-        left_parts[s].append(parts)
+    left_index = defaultdict(list)
+    for k, s in enumerate(sums(halves[0])):
+        left_index[s].append(k)
     base = _base_values(pinned)
-    for s, right in sums(halves[1]):
-        for parts in left_parts.get(need - s, ()):
-            yield _solution_key(base, parts + right)
+    for k, s in enumerate(sums(halves[1])):
+        matches = left_index.get(need - s)
+        if matches:
+            right = parts(halves[1], k)
+            for m in matches:
+                yield _solution_key(base, parts(halves[0], m) + right)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ ever rounded.  Parsing errors carry the offending coordinates.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .curves import CoverStep, CurveConfig, InvolutionAction
@@ -26,8 +28,30 @@ def _check_schema(data: dict) -> None:
         raise ParseError(f"'schema' must be {SCHEMA} when present")
 
 
+@contextmanager
+def _all_digits():
+    """Convert integers of any length to text inside this block.
+
+    Python caps the decimal conversion of an int, by default at 4300
+    digits, to bound the cost of parsing untrusted text.  The cap stays on
+    while input is read, so an oversized input integer is still a parse
+    error; output prints exact results, such as Smith transforms, in full.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def rational_to_json(x: Fraction | int):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if x.denominator == 1:
+        return int(x)
+    with _all_digits():
+        return f"{x.numerator}/{x.denominator}"
 
 
 def intmat_to_json(m: IntMat) -> list:
@@ -210,4 +234,5 @@ def load_json(path: str):
 
 
 def dumps(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=False)
+    with _all_digits():
+        return json.dumps(data, indent=2, sort_keys=False)

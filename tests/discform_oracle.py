@@ -251,7 +251,8 @@ def dual_transform(lattice):
 def full_snf_discriminant_group(lattice):
     """DiscGroupData read off the full rational SNF S * gram^-1 * T = D.
 
-    The diagonal of D is ``snf_diagonal``.  The generators are the j with a
+    Its ``snf_diagonal``, derived from the invariant factors and the rank,
+    is asserted to be the diagonal of D.  The generators are the j with a
     non-integral d_j = 1/n_j; the lift of generator j is row j of
     S * gram^-1 and its class column n_j * gram^-1 * T[:, j] mod n_j, both
     summed over Fractions.
@@ -272,14 +273,15 @@ def full_snf_discriminant_group(lattice):
         col = [order * sum(inv[i][k] * t.entries[k][j] for k in range(n)) for i in range(n)]
         assert all(e.denominator == 1 for e in col)
         columns.append(tuple(int(e) % order for e in col))
-    return DiscGroupData(
+    data = DiscGroupData(
         lattice,
         tuple(diag[j].denominator for j in gens),
         tuple(tuple(int(e * lift_den) for e in row) for row in lifts),
         lift_den,
         tuple(columns),
-        diag,
     )
+    assert data.snf_diagonal == diag
+    return data
 
 
 def class_of(transform, coords):

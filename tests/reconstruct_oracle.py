@@ -12,11 +12,12 @@ the printed supports, and ``m_solution`` solves for the coordinates of
 one half-sum of X' curves in the rank-16 basis, one side per solve.
 ``qgram_solutions`` tests every choice of block completions of one
 product against unpacked affine tests, where the package joins packed
-half-sums.  ``block_completions`` tries every value up to the block
-total for each orbit, so the census does not rest on the package's
-derived entry bound.  The differential tests compare each with the
-package.  The arrangements, Gram tests and assembly come from the
-package.
+half-sums.  ``qgram_linear_tests`` reads the rank-6 Gram conditions off
+every member pair of every orbit, where the package sums over the
+supports of the basis vectors.  ``block_completions`` tries every value
+up to the block total for each orbit, so the census does not rest on the
+package's derived entry bound.  The differential tests compare each with
+the package.  The arrangements and the assembly come from the package.
 """
 
 import itertools
@@ -35,7 +36,6 @@ from evenlat.reconstruct import (
     _adjacency,
     _assemble,
     _hexagon_arrangements,
-    _qgram_linear_tests,
     relations_hold,
 )
 
@@ -150,6 +150,27 @@ def s_block_valid(orbit_vals: dict) -> bool:
     return signature(sm) == (1, 9, 0)
 
 
+def qgram_linear_tests():
+    """The printed rank-6 Gram as affine conditions (terms, rhs) on the
+    orbit values: the coefficient of an orbit sums both products of each
+    of its member pairs, and the constant is the diagonal's -2 entries."""
+    qvecs = refdata.Q_BASIS.entries
+    tests = []
+    for a in range(6):
+        for b in range(a, 6):
+            const = sum(-2 * qvecs[a][i] * qvecs[b][i] for i in range(24))
+            terms = []
+            for orb, pairs in ORBIT_MEMBERS.items():
+                c = 0
+                for pair in pairs:
+                    i, j = sorted(pair)
+                    c += qvecs[a][i] * qvecs[b][j] + qvecs[a][j] * qvecs[b][i]
+                if c:
+                    terms.append((orb, c))
+            tests.append((tuple(sorted(terms)), refdata.Q_GRAM.entries[a][b] - const))
+    return tests
+
+
 def generator_weights() -> list[dict[int, Fraction]]:
     """The 23 generators of X' over the 20 curves, as {curve index: weight}:
     the curves themselves, then N, Lambda1 and Lambda2, the half-sums over
@@ -225,7 +246,7 @@ def block_completions(g1: int, g2: int, adjacent: bool, orbit_vals: dict) -> lis
 
 
 def reconstruct_24() -> Reconstruction24:
-    qtests = _qgram_linear_tests()
+    qtests = qgram_linear_tests()
     tier1_keys = set()
     tier2_keys = set()
     for arrangement in _hexagon_arrangements():

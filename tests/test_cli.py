@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +18,13 @@ from evenlat.serialize import (
     cover_step_from_json,
     gram_from_json,
     involution_from_json,
+    intmat_to_json,
+    ratmat_to_json,
+    rational_to_json,
     rows_from_json,
 )
 from evenlat.curves import hexagon_config
-from evenlat.exactlinalg import IntMat
+from evenlat.exactlinalg import IntMat, RatMat, snf, snf_rational
 from evenlat.lattice import parse_lattice_expr
 from evenlat.verify import run_all
 from deck_oracle import golden_gram_rows
@@ -55,6 +59,17 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@contextlib.contextmanager
+def no_digit_cap():
+    """Lift Python's cap on int-to-str conversion, to read exact output."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestSNF:
@@ -101,6 +116,43 @@ class TestSNF:
         assert code == 3
         assert out == ""
         assert err == "error: matrix is singular; no inverse to decompose\n"
+
+
+    @pytest.mark.parametrize("flags", [[], ["--rational"]])
+    def test_transforms_past_the_digit_cap(self, capsys, flags):
+        # a scrambled sum U+E8+E8+U(2)+<-4>+<-4> with 2-digit entries,
+        # whose Smith transforms pass the 4300 digits that Python converts
+        # to text by default; input past the cap still exits 2 (_HUGE below)
+        path = os.path.join(GOLDEN, "snf_digit_limit.gram.json")
+        cap = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "snf", path, *flags)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == cap
+        with open(path) as fh:
+            gram = IntMat.from_rows(json.load(fh)["gram"])
+        d, s, t = snf_rational(gram.to_rational()) if flags else snf(gram)
+        with no_digit_cap():
+            data = json.loads(out)
+            assert max(len(str(abs(e))) for row in s.entries + t.entries for e in row) > cap
+        assert data == {
+            "schema": 1,
+            "D": ratmat_to_json(d),
+            "S": intmat_to_json(s),
+            "T": intmat_to_json(t),
+            "invariant_factors": [rational_to_json(d.entries[i][i]) for i in range(d.rows)],
+        }
+
+    def test_rational_entries_past_the_digit_cap(self, capsys, q_file, monkeypatch):
+        big = 10**5000
+        monkeypatch.setattr(
+            cli, "snf_rational", lambda a: (RatMat(((1,),), big), IntMat(((big,),)), IntMat(((1,),)))
+        )
+        code, out, err = run_cli(capsys, "snf", q_file, "--rational")
+        assert (code, err) == (0, "")
+        with no_digit_cap():
+            data = json.loads(out)
+            assert data["D"] == [[f"1/{big}"]] and data["invariant_factors"] == [f"1/{big}"]
+            assert data["S"] == [[big]]
 
 
 class TestDiscAndIsotropic:

@@ -584,6 +584,13 @@ class TestRebase:
         with pytest.raises(ValueError, match="does not span every curve"):
             pres.rebase([(1, 0), (0, 2)])
 
+    def test_vector_of_another_length_rejected(self):
+        # the product with member would drop the third entry, and the two
+        # rows left are a basis of the plain span
+        pres = present(two_curves(-2, -2, 1))
+        with pytest.raises(ValueError, match="vector of length 3 over a configuration of 2"):
+            pres.rebase([(1, 0, 0), (0, 1)])
+
     def test_non_integral_gram_rejected(self):
         # (a + b) / 2 has square (-2 + 2 - 2) / 4 = -1/2
         pres = present(two_curves(-2, -2, 1))

@@ -14,7 +14,7 @@ import linalg_oracle as oracle
 import reconstruct_oracle
 from deck_oracle import golden_gram_rows
 from evenlat.curves import InvolutionAction, present, triple_double_tower
-from evenlat.exactlinalg import snf_rational
+from evenlat.exactlinalg import IntMat, snf_rational
 from evenlat.lattice import discriminant_group
 from evenlat import reconstruct
 from evenlat.verify import reconstruction_entry
@@ -31,6 +31,7 @@ from evenlat.reconstruct import (
     _e8_embeddings,
     _hexagon_arrangements,
     _packed,
+    _qgram_linear_tests,
     _qgram_solutions,
     _shape_arrangements,
     _with_effects,
@@ -167,6 +168,22 @@ class TestAgainstEnumeration:
 
     def test_split_incidence_system_matches_oracle(self, xprime):
         assert xprime.incidence_kernel_dim == reconstruct_oracle.incidence_kernel_dim() == 64
+
+    def test_qgram_linear_tests_match_oracle(self):
+        assert _qgram_linear_tests() == reconstruct_oracle.qgram_linear_tests()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.lists(st.sampled_from((0, 0, 0, 0, -2, -1, 1, 2)), min_size=24, max_size=24),
+        min_size=6, max_size=6,
+    ))
+    def test_qgram_linear_tests_match_oracle_on_any_basis(self, rows):
+        # the sum over the supports of two basis vectors against the walk
+        # over every member pair of every orbit, on drawn bases: supports
+        # inside one group, overlapping, dense, empty
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rd, "Q_BASIS", IntMat.from_rows(rows))
+            assert _qgram_linear_tests() == reconstruct_oracle.qgram_linear_tests()
 
     def test_every_orbit_lies_in_one_block(self):
         # the product count and the split join both rest on this
