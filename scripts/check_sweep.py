@@ -11,6 +11,11 @@ out).  It also names the ``ALLOW`` entries that match no ``raise``.
 
     python scripts/check_sweep.py --workers 2
     python scripts/check_sweep.py -- tests/test_lattice.py tests/test_cli.py
+    python scripts/check_sweep.py --module exactlinalg.py --module lattice.py
+
+``--module NAME``, repeatable, mutates only the ``raise`` statements of
+the named modules, file names under ``src/evenlat``; without it every
+module is swept.
 
 The selection after ``--`` defaults to tier-1, ``tests`` and
 ``bench/tests``.  A module's own test file (``tests/test_<module>.py``,
@@ -199,14 +204,28 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--workers", type=int, default=1, help="parallel copies (default 1)")
+    parser.add_argument(
+        "--module", action="append", default=[], metavar="NAME",
+        help="sweep only this file under src/evenlat; repeatable (default: every module)",
+    )
     parser.add_argument("selection", nargs="*", help="pytest paths or node ids (default: tier-1)")
     args = parser.parse_args()
     if args.workers < 1:
         parser.error("--workers must be at least 1")
     selection = tuple(args.selection) or DEFAULT_SELECTION
+    paths = sorted((REPO / PACKAGE).glob("*.py"))
+    unknown = sorted(set(args.module) - {path.name for path in paths})
+    if unknown:
+        parser.error(f"no module {', '.join(unknown)} under {PACKAGE}")
+    if args.module:
+        paths = [path for path in paths if path.name in args.module]
 
-    mutations = [m for path in sorted((REPO / PACKAGE).glob("*.py")) for m in find_raises(path)]
-    stale = [key for key in ALLOW if not any(m.allowed_by(key) for m in mutations)]
+    mutations = [m for path in paths for m in find_raises(path)]
+    swept = {path.name for path in paths}
+    stale = [
+        key for key in ALLOW
+        if key[0] in swept and not any(m.allowed_by(key) for m in mutations)
+    ]
     for sig in STOP_SIGNALS:
         signal.signal(sig, _exit_on_signal)
     sessions = Sessions()

@@ -88,7 +88,7 @@ class IntMat:
         """Determinant by fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        pivots, d, sign = _bareiss([list(row) for row in self.entries], above=False)
+        pivots, d, sign = _bareiss([list(row) for row in self.entries], "below")
         return sign * d if len(pivots) == self.rows else 0
 
     def inverse(self) -> RatMat:
@@ -166,20 +166,21 @@ class RatMat:
         """det(num) / den^n."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        pivots, d, sign = _bareiss([list(row) for row in self.num], above=False)
+        pivots, d, sign = _bareiss([list(row) for row in self.num], "below")
         return Fraction(sign * d, self.den**self.rows) if len(pivots) == self.rows else Fraction(0)
 
     def inverse(self) -> RatMat:
-        """Gauss-Jordan inverse den * num^-1 on [num | I]; raises on singular input."""
+        """The inverse den * num^-1; raises on singular input.
+
+        ``_bareiss`` runs Gauss-Jordan on num alone, writing the inverse
+        into the columns it has eliminated, instead of on [num | I].
+        """
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.num)]
-        pivots, d, _ = _bareiss(m)
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        # m = d * [I | num^-1]
-        return _reduced([[self.den * e for e in row[n:]] for row in m], d)
+        m = [list(row) for row in self.num]
+        _, d, _ = _bareiss(m, "inverse")
+        # m = d * num^-1
+        return _reduced([[self.den * e for e in row] for row in m], d)
 
 
 def _check_int_rows(rows) -> None:
@@ -311,15 +312,23 @@ def bilinear_table(xs, gram, ys) -> tuple[list[list[int]], int]:
     return _dots(left, right), dx * dy
 
 
-def _bareiss(m: list[list[int]], above: bool = True) -> tuple[list[int], int, int]:
+def _bareiss(m: list[list[int]], mode: str = "reduce") -> tuple[list[int], int, int]:
     """Fraction-free (Bareiss) elimination of integer rows, in place.
 
     Returns the pivot columns, the last pivot d (1 when there is none) and
     the sign of the row swaps; for a square matrix of full rank, sign * d
-    is the determinant.  With ``above``, the rows above each pivot are
-    eliminated too (Gauss-Jordan) and m ends as d times its reduced row
-    echelon form, zero rows at the bottom.  Without, only the rows below
-    each pivot are, and only the pivots and d are meaningful.
+    is the determinant.  ``mode`` says how much of m is kept:
+
+    - "reduce" (Gauss-Jordan): the rows above each pivot are eliminated
+      too, and m ends as d times its reduced row echelon form, zero rows
+      at the bottom.
+    - "inverse": m is square, and it ends as d * m^-1 (Gauss-Jordan by
+      column replacement).  A column without a pivot raises "matrix is
+      singular".
+    - "below": only the rows below each pivot are eliminated, and only in
+      the columns right of the pivot: the pivot row and the rows below it
+      are zero left of it, so nothing else can change.  Only the pivots
+      and d are meaningful.
 
     At the step on pivot p = m[r][c], with prev the previous pivot, eager
     Bareiss replaces each other row by (p * row - row[c] * m[r]) / prev:
@@ -329,41 +338,79 @@ def _bareiss(m: list[list[int]], above: bool = True) -> tuple[list[int], int, in
     to: the eager row is row * prev / scale[i].  Substituted into the step,
     the factor prev / scale[i] cancels, and a combined row becomes
     (p * row - row[c] * m[r]) / scale[i], at scale p.  The pivot row is
-    brought to prev before its step and is at scale p after it; with
-    ``above``, every row is brought to d at the end.
+    brought to prev before its step and is at scale p after it; in the
+    Gauss-Jordan modes every row is brought to d at the end.
+
+    The inverse mode is the "reduce" mode on [m | I] without the I.  Up to
+    the step on row r, the identity column of the input row now at r is
+    that row's scale in row r and zero elsewhere, and after the step
+    column c is p in row r and zero elsewhere.  So the step writes the
+    identity column into column c: prev in the pivot row and
+    -row[c] * prev / scale[i] in a combined row, zero in a row that sits
+    out.  Column c then holds the identity column of the row that was its
+    pivot row, and undoing the row swaps on the columns at the end gives
+    d * m^-1.
     """
+    n = len(m)
+    below, inverse = mode == "below", mode == "inverse"
     pivots: list[int] = []
-    scale = [1] * len(m)
+    scale = [1] * n
+    order = list(range(n))
     d = sign = 1
     for c in range(len(m[0])):
         r = len(pivots)
-        if r == len(m):
+        if r == n:
             break
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        piv = next((i for i in range(r, n) if m[i][c]), None)
         if piv is None:
+            if inverse:
+                raise ValueError("matrix is singular")
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             scale[r], scale[piv] = scale[piv], scale[r]
+            order[r], order[piv] = order[piv], order[r]
             sign = -sign
         s = scale[r]
-        if s != d:
-            m[r] = [a * d // s for a in m[r]]
-        pivot_row = m[r]
-        p = pivot_row[c]
-        for i in range(0 if above else r + 1, len(m)):
-            row = m[i]
-            if i == r or not row[c]:
-                continue
-            f, s = row[c], scale[i]
-            m[i] = [(p * a - f * b) // s for a, b in zip(row, pivot_row)]
-            scale[i] = p
+        if below:
+            p, tail = m[r][c], m[r][c + 1:]
+            if s != d:
+                p, tail = p * d // s, [a * d // s for a in tail]
+            for i in range(r + 1, n):
+                row = m[i]
+                f = row[c]
+                if f:
+                    s = scale[i]
+                    row[c + 1:] = [(p * a - f * b) // s for a, b in zip(row[c + 1:], tail)]
+                    scale[i] = p
+        else:
+            if s != d:
+                m[r] = [a * d // s for a in m[r]]
+            pivot_row = m[r]
+            p = pivot_row[c]
+            for i in range(n):
+                row = m[i]
+                f = row[c]
+                if i == r or not f:
+                    continue
+                s = scale[i]
+                m[i] = row = [(p * a - f * b) // s for a, b in zip(row, pivot_row)]
+                if inverse:
+                    row[c] = -f * d // s
+                scale[i] = p
+            if inverse:
+                pivot_row[c] = d
         scale[r] = d = p
         pivots.append(c)
-    if above:
+    if not below:
         for i, s in enumerate(scale):
             if s != d:
                 m[i] = [a * d // s for a in m[i]]
+    if inverse and order != list(range(n)):
+        # column k holds the identity column of input row order[k]
+        where = sorted(range(n), key=order.__getitem__)
+        for i, row in enumerate(m):
+            m[i] = [row[k] for k in where]
     return pivots, d, sign
 
 
@@ -401,13 +448,16 @@ def snf(a: IntMat, *, stop_mod: int | None = None) -> tuple[IntMat, IntMat, IntM
 
     D is diagonal with nonnegative invariant factors d1 | d2 | ... ;
     S, T are unimodular.  Pivots are chosen by minimal absolute value
-    to limit coefficient growth.  The steps run on one table: [A | I_m]
-    over I_n.  Row steps touch its first m rows and column steps its
-    first n columns, so it ends as [D | S] over T.
+    to limit coefficient growth: step k pivots on the first entry of
+    least absolute value, in row-major order, of the block of rows and
+    columns >= k.  The steps run on one table: [A | I_m] over I_n.  Row
+    steps touch its first m rows and column steps its first n columns,
+    so it ends as [D | S] over T.
 
     With ``stop_mod``, a positive int, the elimination stops before step
-    k once the block of rows and columns >= k is divisible by stop_mod:
-    every invariant factor left is then a multiple of stop_mod.  S*A*T = D
+    k once the block of rows and columns >= k is divisible by stop_mod;
+    the one scan of that block that looks for the pivot decides it.  Then
+    every invariant factor left is a multiple of stop_mod.  S*A*T = D
     still holds, D is diagonal in its first k rows and columns, and the
     trailing block is left unreduced.  Step k touches only rows and
     columns >= k, so the first k diagonal entries, rows of S and columns
@@ -419,19 +469,20 @@ def snf(a: IntMat, *, stop_mod: int | None = None) -> tuple[IntMat, IntMat, IntM
     rank_bound = min(m, n)
     k = 0
     while k < rank_bound:
-        if stop_mod is not None and all(
-            e % stop_mod == 0 for row in d[k:m] for e in row[k:n]
-        ):
-            break
+        # one scan of the block left: the pivot, and whether some entry
+        # is not divisible by stop_mod
         piv = None
-        best = None
+        best = 0
+        live = stop_mod is None
         for i in range(k, m):
-            for j in range(k, n):
-                e = d[i][j]
-                if e != 0 and (best is None or abs(e) < best):
-                    best = abs(e)
-                    piv = (i, j)
-        if piv is None:
+            for j, e in enumerate(d[i][k:n], k):
+                if e:
+                    if not live and e % stop_mod:
+                        live = True
+                    if not best or abs(e) < best:
+                        best = abs(e)
+                        piv = (i, j)
+        if piv is None or not live:
             break
         pi, pj = piv
         if pi != k:
@@ -589,7 +640,7 @@ def solve_rational(a: IntMat, sides) -> list[RationalSolution | None]:
 
 def row_rank(a: IntMat) -> int:
     """Rank of an integer matrix over Q."""
-    return len(_bareiss([list(row) for row in a.entries], above=False)[0])
+    return len(_bareiss([list(row) for row in a.entries], "below")[0])
 
 
 def kernel_saturated(a: IntMat) -> tuple[tuple[int, ...], ...]:

@@ -389,15 +389,17 @@ def low_rank_intmat(max_dim=5, max_entry=3, square=False):
 
 
 @st.composite
-def zero_heavy_intmat(draw, max_dim=6):
+def zero_heavy_intmat(draw, max_dim=6, square=False):
     """Sparse integer matrices, often rank-deficient or needing row swaps.
 
     A row with a zero in the pivot column sits out that step, so sparse
     rows sit out several steps in a row.  Optionally the rows with a zero
     in the first column come first, forcing a swap, and a combination of
-    two rows is inserted, lowering the rank.
+    two rows is inserted, lowering the rank; a square draw has one column
+    more in that case.
     """
-    n, w = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    w = n if square else draw(st.integers(1, max_dim))
     zeros = draw(st.integers(3, 9))
     cell = st.tuples(st.integers(0, 9), st.integers(-9, 9)).map(
         lambda t: 0 if t[0] < zeros else t[1]
@@ -409,27 +411,50 @@ def zero_heavy_intmat(draw, max_dim=6):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
         rows.insert(draw(st.integers(0, n)), [a * x + b * y for x, y in zip(rows[i], rows[j])])
+        if square:
+            rows = [row + [draw(st.integers(-9, 9))] for row in rows]
     return IntMat.from_rows(rows)
 
 
 class TestBareissKernel:
-    """Both modes of the lazily scaled kernel against the Fraction RREF."""
+    """The modes of the lazily scaled kernel against the Fraction RREF and inverse."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(zero_heavy_intmat() | low_rank_intmat(max_dim=6))
     def test_both_modes(self, a):
+        # the Gauss-Jordan mode and the below-only mode
         rows = a.entries
         reduced, want_pivots = oracle.rref(rows)
         det = oracle.det(rows) if a.rows == a.cols else None
-        for above in (True, False):
+        for mode in ("reduce", "below"):
             m = [list(row) for row in rows]
-            pivots, d, sign = _bareiss(m, above=above)
+            pivots, d, sign = _bareiss(m, mode)
             assert pivots == want_pivots
             assert len(pivots) == oracle.rank(rows)
             if det is not None:
                 assert (sign * d if len(pivots) == a.rows else 0) == det
-            if above:
+            if mode == "reduce":
                 assert m == [[d * e for e in row] for row in reduced]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(zero_heavy_intmat(square=True) | low_rank_intmat(max_dim=6, square=True))
+    @example(IntMat.from_rows([[0, 1], [1, 0]]))
+    @example(IntMat.from_rows([[0, 0, 2], [3, 0, 0], [0, 5, 0]]))  # the swaps make a 3-cycle
+    def test_inverse_mode(self, a):
+        # m ends as d * A^-1, with the pivots, d and sign of the plain modes
+        rows = a.entries
+        plain = _bareiss([list(row) for row in rows])
+        assert _bareiss([list(row) for row in rows], "below") == plain
+        m = [list(row) for row in rows]
+        if len(plain[0]) < a.rows:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                _bareiss(m, "inverse")
+            with pytest.raises(ValueError, match="matrix is singular"):
+                a.inverse()
+            return
+        assert _bareiss(m, "inverse") == plain
+        d = plain[1]
+        assert m == [[d * e for e in row] for row in oracle.inverse(rows)]
 
     def test_pivot_row_keeps_its_scale(self):
         # the pivot row counts as being at the new scale after its step;
@@ -552,6 +577,7 @@ class TestSNFStop:
     )
     @example((IntMat.from_rows([[4, 6], [6, 4]]), 1))    # stops before the first step
     @example((IntMat.from_rows([[2, 0], [0, 2]]), 2))
+    @example((IntMat.from_rows([[3, 0, 0], [0, 0, 0]]), 2))  # stops at a zero block
     def test_prefix_of_the_full_form(self, case):
         a, m = case
         d, s, t = snf(a, stop_mod=m)
