@@ -3,7 +3,9 @@
 Subcommands expose the library: exact normal forms, discriminant data,
 isotropic enumeration, overlattices, orthogonal complements, primitive
 embedding checks, configuration operations, and the full verification run.
-Output is deterministic JSON (or Markdown for reports).
+Each command hands library values, exact integers and Fractions, to
+``serialize.dumps``, and prints one deterministic JSON document tagged with
+``"schema"`` (or Markdown for reports).
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
 3 precondition violation, 4 search guard exceeded.
@@ -12,7 +14,6 @@ Exit codes: 0 success, 1 verification failure, 2 parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -58,17 +59,13 @@ def _load_rows_arg(arg: str) -> IntMat:
     """Generator rows given inline as JSON or as a file with a 'rows' field."""
     text = arg.strip()
     if text.startswith("["):
-        try:
-            data = json.loads(text)
-        # a JSONDecodeError, an integer past the digit limit, or nesting past the stack
-        except (ValueError, RecursionError) as exc:
-            raise ser.ParseError(f"inline rows: malformed JSON: {exc}")
-        return ser.rows_from_json(data)
+        return ser.rows_from_json(ser.parse_json(text, "inline rows"))
     return ser.rows_from_json(ser.load_json(arg))
 
 
-def _emit(data) -> None:
-    sys.stdout.write(ser.dumps(data) + "\n")
+def _emit(data: dict) -> None:
+    """Print data as one JSON document, with "schema" as its first field."""
+    sys.stdout.write(ser.dumps({"schema": ser.SCHEMA, **data}) + "\n")
 
 
 def cmd_snf(args) -> int:
@@ -83,17 +80,14 @@ def cmd_snf(args) -> int:
         d, s, t = snf_rational(mat)
     else:
         d, s, t = snf(gram)
-    # integer entries print as integers, so one layout serves both forms
+    # integral Fractions print as integers, so one layout serves both forms
     entries = d.entries
     _emit(
         {
-            "schema": ser.SCHEMA,
-            "D": ser.ratmat_to_json(d),
-            "S": ser.intmat_to_json(s),
-            "T": ser.intmat_to_json(t),
-            "invariant_factors": [
-                ser.rational_to_json(entries[i][i]) for i in range(min(d.rows, d.cols))
-            ],
+            "D": entries,
+            "S": s.entries,
+            "T": t.entries,
+            "invariant_factors": [entries[i][i] for i in range(min(d.rows, d.cols))],
         }
     )
     return 0
@@ -104,17 +98,13 @@ def cmd_disc(args) -> int:
     module = df.from_lattice(Lattice(gram, name))
     _emit(
         {
-            "schema": ser.SCHEMA,
-            "invariant_factors": list(module.orders),
+            "invariant_factors": module.orders,
             "order": module.order,
             "generators": [
-                [ser.rational_to_json(Fraction(a, module.disc.lift_den)) for a in row]
-                for row in module.disc.lift_num
+                [Fraction(a, module.disc.lift_den) for a in row] for row in module.disc.lift_num
             ],
-            "q_table": [ser.rational_to_json(q) for q in module.q_diag],
-            "b_table": [
-                [ser.rational_to_json(b) for b in row] for row in module.b_mat
-            ],
+            "q_table": module.q_diag,
+            "b_table": module.b_mat,
         }
     )
     return 0
@@ -141,13 +131,12 @@ def cmd_isotropic(args) -> int:
     module = df.from_lattice(Lattice(gram, name))
     _check_enumeration_guard(module)
     out = {
-        "schema": ser.SCHEMA,
-        "orders": list(module.orders),
-        "isotropic_elements": [list(x) for x in df.isotropic_elements(module)],
+        "orders": module.orders,
+        "isotropic_elements": df.isotropic_elements(module),
     }
     if args.subgroups:
         out["isotropic_subgroups"] = [
-            {"order": sub.order, "generators": [list(g) for g in sub.gens]}
+            {"order": sub.order, "generators": sub.gens}
             for sub in df.isotropic_subgroups(module)
         ]
     _emit(out)
@@ -165,13 +154,13 @@ def cmd_overlattices(args) -> int:
         out.append(
             {
                 "glue_order": sub.order,
-                "glue_generators": [list(g) for g in sub.gens],
-                "gram": ser.intmat_to_json(over.gram),
+                "glue_generators": sub.gens,
+                "gram": over.gram.entries,
                 # L has index |H| in L', so det(L') = det(L) / |H|^2 exactly
                 "det": lat.det // (sub.order * sub.order),
             }
         )
-    _emit({"schema": ser.SCHEMA, "overlattices": out})
+    _emit({"overlattices": out})
     return 0
 
 
@@ -181,9 +170,8 @@ def cmd_complement(args) -> int:
     comp = orthogonal_complement(ambient, gens)
     _emit(
         {
-            "schema": ser.SCHEMA,
-            "basis": ser.intmat_to_json(comp.basis_coords),
-            "gram": ser.intmat_to_json(comp.induced_gram),
+            "basis": comp.basis_coords.entries,
+            "gram": comp.induced_gram.entries,
             "degenerate": comp.is_degenerate,
         }
     )
@@ -196,9 +184,8 @@ def cmd_embed_check(args) -> int:
     sub = sublattice(ambient, gens)
     _emit(
         {
-            "schema": ser.SCHEMA,
             "primitive": is_primitive(ambient, gens),
-            "gram": ser.intmat_to_json(sub.induced_gram),
+            "gram": sub.induced_gram.entries,
         }
     )
     return 0
@@ -218,12 +205,11 @@ def cmd_config(args) -> int:
         result = double_cover_pullback(config, step)
         _emit(
             {
-                "schema": ser.SCHEMA,
                 "ambiguous": result.is_ambiguous,
                 "options": [
                     {
                         "config": ser.config_to_json(opt.config),
-                        "label_map": {k: list(v) for k, v in sorted(opt.label_map.items())},
+                        "label_map": dict(sorted(opt.label_map.items())),
                     }
                     for opt in result.options
                 ],
@@ -236,19 +222,18 @@ def cmd_config(args) -> int:
         quot = quotient_by_involution(config, act)
         _emit(
             {
-                "schema": ser.SCHEMA,
                 "config": ser.config_to_json(quot.config),
-                "orbit_map": {k: list(v) for k, v in sorted(quot.orbit_map.items())},
+                "orbit_map": dict(sorted(quot.orbit_map.items())),
             }
         )
         return 0
     # argparse admits no other operation than reconstruct here
     rec = reconstruct_24()
-    out = {"schema": ser.SCHEMA, "census": rec.census_sizes()}
+    out = {"census": rec.census_sizes()}
     if len(rec.tier3) == 1:
         out["config"] = ser.config_to_json(rec.config())
     else:
-        out["solutions"] = [ser.intmat_to_json(g) for g in rec.tier3]
+        out["solutions"] = [g.entries for g in rec.tier3]
     _emit(out)
     return 0
 

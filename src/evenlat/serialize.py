@@ -1,7 +1,11 @@
-"""JSON schemas for matrices, configurations, and involutions.
+"""The JSON format, in both directions: Gram matrices, generator rows,
+curve configurations, cover steps and involutions.
 
-Integers are JSON integers and rationals are strings "p/q", so nothing is
-ever rounded.  Parsing errors carry the offending coordinates.
+``dumps`` writes ints, tuples and Fractions exactly: an integral Fraction
+becomes a JSON integer and any other the string "p/q", so nothing is ever
+rounded.  ``parse_json`` and ``load_json`` read JSON text, and the
+``*_from_json`` readers check a parsed document against its schema.  Every
+malformed input is a ``ParseError`` that names the offending coordinates.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .curves import CoverStep, CurveConfig, InvolutionAction
-from .exactlinalg import IntMat, RatMat
+from .exactlinalg import IntMat
 
 SCHEMA = 1
 
@@ -47,19 +51,13 @@ def _all_digits():
             sys.set_int_max_str_digits(limit)
 
 
-def rational_to_json(x: Fraction | int):
-    if x.denominator == 1:
-        return int(x)
-    with _all_digits():
-        return f"{x.numerator}/{x.denominator}"
-
-
-def intmat_to_json(m: IntMat) -> list:
-    return [list(row) for row in m.entries]
-
-
-def ratmat_to_json(m: RatMat | IntMat) -> list:
-    return [[rational_to_json(e) for e in row] for row in m.entries]
+def _check_int_row(i: int, row, width: int) -> None:
+    """Row i (0-based) must be an array of width integers."""
+    if not isinstance(row, list) or len(row) != width:
+        raise ParseError(f"row {i + 1}: expected {width} entries")
+    for j, e in enumerate(row):
+        if not isinstance(e, int) or isinstance(e, bool):
+            raise ParseError(f"entry ({i + 1},{j + 1}) is not an integer")
 
 
 def gram_from_json(data) -> tuple[IntMat, str | None]:
@@ -71,11 +69,7 @@ def gram_from_json(data) -> tuple[IntMat, str | None]:
         raise ParseError("'gram' must be a nonempty array of rows")
     n = len(rows)
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ParseError(f"row {i + 1}: expected {n} entries")
-        for j, e in enumerate(row):
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise ParseError(f"entry ({i + 1},{j + 1}) is not an integer")
+        _check_int_row(i, row, n)
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
@@ -94,17 +88,11 @@ def rows_from_json(data) -> IntMat:
         data = data.get("rows")
     if not isinstance(data, list) or not data:
         raise ParseError("expected a nonempty array of integer rows")
-    width = None
     for i, row in enumerate(data):
         if not isinstance(row, list) or not row:
             raise ParseError(f"row {i + 1} is not a nonempty array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"row {i + 1}: expected {width} entries")
-        for j, e in enumerate(row):
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise ParseError(f"entry ({i + 1},{j + 1}) is not an integer")
+        # the first row, checked above, sets the width
+        _check_int_row(i, row, len(data[0]))
     return IntMat.from_rows(data)
 
 
@@ -222,17 +210,37 @@ def cover_step_from_json(data) -> CoverStep:
     return CoverStep(frozenset(branch), branch_points, shared, marked)
 
 
-def load_json(path: str):
+def parse_json(text: str, where: str):
+    """The document in JSON text; malformed text is a ParseError naming where."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        return json.loads(text)
     # a JSONDecodeError, an integer past the digit limit, or nesting past the stack
     except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{where}: malformed JSON: {exc}") from exc
+
+
+def load_json(path: str):
+    """The document in the UTF-8 JSON file at path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
+    return parse_json(text, path)
+
+
+def _fraction_to_json(x):
+    """The json default hook: an integral Fraction as an int, any other as "p/q"."""
+    if not isinstance(x, Fraction):
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if x.denominator == 1:
+        return x.numerator
+    return f"{x.numerator}/{x.denominator}"
 
 
 def dumps(data) -> str:
+    """JSON text of data, indented by 2; Fractions are written exactly."""
     with _all_digits():
-        return json.dumps(data, indent=2, sort_keys=False)
+        return json.dumps(data, indent=2, default=_fraction_to_json)

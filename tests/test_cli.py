@@ -4,12 +4,14 @@ import itertools
 import json
 import os
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import evenlat.cli as cli
 import evenlat.discform as df
+import evenlat.serialize as ser
 from evenlat.cli import main
 from evenlat.serialize import (
     ParseError,
@@ -18,11 +20,9 @@ from evenlat.serialize import (
     cover_step_from_json,
     gram_from_json,
     involution_from_json,
-    intmat_to_json,
-    ratmat_to_json,
-    rational_to_json,
     rows_from_json,
 )
+from serialize_oracle import encode, intmat_to_json, ratmat_to_json, rational_to_json
 from evenlat.curves import hexagon_config
 from evenlat.exactlinalg import IntMat, RatMat, snf, snf_rational
 from evenlat.lattice import parse_lattice_expr
@@ -539,6 +539,28 @@ class TestOverlatticeGolden:
             assert entry["det"] == IntMat.from_rows(entry["gram"]).det()
 
 
+COMMAND_GOLDENS = [
+    (["snf", "overlattices_u2_u3_m2.gram.json"], "overlattices_u2_u3_m2.snf.json"),
+    (["snf", "overlattices_u2_u3_m2.gram.json", "--rational"],
+     "overlattices_u2_u3_m2.snf_rational.json"),
+    # the inverse has non-integral entries, printed as "p/q"
+    (["snf", "overlattices_u2_u3_m2.gram.json", "--rational", "--inverse"],
+     "overlattices_u2_u3_m2.snf_rational_inverse.json"),
+    (["complement", "U+U(2)+diag(-4,-4)", "[[1,2,0,0,0,0],[0,0,1,1,0,0]]"], "complement.json"),
+    (["embed-check", "U(2)+diag(-8)", "[[1,1,1],[-1,1,0]]"], "embed_check.json"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", COMMAND_GOLDENS)
+def test_command_matches_golden_file(capsys, argv, golden):
+    # the committed output; regenerate it only for an intended change
+    argv = [os.path.join(GOLDEN, a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    with open(os.path.join(GOLDEN, golden), encoding="utf-8", newline="") as fh:
+        assert out == fh.read()
+
+
 class TestVerifyPaper:
     @pytest.mark.parametrize("fmt", ["json", "md"])
     def test_full_report_matches_golden_file(self, capsys, fmt):
@@ -608,7 +630,8 @@ class TestSchemas:
         assert [list(r) for r in gram.entries] == Q_ROWS and name == "Q"
 
     def test_emitted_gram_reparses_equal(self):
-        from evenlat.serialize import SCHEMA, intmat_to_json
+        from evenlat.serialize import SCHEMA
+        from serialize_oracle import intmat_to_json
         from evenlat.exactlinalg import IntMat
 
         gram = IntMat.from_rows(Q_ROWS)
@@ -643,6 +666,40 @@ class TestSchemas:
         else:
             with pytest.raises(ParseError, match="'schema' must be 1"):
                 reader(doc)
+
+
+# ---------------------------------------------------------------------------
+# dumps writes Fractions itself, as the field-by-field encoders did
+
+# integers past Python's 4300-digit limit on int-string conversion among small ones
+_EXACT_INTS = st.integers(-(10**6), 10**6) | st.integers(4301, 4400).map(lambda k: -(10**k) - 7)
+_EXACT_SCALARS = _EXACT_INTS | st.builds(Fraction, _EXACT_INTS, _EXACT_INTS.filter(bool))
+_EXACT_VALUES = st.recursive(
+    _EXACT_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text("abq", max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_EXACT_VALUES)
+@example([Fraction(4, 2), Fraction(-3, 6), (Fraction(0),)])
+def test_dumps_matches_the_reference_encoders(value):
+    cap = sys.get_int_max_str_digits()
+    text = ser.dumps(value)
+    assert sys.get_int_max_str_digits() == cap
+    with no_digit_cap():
+        assert text == json.dumps(encode(value), indent=2)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, 1.5j, IntMat(((1,),))])
+def test_dumps_rejects_unsupported_objects(value):
+    cap = sys.get_int_max_str_digits()
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        ser.dumps({"a": [Fraction(1, 3), value]})
+    assert sys.get_int_max_str_digits() == cap
 
 
 # ---------------------------------------------------------------------------
@@ -1214,3 +1271,11 @@ def test_degenerate_hyperbolic_plane_exits_2():
 @pytest.mark.parametrize("name", ["missing.json", "."])
 def test_unreadable_file_exits_2(tmp_path, name):
     _assert_rule(["disc", str(tmp_path / name)], 2, "cannot read")
+
+
+@pytest.mark.parametrize("raw", [b"\xff", b'{"gram": [[2]], "name": "\xe9"}'])
+@pytest.mark.parametrize("command", [["disc"], ["embed-check", "U(2)+diag(-8)"]])
+def test_file_that_is_not_utf8_exits_2(tmp_path, raw, command):
+    path = tmp_path / "latin.json"
+    path.write_bytes(raw)
+    _assert_rule([*command, str(path)], 2, f"{path}: malformed JSON: 'utf-8' codec")

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import os
@@ -13,6 +14,7 @@ import evenlat.discform as df
 import linalg_oracle as oracle
 from evenlat.exactlinalg import IntMat, snf
 from evenlat.lattice import Lattice, make_named, parse_lattice_expr
+from evenlat.refdata import M_Z23_PERP_EXPR, T_X_EXPR
 from test_exactlinalg import hnf_against_oracle, random_unimodular
 
 F = Fraction
@@ -341,6 +343,34 @@ class TestValues:
             lhs = df.q_value(a_q, a_q.smul(n, w1))
             rhs = (n * n * df.q_value(a_q, w1)) % 2
             assert lhs == rhs
+
+
+# Milgram's formula for a lattice-backed module:
+# sum over A_L of exp(pi i q(x)) = sqrt|A_L| * exp(2 pi i sigma / 8), sigma the signature
+MILGRAM_LATTICES = (
+    "U(2)+A1", T_X_EXPR, "M_Z2_3", M_Z23_PERP_EXPR, "Nikulin", "E8+A1", "U(3)+<-4>",
+    "U(2)+<-8>", "<6>", "U(4)+A1+A1",
+)
+
+
+def assert_milgram(module):
+    n_plus, n_minus, _ = module.disc.lattice.signature
+    # the table holds M*q(x) mod 2M, M the level
+    gauss = sum(cmath.exp(1j * math.pi * v / module.level) for _, v in module.value_table)
+    want = math.sqrt(module.order) * cmath.exp(2j * math.pi * (n_plus - n_minus) / 8)
+    assert abs(gauss - want) < 1e-9
+
+
+class TestMilgram:
+    @pytest.mark.parametrize("expr", MILGRAM_LATTICES)
+    def test_named_lattices(self, expr):
+        assert_milgram(df.from_lattice(parse_lattice_expr(expr)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_scrambled_sums(self, seed):
+        _, module = random_small_module(random.Random(seed))
+        assert_milgram(module)
 
 
 class TestIsotropic:
