@@ -10,7 +10,9 @@ M*q mod 2M) and build no Fraction; each module builds that table once, on
 first use, and keeps it.  The isotropic subgroup search and the
 isomorphism search pack each element into one int, a bit field per
 coordinate, so that adding two elements and reducing them mod the orders
-is a few integer operations; their results are tuples again.
+is a few integer operations; their results are tuples again.  Two
+nondegenerate 2-elementary modules are compared by their F2 normal forms,
+with no table and no search.
 """
 
 from __future__ import annotations
@@ -479,15 +481,44 @@ def guard_order() -> int:
 def are_isomorphic(
     m1: FiniteQuadraticModule, m2: FiniteQuadraticModule
 ) -> tuple[GroupElement, ...] | None:
-    """Search for a group isomorphism preserving q (b follows from q).
+    """An isomorphism of the two modules preserving q (b follows from q).
 
     On success returns the images in m2 of m1's generators, in order;
-    None when no isomorphism exists.  Before the search, the two modules
-    must agree in order and level, and then in their stored
-    ``fingerprint``s, the sorted (element order, M*q mod 2M) over all
-    elements; each module builds its table once, so a module compared
-    again costs no scan.  The level is an isometry invariant: it is the
-    lcm of the denominators of all values of q and b.
+    None when no isomorphism exists.  When both modules are 2-elementary
+    and nondegenerate, each is reduced to its F2 normal form
+    (``_two_elementary_form``); the modules are isomorphic exactly when
+    the two forms agree, and the witness maps one canonical basis onto the
+    other.  Every other pair goes to the backtracking search
+    (``_isomorphism_search``), which refuses modules of order above
+    ``guard_order()``.  EVENLAT_GUARD_ORDER is read on every call, so a
+    malformed value fails on either path.  Before it is returned, q_value
+    and b_value check the witness on every generator and every pair of
+    generators.
+    """
+    limit = guard_order()
+    forms = _two_elementary_form(m1), _two_elementary_form(m2)
+    if None not in forms:
+        (key1, basis1), (key2, basis2) = forms
+        if key1 != key2:
+            return None
+        return _checked_witness(m1, m2, _basis_witness(basis1, basis2))
+    if m1.order > limit or m2.order > limit:
+        raise GuardExceeded(
+            f"module order {max(m1.order, m2.order)} exceeds the search guard {limit}"
+        )
+    return _isomorphism_search(m1, m2)
+
+
+def _isomorphism_search(
+    m1: FiniteQuadraticModule, m2: FiniteQuadraticModule
+) -> tuple[GroupElement, ...] | None:
+    """Backtracking search for an isomorphism preserving q.
+
+    Before the search, the two modules must agree in order and level, and
+    then in their stored ``fingerprint``s, the sorted (element order,
+    M*q mod 2M) over all elements; each module builds its table once, so a
+    module compared again costs no scan.  The level is an isometry
+    invariant: it is the lcm of the denominators of all values of q and b.
 
     The search backtracks, in integers, over the images of the generators
     in turn.  The candidates for g_i are the elements of m2 with g_i's key
@@ -500,15 +531,9 @@ def are_isomorphic(
     lies in it for some prime r | d, since every nontrivial subgroup of
     <c> holds the one of order r.  The span of all k images then has
     d_1 * ... * d_k = |m2| elements, so the images generate m2.  The
-    witness returned is the first in candidate order.  Before it is
-    returned, q_value and b_value check it on every generator and every
-    pair of generators.
+    witness returned is the first in candidate order, checked by
+    ``_checked_witness``.
     """
-    limit = guard_order()
-    if m1.order > limit or m2.order > limit:
-        raise GuardExceeded(
-            f"module order {max(m1.order, m2.order)} exceeds the search guard {limit}"
-        )
     if m1.order != m2.order or m1.level != m2.level:
         return None
     if m1.fingerprint != m2.fingerprint:
@@ -577,6 +602,119 @@ def _prime_divisors(n: int) -> list[int]:
                 n //= p
         p += 1
     return primes + [n] if n > 1 else primes
+
+
+# In the F2 normal form below, an element of a 2-elementary module of level
+# 2 is the triple (x, p, t): x the bit mask of its exponents over the
+# generators (bit i for g_i), p its pairing mask (bit j is 2*b(x, g_j)) and
+# t = M*q(x) mod 4.  Both masks are F2-linear in x, and
+# q(x + y) = q(x) + q(y) + 2b(x, y).
+
+def _f2_pair(x, y) -> int:
+    """2*b(x, y) in F2."""
+    return (x[1] & y[0]).bit_count() & 1
+
+
+def _f2_plus(x, y):
+    return x[0] ^ y[0], x[1] ^ y[1], (x[2] + y[2] + 2 * _f2_pair(x, y)) % 4
+
+
+def _two_elementary_form(module: FiniteQuadraticModule):
+    """(key, basis): the F2 normal form of a nondegenerate 2-elementary
+    module of level 2, with its canonical basis; None for any other module.
+
+    While some element has odd M*q (b(x, x) = 1/2, which is linear in x,
+    so the remaining basis vectors tell), it splits off as <+-1/2> and
+    the rest is projected orthogonally to it.  Otherwise a hyperbolic
+    plane splits off, normalised to u (q = 0, 0) or v (q = 1, 1); a basis
+    vector that pairs with no other remaining one spans part of the
+    radical, and the module is degenerate.  Then, when some summand is
+    odd (delta = 1), each plane (e, f) with an odd g becomes the three odd
+    summands e+g, f+g, e+f+g, and each four <-1/2> become the four sums of
+    three of them, each <1/2>, until fewer than four are left.  When
+    delta = 0, each v + v becomes u + u.
+
+    The key is M*q over the canonical basis: when delta = 1, the <1/2>
+    summands, then fewer than four <-1/2>; when delta = 0, the u planes,
+    then at most one v, each plane a consecutive pair with b = 1/2.  Its
+    counts are fixed by l, delta and the signature mod 8, which decide a
+    2-elementary form (Nikulin 1979, 1.8 and 3.6), so two modules are
+    isomorphic exactly when their keys agree.
+    """
+    if module.level != 2 or any(d != 2 for d in module.orders):
+        return None
+    rest = [
+        (1 << i, sum(e << j for j, e in enumerate(row)), q)
+        for i, (row, q) in enumerate(zip(module.b_int, module.q_int))
+    ]
+    odd, planes = [], []
+    while rest:
+        g = next((x for x in rest if x[2] % 2), None)
+        if g is not None:
+            rest.remove(g)
+            odd.append(g)
+            rest = [_f2_plus(x, g) if _f2_pair(x, g) else x for x in rest]
+            continue
+        e = rest.pop()
+        f = next((x for x in rest if _f2_pair(e, x)), None)
+        if f is None:
+            return None
+        rest.remove(f)
+        if e[2] != f[2]:
+            e, f = (f if e[2] else e), _f2_plus(e, f)
+        planes.append((e, f))
+        projected = []
+        for x in rest:
+            if _f2_pair(x, f):
+                x = _f2_plus(x, e)
+            if _f2_pair(x, e):
+                x = _f2_plus(x, f)
+            projected.append(x)
+        rest = projected
+    if odd:
+        for e, f in planes:
+            g = odd.pop()
+            odd += [_f2_plus(e, g), _f2_plus(f, g), _f2_plus(_f2_plus(e, f), g)]
+        halves = [x for x in odd if x[2] == 1]
+        minus = [x for x in odd if x[2] == 3]
+        while len(minus) >= 4:
+            four, minus = minus[:4], minus[4:]
+            halves += [_f2_plus(_f2_plus(a, b), c) for a, b, c in itertools.combinations(four, 3)]
+        basis = halves + minus
+    else:
+        us = [p for p in planes if not p[0][2]]
+        vs = [p for p in planes if p[0][2]]
+        while len(vs) >= 2:
+            (e1, f1), (e2, f2) = vs.pop(), vs.pop()
+            e1f1 = _f2_plus(e1, f1)
+            us += [
+                (_f2_plus(e1, e2), _f2_plus(f1, e2)),
+                (_f2_plus(e1f1, f2), _f2_plus(_f2_plus(e1f1, e2), f2)),
+            ]
+        basis = [x for plane in us + vs for x in plane]
+    return tuple(x[2] for x in basis), basis
+
+
+def _basis_witness(basis1, basis2) -> list[GroupElement]:
+    """Images of m1's generators under an isometry taking one canonical
+    basis of a normal form to another.
+
+    The map basis1[i] -> basis2[s(i)], s swapping the two vectors of each
+    plane, preserves q and b, since both vectors of a plane have the same
+    q.  Over F2 the Gram matrix 2b of a canonical basis is s itself, so
+    g_j = sum_i 2b(g_j, basis1[s(i)]) basis1[i]; the map therefore sends
+    g_j to the sum of the basis2[i] with 2b(g_j, basis1[i]) = 1, which is
+    bit j of basis1[i]'s pairing mask.
+    """
+    k = len(basis1)
+    images = []
+    for j in range(k):
+        y = 0
+        for d, x in zip(basis1, basis2):
+            if d[1] >> j & 1:
+                y ^= x[0]
+        images.append(tuple(y >> i & 1 for i in range(k)))
+    return images
 
 
 def _checked_witness(m1, m2, images) -> tuple[GroupElement, ...]:

@@ -57,8 +57,9 @@ class VerificationReport:
         raise KeyError(result_id)
 
     def to_dict(self) -> dict:
+        """The report as plain data; ``cli`` writes it with "schema" first,
+        as it writes every document."""
         return {
-            "schema": 1,
             "all_passed": self.all_passed,
             "entries": [
                 {

@@ -10,10 +10,12 @@ re-pair each generator lift, as they did before they took the module.
 ``class_of`` takes the coordinates v * T / D of the rational SNF, as it
 did before the class table.  ``full_snf_discriminant_group`` reads the
 discriminant group off the full rational SNF, which the package stops
-once only unit factors are left.  The differential tests compare the two.
-The span basis and the Hermite form behind the canonical subgroup
-generators come from ``linalg_oracle``; only the discriminant group and
-the rational SNF come from the package.
+once only unit factors are left.  ``is_two_elementary_nondegenerate``
+tells, by the F2 rank of 2b, which pairs ``are_isomorphic`` decides by
+its normal form.  The differential tests compare the two.  The span
+basis and the Hermite form behind the canonical subgroup generators come
+from ``linalg_oracle``; only the discriminant group and the rational SNF
+come from the package.
 """
 
 import math
@@ -208,6 +210,23 @@ def are_isomorphic(m1, m2):
         return False
 
     return tuple(images) if extend(0) else None
+
+
+def is_two_elementary_nondegenerate(module):
+    """Every generator order is 2 and b is nondegenerate: the F2 matrix
+    2*b over the generators has full rank k >= 1."""
+    k = module.ngens
+    if not k or any(d != 2 for d in module.orders):
+        return False
+    rows = [sum(int(2 * e) << j for j, e in enumerate(row)) for row in module.b_mat]
+    rank = 0
+    for bit in range(k):
+        pivot = next((r for r in rows if r >> bit & 1), None)
+        if pivot is not None:
+            rows.remove(pivot)
+            rows = [r ^ pivot if r >> bit & 1 else r for r in rows]
+            rank += 1
+    return rank == k
 
 
 def _require_even(lattice):

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import math
 import os
 import random
@@ -13,7 +14,7 @@ import discform_oracle
 import evenlat.discform as df
 import linalg_oracle as oracle
 from evenlat.exactlinalg import IntMat, snf
-from evenlat.lattice import Lattice, make_named, parse_lattice_expr
+from evenlat.lattice import Lattice, direct_sum, make_named, parse_lattice_expr
 from evenlat.refdata import M_Z23_PERP_EXPR, T_X_EXPR
 from test_exactlinalg import hnf_against_oracle, random_unimodular
 
@@ -48,6 +49,70 @@ SCRAMBLED_M_Z2_3 = (
     (-5, -5, 8, 19, -21, -1, -2, -5, 24, 11, 1, 17, -16, 15),
     (4, 4, -8, -23, 21, 0, 1, 5, -25, -12, -1, -16, 15, -16),
 )
+
+
+# the same with random.Random(7): the search takes seconds on it
+# scrambled-first and milliseconds plain-first
+SEED_7_M_Z2_3 = (
+    (-50, -30, 24, 2, -23, -34, -16, -24, 14, 14, -40, 38, 2, -2),
+    (-30, -30, 14, 0, -16, -22, -14, -16, 12, 20, -26, 30, 2, 0),
+    (24, 14, -52, -4, 8, 7, 26, 7, -26, -15, 34, -35, -2, -1),
+    (2, 0, -4, -2, -1, 0, 1, 0, -1, 0, 1, -1, 0, 0),
+    (-23, -16, 8, -1, -22, -17, -6, -11, 6, 7, -19, 19, 3, -3),
+    (-34, -22, 7, 0, -17, -28, -7, -17, 7, 6, -25, 24, 2, -2),
+    (-16, -14, 26, 1, -6, -7, -16, -7, 15, 14, -20, 23, 1, 1),
+    (-24, -16, 7, 0, -11, -17, -7, -14, 5, 9, -17, 17, 0, -1),
+    (14, 12, -26, -1, 6, 7, 15, 5, -18, -10, 17, -22, -1, 1),
+    (14, 20, -15, 0, 7, 6, 14, 9, -10, -24, 16, -21, 0, -2),
+    (-40, -26, 34, 1, -19, -25, -20, -17, 17, 16, -44, 39, 3, 1),
+    (38, 30, -35, -1, 19, 24, 23, 17, -22, -21, 39, -42, -3, 0),
+    (2, 2, -2, 0, 3, 2, 1, 0, -1, 0, 3, -3, -2, 0),
+    (-2, 0, -1, 0, -3, -2, 1, -1, 1, -2, 1, 0, 0, -2),
+)
+
+# M*q mod 4 and 2b over F2 of the summands of a 2-elementary form of
+# level 2: the planes u and v, <1/2> ("+") and <-1/2> ("-")
+F2_SUMMANDS = {
+    "u": ((0, 0), ((0, 1), (1, 0))),
+    "v": ((2, 2), ((0, 1), (1, 0))),
+    "+": ((1,), ((1,),)),
+    "-": ((3,), ((1,),)),
+}
+
+
+def f2_sum(kinds):
+    """The orthogonal sum of the named summands."""
+    return functools.reduce(df.direct_sum, (
+        df.FiniteQuadraticModule((2,) * len(q), 2, q, b) for q, b in map(F2_SUMMANDS.get, kinds)
+    ))
+
+
+def f2_presentation(rng, module):
+    """The module on the rows of a random invertible F2 matrix: the unit
+    vectors under 3k row additions, then permuted."""
+    k = module.ngens
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        rows[i] = [(a + c) % 2 for a, c in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return df.submodule_on(module, rows, module.orders)
+
+
+def normal_form_signature(module):
+    """The signature mod 8 of the normal form: +1 for <1/2>, -1 for <-1/2>,
+    4 for v (two entries 2 of the key), 0 for u."""
+    key, _ = df._two_elementary_form(module)
+    return sum({0: 0, 1: 1, 2: 2, 3: -1}[t] for t in key) % 8
+
+
+# D4, whose discriminant form is v
+D4_GRAM = IntMat.from_rows([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]])
+
+
+def two_elementary_lattice(names):
+    """The direct sum of named lattices, D4 among them."""
+    return direct_sum(*(Lattice(D4_GRAM, "D4") if n == "D4" else make_named(n) for n in names))
 
 
 @pytest.fixture(scope="module")
@@ -182,11 +247,28 @@ def assert_value_table(module):
 
 def assert_isomorphism_witnesses(pairs):
     """Each pair asked twice on the same module objects, against the oracle
-    on freshly built equal modules."""
+    on freshly built equal modules.  The search returns the oracle's first
+    witness.  A pair of nondegenerate 2-elementary modules is decided by
+    the normal form, whose witness is another one: there the verdict must
+    agree, and the images must carry m1's q and b and generate m2."""
     for m1, m2 in pairs:
         want = discform_oracle.are_isomorphic(fresh_copy(m1), fresh_copy(m2))
-        assert df.are_isomorphic(m1, m2) == want
-        assert df.are_isomorphic(m1, m2) == want
+        if not all(map(discform_oracle.is_two_elementary_nondegenerate, (m1, m2))):
+            assert df.are_isomorphic(m1, m2) == want
+            assert df.are_isomorphic(m1, m2) == want
+            continue
+        for _ in range(2):
+            witness = df.are_isomorphic(m1, m2)
+            assert (witness is None) == (want is None)
+            if witness is not None:
+                assert_witness_presents(m1, m2, witness)
+
+
+def assert_witness_presents(m1, m2, witness):
+    """submodule_on accepts the images as generators of m2 with m1's
+    orders, and they carry m1's q and b."""
+    image = df.submodule_on(m2, witness, m1.orders)
+    assert (image.q_diag, image.b_mat) == (m1.q_diag, m1.b_mat)
 
 
 class TestFromLattice:
@@ -784,12 +866,12 @@ class TestIsomorphism:
             return pack, counted
 
         monkeypatch.setattr(df, "_packing", counted_packing)
-        witness = df.are_isomorphic(scrambled, plain)
+        # the search itself: are_isomorphic takes the normal form on (Z/2)^8
+        witness = df._isomorphism_search(scrambled, plain)
         assert cosets < 100
         monkeypatch.undo()
         assert witness is not None
-        image = df.submodule_on(plain, witness, scrambled.orders)
-        assert (image.q_diag, image.b_mat) == (scrambled.q_diag, scrambled.b_mat)
+        assert_witness_presents(scrambled, plain, witness)
 
     def test_self_isomorphic(self, a_q):
         assert df.are_isomorphic(a_q, a_q) is not None
@@ -800,6 +882,112 @@ class TestIsomorphism:
             df.are_isomorphic(a_q, a_q)
         monkeypatch.setenv("EVENLAT_GUARD_ORDER", "1024")
         assert df.are_isomorphic(a_q, a_q) is not None
+
+
+def refuse_search(m1, m2):
+    raise AssertionError("the search was entered")
+
+
+class TestTwoElementaryNormalForm:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_matches_search(self, seed):
+        # a sum of one to four planes and <+-1/2>, of order <= 256, half of
+        # them of planes alone (delta = 0), on random generators, against
+        # its plain sum (isomorphic by construction), its negation and the
+        # form with one q value moved by 1, in both orders; the search gives
+        # the verdict on the last two
+        rng = random.Random(seed)
+        plain = f2_sum(rng.choices(rng.choice(("uv", "uv+-")), k=rng.randint(1, 4)))
+        module = f2_presentation(rng, plain)
+        q = list(module.q_int)
+        i = rng.randrange(module.ngens)
+        q[i] = (q[i] + 2) % 4
+        moved = dataclasses.replace(module, q_int=tuple(q))
+        for m1, m2 in ((module, plain), (plain, module)):
+            assert_witness_presents(m1, m2, df.are_isomorphic(m1, m2))
+        for partner in (df.negate(module), moved):
+            want = df._isomorphism_search(module, partner) is None
+            for m1, m2 in ((module, partner), (partner, module)):
+                witness = df.are_isomorphic(m1, m2)
+                assert (witness is None) == want
+                if witness is not None:
+                    assert_witness_presents(m1, m2, witness)
+
+    @pytest.mark.parametrize("expr", [
+        "M_Z2_3", M_Z23_PERP_EXPR, "Nikulin", "E8+A1", "U(2)+A1", "A1+A1+A1+A1+A1",
+        "U(2)+U(2)", "D4", "D4+D4", "D4+D4+<2>",
+    ])
+    def test_signature_is_milgrams(self, expr):
+        # the normal form's signature mod 8 is (t+ - t-) mod 8 of the lattice
+        lat = two_elementary_lattice(expr.split("+"))
+        t_plus, t_minus, _ = lat.signature
+        assert normal_form_signature(df.from_lattice(lat)) == (t_plus - t_minus) % 8
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6))
+    def test_signature_is_milgrams_on_drawn_sums(self, seed):
+        # one to three 2-elementary blocks and at most one unimodular one,
+        # on a scrambled basis
+        rng = random.Random(seed)
+        names = rng.choices(("U(2)", "A1", "<2>", "D4", "Nikulin"), k=rng.randint(1, 3))
+        names += rng.choices(("U", "E8"), k=rng.randint(0, 1))
+        rng.shuffle(names)
+        lat = two_elementary_lattice(names)
+        u = random_unimodular(rng, lat.rank, steps=2 * lat.rank)
+        module = df.from_lattice(Lattice(u * lat.gram * u.transpose()))
+        t_plus, t_minus, _ = lat.signature
+        assert normal_form_signature(module) == (t_plus - t_minus) % 8
+
+    @pytest.mark.parametrize("scrambled_first", [True, False])
+    def test_seed_7_scramble_takes_no_search(self, monkeypatch, scrambled_first):
+        plain = df.from_lattice(make_named("M_Z2_3"))
+        scrambled = df.from_lattice(Lattice(IntMat.from_rows(SEED_7_M_Z2_3)))
+        m1, m2 = (scrambled, plain) if scrambled_first else (plain, scrambled)
+        monkeypatch.setattr(df, "_isomorphism_search", refuse_search)
+        assert_witness_presents(m1, m2, df.are_isomorphic(m1, m2))
+
+    def test_degenerate_forms_take_the_search(self, monkeypatch):
+        # 2-elementary, with a radical: <1/2> + (q = 1, b = 0) and
+        # u + (q = 0, b = 0) at level 2, and (q = 1, b = 0) at level 1
+        degenerate = (
+            df.FiniteQuadraticModule((2, 2), 2, (1, 2), ((1, 0), (0, 0))),
+            df.FiniteQuadraticModule((2, 2, 2), 2, (0, 0, 0), ((0, 1, 0), (1, 0, 0), (0, 0, 0))),
+            df.FiniteQuadraticModule((2,), 1, (1,), ((0,),)),
+        )
+        searched = []
+        search = df._isomorphism_search
+
+        def spy(m1, m2):
+            searched.append((m1, m2))
+            return search(m1, m2)
+
+        monkeypatch.setattr(df, "_isomorphism_search", spy)
+        rng = random.Random(3)
+        for module in degenerate:
+            assert not discform_oracle.is_two_elementary_nondegenerate(module)
+            pairs = [(module, f2_presentation(rng, module)), (module, df.negate(module))]
+            assert_isomorphism_witnesses(pairs)
+            assert all(pair in searched for pair in pairs)
+
+    def test_guard_limits_only_the_search(self, monkeypatch):
+        # (Z/2)^12, of order 4096 above the default guard of 1024
+        lat = parse_lattice_expr("U(2)+U(2)+U(2)+U(2)+A1+A1+A1+<2>")
+        u = random_unimodular(random.Random(5), lat.rank, steps=2 * lat.rank)
+        m1 = df.from_lattice(lat)
+        m2 = df.from_lattice(Lattice(u * lat.gram * u.transpose()))
+        assert m1.order == m2.order == 4096
+        monkeypatch.delenv("EVENLAT_GUARD_ORDER", raising=False)
+        assert df.guard_order() == 1024
+        assert_witness_presents(m1, m2, df.are_isomorphic(m1, m2))
+        assert df.are_isomorphic(m1, df.negate(m2)) is None
+        # (Z/4)^6, of the same order: the pair goes to the search
+        quartic = df.from_lattice(parse_lattice_expr("diag(4,4,4,4,4,4)"))
+        with pytest.raises(df.GuardExceeded):
+            df.are_isomorphic(m1, quartic)
+        monkeypatch.setenv("EVENLAT_GUARD_ORDER", "abc")
+        with pytest.raises(ValueError, match="EVENLAT_GUARD_ORDER"):
+            df.are_isomorphic(m1, m2)
 
 
 class TestNegateAndSum:
